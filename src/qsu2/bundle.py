@@ -16,6 +16,7 @@ from .comod import VnComodule
 from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
                     random_word, tensor_elem)
+from .report import check
 from .scalars import ONE, ZERO
 
 __all__ = [
@@ -253,11 +254,7 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
     G = STD.G
 
     def emit(name, ok, anchor, witness=None):
-        checks.append({"name": f"n={n}.{name}",
-                       "status": "pass" if ok else "fail",
-                       "paper_anchor": anchor,
-                       **({"witness": str(witness)} if witness is not None
-                          and not ok else {})})
+        checks.append(check(f"n={n}.{name}", ok, anchor, witness))
 
     slice_now = cotensor_slice(n, degree)
     slice_next = cotensor_slice(n, degree + 1)

@@ -21,6 +21,7 @@ from . import linalg
 from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, normal_form_of_word,
                     random_word, retract, tensor_elem)
+from .report import check
 from .scalars import ONE, ZERO, q_pow
 
 __all__ = [
@@ -76,9 +77,6 @@ class TrivializationChart:
     def gamma_chi(self, n: int) -> NCPoly:
         """gamma(lambda^-n)."""
         return self.gamma(STD.B.gen("lambda", -n))
-
-    def coaction_of(self, p: NCPoly) -> NCPoly:
-        return self.rho_B(p)
 
     def __repr__(self):
         return f"<{self.name}>"
@@ -372,11 +370,7 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
     HB = hopf_B()
 
     def emit(name, ok, anchor, witness=None):
-        checks.append({"name": f"{ch.name}.{name}",
-                       "status": "pass" if ok else "fail",
-                       "paper_anchor": anchor,
-                       **({"witness": str(witness)} if witness is not None
-                          and not ok else {})})
+        checks.append(check(f"{ch.name}.{name}", ok, anchor, witness))
 
     emit("iota_algebra_map", not ch.iota.check_relations(),
          "localization map is a ring homomorphism")
@@ -487,11 +481,8 @@ def cover_equalizer(cov: Cover, degree: int):
             col[("d", mono)] = col.get(("d", mono), ZERO) + c
         columns.append(col)
     ker = linalg.kernel_basis(columns)
-    checks.append({
-        "name": f"cover.injectivity_deg{degree}",
-        "status": "pass" if not ker else "fail",
-        "paper_anchor": "0 -> M -> prod S_lambda^-1 M is exact",
-    })
+    checks.append(check(f"cover.injectivity_deg{degree}", not ker,
+                        "0 -> M -> prod S_lambda^-1 M is exact"))
 
     b_monos = cov.b.alg.basis_monomials(degree)
     d_monos = cov.d.alg.basis_monomials(degree)
@@ -522,18 +513,14 @@ def cover_equalizer(cov: Cover, degree: int):
             witness = f"retraction mismatch for ({f_b}, {f_d})"
             break
     for order in ("b,d", "d,b"):
-        checks.append({
-            "name": f"cover.gluing_deg{degree}_order_{order.replace(',', '')}",
-            "status": "pass" if glue_ok else "fail",
-            "paper_anchor": "the fork diagram is an equalizer diagram "
-                            f"(consecutive localization order {order}; both "
-                            "factor through G_bd since b,d q-commute)",
-            **({"witness": witness} if witness else {}),
-        })
-    checks.append({
-        "name": f"cover.gluing_pairs_deg{degree}",
-        "status": "pass",
-        "witness": f"{len(pairs)} agreeing pairs, all from G",
-        "paper_anchor": "gluing dimension record",
-    })
+        checks.append(check(
+            f"cover.gluing_deg{degree}_order_{order.replace(',', '')}",
+            glue_ok,
+            "the fork diagram is an equalizer diagram "
+            f"(consecutive localization order {order}; both "
+            "factor through G_bd since b,d q-commute)", witness))
+    checks.append(check(f"cover.gluing_pairs_deg{degree}", True,
+                        "gluing dimension record",
+                        f"{len(pairs)} agreeing pairs, all from G",
+                        keep_witness=True))
     return checks

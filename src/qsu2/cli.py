@@ -6,8 +6,8 @@
                       [--format text|json|tsv]
     qsu2 resolution --n N [--q P/R] [--format json|tsv]
 
-Exit codes: 0 success / all checks pass, 1 failing check, 2 parse error,
-3 domain error.
+Exit codes: 0 success / all checks pass, 1 failing check (or no check
+run), 2 parse error, 3 domain error.
 """
 
 from __future__ import annotations
@@ -42,11 +42,19 @@ def _parse_q(text: str) -> Fraction:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        a, b = text.split("..")
-        return range(int(a), int(b) + 1)
-    n = int(text)
-    return range(n, n + 1)
+    a, _, b = text.partition("..")
+    r = range(int(a), int(b or a) + 1)
+    if not r or r.start < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a nonempty range of degrees >= 0")
+    return r
+
+
+def _parse_n(text: str) -> int:
+    r = _parse_range(text)
+    if len(r) != 1:
+        raise argparse.ArgumentTypeError(f"expected one N, got {text!r}")
+    return r.start
 
 
 def cmd_eval(args) -> int:
@@ -56,10 +64,6 @@ def cmd_eval(args) -> int:
         return 2
     try:
         p = parse_element(args.expr, alg)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.action == "nf":
             print(p)
         elif args.action == "coproduct":
@@ -75,7 +79,11 @@ def cmd_eval(args) -> int:
             print(v)
             if args.q is not None:
                 print(f"at q = {args.q}: {v.specialize(args.q)}")
-    except DomainError as exc:
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except (DomainError, ZeroDivisionError) as exc:
+        # a zero divisor in the expression, or PoleError from --q
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -93,8 +101,12 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {name!r}; choose from "
               f"{', '.join(sorted(SUITES))}, all", file=sys.stderr)
         return 2
-    report = run_suite(name, n_range=args.n, degree=args.degree,
-                       seed=args.seed, q0=args.q)
+    try:
+        report = run_suite(name, n_range=args.n, degree=args.degree,
+                           seed=args.seed, q0=args.q)
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(report.to_json())
     elif args.format == "tsv":
@@ -105,11 +117,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_resolution(args) -> int:
-    out = {"n": None, "alpha_exact": None, "alpha_at_q": None,
+    n = args.n
+    out = {"n": n, "alpha_exact": None, "alpha_at_q": None,
            "matrix_is_scalar": False, "chart_agreement": False,
            "lemma_checks": [], "qbeta_checks": []}
-    n = args.n.start
-    out["n"] = n
     try:
         with timed() as t:
             res = coherent.resolution_operator(n)
@@ -117,23 +128,11 @@ def cmd_resolution(args) -> int:
             out["alpha_at_q"] = str(res.alpha_at(args.q))
             out["matrix_is_scalar"] = True
             out["chart_agreement"] = res.chart_agreement
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    v = coherent.lemma_integral(i, j, n)
-                    expect = (coherent.lemma_integral_closed_form(i, n)
-                              if i == j else None)
-                    out["lemma_checks"].append({
-                        "i": i, "j": j, "value": str(v),
-                        "matches_closed_form":
-                            v.is_zero() if i != j else v == expect,
-                    })
-            for i in range(n + 1):
-                r = coherent.qbeta_check(i, n)
-                out["qbeta_checks"].append({
-                    "i": i,
-                    "matches_inverse_binomial_form":
-                        r["matches_inverse_binomial_form"],
-                })
+            out["lemma_checks"] = coherent.lemma_table(n)
+            out["qbeta_checks"] = [
+                {"i": i, "matches_inverse_binomial_form":
+                    coherent.qbeta_check(i, n)["matches_inverse_binomial_form"]}
+                for i in range(n + 1)]
         out["runtime_ms"] = t.ms
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("resolution", help="resolution-of-unity report")
-    p.add_argument("--n", type=_parse_range, required=True, metavar="N")
+    p.add_argument("--n", type=_parse_n, required=True, metavar="N")
     p.add_argument("--q", type=_parse_q, default=Fraction(1, 2),
                    metavar="P/R")
     p.add_argument("--format", default="json", choices=["json", "tsv"])

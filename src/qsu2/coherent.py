@@ -20,6 +20,7 @@ from .comod import (GramForm, VnComodule, schur_scalar,
                     solve_coinvariant_gram)
 from .haar import haar
 from .ncalg import DomainError, NCPoly, STD, retract, star, tensor_elem
+from .report import check
 from .scalars import (ONE, QScalar, ZERO, gauss_binomial, q_number,
                       q_pochhammer, q_pow)
 
@@ -36,6 +37,7 @@ __all__ = [
     "resolution_operator",
     "lemma_integral",
     "lemma_integral_closed_form",
+    "lemma_table",
     "qbeta_check",
     "ramanujan_qbeta",
     "scalar_operator_general",
@@ -129,18 +131,14 @@ def section_property_check(n: int):
                   for i, v in enumerate(vec)), cov.b.alg.zero())
         fd = sum((fam_d.coefficients[i] * (g.diag[i] * QScalar.coerce(v))
                   for i, v in enumerate(vec)), cov.d.alg.zero())
-        ok = True
         witness = None
         try:
             Section(fb, fd, n)
         except DomainError as exc:
-            ok, witness = False, str(exc)
-        checks.append({
-            "name": f"n={n}.section_property_v{k}",
-            "status": "pass" if ok else "fail",
-            "paper_anchor": "<C_lambda|v> is an element in Gamma_Lambda L_chi",
-            **({"witness": witness} if witness else {}),
-        })
+            witness = exc
+        checks.append(check(
+            f"n={n}.section_property_v{k}", witness is None,
+            "<C_lambda|v> is an element in Gamma_Lambda L_chi", witness))
     return checks
 
 
@@ -211,6 +209,32 @@ def lemma_integral_closed_form(i: int, n: int) -> QScalar:
             * q_pow(n + i * (i - 1)) / q_number(n + 1))
 
 
+def lemma_table(n: int):
+    """The Lemma for V_n entry by entry: one row per (i, j) with the value of
+    int u^i d^n (u^j d^n)^* and whether it equals delta_ij times the closed
+    form."""
+    rows = []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            v = lemma_integral(i, j, n)
+            expect = lemma_integral_closed_form(i, n) if i == j else ZERO
+            rows.append({"i": i, "j": j, "value": str(v),
+                         "matches_closed_form": v == expect})
+    return rows
+
+
+def _zeta_pochhammer(i: int, n: int) -> NCPoly:
+    """zeta^i (q^-2 zeta; q^-2)_(n-i) in G, with zeta = -q b c."""
+    zeta = STD.G.gen("b") * STD.G.gen("c") * (-q_pow(1))
+    poch = q_pochhammer(q_pow(-2), q_pow(-2), n - i)
+    out = STD.G.zero()
+    zpow = zeta ** i
+    for k, c in enumerate(poch.coeffs):
+        if not c.is_zero():
+            out = out + zpow * (zeta ** k) * c
+    return out
+
+
 def qbeta_check(i: int, n: int):
     """int zeta^i (q^-2 zeta; q^-2)_(n-i) against the closed forms.
 
@@ -220,14 +244,7 @@ def qbeta_check(i: int, n: int):
     """
     if not (0 <= i <= n):
         raise ValueError("need 0 <= i <= n")
-    zeta = STD.G.gen("b") * STD.G.gen("c") * (-q_pow(1))
-    poch = q_pochhammer(q_pow(-2), q_pow(-2), n - i)
-    integrand = STD.G.zero()
-    zpow = zeta ** i
-    for k, c in enumerate(poch.coeffs):
-        if not c.is_zero():
-            integrand = integrand + zpow * (zeta ** k) * c
-    value = haar(integrand)
+    value = haar(_zeta_pochhammer(i, n))
     binom = gauss_binomial(n, i, q_pow(-2))
     inverse_form = binom.inverse() * q_pow(n) / q_number(n + 1)
     printed_form = binom * q_pow(n) / q_number(n + 1)
@@ -247,14 +264,7 @@ def integrand_sign_check(i: int, n: int):
     dn = ch.alg.gen("d", n)
     lhs = retract(u ** i * dn, STD.G)
     lhs = lhs * star(lhs)
-    zeta = STD.G.gen("b") * STD.G.gen("c") * (-q_pow(1))
-    poch = q_pochhammer(q_pow(-2), q_pow(-2), n - i)
-    rhs = STD.G.zero()
-    zpow = zeta ** i
-    for k, c in enumerate(poch.coeffs):
-        if not c.is_zero():
-            rhs = rhs + zpow * (zeta ** k) * c
-    rhs = rhs * q_pow(i * (i - 1))
+    rhs = _zeta_pochhammer(i, n) * q_pow(i * (i - 1))
     return {"plus_sign_holds": lhs == rhs, "minus_sign_holds": lhs == -rhs}
 
 

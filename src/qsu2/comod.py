@@ -11,7 +11,9 @@ The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
 admits two noncommutative orderings of the right-hand side.  Both are
 implemented; the solver discovers which one carries the diagonal Gram that
 normalizes the weight covector and reproduces the inverse Gaussian-binomial
-weights, and that order is recorded on the GramForm.
+weights, and that order is recorded on the GramForm.  The swapped order is
+tried first, so the printed order is solved only when the swapped one
+fails or on request (`gram_order_report`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .scalars import ONE, QScalar, ZERO, gauss_binomial, q_pow
 __all__ = [
     "VnComodule",
     "GramForm",
-    "coaction",
     "weight_covectors",
     "solve_coinvariant_gram",
     "pairing",
@@ -128,10 +129,6 @@ class VnComodule:
         return [[pi(x) for x in row] for row in self.coaction_matrix]
 
 
-def coaction(n: int, vec) -> NCPoly:
-    return VnComodule(n).coaction(vec)
-
-
 def verify_comodule_axioms(n: int) -> bool:
     """(Delta t)_ik = sum_j t_ij (x) t_jk and eps(t_ik) = delta_ik, plus
     homogeneity of degree n."""
@@ -193,17 +190,25 @@ class GramForm:
         self.diag = list(diag)
         self.order_convention = order_convention
 
-    def pair_basis(self, i: int, j: int) -> QScalar:
-        return self.diag[i] if i == j else ZERO
-
     def __repr__(self):
         return (f"GramForm(n={self.n}, diag=[" +
                 ", ".join(str(d) for d in self.diag) +
                 f"], order={self.order_convention})")
 
 
-def _gram_solutions(n: int, order: str):
-    """Kernel of the coinvariance identity for a full (n+1)^2 Gram matrix."""
+def _inverse_binomials(n: int):
+    """The orthonormality weights 1/binom(n,i)_{q^-2}, i = 0..n."""
+    return [gauss_binomial(n, i, q_pow(-2)).inverse() for i in range(n + 1)]
+
+
+def _gram_order(n: int, order: str):
+    """Solve the coinvariance identity for a full (n+1)^2 Gram matrix in one
+    Sweedler order.
+
+    Returns (number of independent solutions, whether the single solution
+    is diagonal, its diagonal normalized so <y^n|y^n> = 1); the last two
+    are None when they do not apply.
+    """
     V = VnComodule(n)
     t = V.coaction_matrix
     G = STD.G
@@ -228,46 +233,36 @@ def _gram_solutions(n: int, order: str):
             key = (i, j, unit)
             col[key] = col.get(key, ZERO) - ONE
             columns.append(col)
-    return linalg.kernel_basis(columns)
+    sols = linalg.kernel_basis(columns)
+    if len(sols) != 1:
+        return len(sols), None, None
+    mat = [sols[0][i * m:(i + 1) * m] for i in range(m)]
+    diagonal = not any(mat[i][j] for i in range(m) for j in range(m) if i != j)
+    norm = mat[0][0]  # <y^n|y^n>
+    if not diagonal or norm.is_zero():
+        return 1, diagonal, None
+    return 1, True, [mat[i][i] / norm for i in range(m)]
 
 
 def solve_coinvariant_gram(n: int) -> GramForm:
     """Solve the coinvariance identity for the Gram matrix of V_n.
 
-    Tries both Sweedler orders; requires a one-dimensional solution space
-    with diagonal support in the successful order, normalized so the weight
-    covector y^n has norm 1.  Fatal if neither order admits a solution.
+    Tries the Sweedler orders in turn and returns at the first one whose
+    solution space is one-dimensional with diagonal support and reproduces
+    the inverse-binomial weights, normalized so the weight covector y^n has
+    norm 1.  If no order does, the first diagonal solution is returned;
+    fatal if neither order admits one.
     """
-    m = n + 1
-    results = {}
+    expected = _inverse_binomials(n)
+    diagonals = {}
     for order in (STAR_FIRST, STAR_SECOND):
-        sols = _gram_solutions(n, order)
-        results[order] = sols
-    for order in (STAR_FIRST, STAR_SECOND):
-        sols = results[order]
-        if len(sols) != 1:
-            continue
-        vec = sols[0]
-        mat = [[vec[i * m + j] for j in range(m)] for i in range(m)]
-        if any(mat[i][j] for i in range(m) for j in range(m) if i != j):
-            continue
-        norm = mat[0][0]  # <y^n|y^n>
-        if norm.is_zero():
-            continue
-        diag = [mat[i][i] / norm for i in range(m)]
-        expected = [gauss_binomial(n, i, q_pow(-2)).inverse() for i in range(m)]
+        diag = diagonals[order] = _gram_order(n, order)[2]
         if diag == expected:
             return GramForm(n, diag, order)
     # no order reproduces the inverse-binomial weights: report what exists
-    for order in (STAR_FIRST, STAR_SECOND):
-        sols = results[order]
-        if len(sols) == 1:
-            vec = sols[0]
-            mat = [[vec[i * m + j] for j in range(m)] for i in range(m)]
-            if not any(mat[i][j] for i in range(m) for j in range(m) if i != j):
-                norm = mat[0][0]
-                diag = [mat[i][i] / norm for i in range(m)]
-                return GramForm(n, diag, order)
+    for order, diag in diagonals.items():
+        if diag is not None:
+            return GramForm(n, diag, order)
     raise DomainError(
         f"no diagonal coinvariant Gram form exists for n={n} in either order")
 
@@ -278,24 +273,16 @@ def gram_order_report(n: int):
     Reviewer-facing data for the order-convention discrepancy: the printed
     order and the swapped order both may admit diagonal solutions, but only
     one reproduces the orthonormality weights."""
-    m = n + 1
+    expected = _inverse_binomials(n)
     out = {}
     for order in (STAR_FIRST, STAR_SECOND):
-        sols = _gram_solutions(n, order)
-        entry = {"solutions": len(sols)}
-        if len(sols) == 1:
-            vec = sols[0]
-            mat = [[vec[i * m + j] for j in range(m)] for i in range(m)]
-            diagonal = not any(mat[i][j] for i in range(m)
-                               for j in range(m) if i != j)
+        count, diagonal, diag = _gram_order(n, order)
+        entry = out[order] = {"solutions": count}
+        if count == 1:
             entry["diagonal"] = diagonal
-            if diagonal and mat[0][0]:
-                diag = [mat[i][i] / mat[0][0] for i in range(m)]
+            if diag is not None:
                 entry["diag"] = [str(d) for d in diag]
-                expected = [gauss_binomial(n, i, q_pow(-2)).inverse()
-                            for i in range(m)]
                 entry["matches_inverse_binomial"] = diag == expected
-        out[order] = entry
     return out
 
 

@@ -18,6 +18,7 @@ import random
 from .hopf import hopf_G
 from .ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
                     random_word, star)
+from .report import check
 from .scalars import ONE, QRational, QScalar, ZERO, q_number, q_pow
 
 __all__ = [
@@ -85,7 +86,6 @@ def verify_invariance(degree: int):
     monomials up to the degree."""
     G = STD.G
     HG = hopf_G()
-    checks = []
     bad_left = bad_right = None
     for mono in G.basis_monomials(degree):
         p = NCPoly(G, {mono: ONE})
@@ -101,21 +101,16 @@ def verify_invariance(degree: int):
             bad_left = G.mono_str(mono)
         if right != expect and bad_right is None:
             bad_right = G.mono_str(mono)
-    checks.append({"name": f"haar.left_invariance_deg{degree}",
-                   "status": "fail" if bad_left else "pass",
-                   "paper_anchor": "(id x int) Delta(a) = (int a) 1_H",
-                   **({"witness": bad_left} if bad_left else {})})
-    checks.append({"name": f"haar.right_invariance_deg{degree}",
-                   "status": "fail" if bad_right else "pass",
-                   "paper_anchor": "two-sided invariance of the Haar state",
-                   **({"witness": bad_right} if bad_right else {})})
-    return checks
+    return [check(f"haar.left_invariance_deg{degree}", bad_left is None,
+                  "(id x int) Delta(a) = (int a) 1_H", bad_left),
+            check(f"haar.right_invariance_deg{degree}", bad_right is None,
+                  "two-sided invariance of the Haar state", bad_right)]
 
 
 def verify_positivity(q0: QRational, samples: int, degree: int, seed: int = 0):
     """specialize(int(f f*), q0) > 0 for random nonzero f."""
     if not (0 < q0 < 1):
-        raise ValueError("positivity regime requires 0 < q0 < 1")
+        raise DomainError("positivity regime requires 0 < q0 < 1")
     rng = random.Random(seed)
     G = STD.G
     bad = None
@@ -132,10 +127,6 @@ def verify_positivity(q0: QRational, samples: int, degree: int, seed: int = 0):
         if v <= 0:
             bad = (str(f), str(v))
             break
-    return [{
-        "name": f"haar.positivity_q{q0}",
-        "status": "fail" if bad else "pass",
-        "paper_anchor": "the Haar state is positive (unitarity behind "
-                        "the resolution formula)",
-        **({"witness": str(bad)} if bad else {}),
-    }]
+    return [check(f"haar.positivity_q{q0}", bad is None,
+                  "the Haar state is positive (unitarity behind "
+                  "the resolution formula)", bad)]

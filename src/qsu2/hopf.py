@@ -15,6 +15,7 @@ import random
 from . import linalg
 from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, normal_form_of_word,
                     random_word, star, tensor_elem)
+from .report import check
 from .scalars import ONE, QScalar, ZERO
 
 __all__ = [
@@ -374,20 +375,12 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
     words = _sample_words(hopf.alg, degree, samples, seed)
 
     def run(name, anchor, fn):
-        witness = None
-        for w in words:
-            if not fn(w):
-                witness = str(w)
-                break
-        checks.append({"name": name, "status": "fail" if witness else "pass",
-                       "paper_anchor": anchor,
-                       **({"witness": witness} if witness else {})})
+        bad = next((w for w in words if not fn(w)), None)
+        checks.append(check(name, bad is None, anchor, bad))
 
-    checks.append({
-        "name": f"{which}.delta_algebra_map",
-        "status": "pass" if not hopf.delta.check_relations() else "fail",
-        "paper_anchor": "coproduct preserves the defining relations",
-    })
+    checks.append(check(f"{which}.delta_algebra_map",
+                        not hopf.delta.check_relations(),
+                        "coproduct preserves the defining relations"))
     run(f"{which}.coassociativity",
         "(Delta x id)Delta = (id x Delta)Delta",
         lambda w: _delta_slot(hopf, hopf.delta(w), 0)
@@ -397,22 +390,17 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
         lambda w: _counit_slot(hopf, hopf.delta(w), 0) == w
         and _counit_slot(hopf, hopf.delta(w), 1) == w)
     if hopf.antipode_images is None:
-        checks.append({
-            "name": f"{which}.antipode_convolution",
-            "status": "fail",
-            "witness": f"no antipode solution: {hopf.antipode_failure}",
-            "paper_anchor": "mu(S x id)Delta = eta eps = mu(id x S)Delta",
-        })
+        checks.append(check(f"{which}.antipode_convolution", False,
+                            "mu(S x id)Delta = eta eps = mu(id x S)Delta",
+                            f"no antipode solution: {hopf.antipode_failure}"))
     else:
         run(f"{which}.antipode_convolution",
             "mu(S x id)Delta = eta eps = mu(id x S)Delta",
             lambda w: _convolve_antipode(hopf, w, "left") == hopf.alg.scalar(hopf.counit(w))
             and _convolve_antipode(hopf, w, "right") == hopf.alg.scalar(hopf.counit(w)))
-    checks.append({
-        "name": f"{which}.antipode_unique_in_ansatz",
-        "status": "pass" if hopf.antipode_unique else "fail",
-        "paper_anchor": "antipode derived by solving the convolution identity",
-    })
+    checks.append(check(f"{which}.antipode_unique_in_ansatz",
+                        hopf.antipode_unique,
+                        "antipode derived by solving the convolution identity"))
     if hopf.alg.star_images is not None:
         run(f"{which}.star_coproduct",
             "Delta(a^*) = sum a_(1)^* x a_(2)^* (intended reading of Definition 3)",
@@ -425,13 +413,10 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
                 "S(S(a^*)^*) = a (standard Hopf-* compatibility)",
                 lambda w: hopf.antipode(star(hopf.antipode(star(w)))) == w)
     else:
-        checks.append({
-            "name": f"{which}.star_axioms",
-            "status": "skip",
-            "witness": "no involution: the ideal (b) is not star-stable, "
-                       "so no star descends to the Borel quotient",
-            "paper_anchor": "Definition 3 (real form)",
-        })
+        checks.append(check(f"{which}.star_axioms", None,
+                            "Definition 3 (real form)",
+                            "no involution: the ideal (b) is not star-stable, "
+                            "so no star descends to the Borel quotient"))
     return checks
 
 
@@ -454,21 +439,15 @@ def verify_pi_hopf_map(degree: int = 5):
             bad_delta = G.mono_str(mono)
         if _HOPF_B.counit(_PI(p)) != _HOPF_G.counit(p) and bad_counit is None:
             bad_counit = G.mono_str(mono)
-    checks.append({"name": "pi.coproduct_compat",
-                   "status": "fail" if bad_delta else "pass",
-                   "paper_anchor": "Delta_B pi = (pi x pi) Delta_G",
-                   **({"witness": bad_delta} if bad_delta else {})})
-    checks.append({"name": "pi.counit_compat",
-                   "status": "fail" if bad_counit else "pass",
-                   "paper_anchor": "eps_B pi = eps_G",
-                   **({"witness": bad_counit} if bad_counit else {})})
+    checks.append(check("pi.coproduct_compat", bad_delta is None,
+                        "Delta_B pi = (pi x pi) Delta_G", bad_delta))
+    checks.append(check("pi.counit_compat", bad_counit is None,
+                        "eps_B pi = eps_G", bad_counit))
     bad_s = None
     for g in "abcd":
         if _HOPF_B.antipode(_PI(G.gen(g))) != _PI(_HOPF_G.antipode(G.gen(g))):
             bad_s = g
             break
-    checks.append({"name": "pi.antipode_compat",
-                   "status": "fail" if bad_s else "pass",
-                   "paper_anchor": "S_B pi = pi S_G",
-                   **({"witness": bad_s} if bad_s else {})})
+    checks.append(check("pi.antipode_compat", bad_s is None,
+                        "S_B pi = pi S_G", bad_s))
     return checks

@@ -13,6 +13,21 @@ import time
 SCHEMA_VERSION = 1
 
 
+def check(name, ok, anchor, witness=None, keep_witness=False):
+    """One check record: name, status, paper anchor and, where kept, witness.
+
+    `ok` is truthy for pass, falsy for fail and None for skip.  A witness
+    explains a failed or skipped check and is dropped from a passing one,
+    unless `keep_witness` marks it as a value the report records either way.
+    The witness is stored as its string form.
+    """
+    status = "skip" if ok is None else "pass" if ok else "fail"
+    out = {"name": name, "status": status, "paper_anchor": anchor}
+    if witness is not None and (status != "pass" or keep_witness):
+        out["witness"] = str(witness)
+    return out
+
+
 class VerificationReport:
     def __init__(self, suite: str, checks, seed: int, runtime_ms: int):
         self.suite = suite
@@ -22,7 +37,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["status"] != "fail" for c in self.checks)
+        """No check failed, and at least one ran: an empty report fails."""
+        return bool(self.checks) and all(c["status"] != "fail"
+                                         for c in self.checks)
 
     def counts(self):
         out = {"pass": 0, "fail": 0, "skip": 0}

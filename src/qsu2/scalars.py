@@ -71,10 +71,6 @@ def _pneg(f):
     return tuple(-x for x in f)
 
 
-def _psub(f, g):
-    return _padd(f, _pneg(g))
-
-
 def _pmul(f, g):
     if not f or not g:
         return _PZERO
@@ -300,9 +296,6 @@ class QScalar:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_one(self) -> bool:
-        return self.num == _PONE and self.den == _PONE
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -531,10 +524,6 @@ class QPoly:
     @classmethod
     def marker(cls) -> QPoly:
         return cls((ZERO, ONE))
-
-    @classmethod
-    def constant(cls, c) -> QPoly:
-        return cls((QScalar.coerce(c),))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1

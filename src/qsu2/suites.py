@@ -11,32 +11,21 @@ from . import bundle, charts, coherent, comod, hopf
 from .haar import (verify_invariance, verify_positivity,
                    zeta_moment_closed_form_report)
 from .ncalg import DomainError, STD, confluence_probe
-from .report import VerificationReport, timed
+from .report import VerificationReport, check, timed
 from .scalars import ONE, QScalar, ZERO, q_number, q_pochhammer, q_pow
 
 __all__ = ["run_suite", "SUITES"]
-
-
-def _check(name, ok, anchor, witness=None):
-    out = {"name": name, "status": "pass" if ok else "fail",
-           "paper_anchor": anchor}
-    if witness is not None and not ok:
-        out["witness"] = str(witness)
-    return out
 
 
 def suite_rewriting(n_range, degree, seed, q0):
     checks = []
     for alg in (STD.G, STD.Gb, STD.Gd, STD.Gbd):
         rep = confluence_probe(alg, samples=200, degree=degree, seed=seed)
-        checks.append({
-            "name": f"confluence.{alg.name}",
-            "status": "pass" if rep["passed"] else "fail",
-            "paper_anchor": "a vector space basis of O(SL_q(2)): "
-                            "{a^k b^r c^s} u {b^r c^s d^t}",
-            **({} if rep["passed"] else
-               {"witness": str(rep["discrepancies"][0])}),
-        })
+        checks.append(check(
+            f"confluence.{alg.name}", rep["passed"],
+            "a vector space basis of O(SL_q(2)): "
+            "{a^k b^r c^s} u {b^r c^s d^t}",
+            rep["discrepancies"][0] if rep["discrepancies"] else None))
     # basis invariant: no a-d co-occurrence in any canonical G element
     bad = None
     rng = random.Random(seed)
@@ -46,8 +35,8 @@ def suite_rewriting(n_range, degree, seed, q0):
         for mono in p.terms:
             if mono[0] > 0 and mono[3] != 0:
                 bad = STD.G.mono_str(mono)
-    checks.append(_check("basis.no_ad_cooccurrence", bad is None,
-                         "a and d never co-occur in the basis", bad))
+    checks.append(check("basis.no_ad_cooccurrence", bad is None,
+                        "a and d never co-occur in the basis", bad))
     return checks
 
 
@@ -62,7 +51,7 @@ def suite_haar(n_range, degree, seed, q0):
     checks = verify_invariance(min(degree, 5))
     checks += verify_positivity(q0, samples=50, degree=3, seed=seed)
     rep = zeta_moment_closed_form_report(6)
-    checks.append(_check(
+    checks.append(check(
         "haar.zeta_moments_closed_form", rep["all_match_positive_power"],
         "int zeta^r = (1-q^-2)/(1-q^-2(r+1)) = q^r/[r+1]_q "
         "(the q^-r variant is the resolution-display misprint)",
@@ -73,32 +62,32 @@ def suite_haar(n_range, degree, seed, q0):
 def suite_gram(n_range, degree, seed, q0):
     checks = []
     for n in n_range:
-        checks.append(_check(
+        checks.append(check(
             f"comod.axioms_n{n}", comod.verify_comodule_axioms(n),
             "rho(x^r y^s) = (x x a + y x c)^r (x x b + y x d)^s"))
         wc = comod.weight_covectors(n, STD.B.gen("lambda", -n))
         ok = (len(wc) == 1 and wc[0][0] == ONE
               and all(x.is_zero() for x in wc[0][1:]))
-        checks.append(_check(
+        checks.append(check(
             f"comod.weight_covector_n{n}", ok,
             "(id x pi) rho v_chi = v_chi x chi; spanned by y^n", wc))
         g = coherent.gram(n)
         from .scalars import gauss_binomial
         expected = [gauss_binomial(n, i, q_pow(-2)).inverse()
                     for i in range(n + 1)]
-        checks.append(_check(
+        checks.append(check(
             f"gram.inverse_binomial_n{n}",
             g.diag == expected and g.order_convention == comod.STAR_FIRST,
             "basis vectors sqrt(binom) x^i y^(n-i) are orthonormal "
             "(holds in the swapped Sweedler order)",
             (g.order_convention, [str(d) for d in g.diag])))
-        checks.append(_check(
+        checks.append(check(
             f"gram.positive_at_half_n{n}",
             all(d.specialize(Fraction(1, 2)) > 0 for d in g.diag),
             "Gram diagonals positive at q = 1/2"))
     nmax = max(n_range)
     dims = [comod.intertwiner_space_dimension(n) for n in range(min(nmax, 3) + 1)]
-    checks.append(_check(
+    checks.append(check(
         "comod.simplicity_probe", all(d == 1 for d in dims),
         "V_n finite-dimensional and simple (Schur hypothesis)", dims))
     return checks
@@ -117,13 +106,13 @@ def suite_charts(n_range, degree, seed, q0):
                 for p in basis:
                     if charts.coinv_poly_coeffs(p, ch) is None:
                         ok = False
-            checks.append(_check(
+            checks.append(check(
                 f"{ch.name}.coinvariants_deg{2 * k}", ok,
                 "localized coinvariants are polynomials in u resp. u'",
                 [str(p) for p in basis]))
     # paper gamma_b lines rejected
     ctl = charts.paper_gamma_b_controls()
-    checks.append(_check(
+    checks.append(check(
         "b-chart.printed_gamma_rejected",
         not ctl["printed_lambda_image_is_weight_vector"]
         and not ctl["printed_lambda_inv_is_inverse"],
@@ -132,12 +121,12 @@ def suite_charts(n_range, degree, seed, q0):
     try:
         charts.build_gamma(charts.chart("b"),
                            fixed_lambda_inv=STD.Gb.gen("b"))
-        checks.append(_check("b-chart.negative_control", False,
-                             "forcing gamma_b(lambda^-1) = b must fail"))
+        checks.append(check("b-chart.negative_control", False,
+                            "forcing gamma_b(lambda^-1) = b must fail"))
     except DomainError as exc:
-        checks.append(_check("b-chart.negative_control", True,
-                             "forcing gamma_b(lambda^-1) = b must fail",
-                             exc))
+        checks.append(check("b-chart.negative_control", True,
+                            "forcing gamma_b(lambda^-1) = b must fail",
+                            exc))
     return checks
 
 
@@ -163,71 +152,61 @@ def suite_coherent(n_range, degree, seed, q0):
         fam_d = coherent.solve_coherent(charts.chart("d"), n)
         ok = all(fam_d.coefficients[i] == coherent.expected_d_chart_coefficient(n, i)
                  for i in range(n + 1))
-        checks.append(_check(
+        checks.append(check(
             f"n={n}.d_chart_closed_form", ok,
             "rho(y^n) = sum binom(n,i)_{q^-2} q^(-C(i,2)) x^i y^(n-i) x u^i d^n",
             fam_d))
         try:
             coherent.solve_coherent(charts.chart("b"), n)
-            checks.append(_check(f"n={n}.b_chart_exists", True,
-                                 "similar formula defines C_b"))
+            checks.append(check(f"n={n}.b_chart_exists", True,
+                                "similar formula defines C_b"))
         except DomainError as exc:
-            checks.append(_check(f"n={n}.b_chart_exists", False,
-                                 "similar formula defines C_b", exc))
+            checks.append(check(f"n={n}.b_chart_exists", False,
+                                "similar formula defines C_b", exc))
         checks += coherent.section_property_check(n)
         try:
             res = coherent.resolution_operator(n)
-            checks.append(_check(
+            checks.append(check(
                 f"n={n}.chart_independence", res.chart_agreement,
                 "elements |C> dmu <C| do not depend on lambda"))
-            checks.append(_check(
+            checks.append(check(
                 f"n={n}.alpha_closed_form",
                 res.alpha == coherent.expected_alpha(n),
                 "alpha = q^n [n+1]_q^-1 (the adjacent q^-n line is the "
                 "misprint)", res.alpha))
-            checks.append(_check(
+            checks.append(check(
                 f"n={n}.alpha_product_identity",
                 res.alpha * q_number(n + 1) * q_pow(-n) == ONE,
                 "alpha [n+1]_q q^-n = 1", res.alpha))
         except (DomainError, comod.NonScalarError) as exc:
-            checks.append(_check(f"n={n}.resolution_scalar", False,
-                                 "the resolution operator is scalar", exc))
-        lem_ok = True
-        witness = None
-        for i in range(n + 1):
-            for j in range(n + 1):
-                v = coherent.lemma_integral(i, j, n)
-                expect = (coherent.lemma_integral_closed_form(i, n)
-                          if i == j else ZERO)
-                if v != expect:
-                    lem_ok, witness = False, (i, j, str(v))
-        checks.append(_check(
-            f"n={n}.lemma_integral", lem_ok,
+            checks.append(check(f"n={n}.resolution_scalar", False,
+                                "the resolution operator is scalar", exc))
+        bad = [(r["i"], r["j"], r["value"]) for r in coherent.lemma_table(n)
+               if not r["matches_closed_form"]]
+        checks.append(check(
+            f"n={n}.lemma_integral", not bad,
             "int u^i d^n (u^j d^n)^* = delta_ij binom^-1 q^n q^(2C(i,2)) "
-            "[n+1]^-1", witness))
+            "[n+1]^-1", bad[-1] if bad else None))
         cl = coherent.classical_limit_report(n)
-        checks.append(_check(
+        checks.append(check(
             f"n={n}.classical_limit",
             cl["coefficients_to_binomials"] and cl["alpha_limit_ok"],
             "q -> 1: coefficients -> binomials, alpha -> 1/(n+1)", cl))
-    qb_ok = True
-    witness = None
-    for n in range(6):
-        for i in range(n + 1):
-            r = coherent.qbeta_check(i, n)
-            if not r["matches_inverse_binomial_form"]:
-                qb_ok, witness = False, r
-    checks.append(_check(
-        "qbeta.closed_form", qb_ok,
+    qb = [coherent.qbeta_check(i, n) for n in range(6) for i in range(n + 1)]
+    bad = [r for r in qb if not r["matches_inverse_binomial_form"]]
+    checks.append(check(
+        "qbeta.closed_form", not bad,
         "int zeta^i (q^-2 zeta; q^-2)_(n-i) = binom^-1 q^n [n+1]^-1 "
-        "(binomial inverted relative to the printed display)", witness))
+        "(binomial inverted relative to the printed display)",
+        bad[-1] if bad else None))
     rb_ok = True
+    witness = None
     for a in range(1, 6):
         for b in range(1, 6):
             if not coherent.ramanujan_qbeta(a, b)["equal"]:
                 rb_ok = False
                 witness = (a, b)
-    checks.append(_check(
+    checks.append(check(
         "qbeta.ramanujan_integer_parameters", rb_ok,
         "integral representation of Ramanujan's q-beta function", witness))
     # reproducing formula on random data
@@ -248,7 +227,7 @@ def suite_coherent(n_range, degree, seed, q0):
                       for j in range(n + 1)]
             if out != expect:
                 rep_ok, witness = False, (n, H, v)
-    checks.append(_check(
+    checks.append(check(
         "reproducing.exact", rep_ok,
         "H|v> = alpha^-1 int H|C> dmu <C|v>", witness))
     return checks
@@ -272,7 +251,7 @@ def suite_theorem4(n_range, degree, seed, q0):
             except comod.NonScalarError as exc:
                 ok, witness = False, (w, exc)
                 break
-        checks.append(_check(
+        checks.append(check(
             f"theorem4.scalar_n{n}", ok,
             "A|v> = sum <w0|v> w0' int ... is a scalar operator "
             "(starred factor grouped second, matching the Gram order)",
@@ -285,16 +264,14 @@ def suite_resolution(n_range, degree, seed, q0):
     for n in n_range:
         try:
             res = coherent.resolution_operator(n)
-            checks.append({
-                "name": f"resolution.n{n}",
-                "status": "pass" if res.alpha == coherent.expected_alpha(n)
-                else "fail",
-                "paper_anchor": "I = q^-n [n+1]_q int |C> dmu(chi) <C|",
-                "witness": f"alpha = {res.alpha}; at q={q0}: {res.alpha_at(q0)}",
-            })
+            checks.append(check(
+                f"resolution.n{n}", res.alpha == coherent.expected_alpha(n),
+                "I = q^-n [n+1]_q int |C> dmu(chi) <C|",
+                f"alpha = {res.alpha}; at q={q0}: {res.alpha_at(q0)}",
+                keep_witness=True))
         except (DomainError, comod.NonScalarError) as exc:
-            checks.append(_check(f"resolution.n{n}", False,
-                                 "resolution of unity", exc))
+            checks.append(check(f"resolution.n{n}", False,
+                                "resolution of unity", exc))
     return checks
 
 
@@ -307,7 +284,7 @@ def suite_typos(n_range, degree, seed, q0):
 
     rep_d = charts.extend_coaction_report(charts.chart("d"))
     rep_b = charts.extend_coaction_report(charts.chart("b"))
-    checks.append(_check(
+    checks.append(check(
         "typo.rho_B_inverted_weight",
         rep_b["weight_inversion_consistent"]
         and rep_d["weight_inversion_consistent"]
@@ -318,7 +295,7 @@ def suite_typos(n_range, degree, seed, q0):
         "!= 1 x 1)", (rep_b, rep_d)))
 
     ctl = charts.paper_gamma_b_controls()
-    checks.append(_check(
+    checks.append(check(
         "typo.gamma_b_lines",
         not ctl["printed_lambda_image_is_weight_vector"]
         and not ctl["printed_lambda_inv_is_inverse"],
@@ -349,7 +326,7 @@ def suite_typos(n_range, degree, seed, q0):
         u_makes_sense_in_b = True
     except DomainError:
         u_makes_sense_in_b = False
-    checks.append(_check(
+    checks.append(check(
         "typo.u_uprime_labels",
         u_in_d and uprime_in_b and not u_makes_sense_in_b,
         "printed: G_b^coB = C[u], G_d^coB = C[u'] with u = b d^-1; engine: "
@@ -360,7 +337,7 @@ def suite_typos(n_range, degree, seed, q0):
 
     rep1 = comod.gram_order_report(1)
     g1 = coherent.gram(1)
-    checks.append(_check(
+    checks.append(check(
         "typo.gram_order",
         g1.order_convention == comod.STAR_FIRST
         and rep1[comod.STAR_SECOND].get("matches_inverse_binomial") is False
@@ -369,22 +346,23 @@ def suite_typos(n_range, degree, seed, q0):
         "for n=1; the swapped order w*_(1) z_(1) yields the orthonormal "
         "diag(1,1) and is the convention the suite records", rep1))
 
-    alpha_ok = all(coherent.resolution_operator(n).alpha
-                   == coherent.expected_alpha(n) for n in range(4))
-    alpha_neg = all(coherent.resolution_operator(n).alpha
-                    != q_pow(-n) / q_number(n + 1) for n in range(1, 4))
+    alphas = [coherent.resolution_operator(n).alpha for n in range(4)]
+    alpha_ok = all(alphas[n] == coherent.expected_alpha(n) for n in range(4))
+    alpha_neg = all(alphas[n] != q_pow(-n) / q_number(n + 1)
+                    for n in range(1, 4))
     zrep = zeta_moment_closed_form_report(6)
-    checks.append(_check(
+    checks.append(check(
         "typo.qn_vs_qminusn",
         alpha_ok and alpha_neg and zrep["all_match_positive_power"],
         "printed: both q^n [n+1]^-1 (alpha) and [n+1]^-1 q^-n (the display); "
         "engine: alpha = q^n [n+1]^-1 exactly, and likewise int zeta^r = "
         "q^r/[r+1]_q with the positive power", zrep))
 
-    sign_ok = all(coherent.integrand_sign_check(i, n)["plus_sign_holds"]
-                  and not coherent.integrand_sign_check(i, n)["minus_sign_holds"]
-                  for n in range(1, 4) for i in range(n + 1))
-    checks.append(_check(
+    signs = [coherent.integrand_sign_check(i, n)
+             for n in range(1, 4) for i in range(n + 1)]
+    sign_ok = all(r["plus_sign_holds"] and not r["minus_sign_holds"]
+                  for r in signs)
+    checks.append(check(
         "typo.lemma_sign",
         sign_ok,
         "printed: u^i d^n (u^i d^n)^* = -q^(2C(i,2)) zeta^i (...); engine: "
@@ -405,7 +383,7 @@ def suite_typos(n_range, degree, seed, q0):
             linear_ok = False
         if r >= 2 and lhs == squared:
             squared_ok = False
-    checks.append(_check(
+    checks.append(check(
         "typo.dr_ar_bc_square",
         linear_ok and squared_ok,
         "printed: d^r a^r = (1+q^-1 bc)(1+q^-3 (bc)^2)...; engine: all "
@@ -415,7 +393,7 @@ def suite_typos(n_range, degree, seed, q0):
     qb = [coherent.qbeta_check(i, n) for n in range(5) for i in range(n + 1)]
     inverse_all = all(r["matches_inverse_binomial_form"] for r in qb)
     printed_fails = any(not r["matches_printed_form"] for r in qb)
-    checks.append(_check(
+    checks.append(check(
         "typo.qbeta_binomial_position",
         inverse_all and printed_fails,
         "printed: int zeta^i (q^-2 zeta; q^-2)_(n-i) = binom q^n [n+1]^-1; "
@@ -434,13 +412,13 @@ def suite_typos(n_range, degree, seed, q0):
                 printed_fail = True
     corrected_ok = all(coherent.ramanujan_qbeta(aa, bb)["equal"]
                        for aa in range(1, 6) for bb in range(1, 6))
-    checks.append(_check(
+    checks.append(check(
         "typo.ramanujan_integrand_reading",
         corrected_ok and printed_fail,
         "printed: x^alpha with beta factors starting at (1-x); engine: the "
         "identity holds exactly with x^(alpha-1) (qx;q)_(beta-1)"))
 
-    checks.append(_check(
+    checks.append(check(
         "typo.gauss_w_matrices",
         charts.chart("d").gauss.w_is_identity
         and not charts.chart("b").gauss.w_is_identity

@@ -1,10 +1,16 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from qsu2.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -110,3 +116,48 @@ def test_tsv_format(capsys):
     code, out, _ = run(capsys, "verify", "haar", "--format", "tsv")
     assert code == 0
     assert out.splitlines()[0] == "name\tstatus\tpaper_anchor\twitness"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eval", "a^-1"], 3),
+    (["eval", "a/b"], 3),
+    (["eval", "1/(q-q)"], 3),
+    (["haar", "1/(q-1)", "--q", "1"], 3),
+    (["verify", "haar", "--q", "2"], 3),
+    (["verify", "gram", "--n", "3..1"], 2),
+    (["resolution", "--n", "-1"], 2),
+    (["resolution", "--n", "2..5"], 2),
+    (["verify", "cover", "--degree", "-1"], 1),
+])
+def test_exit_code_contract(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 3:
+        assert err.startswith("domain error:")
+
+
+# generators of every algebra, so that most draws use one foreign to the
+# chosen algebra and must fail to parse
+_ATOMS = ["a", "b", "c", "d", "lambda", "xi", "x", "y", "q", "1/2", "(q-q)",
+          "0", "1", "2", "(-3)"]
+_powers = st.tuples(st.sampled_from(_ATOMS), st.integers(-3, 3)).map(
+    lambda t: f"{t[0]}^{t[1]}")
+_exprs = st.recursive(
+    st.sampled_from(_ATOMS) | _powers,
+    lambda e: st.tuples(e, st.sampled_from([" + ", " - ", " ", "*", "/"]),
+                        e).map("".join) | e.map(lambda x: f"({x})"),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=_exprs,
+       algebra=st.sampled_from(["G", "G_b", "G_d", "G_bd", "B", "M"]),
+       action=st.sampled_from(["nf", "coproduct", "star", "haar"]),
+       q=st.sampled_from([None, "1/2", "1", "3"]))
+def test_eval_fuzz_keeps_exit_code_contract(capsys, expr, algebra, action, q):
+    argv = ["eval", expr, "--algebra", algebra, "--action", action]
+    code, _, err = run(capsys, *argv, *(["--q", q] if q else []))
+    assert code in (0, 2, 3), (argv, q, err)
+    assert "Traceback" not in err
