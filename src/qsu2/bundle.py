@@ -8,14 +8,15 @@ algebra, and a dimension change between consecutive cutoffs fails the run.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import linalg
 from .charts import TrivializationChart, coinv_poly_coeffs, cover
 from .comod import VnComodule
 from .hopf import hopf_B, hopf_G, pi_map
-from .ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
-                    random_word, tensor_elem)
+from .ncalg import (AlgebraMap, DomainError, NCPoly, STD,
+                    normal_form_of_word, random_word, tensor_elem)
 from .report import check
 from .scalars import ONE, ZERO
 
@@ -158,29 +159,23 @@ class CotensorSlice:
         return len(self.basis)
 
 
-_RHO_BG = None
-
-
+@functools.cache
 def _rho_B_G():
     """(id x pi) Delta as a map G -> G (x) B."""
-    global _RHO_BG
-    if _RHO_BG is None:
-        G = STD.G
-        HG = hopf_G()
-        pi = pi_map()
-        GB = STD.tensor(G, STD.B)
-        images = {}
-        for g in "abcd":
-            dp = HG.delta(G.gen(g))
-            img = GB.zero()
-            for mono, c in dp.terms.items():
-                m1, m2 = HG.T2.split_mono(mono)
-                img = img + tensor_elem(GB, [NCPoly(G, {m1: ONE}),
-                                             pi(NCPoly(G, {m2: ONE}))]) * c
-            images[g] = img
-        from .ncalg import AlgebraMap
-        _RHO_BG = AlgebraMap(G, GB, images, name="rho_B[G]")
-    return _RHO_BG
+    G = STD.G
+    HG = hopf_G()
+    pi = pi_map()
+    GB = STD.tensor(G, STD.B)
+    images = {}
+    for g in "abcd":
+        dp = HG.delta(G.gen(g))
+        img = GB.zero()
+        for mono, c in dp.terms.items():
+            m1, m2 = HG.T2.split_mono(mono)
+            img = img + tensor_elem(GB, [NCPoly(G, {m1: ONE}),
+                                         pi(NCPoly(G, {m2: ONE}))]) * c
+        images[g] = img
+    return AlgebraMap(G, GB, images, name="rho_B[G]")
 
 
 def cotensor_slice(n: int, degree: int) -> CotensorSlice:

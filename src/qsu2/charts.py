@@ -15,6 +15,7 @@ solver's output is the source of truth.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import linalg
@@ -217,15 +218,14 @@ def build_gamma(ch: TrivializationChart, fixed_lambda_inv=None):
         raise DomainError(f"{ch.name}: no gamma in the Gauss ansatz")
     unique = not linalg.kernel_basis(columns)
     beta, delta = sol
-    gamma = AlgebraMap(B, alg, {"lambda": A11, "xi": A21 * beta},
-                       name=f"gamma[{ch.name}]")
-    # lambda^-1 image is the monomial inverse of A11 when A11 is a monomial
-    # (d-chart); otherwise AlgebraMap cannot invert it, so install the solved
-    # delta image explicitly by checking it agrees.
+    # the lambda^-1 image is the solved delta image, checked to invert A11;
+    # AlgebraMap could invert A11 by itself only where it is a monomial
     solved_inv = A22 * delta
     if A11 * solved_inv != alg.one() or solved_inv * A11 != alg.one():
         raise DomainError(f"{ch.name}: solved lambda^-1 image inconsistent")
-    gamma._pow_cache[(B.gen_index["lambda"], -1)] = solved_inv
+    gamma = AlgebraMap(B, alg, {"lambda": A11, "xi": A21 * beta},
+                       name=f"gamma[{ch.name}]",
+                       inverses={"lambda": solved_inv})
     return gamma, unique
 
 
@@ -279,19 +279,14 @@ def chart_golden(ch: TrivializationChart) -> dict:
     }
 
 
-_CHARTS = {}
-
-
+@functools.cache
 def chart(which: str) -> TrivializationChart:
-    key = which[0]
-    if key not in _CHARTS:
-        if key == "d":
-            _CHARTS[key] = TrivializationChart("d-chart", STD.Gd, "d")
-        elif key == "b":
-            _CHARTS[key] = TrivializationChart("b-chart", STD.Gb, "b")
-        else:
-            raise ValueError(which)
-    return _CHARTS[key]
+    """The d-chart (`which` = "d") or the b-chart ("b")."""
+    if which == "d":
+        return TrivializationChart("d-chart", STD.Gd, "d")
+    if which == "b":
+        return TrivializationChart("b-chart", STD.Gb, "b")
+    raise ValueError(which)
 
 
 class Cover:
@@ -304,14 +299,9 @@ class Cover:
         self.to_double_d = STD.chart_to_double(STD.Gd)
 
 
-_COVER = None
-
-
+@functools.cache
 def cover() -> Cover:
-    global _COVER
-    if _COVER is None:
-        _COVER = Cover()
-    return _COVER
+    return Cover()
 
 
 # ---------------------------------------------------------------------------

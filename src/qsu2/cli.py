@@ -24,20 +24,17 @@ from .parsing import ParseError
 from .report import timed
 from .suites import SUITES, run_suite
 
-ALGEBRAS = {}
-
-
-def _algebras():
-    if not ALGEBRAS:
-        ALGEBRAS.update({"G": STD.G, "G_b": STD.Gb, "G_d": STD.Gd,
-                         "G_bd": STD.Gbd, "B": STD.B, "M": STD.M})
-    return ALGEBRAS
+ALGEBRAS = {"G": STD.G, "G_b": STD.Gb, "G_d": STD.Gd, "G_bd": STD.Gbd,
+            "B": STD.B, "M": STD.M}
 
 
 def _parse_q(text: str) -> Fraction:
-    q0 = Fraction(text)
+    try:
+        q0 = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} divides by zero") from None
     if q0 <= 0:
-        raise ValueError("q must be positive")
+        raise argparse.ArgumentTypeError(f"q must be positive, got {text!r}")
     return q0
 
 
@@ -58,7 +55,7 @@ def _parse_n(text: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    alg = _algebras().get(args.algebra)
+    alg = ALGEBRAS.get(args.algebra)
     if alg is None:
         print(f"unknown algebra {args.algebra!r}", file=sys.stderr)
         return 2
@@ -76,9 +73,10 @@ def cmd_eval(args) -> int:
             print(star(p))
         elif args.action == "haar":
             v = haar_integral(p)
+            v0 = None if args.q is None else v.specialize(args.q)
             print(v)
-            if args.q is not None:
-                print(f"at q = {args.q}: {v.specialize(args.q)}")
+            if v0 is not None:
+                print(f"at q = {args.q}: {v0}")
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

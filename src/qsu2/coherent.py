@@ -13,6 +13,7 @@ absorbing all square-root prefactors.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .charts import TrivializationChart, chart, cover
@@ -46,15 +47,11 @@ __all__ = [
     "gram",
 ]
 
-_GRAMS: dict[int, GramForm] = {}
-
-
+# calls the traced solve_coinvariant_gram by its global name; caching that
+# function object itself would bypass a wrapper installed on the name
+@functools.cache
 def gram(n: int) -> GramForm:
-    hit = _GRAMS.get(n)
-    if hit is None:
-        hit = solve_coinvariant_gram(n)
-        _GRAMS[n] = hit
-    return hit
+    return solve_coinvariant_gram(n)
 
 
 class CoherentFamily:
@@ -164,6 +161,7 @@ def expected_alpha(n: int) -> QScalar:
     return q_pow(n) / q_number(n + 1)
 
 
+@functools.cache
 def resolution_operator(n: int) -> ResolutionResult:
     """Integrate |C> dmu <C| and certify the scalar operator.
 

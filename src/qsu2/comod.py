@@ -18,6 +18,8 @@ fails or on request (`gram_order_report`).
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .hopf import pi_map
 from .ncalg import DomainError, NCPoly, STD, star, tensor_elem
@@ -55,18 +57,7 @@ class VnComodule:
     matrix t satisfies rho(e_i) = sum_j e_j (x) t[j][i].
     """
 
-    _cache: dict[int, "VnComodule"] = {}
-
-    def __new__(cls, n: int):
-        hit = cls._cache.get(n)
-        if hit is not None:
-            return hit
-        self = super().__new__(cls)
-        cls._cache[n] = self
-        self._init(n)
-        return self
-
-    def _init(self, n: int):
+    def __init__(self, n: int):
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n
@@ -127,6 +118,10 @@ class VnComodule:
         """The Borel coaction matrix pi(t) over B."""
         pi = pi_map()
         return [[pi(x) for x in row] for row in self.coaction_matrix]
+
+
+# one V_n per n: VnComodule(n) is VnComodule(n)
+VnComodule = functools.cache(VnComodule)
 
 
 def verify_comodule_axioms(n: int) -> bool:

@@ -13,6 +13,7 @@ first be rewritten into the image of G.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .hopf import hopf_G
@@ -29,16 +30,10 @@ __all__ = [
     "zeta_moment_closed_form_report",
 ]
 
-_MOMENTS: dict[int, QScalar] = {}
-
-
+@functools.cache
 def zeta_moment(r: int) -> QScalar:
     """int zeta^r = (1 - q^-2)/(1 - q^-2(r+1))."""
-    hit = _MOMENTS.get(r)
-    if hit is None:
-        hit = (ONE - q_pow(-2)) / (ONE - q_pow(-2 * (r + 1)))
-        _MOMENTS[r] = hit
-    return hit
+    return (ONE - q_pow(-2)) / (ONE - q_pow(-2 * (r + 1)))
 
 
 def haar(p: NCPoly) -> QScalar:

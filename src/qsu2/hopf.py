@@ -10,6 +10,7 @@ monomial ansatz, and uniqueness of the solution is part of the contract.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import linalg
@@ -66,7 +67,6 @@ class HopfAlgebra:
             self.antipode_failure = str(exc)
         else:
             self.antipode_failure = None
-        self._antipode_pow = {}
 
     # -- structure maps ---------------------------------------------------
 
@@ -108,13 +108,9 @@ class HopfAlgebra:
             out = out + prod
         return out
 
+    @functools.cache
     def _antipode_power(self, i, e):
-        key = (i, e)
-        hit = self._antipode_pow.get(key)
-        if hit is None:
-            hit = self.antipode_images[self.alg.gens[i]] ** e
-            self._antipode_pow[key] = hit
-        return hit
+        return self.antipode_images[self.alg.gens[i]] ** e
 
     # -- derived antipode ---------------------------------------------------
 

@@ -21,6 +21,7 @@ a-count, none of which any other rule increases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -75,8 +76,6 @@ class Algebra:
         self.star_images = None  # set on G by the standard container
         self.relation_words = []  # list of (name, lhs_terms, rhs_terms)
         self._zero_mono = (0,) * self.n
-        self._da_cache = {}
-        self._elim_pow_cache = {}
         if factors:
             off = []
             k = 0
@@ -209,12 +208,9 @@ class Algebra:
                         e += x * y * c
         return e, tuple(a + b for a, b in zip(m1, m2))
 
+    @functools.cache
     def _da_expand(self, t: int, k: int):
         """Normal form of d^t a^k in G-type algebras (t, k >= 1)."""
-        key = (t, k)
-        hit = self._da_cache.get(key)
-        if hit is not None:
-            return hit
         ia, id_ = self.ad_pair
         ib, ic = ia + 1, ia + 2
         if t == 0 or k == 0:
@@ -237,7 +233,6 @@ class Algebra:
                 m = tuple(m)
                 out[m] = out.get(m, ZERO) + coeff
             out = {m: c for m, c in out.items() if c}
-        self._da_cache[key] = out
         return out
 
     def _reduce_ordered(self, mono, coeff, acc):
@@ -299,24 +294,18 @@ class Algebra:
         e, y = self._merge(m1, m2)
         acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)
 
+    @functools.cache
     def _elim_power(self, i: int, e: int):
         """Normal form of (eliminated generator)^e, e >= 1, as a term dict."""
-        key = (i, e)
-        hit = self._elim_pow_cache.get(key)
-        if hit is not None:
-            return hit
         if e == 1:
-            out = {m: c for c, m in self.elim_gen[i]}
-        else:
-            prev = self._elim_power(i, e - 1)
-            base = self._elim_power(i, 1)
-            out = {}
-            for m1, c1 in prev.items():
-                for m2, c2 in base.items():
-                    self.mul_mono(m1, m2, c1 * c2, out)
-            out = {m: c for m, c in out.items() if c}
-        self._elim_pow_cache[key] = out
-        return out
+            return {m: c for c, m in self.elim_gen[i]}
+        prev = self._elim_power(i, e - 1)
+        base = self._elim_power(i, 1)
+        out = {}
+        for m1, c1 in prev.items():
+            for m2, c2 in base.items():
+                self.mul_mono(m1, m2, c1 * c2, out)
+        return {m: c for m, c in out.items() if c}
 
     # -- basis enumeration ------------------------------------------------
 
@@ -549,10 +538,14 @@ def filtration_degree(p: NCPoly):
 # ---------------------------------------------------------------------------
 
 class AlgebraMap:
-    """Multiplicative, linear extension of a generator assignment."""
+    """Multiplicative, linear extension of a generator assignment.
+
+    `inverses` maps a generator g to the image of g^-1; without an entry,
+    g^-1 goes to the monomial inverse of the image of g.
+    """
 
     def __init__(self, source: Algebra, target: Algebra, images: dict,
-                 name: str = ""):
+                 name: str = "", inverses=None):
         self.source = source
         self.target = target
         self.name = name or f"{source.name}->{target.name}"
@@ -565,30 +558,28 @@ class AlgebraMap:
             if img.alg is not target:
                 raise DomainError(f"{self.name}: image of {g} in wrong algebra")
             self.images[g] = img
-        self._pow_cache = {}
+        self.inverses = inverses or {}
 
+    # functools.cache on a method keeps every instance alive (flake8-bugbear
+    # B019).  Algebras, maps and Hopf algebras here live for the whole
+    # process anyway; the one exception is the corrupted-Delta HopfAlgebra
+    # that verify_hopf(corrupt_delta=True) builds on each call.
+    @functools.cache
     def _power(self, i: int, e: int) -> NCPoly:
-        key = (i, e)
-        hit = self._pow_cache.get(key)
-        if hit is not None:
-            return hit
         g = self.source.gens[i]
         img = self.images.get(g)
         if img is None:
             raise DomainError(f"{self.name}: no image for generator {g}")
         if e >= 0:
-            out = img ** e
-        else:
-            inv = self._pow_cache.get((i, -1))
-            if inv is None:
-                if img.is_zero():
-                    raise DomainError(
-                        f"{self.name}: image of {g} is not invertible")
-                inv = img.monomial_inverse()
-                self._pow_cache[(i, -1)] = inv
-            out = inv ** (-e)
-        self._pow_cache[key] = out
-        return out
+            return img ** e
+        if e < -1:
+            return self._power(i, -1) ** -e
+        inv = self.inverses.get(g)
+        if inv is None:
+            if img.is_zero():
+                raise DomainError(f"{self.name}: image of {g} is not invertible")
+            inv = img.monomial_inverse()
+        return inv
 
     def __call__(self, p: NCPoly) -> NCPoly:
         if p.alg is not self.source:
@@ -676,14 +667,9 @@ class _Standard:
         ]
         self.G.star_images = {"a": ("d", ONE), "b": ("c", -Q),
                               "c": ("b", -q_pow(-1)), "d": ("a", ONE)}
-        self._tensor_cache = {}
-        self._iota_cache = {}
 
+    @functools.cache
     def tensor(self, *factors) -> Algebra:
-        key = tuple(id(f) for f in factors)
-        hit = self._tensor_cache.get(key)
-        if hit is not None:
-            return hit
         gens = []
         invertible = []
         comm = {}
@@ -697,32 +683,21 @@ class _Standard:
                 comm[(off + i, off + j)] = c
             off += f.n
         name = " (x) ".join(f.name for f in factors)
-        alg = Algebra(name, gens, invertible=invertible, comm=comm,
-                      factors=factors)
-        self._tensor_cache[key] = alg
-        return alg
+        return Algebra(name, gens, invertible=invertible, comm=comm,
+                       factors=factors)
 
+    @functools.cache
     def localization_embedding(self, target: Algebra) -> AlgebraMap:
         """The canonical map of G into one of its localizations (or G itself)."""
-        key = id(target)
-        hit = self._iota_cache.get(key)
-        if hit is None:
-            hit = AlgebraMap(self.G, target,
-                             {g: target.gen(g) for g in "abcd"},
-                             name=f"iota[{target.name}]")
-            self._iota_cache[key] = hit
-        return hit
+        return AlgebraMap(self.G, target, {g: target.gen(g) for g in "abcd"},
+                          name=f"iota[{target.name}]")
 
+    @functools.cache
     def chart_to_double(self, source: Algebra) -> AlgebraMap:
         """The canonical map G_b -> G_bd or G_d -> G_bd."""
-        key = (id(source), id(self.Gbd))
-        hit = self._iota_cache.get(key)
-        if hit is None:
-            hit = AlgebraMap(source, self.Gbd,
-                             {g: self.Gbd.gen(g) for g in "abcd"},
-                             name=f"iota[{source.name}->G_bd]")
-            self._iota_cache[key] = hit
-        return hit
+        return AlgebraMap(source, self.Gbd,
+                          {g: self.Gbd.gen(g) for g in "abcd"},
+                          name=f"iota[{source.name}->G_bd]")
 
 
 STD = _Standard()

@@ -14,6 +14,7 @@ all coefficients are rational.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -449,19 +450,12 @@ ONE = QScalar.from_int(1)
 Q = QScalar(_PQ, _PONE, _normalized=True)
 
 
-_QPOW_CACHE: dict[int, QScalar] = {}
-
-
+@functools.cache
 def q_pow(k: int) -> QScalar:
     """q^k for any integer k."""
-    hit = _QPOW_CACHE.get(k)
-    if hit is None:
-        if k >= 0:
-            hit = QScalar(_pshift(_PONE, k), _PONE, _normalized=True)
-        else:
-            hit = QScalar(_PONE, _pshift(_PONE, -k), _normalized=True)
-        _QPOW_CACHE[k] = hit
-    return hit
+    if k >= 0:
+        return QScalar(_pshift(_PONE, k), _PONE, _normalized=True)
+    return QScalar(_PONE, _pshift(_PONE, -k), _normalized=True)
 
 
 def q_number(n: int) -> QScalar:

@@ -6,6 +6,7 @@ from qsu2.charts import (build_gamma, chart, coinv_poly_coeffs, cover,
                          cover_equalizer, extend_coaction_report,
                          localized_coinvariants, paper_gamma_b_controls,
                          verify_chart)
+from qsu2.comod import VnComodule
 from qsu2.ncalg import (DomainError, STD, normal_form_of_word,
                         parse_element, random_word, tensor_elem)
 from qsu2.scalars import q_pow
@@ -95,6 +96,21 @@ def test_paper_gamma_b_rejected():
 def test_forced_lambda_inv_inconsistent():
     with pytest.raises(DomainError):
         build_gamma(chart("b"), fixed_lambda_inv=STD.Gb.gen("b"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chart("b"), cover, lambda: VnComodule(3),
+    lambda: STD.tensor(STD.G, STD.G),
+    lambda: STD.localization_embedding(STD.Gd),
+])
+def test_shared_objects_built_once(build):
+    assert build() is build()
+
+
+@pytest.mark.parametrize("which", ["x", "d-chart"])
+def test_unknown_chart_rejected(which):
+    with pytest.raises(ValueError):
+        chart(which)
 
 
 @pytest.mark.parametrize("which", ["d", "b"])

@@ -128,13 +128,18 @@ def test_tsv_format(capsys):
     (["resolution", "--n", "-1"], 2),
     (["resolution", "--n", "2..5"], 2),
     (["verify", "cover", "--degree", "-1"], 1),
+    (["verify", "haar", "--q", "1/0"], 2),
+    (["eval", "a", "--action", "haar", "--q", "1/0"], 2),
+    (["resolution", "--n", "1", "--q", "1/0"], 2),
 ])
 def test_exit_code_contract(capsys, argv, expected):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
     if expected == 3:
         assert err.startswith("domain error:")
+    if expected in (2, 3):
+        assert out == ""
 
 
 # generators of every algebra, so that most draws use one foreign to the
@@ -155,9 +160,27 @@ _exprs = st.recursive(
 @given(expr=_exprs,
        algebra=st.sampled_from(["G", "G_b", "G_d", "G_bd", "B", "M"]),
        action=st.sampled_from(["nf", "coproduct", "star", "haar"]),
-       q=st.sampled_from([None, "1/2", "1", "3"]))
+       q=st.sampled_from([None, "1/2", "1", "3", "1/0", "0"]))
 def test_eval_fuzz_keeps_exit_code_contract(capsys, expr, algebra, action, q):
     argv = ["eval", expr, "--algebra", algebra, "--action", action]
     code, _, err = run(capsys, *argv, *(["--q", q] if q else []))
     assert code in (0, 2, 3), (argv, q, err)
+    assert "Traceback" not in err
+
+
+# n <= 2 and degree <= 3 keep each suite under about 0.2 s
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(suite=st.sampled_from(["haar", "gram", "cover", "resolution", "typos",
+                              "charts", "rewriting"]),
+       n=st.sampled_from(["0", "0..2", "2..1", "-1", "..2", "1..", "x"]),
+       degree=st.sampled_from([str(d) for d in range(-2, 4)] + ["x"]),
+       q=st.sampled_from(["1/2", "3/4", "1", "2", "0", "-1", "1/0", "x"]),
+       seed=st.integers())
+def test_verify_fuzz_keeps_exit_code_contract(capsys, suite, n, degree, q,
+                                              seed):
+    argv = ["verify", suite, "--n", n, "--degree", degree, "--q", q,
+            "--seed", str(seed)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in err

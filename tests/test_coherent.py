@@ -170,6 +170,15 @@ def test_classical_limit():
         assert rep["alpha_at_1"] == Fraction(1, n + 1)
 
 
+def test_resolution_cache_matches_uncached():
+    for n in range(4):
+        cached = resolution_operator(n)
+        fresh = resolution_operator.__wrapped__(n)
+        assert cached.alpha == fresh.alpha
+        assert cached.matrix == fresh.matrix
+        assert cached.chart_agreement == fresh.chart_agreement
+
+
 def test_gram_cached_convention():
     from qsu2.comod import STAR_FIRST
     for n in range(4):

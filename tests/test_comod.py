@@ -21,6 +21,13 @@ def test_coaction_of_x():
     assert got == expect
 
 
+def test_negative_n_rejected_on_every_call():
+    # a failed construction must not leave a half-built V_n behind
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            VnComodule(-1)
+
+
 def test_coaction_of_y_squared():
     V = VnComodule(2)
     got = V.coaction([ONE, ZERO, ZERO])  # y^2 = e_0

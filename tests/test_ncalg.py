@@ -131,6 +131,18 @@ def test_identity_map():
         assert ident(p) == p
 
 
+def test_map_inverse_of_non_monomial_image():
+    from qsu2.ncalg import AlgebraMap
+    B = STD.B
+    images = {"lambda": g("b + c"), "xi": g("a")}
+    with pytest.raises(DomainError):
+        AlgebraMap(B, G, images)(B.gen("lambda", -1))
+    given = AlgebraMap(B, G, images, inverses={"lambda": g("d")})
+    assert given(B.gen("lambda", -1)) == g("d")
+    assert given(B.gen("lambda", -2)) == g("d^2")
+    assert given(B.gen("lambda")) == g("b + c")
+
+
 def test_iota_injective_on_basis():
     # normal forms of distinct basis monomials stay linearly independent
     for target in (Gb, Gd):
