@@ -218,14 +218,12 @@ def build_gamma(ch: TrivializationChart, fixed_lambda_inv=None):
         raise DomainError(f"{ch.name}: no gamma in the Gauss ansatz")
     unique = not linalg.kernel_basis(columns)
     beta, delta = sol
-    # the lambda^-1 image is the solved delta image, checked to invert A11;
-    # AlgebraMap could invert A11 by itself only where it is a monomial
-    solved_inv = A22 * delta
-    if A11 * solved_inv != alg.one() or solved_inv * A11 != alg.one():
-        raise DomainError(f"{ch.name}: solved lambda^-1 image inconsistent")
     gamma = AlgebraMap(B, alg, {"lambda": A11, "xi": A21 * beta},
-                       name=f"gamma[{ch.name}]",
-                       inverses={"lambda": solved_inv})
+                       name=f"gamma[{ch.name}]")
+    # A11 is a monomial on both charts, so the map inverts it by itself;
+    # the solved delta image must agree with that inverse
+    if gamma(B.gen("lambda", -1)) != A22 * delta:
+        raise DomainError(f"{ch.name}: solved lambda^-1 image inconsistent")
     return gamma, unique
 
 

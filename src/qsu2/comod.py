@@ -57,7 +57,7 @@ class VnComodule:
     matrix t satisfies rho(e_i) = sum_j e_j (x) t[j][i].
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, /):
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n
@@ -120,7 +120,9 @@ class VnComodule:
         return [[pi(x) for x in row] for row in self.coaction_matrix]
 
 
-# one V_n per n: VnComodule(n) is VnComodule(n)
+# one V_n per n: VnComodule(n) is VnComodule(n).  The name is now a cached
+# function, not a class: no isinstance, no subclassing, and n is
+# positional-only so that a keyword call cannot build a second V_n.
 VnComodule = functools.cache(VnComodule)
 
 

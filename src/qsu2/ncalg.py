@@ -171,7 +171,7 @@ class Algebra:
         if e < 0 and i not in self.invertible:
             raise DomainError(f"{self.name}: {name} is not invertible")
         if i in self.elim_gen:
-            img = NCPoly(self, dict(self._elim_power(i, 1)))
+            img = NCPoly(self, {m: c for c, m in self.elim_gen[i]})
             return img if e == 1 else img ** e
         mono = list(self._zero_mono)
         mono[i] = e
@@ -293,19 +293,6 @@ class Algebra:
             return
         e, y = self._merge(m1, m2)
         acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)
-
-    @functools.cache
-    def _elim_power(self, i: int, e: int):
-        """Normal form of (eliminated generator)^e, e >= 1, as a term dict."""
-        if e == 1:
-            return {m: c for c, m in self.elim_gen[i]}
-        prev = self._elim_power(i, e - 1)
-        base = self._elim_power(i, 1)
-        out = {}
-        for m1, c1 in prev.items():
-            for m2, c2 in base.items():
-                self.mul_mono(m1, m2, c1 * c2, out)
-        return {m: c for m, c in out.items() if c}
 
     # -- basis enumeration ------------------------------------------------
 
@@ -538,14 +525,10 @@ def filtration_degree(p: NCPoly):
 # ---------------------------------------------------------------------------
 
 class AlgebraMap:
-    """Multiplicative, linear extension of a generator assignment.
-
-    `inverses` maps a generator g to the image of g^-1; without an entry,
-    g^-1 goes to the monomial inverse of the image of g.
-    """
+    """Multiplicative, linear extension of a generator assignment."""
 
     def __init__(self, source: Algebra, target: Algebra, images: dict,
-                 name: str = "", inverses=None):
+                 name: str = ""):
         self.source = source
         self.target = target
         self.name = name or f"{source.name}->{target.name}"
@@ -558,7 +541,6 @@ class AlgebraMap:
             if img.alg is not target:
                 raise DomainError(f"{self.name}: image of {g} in wrong algebra")
             self.images[g] = img
-        self.inverses = inverses or {}
 
     # functools.cache on a method keeps every instance alive (flake8-bugbear
     # B019).  Algebras, maps and Hopf algebras here live for the whole
@@ -574,12 +556,9 @@ class AlgebraMap:
             return img ** e
         if e < -1:
             return self._power(i, -1) ** -e
-        inv = self.inverses.get(g)
-        if inv is None:
-            if img.is_zero():
-                raise DomainError(f"{self.name}: image of {g} is not invertible")
-            inv = img.monomial_inverse()
-        return inv
+        if img.is_zero():
+            raise DomainError(f"{self.name}: image of {g} is not invertible")
+        return img.monomial_inverse()
 
     def __call__(self, p: NCPoly) -> NCPoly:
         if p.alg is not self.source:

@@ -28,6 +28,12 @@ def test_negative_n_rejected_on_every_call():
             VnComodule(-1)
 
 
+def test_keyword_n_rejected():
+    # n is positional-only, so the cache cannot hold a second V_3 under n=3
+    with pytest.raises(TypeError):
+        VnComodule(n=3)
+
+
 def test_coaction_of_y_squared():
     V = VnComodule(2)
     got = V.coaction([ONE, ZERO, ZERO])  # y^2 = e_0
