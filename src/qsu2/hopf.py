@@ -14,8 +14,8 @@ import functools
 import random
 
 from . import linalg
-from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, normal_form_of_word,
-                    random_word, star, tensor_elem)
+from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, linear_extension,
+                    normal_form_of_word, random_word, star, tensor_elem)
 from .report import check
 from .scalars import ONE, QScalar, ZERO
 
@@ -98,19 +98,17 @@ class HopfAlgebra:
             raise DomainError("antipode outside its Hopf algebra")
         if self.antipode_images is None:
             raise DomainError(f"no antipode: {self.antipode_failure}")
-        out = self.alg.zero()
-        for mono, c in p.terms.items():
-            prod = self.alg.scalar(c)
-            for i in range(self.alg.n - 1, -1, -1):
-                e = mono[i]
-                if e:
-                    prod = prod * self._antipode_power(i, e)
-            out = out + prod
-        return out
+        return linear_extension(p, self.alg, self._antipode_image)
 
     @functools.cache
-    def _antipode_power(self, i, e):
-        return self.antipode_images[self.alg.gens[i]] ** e
+    def _antipode_image(self, mono) -> NCPoly:
+        """S of one monomial; shared, so never handed out."""
+        prod = self.alg.one()
+        for i in range(self.alg.n - 1, -1, -1):
+            e = mono[i]
+            if e:
+                prod = prod * self.antipode_images[self.alg.gens[i]] ** e
+        return prod
 
     # -- derived antipode ---------------------------------------------------
 
@@ -203,23 +201,16 @@ def _star_tensor(p: NCPoly) -> NCPoly:
 
 def _delta_slot(hopf: HopfAlgebra, p2: NCPoly, slot: int) -> NCPoly:
     """Apply the coproduct to one tensor slot of an element of T2."""
-    out = hopf.T3.zero()
-    T2 = hopf.T2
+    out = {}
+    T2, T3 = hopf.T2, hopf.T3
     for mono, c in p2.terms.items():
         m1, m2 = T2.split_mono(mono)
-        if slot == 0:
-            dp = hopf.delta(NCPoly(hopf.alg, {m1: ONE}))
-            for dm, dc in dp.terms.items():
-                x, y = T2.split_mono(dm)
-                key = hopf.T3.join_monos([x, y, m2])
-                out.terms[key] = out.terms.get(key, ZERO) + c * dc
-        else:
-            dp = hopf.delta(NCPoly(hopf.alg, {m2: ONE}))
-            for dm, dc in dp.terms.items():
-                x, y = T2.split_mono(dm)
-                key = hopf.T3.join_monos([m1, x, y])
-                out.terms[key] = out.terms.get(key, ZERO) + c * dc
-    return NCPoly(hopf.T3, {m: c for m, c in out.terms.items() if c})
+        dp = hopf.delta(NCPoly(hopf.alg, {(m1, m2)[slot]: ONE}))
+        for dm, dc in dp.terms.items():
+            x, y = T2.split_mono(dm)
+            key = T3.join_monos([x, y, m2] if slot == 0 else [m1, x, y])
+            out[key] = out.get(key, ZERO) + c * dc
+    return NCPoly(T3, {m: c for m, c in out.items() if c})
 
 
 def _counit_slot(hopf: HopfAlgebra, p2: NCPoly, slot: int) -> NCPoly:
@@ -355,18 +346,29 @@ def _sample_words(alg, degree, samples, seed):
     return out
 
 
+def _standard(which: str) -> HopfAlgebra:
+    return {"G": _HOPF_G, "B": _HOPF_B}[which]
+
+
+@functools.cache
+def _corrupted(which: str) -> HopfAlgebra:
+    """The negative control: Delta of the second generator (b, or xi on B)
+    gains a g (x) g term.  Built once per algebra, so repeated checks add
+    nothing to the method caches."""
+    hopf = _standard(which)
+    g = hopf.alg.gens[1]
+    images = dict(hopf.delta.images)
+    images[g] = images[g] + tensor_elem(hopf.T2,
+                                        [hopf.alg.gen(g), hopf.alg.gen(g)])
+    return HopfAlgebra(hopf.alg, images, hopf.counit_images, hopf.name)
+
+
 def verify_hopf(which: str, degree: int = 5, samples: int = 100,
                 seed: int = 0, corrupt_delta: bool = False):
     """Check coassociativity, counit, antipode and star laws; returns the
     shared report-check list.  `corrupt_delta` installs a broken Delta(b)
     as a negative control."""
-    hopf = {"G": _HOPF_G, "B": _HOPF_B}[which]
-    if corrupt_delta:
-        g = hopf.alg.gens[1]
-        images = dict(hopf.delta.images)
-        images[g] = images[g] + tensor_elem(hopf.T2,
-                                            [hopf.alg.gen(g), hopf.alg.gen(g)])
-        hopf = HopfAlgebra(hopf.alg, images, hopf.counit_images, hopf.name)
+    hopf = _corrupted(which) if corrupt_delta else _standard(which)
     checks = []
     words = _sample_words(hopf.alg, degree, samples, seed)
 

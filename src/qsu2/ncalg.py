@@ -32,6 +32,7 @@ __all__ = [
     "Algebra",
     "NCPoly",
     "AlgebraMap",
+    "linear_extension",
     "DomainError",
     "STD",
     "star",
@@ -524,6 +525,24 @@ def filtration_degree(p: NCPoly):
 # algebra maps
 # ---------------------------------------------------------------------------
 
+def linear_extension(p: NCPoly, target: Algebra, image) -> NCPoly:
+    """sum of c * image(mono) over the terms of p, in a new term dict.
+
+    `image` is a memoized per-monomial map, so its values are shared and
+    only read here.  Terms are added in the order NCPoly addition would
+    add them.
+    """
+    out = {}
+    for mono, c in p.terms.items():
+        for m, v in image(mono).terms.items():
+            v = out.get(m, ZERO) + c * v
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+    return NCPoly(target, out)
+
+
 class AlgebraMap:
     """Multiplicative, linear extension of a generator assignment."""
 
@@ -543,9 +562,9 @@ class AlgebraMap:
             self.images[g] = img
 
     # functools.cache on a method keeps every instance alive (flake8-bugbear
-    # B019).  Algebras, maps and Hopf algebras here live for the whole
-    # process anyway; the one exception is the corrupted-Delta HopfAlgebra
-    # that verify_hopf(corrupt_delta=True) builds on each call.
+    # B019).  Algebras, maps and Hopf algebras here are built once and live
+    # for the whole process, the corrupted-Delta negative control included
+    # (hopf._corrupted builds it once per algebra).
     @functools.cache
     def _power(self, i: int, e: int) -> NCPoly:
         g = self.source.gens[i]
@@ -560,19 +579,21 @@ class AlgebraMap:
             raise DomainError(f"{self.name}: image of {g} is not invertible")
         return img.monomial_inverse()
 
+    @functools.cache
+    def _image(self, mono) -> NCPoly:
+        """The image of one monomial; shared, so never handed out."""
+        prod = self.target.one()
+        for i, e in enumerate(mono):
+            if e:
+                prod = prod * self._power(i, e)
+                if prod.is_zero():
+                    break
+        return prod
+
     def __call__(self, p: NCPoly) -> NCPoly:
         if p.alg is not self.source:
             raise DomainError(f"{self.name}: argument not in {self.source.name}")
-        out = self.target.zero()
-        for mono, c in p.terms.items():
-            prod = self.target.scalar(c)
-            for i, e in enumerate(mono):
-                if e:
-                    prod = prod * self._power(i, e)
-                    if prod.is_zero():
-                        break
-            out = out + prod
-        return out
+        return linear_extension(p, self.target, self._image)
 
     def check_relations(self):
         """Evaluate the source's defining relations on the images.
@@ -696,18 +717,22 @@ def star(p: NCPoly) -> NCPoly:
     if alg.star_images is None:
         raise DomainError(
             f"star is not defined on {alg.name}; retract to G first")
-    out = alg.zero()
-    for mono, c in p.terms.items():
-        prod = alg.scalar(c)  # coefficients are real rational functions
-        for i in range(alg.n - 1, -1, -1):
-            e = mono[i]
-            if e < 0:
-                raise DomainError("star of an inverted generator")
-            if e:
-                g, s = alg.star_images[alg.gens[i]]
-                prod = prod * (alg.gen(g) * s) ** e
-        out = out + prod
-    return out
+    # coefficients are real rational functions, so they pass unchanged
+    return linear_extension(p, alg, functools.partial(_star_image, alg))
+
+
+@functools.cache
+def _star_image(alg: Algebra, mono) -> NCPoly:
+    """The star of one monomial; shared, so never handed out."""
+    prod = alg.one()
+    for i in range(alg.n - 1, -1, -1):
+        e = mono[i]
+        if e < 0:
+            raise DomainError("star of an inverted generator")
+        if e:
+            g, s = alg.star_images[alg.gens[i]]
+            prod = prod * (alg.gen(g) * s) ** e
+    return prod
 
 
 def retract(p: NCPoly, target: Algebra) -> NCPoly:

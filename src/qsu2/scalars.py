@@ -1,12 +1,16 @@
 """Exact arithmetic in the field Q(q) of rational functions of the
 deformation parameter, plus the q-combinatorial special functions.
 
-A scalar is a reduced fraction of integer-coefficient polynomials in q.
-Normalized form is defined as: denominator nonzero with positive leading
-coefficient, no common polynomial factor between numerator and denominator
-(degree-0 integer factors included), so equality is tuple equality.
-Negative powers of q are ordinary fractions (q^-1 is 1/q); there is no
-separate Laurent representation.
+A scalar is q^val * num/den, with num and den integer-coefficient
+polynomials in q, neither divisible by q.  Normalized form: num and den
+have no common polynomial factor (degree-0 integer factors included),
+lc(den) > 0, and zero is num = () with val = 0 and den = 1, so equality
+is tuple equality.  Keeping the q-valuation apart makes the Laurent
+values c*q^k (den a constant) cheap: q_pow(k), Q and every product of
+Laurent values skip the polynomial gcd, which only a den of length > 1
+needs.  The constructor QScalar(num, den), `polys()`, printing and
+`specialize` deal in the full polynomials q^val*num and den (or num and
+q^-val*den when val < 0).
 
 Complex conjugation is the identity: q is a real parameter in (0,1) and
 all coefficients are rational.
@@ -50,7 +54,6 @@ class PoleError(ZeroDivisionError):
 
 _PZERO: tuple[int, ...] = ()
 _PONE: tuple[int, ...] = (1,)
-_PQ: tuple[int, ...] = (0, 1)
 
 
 def _ptrim(c: list[int]) -> tuple[int, ...]:
@@ -112,10 +115,6 @@ def _plow(f) -> int:
     return 0
 
 
-def _pis_monomial(f) -> bool:
-    return sum(1 for x in f if x) == 1
-
-
 def _pprem(f, g):
     # pseudo-remainder of f by g (g nonzero)
     f = list(f)
@@ -135,15 +134,9 @@ def _pprem(f, g):
 
 
 def _pgcd(f, g):
-    """Polynomial gcd over Z[q], primitive, positive leading coefficient."""
-    if not f and not g:
-        return _PZERO
-    if not f:
-        f, g = g, f
+    """Polynomial gcd over Z[q] of nonzero f and g: primitive, lc > 0."""
     cf = _pcontent(f)
     pf = tuple(x // cf for x in f)
-    if not g:
-        return pf if pf[-1] > 0 else _pneg(pf)
     cg = _pcontent(g)
     pg = tuple(x // cg for x in g)
     if len(pf) < len(pg):
@@ -161,21 +154,13 @@ def _pgcd(f, g):
 
 
 def _pgcd_full(f, g):
-    """gcd over Z[q] including the integer content, lc > 0; _PONE if coprime."""
-    if not f:
-        if not g:
-            return _PZERO
-        return g if g[-1] > 0 else _pneg(g)
-    if not g:
-        return f if f[-1] > 0 else _pneg(f)
-    # monomial fast path: q-shift plus content
-    if _pis_monomial(f) or _pis_monomial(g):
-        c = math.gcd(_pcontent(f), _pcontent(g))
-        k = min(_plow(f), _plow(g))
-        return _pshift((c,), k)
-    cg = math.gcd(_pcontent(f), _pcontent(g))
+    """gcd of nonzero f and g over Z[q] including the integer content,
+    lc > 0; _PONE if coprime."""
+    c = math.gcd(_pcontent(f), _pcontent(g))
+    if len(f) == 1 or len(g) == 1:
+        return (c,)
     prim = _pgcd(f, g)
-    return _pmul_int(prim, cg) if cg > 1 else prim
+    return _pmul_int(prim, c) if c > 1 else prim
 
 
 def _pdivexact(f, g):
@@ -184,12 +169,6 @@ def _pdivexact(f, g):
         return _PZERO
     if g == _PONE:
         return tuple(f)
-    if _pis_monomial(g):
-        k = _plow(g)
-        c = g[k]
-        if _plow(f) < k or any(x % c for x in f):
-            raise ArithmeticError("inexact polynomial division")
-        return tuple(x // c for x in f[k:])
     out = [0] * (len(f) - len(g) + 1)
     rem = list(f)
     dg = len(g) - 1
@@ -236,61 +215,71 @@ def _pstr(f) -> str:
     return "".join(parts)
 
 
+def _new(val, num, den) -> QScalar:
+    # a QScalar from parts already in normalized form
+    x = object.__new__(QScalar)
+    object.__setattr__(x, "val", val)
+    object.__setattr__(x, "num", num)
+    object.__setattr__(x, "den", den)
+    return x
+
+
+def _reduced(val, num, den) -> QScalar:
+    """q^val * num/den in normalized form, where den is free of q with
+    lc(den) > 0 and num is any polynomial."""
+    if not num:
+        return ZERO
+    k = _plow(num)
+    if k:
+        num = num[k:]
+        val += k
+    if den != _PONE:
+        g = _pgcd_full(num, den)
+        if g != _PONE:
+            num = _pdivexact(num, g)
+            den = _pdivexact(den, g)
+    return _new(val, num, den)
+
+
 class QScalar:
     """A rational function of q with exact arithmetic.
 
     Immutable; arithmetic always returns reduced canonical values, so
-    `==` agrees with cross-multiplication.
+    `==` agrees with cross-multiplication.  `QScalar(num, den)` takes the
+    full numerator and denominator (coefficient tuples or ints) and
+    normalizes them.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("val", "num", "den")
 
-    def __init__(self, num=_PZERO, den=_PONE, _normalized=False):
+    def __new__(cls, num=_PZERO, den=_PONE):
         if isinstance(num, int):
-            num = (num,) if num else _PZERO
+            num = (num,)
         if isinstance(den, int):
-            den = (den,) if den else _PZERO
-        if not _normalized:
-            num = _ptrim(list(num))
-            den = _ptrim(list(den))
-            if not den:
-                raise ZeroDivisionError("zero denominator polynomial")
-            if not num:
-                den = _PONE
-            elif den == _PONE:
-                pass
-            else:
-                g = _pgcd_full(num, den)
-                if g != _PONE:
-                    num = _pdivexact(num, g)
-                    den = _pdivexact(den, g)
-                if den[-1] < 0:
-                    num, den = _pneg(num), _pneg(den)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+            den = (den,)
+        num = _ptrim(list(num))
+        den = _ptrim(list(den))
+        if not den:
+            raise ZeroDivisionError("zero denominator polynomial")
+        k = _plow(den)
+        den = den[k:]
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return _reduced(-k, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def from_int(cls, n: int) -> QScalar:
-        return cls((n,) if n else _PZERO, _PONE, _normalized=True)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> QScalar:
-        return cls((f.numerator,) if f.numerator else _PZERO,
-                   (f.denominator,), _normalized=True)
-
     @staticmethod
     def coerce(x) -> QScalar:
         if isinstance(x, QScalar):
             return x
         if isinstance(x, int):
-            return QScalar.from_int(x)
+            return _new(0, (x,), _PONE) if x else ZERO
         if isinstance(x, Fraction):
-            return QScalar.from_fraction(x)
+            return _new(0, (x.numerator,), (x.denominator,)) if x else ZERO
         raise TypeError(f"cannot coerce {type(x).__name__} to QScalar")
 
     # -- predicates ----------------------------------------------------
@@ -305,10 +294,9 @@ class QScalar:
         """Return (coeff: Fraction, exponent: int) if the value is c*q^k, else None."""
         if not self.num:
             return Fraction(0), 0
-        if sum(1 for x in self.num if x) != 1 or sum(1 for x in self.den if x) != 1:
+        if len(self.num) != 1 or len(self.den) != 1:
             return None
-        a, b = _plow(self.num), _plow(self.den)
-        return Fraction(self.num[a], self.den[b]), a - b
+        return Fraction(self.num[0], self.den[0]), self.val
 
     # -- arithmetic ----------------------------------------------------
 
@@ -320,19 +308,18 @@ class QScalar:
             return other
         if not other.num:
             return self
-        if self.den == other.den:
-            if self.den == _PONE:
-                s = _padd(self.num, other.num)
-                return QScalar(s, _PONE, _normalized=True) if s else ZERO
-            return QScalar(_padd(self.num, other.num), self.den)
-        return QScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
+        v = min(self.val, other.val)
+        n1 = _pshift(self.num, self.val - v)
+        n2 = _pshift(other.num, other.val - v)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _reduced(v, _padd(n1, n2), d1)
+        return _reduced(v, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(_pneg(self.num), self.den, _normalized=True)
+        return _new(self.val, _pneg(self.num), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (QScalar, int, Fraction)):
@@ -346,21 +333,22 @@ class QScalar:
         if not isinstance(other, (QScalar, int, Fraction)):
             return NotImplemented
         other = QScalar.coerce(other)
-        if not self.num or not other.num:
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
             return ZERO
-        if self.den == _PONE and other.den == _PONE:
-            return QScalar(_pmul(self.num, other.num), _PONE, _normalized=True)
+        # a product of q-free polynomials is q-free, so the valuations add
+        val = self.val + other.val
+        d1, d2 = self.den, other.den
+        if d1 == _PONE and d2 == _PONE:
+            return _new(val, _pmul(n1, n2), _PONE)
         # cross-reduce: products of reduced fractions reduce pairwise
-        g1 = _pgcd_full(self.num, other.den)
-        g2 = _pgcd_full(other.num, self.den)
-        n1 = self.num if g1 == _PONE else _pdivexact(self.num, g1)
-        d2 = other.den if g1 == _PONE else _pdivexact(other.den, g1)
-        n2 = other.num if g2 == _PONE else _pdivexact(other.num, g2)
-        d1 = self.den if g2 == _PONE else _pdivexact(self.den, g2)
-        num, den = _pmul(n1, n2), _pmul(d1, d2)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return QScalar(num, den, _normalized=True)
+        g1 = _pgcd_full(n1, d2)
+        g2 = _pgcd_full(n2, d1)
+        n1 = n1 if g1 == _PONE else _pdivexact(n1, g1)
+        d2 = d2 if g1 == _PONE else _pdivexact(d2, g1)
+        n2 = n2 if g2 == _PONE else _pdivexact(n2, g2)
+        d1 = d1 if g2 == _PONE else _pdivexact(d1, g2)
+        return _new(val, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -370,7 +358,7 @@ class QScalar:
         num, den = self.den, self.num
         if den[-1] < 0:
             num, den = _pneg(num), _pneg(den)
-        return QScalar(num, den, _normalized=True)
+        return _new(-self.val, num, den)
 
     def __truediv__(self, other):
         if not isinstance(other, (QScalar, int, Fraction)):
@@ -399,20 +387,28 @@ class QScalar:
             other = QScalar.coerce(other)
         if not isinstance(other, QScalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.val == other.val and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.val, self.num, self.den))
 
     # -- evaluation ----------------------------------------------------
+
+    def polys(self):
+        """(numerator, denominator) as full coefficient tuples in q."""
+        if self.val >= 0:
+            return _pshift(self.num, self.val), self.den
+        return self.num, _pshift(self.den, -self.val)
 
     def specialize(self, q0) -> Fraction:
         """Exact value at q = q0 (a Fraction); raises PoleError at a pole."""
         q0 = Fraction(q0)
-        d = _peval(self.den, q0)
+        num, den = self.polys()
+        d = _peval(den, q0)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return _peval(self.num, q0) / d
+        return _peval(num, q0) / d
 
     # -- printing ------------------------------------------------------
 
@@ -431,13 +427,14 @@ class QScalar:
             if c == -1:
                 return "-" + qs
             return f"{cs}*{qs}"
-        ns = _pstr(self.num)
-        if self.den == _PONE:
+        num, den = self.polys()
+        ns = _pstr(num)
+        if den == _PONE:
             return ns
-        ds = _pstr(self.den)
-        if len([x for x in self.num if x]) > 1:
+        ds = _pstr(den)
+        if len([x for x in num if x]) > 1:
             ns = f"({ns})"
-        if len([x for x in self.den if x]) > 1 or self.den[-1] != 1 or _plow(self.den) == 0:
+        if len([x for x in den if x]) > 1 or den[-1] != 1 or self.val >= 0:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -445,17 +442,15 @@ class QScalar:
         return f"QScalar({self})"
 
 
-ZERO = QScalar.from_int(0)
-ONE = QScalar.from_int(1)
-Q = QScalar(_PQ, _PONE, _normalized=True)
+ZERO = _new(0, _PZERO, _PONE)
+ONE = _new(0, _PONE, _PONE)
+Q = _new(1, _PONE, _PONE)
 
 
 @functools.cache
 def q_pow(k: int) -> QScalar:
     """q^k for any integer k."""
-    if k >= 0:
-        return QScalar(_pshift(_PONE, k), _PONE, _normalized=True)
-    return QScalar(_PONE, _pshift(_PONE, -k), _normalized=True)
+    return _new(k, _PONE, _PONE)
 
 
 def q_number(n: int) -> QScalar:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qsu2.scalars import (ONE, PoleError, Q, QPoly, QScalar, ZERO,
                           gauss_binomial, jackson_q_integral_01, parse_scalar,
                           q_gamma_int, q_number, q_pochhammer, q_pow)
+from scalar_oracle import OracleScalar
 
 
 def S(text):
@@ -18,12 +19,17 @@ small_ints = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def scalars(draw):
+def fractions(draw):
+    """(num, den) coefficient tuples; either may carry factors of q."""
     num = draw(st.lists(small_ints, min_size=1, max_size=4))
     den = draw(st.lists(small_ints, min_size=1, max_size=3))
     if not any(den):
         den[0] = 1
-    return QScalar(tuple(num), tuple(den))
+    return tuple(num), tuple(den)
+
+
+def scalars():
+    return fractions().map(lambda nd: QScalar(*nd))
 
 
 @st.composite
@@ -99,6 +105,48 @@ def test_specialize_is_homomorphism(a, b):
         return
     assert vab == va * vb
     assert vs == va + vb
+
+
+# -- the reduced-fraction oracle --------------------------------------------
+
+ORACLE_POINTS = (Fraction(1, 2), Fraction(3), Fraction(-2, 5))
+
+
+def assert_matches_oracle(value, expect):
+    """Same printed form and the same values as the oracle, and rebuilding
+    from the full numerator and denominator gives the same scalar."""
+    assert str(value) == str(expect)
+    for q0 in ORACLE_POINTS:
+        try:
+            v0 = expect.specialize(q0)
+        except ZeroDivisionError:
+            with pytest.raises(PoleError):
+                value.specialize(q0)
+        else:
+            assert value.specialize(q0) == v0
+    assert QScalar(*value.polys()) == value
+
+
+@settings(max_examples=300)
+@given(fractions(), fractions(), st.integers(min_value=-3, max_value=3))
+def test_arithmetic_matches_fraction_oracle(x, y, k):
+    a, b = QScalar(*x), QScalar(*y)
+    oa, ob = OracleScalar(*x), OracleScalar(*y)
+    assert_matches_oracle(a, oa)
+    assert_matches_oracle(a + b, oa + ob)
+    assert_matches_oracle(a - b, oa - ob)
+    assert_matches_oracle(a * b, oa * ob)
+    if b:
+        assert_matches_oracle(a / b, oa / ob)
+    if a or k >= 0:
+        assert_matches_oracle(a ** k, oa ** k)
+
+
+def test_laurent_values_keep_q_apart():
+    x = QScalar((0, 0, 2, 0, 6), (0, 4))  # (2q^2 + 6q^4)/(4q)
+    assert (x.val, x.num, x.den) == (1, (1, 0, 3), (2,))
+    assert x.polys() == ((0, 1, 0, 3), (2,))
+    assert (q_pow(-3).val, q_pow(-3).num, q_pow(-3).den) == (-3, (1,), (1,))
 
 
 # -- q-integers ---------------------------------------------------------------
