@@ -9,7 +9,7 @@ from .scalars import (ONE, Q, QPoly, QRational, QScalar, ZERO, gauss_binomial,
                       jackson_q_integral_01, q_factorial, q_gamma_int,
                       q_number, q_pochhammer, q_pow, parse_scalar)
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
-                    confluence_probe, filtration_degree, parse_element,
+                    confluence_probe, parse_element,
                     retract, star, tensor_elem)
 from .hopf import GroupLike, chi, hopf_B, hopf_G, is_group_like, pi_map
 from .comod import (GramForm, NonScalarError, VnComodule, pairing,

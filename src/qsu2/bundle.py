@@ -8,17 +8,16 @@ algebra, and a dimension change between consecutive cutoffs fails the run.
 
 from __future__ import annotations
 
-import functools
 import random
 
 from . import linalg
-from .charts import TrivializationChart, coinv_poly_coeffs, cover
+from .charts import TrivializationChart, coinv_poly_coeffs, cover, weight_slice
 from .comod import VnComodule
-from .hopf import hopf_B, hopf_G, pi_map
-from .ncalg import (AlgebraMap, DomainError, NCPoly, STD,
-                    normal_form_of_word, random_word, tensor_elem)
+from .hopf import hopf_B, hopf_G
+from .ncalg import (DomainError, NCPoly, STD, normal_form_of_word, random_word,
+                    tensor_elem)
 from .report import check
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 
 __all__ = [
     "Section",
@@ -159,41 +158,9 @@ class CotensorSlice:
         return len(self.basis)
 
 
-@functools.cache
-def _rho_B_G():
-    """(id x pi) Delta as a map G -> G (x) B."""
-    G = STD.G
-    HG = hopf_G()
-    pi = pi_map()
-    GB = STD.tensor(G, STD.B)
-    images = {}
-    for g in "abcd":
-        dp = HG.delta(G.gen(g))
-        img = GB.zero()
-        for mono, c in dp.terms.items():
-            m1, m2 = HG.T2.split_mono(mono)
-            img = img + tensor_elem(GB, [NCPoly(G, {m1: ONE}),
-                                         pi(NCPoly(G, {m2: ONE}))]) * c
-        images[g] = img
-    return AlgebraMap(G, GB, images, name="rho_B[G]")
-
-
 def cotensor_slice(n: int, degree: int) -> CotensorSlice:
-    G = STD.G
-    rho = _rho_B_G()
-    GB = rho.target
-    chi_elem = STD.B.gen("lambda", -n)
-    monos = G.basis_monomials(degree)
-    columns = []
-    for m in monos:
-        p = NCPoly(G, {m: ONE})
-        diff = rho(p) - tensor_elem(GB, [p, chi_elem])
-        columns.append(dict(diff.terms))
-    basis = []
-    for vec in linalg.kernel_basis(columns):
-        terms = {m: c for m, c in zip(monos, vec) if c}
-        basis.append(NCPoly(G, terms))
-    return CotensorSlice(n, degree, basis)
+    return CotensorSlice(
+        n, degree, weight_slice(STD.G, STD.B.gen("lambda", -n), degree))
 
 
 def sections_space(n: int, degree: int):
@@ -246,7 +213,6 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
     checks = []
     cov = cover()
     B = STD.B
-    G = STD.G
 
     def emit(name, ok, anchor, witness=None):
         checks.append(check(f"n={n}.{name}", ok, anchor, witness))
@@ -334,15 +300,7 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
                 ok, witness = False, (ch.name, f"u^{k}")
                 break
         # localized cotensor elements map back into coinvariants (x) M
-        chi_elem = B.gen("lambda", -n)
-        monos = ch.alg.basis_monomials(max(2, n))
-        cols = []
-        for m in monos:
-            p = NCPoly(ch.alg, {m: ONE})
-            diff = ch.rho_B(p) - tensor_elem(ch.target, [p, chi_elem])
-            cols.append(dict(diff.terms))
-        for vec in linalg.kernel_basis(cols):
-            h = NCPoly(ch.alg, {m: c for m, c in zip(monos, vec) if c})
+        for h in weight_slice(ch.alg, B.gen("lambda", -n), max(2, n)):
             back = kappa_bar(ch, [h], M)
             if not coinvariant_components(ch, back):
                 ok, witness = False, (ch.name, str(h))

@@ -20,8 +20,9 @@ import random
 
 from . import linalg
 from .hopf import hopf_B, hopf_G, pi_map
-from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, normal_form_of_word,
-                    random_word, retract, tensor_elem)
+from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
+                    apply_tensor_map, normal_form_of_word, random_word,
+                    retract, tensor_elem)
 from .report import check
 from .scalars import ONE, ZERO, q_pow
 
@@ -31,7 +32,9 @@ __all__ = [
     "GaussDecomposition",
     "chart",
     "cover",
+    "coaction_B",
     "extend_coaction_report",
+    "weight_slice",
     "localized_coinvariants",
     "coinv_poly_coeffs",
     "gauss_decompose",
@@ -65,7 +68,7 @@ class TrivializationChart:
         self.inverted = inverted  # generator name made invertible
         self.iota = STD.localization_embedding(alg)
         self.target = STD.tensor(alg, STD.B)
-        self.rho_B = _extend_coaction(self)
+        self.rho_B = coaction_B(alg)
         if name == "d-chart":
             self.coinv_gen = alg.gen("b") * alg.gen("d", -1)   # u
             self.coinv_gen_name = "u = b d^-1"
@@ -83,27 +86,20 @@ class TrivializationChart:
         return f"<{self.name}>"
 
 
-def _extend_coaction(ch: TrivializationChart) -> AlgebraMap:
-    """The unique algebra-map extension of (id x pi)Delta to the chart.
+@functools.cache
+def coaction_B(alg: Algebra) -> AlgebraMap:
+    """The Borel coaction alg -> alg (x) B on G or on a chart (G_b, G_d):
+    the unique algebra-map extension of (iota x pi)Delta.
 
-    On the inverted generator the coaction is forced to the inverse of the
+    On an inverted generator the coaction is forced to the inverse of the
     generator's weight monomial; the paper's printed b^-1 weight is wrong
     and is recorded by `extend_coaction_report`.
     """
-    G = STD.G
-    HG = hopf_G()
-    pi = pi_map()
-    images = {}
-    for g in "abcd":
-        dp = HG.delta(G.gen(g))
-        img = ch.target.zero()
-        for mono, c in dp.terms.items():
-            m1, m2 = HG.T2.split_mono(mono)
-            img = img + tensor_elem(
-                ch.target,
-                [ch.iota(NCPoly(G, {m1: ONE})), pi(NCPoly(G, {m2: ONE}))]) * c
-        images[g] = img
-    return AlgebraMap(ch.alg, ch.target, images, name=f"rho_B[{ch.name}]")
+    target = STD.tensor(alg, STD.B)
+    maps = [STD.localization_embedding(alg), pi_map()]
+    images = {g: apply_tensor_map(hopf_G().delta(STD.G.gen(g)), maps, target)
+              for g in "abcd"}
+    return AlgebraMap(alg, target, images, name=f"rho_B[{alg.name}]")
 
 
 def extend_coaction_report(ch: TrivializationChart):
@@ -306,22 +302,22 @@ def cover() -> Cover:
 # localized coinvariants
 # ---------------------------------------------------------------------------
 
-def localized_coinvariants(ch: TrivializationChart, degree: int):
-    """Kernel of rho_B - (. x 1) on the canonical monomials up to degree."""
-    monos = ch.alg.basis_monomials(degree)
+def weight_slice(alg: Algebra, chi: NCPoly, degree: int):
+    """Basis of {p in alg : rho_B(p) = p (x) chi} on the canonical monomials
+    up to degree: the kernel of rho_B - (. x chi)."""
+    rho = coaction_B(alg)
+    monos = alg.basis_monomials(degree)
     columns = []
     for m in monos:
-        p = NCPoly(ch.alg, {m: ONE})
-        diff = ch.rho_B(p) - tensor_elem(ch.target, [p, STD.B.one()])
-        columns.append(dict(diff.terms))
-    basis = []
-    for vec in linalg.kernel_basis(columns):
-        terms = {}
-        for m, c in zip(monos, vec):
-            if c:
-                terms[m] = c
-        basis.append(NCPoly(ch.alg, terms))
-    return basis
+        p = NCPoly(alg, {m: ONE})
+        columns.append((rho(p) - tensor_elem(rho.target, [p, chi])).terms)
+    return [NCPoly(alg, {m: c for m, c in zip(monos, vec) if c})
+            for vec in linalg.kernel_basis(columns)]
+
+
+def localized_coinvariants(ch: TrivializationChart, degree: int):
+    """Kernel of rho_B - (. x 1) on the canonical monomials up to degree."""
+    return weight_slice(ch.alg, STD.B.one(), degree)
 
 
 def coinv_poly_coeffs(p: NCPoly, ch: TrivializationChart):
@@ -370,13 +366,7 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
     HG = hopf_G()
     for mono in G.basis_monomials(degree):
         p = NCPoly(G, {mono: ONE})
-        dp = HG.delta(p)
-        expect = ch.target.zero()
-        for m, c in dp.terms.items():
-            m1, m2 = HG.T2.split_mono(m)
-            expect = expect + tensor_elem(
-                ch.target,
-                [ch.iota(NCPoly(G, {m1: ONE})), pi(NCPoly(G, {m2: ONE}))]) * c
+        expect = apply_tensor_map(HG.delta(p), [ch.iota, pi], ch.target)
         if ch.rho_B(ch.iota(p)) != expect:
             bad = G.mono_str(mono)
             break
@@ -408,13 +398,7 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
     bad = None
     for w in words:
         lhs = ch.rho_B(ch.gamma(w))
-        dw = HB.delta(w)
-        rhs = ch.target.zero()
-        for m, c in dw.terms.items():
-            m1, m2 = HB.T2.split_mono(m)
-            rhs = rhs + tensor_elem(ch.target,
-                                    [ch.gamma(NCPoly(B, {m1: ONE})),
-                                     NCPoly(B, {m2: ONE})]) * c
+        rhs = apply_tensor_map(HB.delta(w), [ch.gamma, None], ch.target)
         if lhs != rhs:
             bad = w
             break

@@ -7,7 +7,7 @@
     qsu2 resolution --n N [--q P/R] [--format json|tsv]
 
 Exit codes: 0 success / all checks pass, 1 failing check (or no check
-run), 2 parse error, 3 domain error.
+passed), 2 parse error, 3 domain error.
 """
 
 from __future__ import annotations

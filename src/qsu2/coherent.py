@@ -80,13 +80,8 @@ def solve_coherent(ch: TrivializationChart, n: int) -> CoherentFamily:
     """
     V = VnComodule(n)
     vec = [ONE if i == 0 else ZERO for i in range(n + 1)]  # y^n is e_0
-    rho = V.coaction_localized(vec, ch.alg)
-    MG = STD.tensor(STD.M, ch.alg)
     gchi_inv = ch.gamma(STD.B.gen("lambda", n))  # gamma(chi)^-1
-    coeffs = [ch.alg.zero() for _ in range(n + 1)]
-    for mono, c in rho.terms.items():
-        mm, gm = MG.split_mono(mono)
-        coeffs[mm[0]] = coeffs[mm[0]] + NCPoly(ch.alg, {gm: c}) * gchi_inv
+    coeffs = [ch.iota(w) * gchi_inv for w in V.components(vec)]
     fam = CoherentFamily(ch, n, coeffs)
     for i, f in enumerate(coeffs):
         if ch.rho_B(f) != tensor_elem(ch.target, [f, STD.B.one()]):
@@ -291,12 +286,8 @@ def scalar_operator_general(n: int, w_vec) -> QScalar:
     V = VnComodule(n)
     if all(QScalar.coerce(x).is_zero() for x in w_vec):
         raise ValueError("w must be nonzero")
-    rho = V.coaction(w_vec)
+    w = V.components(w_vec)
     m = n + 1
-    w = [STD.G.zero() for _ in range(m)]
-    for mono, c in rho.terms.items():
-        mm, gm = V.MG.split_mono(mono)
-        w[mm[0]] = w[mm[0]] + NCPoly(STD.G, {gm: c})
     g = gram(n)
     matrix = [[haar(w[j] * star(w[k])) * g.diag[k] for k in range(m)]
               for j in range(m)]

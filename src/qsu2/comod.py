@@ -2,10 +2,12 @@
 inner product.
 
 V_n is spanned by the monomials x^i y^(n-i); elements are plain coefficient
-lists over that basis.  The inner product is carried as a diagonal Gram
-matrix on the monomial basis, which keeps everything inside the rational
-function field (no square roots): the orthonormal-basis prefactors of the
-usual presentation are absorbed into the Gram weights.
+lists over that basis.  Every coaction of V_n is read from its coaction
+matrix t: rho(v) = sum_j e_j (x) w_j with w_j = sum_i t[j][i] v_i.  The
+inner product is carried as a diagonal Gram matrix on the monomial basis,
+which keeps everything inside the rational function field (no square
+roots): the orthonormal-basis prefactors of the usual presentation are
+absorbed into the Gram weights.
 
 The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
 admits two noncommutative orderings of the right-hand side.  Both are
@@ -22,7 +24,8 @@ import functools
 
 from . import linalg
 from .hopf import pi_map
-from .ncalg import DomainError, NCPoly, STD, star, tensor_elem
+from .ncalg import (DomainError, NCPoly, STD, apply_tensor_map, star,
+                    tensor_elem)
 from .scalars import ONE, QScalar, ZERO, gauss_binomial, q_pow
 
 __all__ = [
@@ -54,7 +57,8 @@ class VnComodule:
     """The (n+1)-dimensional irreducible comodule of degree-n Manin monomials.
 
     Basis index i is the x-exponent: e_i = x^i y^(n-i).  The coaction
-    matrix t satisfies rho(e_i) = sum_j e_j (x) t[j][i].
+    matrix t satisfies rho(e_i) = sum_j e_j (x) t[j][i]; every coaction is
+    read from it.
     """
 
     def __init__(self, n: int, /):
@@ -67,7 +71,6 @@ class VnComodule:
                  + tensor_elem(self.MG, [M.gen("y"), G.gen("c")]))
         rho_y = (tensor_elem(self.MG, [M.gen("x"), G.gen("b")])
                  + tensor_elem(self.MG, [M.gen("y"), G.gen("d")]))
-        self._rho_gen = {"x": rho_x, "y": rho_y}
         # t[j][i] over G with rho(e_i) = sum_j e_j (x) t[j][i]
         t = [[G.zero() for _ in range(n + 1)] for _ in range(n + 1)]
         for i in range(n + 1):
@@ -89,29 +92,19 @@ class VnComodule:
             return f"x^{n}" if n != 1 else "x"
         return f"x^{i} y^{n - i}"
 
+    def components(self, vec):
+        """The w_j in G with rho(v) = sum_j e_j (x) w_j, for a coefficient
+        vector v over the e_i: w_j = sum_i t[j][i] v_i."""
+        vec = [QScalar.coerce(c) for c in vec]
+        return [sum((t_j[i] * c for i, c in enumerate(vec) if c),
+                    STD.G.zero()) for t_j in self.coaction_matrix]
+
     def coaction(self, vec) -> NCPoly:
         """rho(v) in Manin (x) G for a coefficient vector over the e_i."""
         out = self.MG.zero()
-        for i, c in enumerate(vec):
-            c = QScalar.coerce(c)
-            if c.is_zero():
-                continue
-            img = self._rho_gen["x"] ** i * self._rho_gen["y"] ** (self.n - i)
-            out = out + img * c
-        return out
-
-    def coaction_localized(self, vec, chart_alg) -> NCPoly:
-        """rho followed by the localization embedding in the G slot."""
-        iota = STD.localization_embedding(chart_alg)
-        target = STD.tensor(STD.M, chart_alg)
-        p = self.coaction(vec)
-        out = target.zero()
-        G = STD.G
-        for mono, c in p.terms.items():
-            mm, gm = self.MG.split_mono(mono)
-            part = tensor_elem(target, [NCPoly(STD.M, {mm: ONE}),
-                                        iota(NCPoly(G, {gm: ONE}))])
-            out = out + part * c
+        for j, w in enumerate(self.components(vec)):
+            e_j = NCPoly(STD.M, {(j, self.n - j): ONE})
+            out = out + tensor_elem(self.MG, [e_j, w])
         return out
 
     def rho_B_matrix(self):
@@ -164,12 +157,7 @@ def weight_covectors(n: int, chi_elem: NCPoly):
     columns = []
     for i in range(n + 1):
         vec = [ONE if k == i else ZERO for k in range(n + 1)]
-        p = V.coaction(vec)
-        lhs = MB.zero()
-        for mono, c in p.terms.items():
-            mm, gm = V.MG.split_mono(mono)
-            lhs = lhs + tensor_elem(MB, [NCPoly(STD.M, {mm: ONE}),
-                                         pi(NCPoly(STD.G, {gm: ONE}))]) * c
+        lhs = apply_tensor_map(V.coaction(vec), [None, pi], MB)
         mono_i = [0, 0]
         mono_i[0] = i
         mono_i[1] = n - i

@@ -39,7 +39,6 @@ __all__ = [
     "retract",
     "tensor_elem",
     "apply_tensor_map",
-    "filtration_degree",
     "normal_form_of_word",
     "confluence_probe",
     "random_word",
@@ -517,10 +516,6 @@ class NCPoly:
         return f"<{self.alg.name}: {self}>"
 
 
-def filtration_degree(p: NCPoly):
-    return p.degree()
-
-
 # ---------------------------------------------------------------------------
 # algebra maps
 # ---------------------------------------------------------------------------
@@ -766,18 +761,33 @@ def tensor_elem(talg: Algebra, parts) -> NCPoly:
 
 
 def apply_tensor_map(p: NCPoly, maps, target: Algebra) -> NCPoly:
-    """Apply per-factor maps (None = identity) to a tensor element."""
+    """Apply per-factor maps (None = identity) to a tensor element.
+
+    The image monomials of the factors are concatenated, so a factor map
+    may land in a tensor product itself: (Delta (x) id) takes T2 to T3.
+    The result owns a new term dict, as in `linear_extension`.
+    """
     src = p.alg
-    assert src.factors and target.factors and len(maps) == len(src.factors)
-    out = target.zero()
+    assert src.factors and len(maps) == len(src.factors)
+    out = {}
     for mono, c in p.terms.items():
-        parts = []
-        for f, sub, fmap, tf in zip(src.factors, src.split_mono(mono), maps,
-                                    target.factors):
-            elem = NCPoly(f, {sub: ONE})
-            parts.append(elem if fmap is None else fmap(elem))
-        out = out + tensor_elem(target, parts) * c
-    return out
+        # an identity factor keeps its monomial and multiplies nothing in
+        legs = [[(sub, None)] if fmap is None
+                else fmap(NCPoly(f, {sub: ONE})).terms.items()
+                for f, sub, fmap in zip(src.factors, src.split_mono(mono),
+                                        maps)]
+        for combo in itertools.product(*legs):
+            v = c
+            for _, cc in combo:
+                if cc is not None:
+                    v = v * cc
+            key = tuple(itertools.chain.from_iterable(m for m, _ in combo))
+            v = out.get(key, ZERO) + v
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return NCPoly(target, out)
 
 
 # ---------------------------------------------------------------------------

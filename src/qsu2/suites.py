@@ -17,6 +17,12 @@ from .scalars import ONE, QScalar, ZERO, q_number, q_pochhammer, q_pow
 __all__ = ["run_suite", "SUITES"]
 
 
+def _no_n_in(n_range, lo, hi):
+    """Witness of a check skipped because no requested n is in lo..hi."""
+    return (f"no n in {lo}..{hi} among the requested "
+            f"{min(n_range)}..{max(n_range)}")
+
+
 def suite_rewriting(n_range, degree, seed, q0):
     checks = []
     for alg in (STD.G, STD.Gb, STD.Gd, STD.Gbd):
@@ -215,10 +221,11 @@ def suite_coherent(n_range, degree, seed, q0):
     def rand_scalar():
         return QScalar.coerce(rng.randint(-3, 3)) * q_pow(rng.randint(-1, 1))
 
-    rep_ok = True
-    witness = None
-    for n in [x for x in n_range if x <= 3]:
-        for _ in range(20 // max(1, len([x for x in n_range if x <= 3]))):
+    small = [x for x in n_range if x <= 3]
+    rep_ok = True if small else None
+    witness = None if small else _no_n_in(n_range, 0, 3)
+    for n in small:
+        for _ in range(20 // len(small)):
             H = [[rand_scalar() for _ in range(n + 1)] for _ in range(n + 1)]
             v = [rand_scalar() for _ in range(n + 1)]
             out = coherent.reproducing_apply(n, H, v)
@@ -234,9 +241,15 @@ def suite_coherent(n_range, degree, seed, q0):
 
 
 def suite_theorem4(n_range, degree, seed, q0):
+    anchor = ("A|v> = sum <w0|v> w0' int ... is a scalar operator "
+              "(starred factor grouped second, matching the Gram order)")
+    ns = [x for x in n_range if 1 <= x <= 3]
+    if not ns:
+        return [check("theorem4.scalar", None, anchor,
+                      _no_n_in(n_range, 1, 3))]
     rng = random.Random(seed)
     checks = []
-    for n in [x for x in n_range if 1 <= x <= 3] or [1]:
+    for n in ns:
         ok = True
         witness = None
         tried = 0
@@ -251,11 +264,7 @@ def suite_theorem4(n_range, degree, seed, q0):
             except comod.NonScalarError as exc:
                 ok, witness = False, (w, exc)
                 break
-        checks.append(check(
-            f"theorem4.scalar_n{n}", ok,
-            "A|v> = sum <w0|v> w0' int ... is a scalar operator "
-            "(starred factor grouped second, matching the Gram order)",
-            witness))
+        checks.append(check(f"theorem4.scalar_n{n}", ok, anchor, witness))
     return checks
 
 

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from qsu2.charts import (build_gamma, chart, coinv_poly_coeffs, cover,
-                         cover_equalizer, extend_coaction_report,
+from qsu2.charts import (build_gamma, chart, coaction_B, coinv_poly_coeffs,
+                         cover, cover_equalizer, extend_coaction_report,
                          localized_coinvariants, paper_gamma_b_controls,
                          verify_chart)
 from qsu2.comod import VnComodule
-from qsu2.ncalg import (DomainError, STD, normal_form_of_word,
-                        parse_element, random_word, tensor_elem)
+from qsu2.hopf import hopf_G, pi_map
+from qsu2.ncalg import (DomainError, STD, apply_tensor_map,
+                        normal_form_of_word, parse_element, random_word,
+                        tensor_elem)
 from qsu2.scalars import q_pow
 
 B = STD.B
@@ -20,6 +22,23 @@ def test_extended_coaction_weight_inversion():
         assert rep["weight_inversion_consistent"]
         assert rep["product_is_unit"]
         assert not rep["printed_formula_holds"]  # b^-1 x lambda^-1 is wrong
+
+
+@pytest.mark.parametrize("which", ["d", "b"])
+def test_chart_coaction_is_the_shared_one(which):
+    ch = chart(which)
+    assert ch.rho_B is coaction_B(ch.alg)
+
+
+def test_coaction_on_G_is_id_x_pi_of_delta():
+    G = STD.G
+    rho = coaction_B(G)
+    rng = random.Random(5)
+    for _ in range(30):
+        w = normal_form_of_word(G, random_word(G, rng, 4))
+        expect = apply_tensor_map(hopf_G().delta(w), [None, pi_map()],
+                                  rho.target)
+        assert rho(w) == expect
 
 
 def test_rho_B_on_embedded_a():

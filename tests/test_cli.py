@@ -131,6 +131,9 @@ def test_tsv_format(capsys):
     (["verify", "haar", "--q", "1/0"], 2),
     (["eval", "a", "--action", "haar", "--q", "1/0"], 2),
     (["resolution", "--n", "1", "--q", "1/0"], 2),
+    (["verify", "theorem4", "--n", "5..6"], 1),
+    (["verify", "theorem4", "--n", "0..0"], 1),
+    (["verify", "coherent", "--n", "5..5"], 0),
 ])
 def test_exit_code_contract(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
@@ -140,6 +143,23 @@ def test_exit_code_contract(capsys, argv, expected):
         assert err.startswith("domain error:")
     if expected in (2, 3):
         assert out == ""
+
+
+@pytest.mark.parametrize("suite, n, name, allowed", [
+    ("theorem4", "5..6", "theorem4.scalar", "1..3"),
+    ("theorem4", "0..0", "theorem4.scalar", "1..3"),
+    ("coherent", "5..5", "reproducing.exact", "0..3"),
+])
+def test_check_without_requested_n_is_skipped(capsys, suite, n, name,
+                                              allowed):
+    # a check with no n in its range skips and names the range; it neither
+    # passes on zero samples nor runs on an n that was not requested
+    _, out, _ = run(capsys, "verify", suite, "--n", n, "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks[name]["status"] == "skip"
+    assert checks[name]["witness"] == (
+        f"no n in {allowed} among the requested {n}")
+    assert not any(k.startswith("theorem4.scalar_n") for k in checks)
 
 
 # generators of every algebra, so that most draws use one foreign to the

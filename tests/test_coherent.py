@@ -188,7 +188,7 @@ def test_gram_cached_convention():
 def test_factorization_identity_per_chart():
     # C_lambda (1 (x) gamma(chi)) reassembles rho_lambda(y^n) exactly
     from qsu2.comod import VnComodule
-    from qsu2.ncalg import tensor_elem
+    from qsu2.ncalg import apply_tensor_map, tensor_elem
     for which in ("d", "b"):
         ch = chart(which)
         for n in range(5):
@@ -202,7 +202,8 @@ def test_factorization_identity_per_chart():
                                             f * gchi])
                 assembled = assembled + part
             vec = [ONE if i == 0 else ZERO for i in range(n + 1)]
-            assert assembled == V.coaction_localized(vec, ch.alg)
+            assert assembled == apply_tensor_map(V.coaction(vec),
+                                                 [None, ch.iota], target)
 
 
 def test_lemma_diagonal_i_independence():

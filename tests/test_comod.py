@@ -21,6 +21,20 @@ def test_coaction_of_x():
     assert got == expect
 
 
+def test_coaction_matches_manin_powers():
+    # the coaction read from the matrix against the product of generator
+    # coactions rho(x)^i rho(y)^(n-i)
+    for n in range(5):
+        V = VnComodule(n)
+        rho_x = (tensor_elem(V.MG, [M.gen("x"), G.gen("a")])
+                 + tensor_elem(V.MG, [M.gen("y"), G.gen("c")]))
+        rho_y = (tensor_elem(V.MG, [M.gen("x"), G.gen("b")])
+                 + tensor_elem(V.MG, [M.gen("y"), G.gen("d")]))
+        for i in range(n + 1):
+            e_i = [ONE if k == i else ZERO for k in range(n + 1)]
+            assert V.coaction(e_i) == rho_x ** i * rho_y ** (n - i), (n, i)
+
+
 def test_negative_n_rejected_on_every_call():
     # a failed construction must not leave a half-built V_n behind
     for _ in range(2):

@@ -1,7 +1,9 @@
-"""The memoized structure maps against their uncached per-monomial helpers,
-and the caches left by the corrupted-Delta negative control."""
+"""The memoized structure maps and the factorwise `apply_tensor_map`
+against uncached per-monomial oracles, and the caches left by the
+corrupted-Delta negative control."""
 
 import functools
+import itertools
 import operator
 import random
 import sys
@@ -11,9 +13,10 @@ import pytest
 from qsu2.charts import chart
 from qsu2.hopf import (HopfAlgebra, _corrupted, hopf_B, hopf_G, pi_map,
                        verify_hopf)
-from qsu2.ncalg import (AlgebraMap, STD, _star_image, normal_form_of_word,
-                        random_word, star)
-from qsu2.scalars import QScalar
+from qsu2.ncalg import (AlgebraMap, NCPoly, STD, _star_image,
+                        apply_tensor_map, normal_form_of_word, random_word,
+                        star, tensor_elem)
+from qsu2.scalars import ONE, QScalar
 
 G, B = STD.G, STD.B
 
@@ -62,6 +65,67 @@ def test_cached_map_matches_uncached_helper(name):
         got.terms.clear()
         got.terms[got.alg._zero_mono] = QScalar.coerce(7)
         assert cached(w) == expect, (name, w)
+
+
+GG, BB = STD.tensor(G, G), STD.tensor(B, B)
+_D = chart("d")
+
+# name -> (source, cached maps, uncached per-monomial images, target);
+# None is the identity factor
+TENSOR_MAPS = {
+    "pi x pi": (GG, [pi_map()] * 2, [MAPS["pi"][2]] * 2, BB),
+    "star x star": (GG, [star] * 2, [MAPS["star"][2]] * 2, GG),
+    "iota x pi": (GG, [_D.iota, pi_map()],
+                  [MAPS["iota[G_d]"][2], MAPS["pi"][2]], _D.target),
+    "gamma x id": (BB, [_D.gamma, None], [MAPS["gamma[d]"][2], None],
+                   _D.target),
+    "Delta x id": (GG, [hopf_G().delta, None], [MAPS["Delta[G]"][2], None],
+                   hopf_G().T3),
+    "id x Delta": (GG, [None, hopf_G().delta], [None, MAPS["Delta[G]"][2]],
+                   hopf_G().T3),
+}
+
+
+def _legs(image):
+    """An image as (coefficient, factor elements) pairs: one pair per
+    monomial when it lies in a tensor product, else the image itself."""
+    alg = image.alg
+    if not alg.factors:
+        return [(ONE, [image])]
+    return [(c, [NCPoly(f, {sub: ONE})
+                 for f, sub in zip(alg.factors, alg.split_mono(mono))])
+            for mono, c in image.terms.items()]
+
+
+def _tensor_map_oracle(p, images, target):
+    """Map each factor monomial on its own, then tensor_elem and add."""
+    out = target.zero()
+    for mono, c in p.terms.items():
+        legs = []
+        for f, sub, image in zip(p.alg.factors, p.alg.split_mono(mono),
+                                 images):
+            elem = NCPoly(f, {sub: ONE})
+            legs.append(_legs(elem if image is None else image(sub)))
+        for combo in itertools.product(*legs):
+            coeff = functools.reduce(operator.mul, (cc for cc, _ in combo), c)
+            parts = [x for _, xs in combo for x in xs]
+            out = out + tensor_elem(target, parts) * coeff
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_MAPS))
+def test_apply_tensor_map_matches_factorwise_oracle(name):
+    source, maps, images, target = TENSOR_MAPS[name]
+    words = _words(source, count=60, degree=4)
+    # differences of random words, so that image terms can cancel
+    for w in (x - y for x, y in zip(words[::2], words[1::2])):
+        expect = _tensor_map_oracle(w, images, target)
+        got = apply_tensor_map(w, maps, target)
+        assert got.alg is target
+        assert got == expect, (name, w)
+        got.terms.clear()
+        got.terms[got.alg._zero_mono] = QScalar.coerce(7)
+        assert apply_tensor_map(w, maps, target) == expect, (name, w)
 
 
 def _caches():

@@ -1,4 +1,4 @@
-from qsu2.report import check
+from qsu2.report import VerificationReport, check
 
 
 def test_check_status_and_witness():
@@ -15,3 +15,17 @@ def test_check_status_and_witness():
     assert skipped["witness"] == "no involution"
     kept = check("x", True, "anchor", 3, keep_witness=True)
     assert kept["status"] == "pass" and kept["witness"] == "3"
+
+
+def test_report_passes_only_with_a_pass():
+    skip = check("s", None, "anchor", "no n in range")
+    ok = check("p", True, "anchor")
+    bad = check("f", False, "anchor")
+
+    def passed(*checks):
+        return VerificationReport("x", list(checks), 0, 0).passed
+
+    assert not passed()
+    assert not passed(skip)
+    assert passed(skip, ok)
+    assert not passed(ok, bad)
