@@ -6,7 +6,7 @@ theorem checks are exact (zero tolerance).
 """
 
 from .scalars import (ONE, Q, QPoly, QRational, QScalar, ZERO, gauss_binomial,
-                      jackson_q_integral_01, q_factorial, q_gamma_int,
+                      jackson_q_integral_01, q_gamma_int,
                       q_number, q_pochhammer, q_pow, parse_scalar)
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     confluence_probe, parse_element,

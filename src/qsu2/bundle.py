@@ -266,8 +266,10 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
                 solvable = False
                 break
             coeffs.append(sol)
-        inv = linalg.invert_matrix(coeffs) if solvable else None
-        emit("glue_map_bijective", solvable and inv is not None,
+        # square, so invertible iff its rows have no linear relation
+        bijective = solvable and not linalg.kernel_basis(
+            [dict(enumerate(row)) for row in coeffs])
+        emit("glue_map_bijective", bijective,
              "naturally isomorphic to the cotensor product as a vector space")
     else:
         emit("glue_map_bijective", False, "dimension mismatch")
@@ -337,7 +339,7 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
     if len(sols) == 1:
         vec = sols[0]
         phi = [[vec[j * m + k] for k in range(m)] for j in range(m)]
-        phi_ok = linalg.invert_matrix(phi) is not None
+        phi_ok = not linalg.kernel_basis([dict(enumerate(row)) for row in phi])
     emit("coaction_intertwiner", phi_ok,
          "the equivalences respect the D-comodule structure "
          "(induced comodule is V_n)", len(sols))

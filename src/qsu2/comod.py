@@ -10,12 +10,14 @@ roots): the orthonormal-basis prefactors of the usual presentation are
 absorbed into the Gram weights.
 
 The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
-admits two noncommutative orderings of the right-hand side.  Both are
-implemented; the solver discovers which one carries the diagonal Gram that
-normalizes the weight covector and reproduces the inverse Gaussian-binomial
-weights, and that order is recorded on the GramForm.  The swapped order is
-tried first, so the printed order is solved only when the swapped one
-fails or on request (`gram_order_report`).
+admits two noncommutative orderings of the right-hand side.  The form used
+everywhere is the Haar average of the identity start form,
+<e_k|e_k> = sum_i h(t[i][k]* t[i][k]) (Woronowicz's orthogonality
+relations), normalized so <y^n|y^n> = 1.  It is certified exactly in the
+star-first order w1* z1: for every (k, l) the identity is checked on the
+products t[i][k]* t[i][l], and a failure is fatal.  Both orders are still
+solved as full (n+1)^2 kernel systems for the misprint ledger
+(`gram_order_report`), which needs the solution count in each.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
+from .haar import haar
 from .hopf import pi_map
 from .ncalg import (DomainError, NCPoly, STD, apply_tensor_map, star,
                     tensor_elem)
@@ -229,27 +232,50 @@ def _gram_order(n: int, order: str):
     return 1, True, [mat[i][i] / norm for i in range(m)]
 
 
-def solve_coinvariant_gram(n: int) -> GramForm:
-    """Solve the coinvariance identity for the Gram matrix of V_n.
+def _star_first_products(n: int):
+    """P[i][k][l] = t[i][k]* t[i][l] over the coaction matrix t of V_n."""
+    t = VnComodule(n).coaction_matrix
+    m = n + 1
+    tstar = [[star(x) for x in row] for row in t]
+    return [[[tstar[i][k] * t[i][l] for l in range(m)] for k in range(m)]
+            for i in range(m)]
 
-    Tries the Sweedler orders in turn and returns at the first one whose
-    solution space is one-dimensional with diagonal support and reproduces
-    the inverse-binomial weights, normalized so the weight covector y^n has
-    norm 1.  If no order does, the first diagonal solution is returned;
-    fatal if neither order admits one.
+
+def _coinvariance_defect(products, diag):
+    """The first (k, l) where sum_i diag[i] t[i][k]* t[i][l] differs from
+    diag[k] delta_kl 1, or None when the diagonal form is coinvariant."""
+    G = STD.G
+    m = len(diag)
+    for k in range(m):
+        for l in range(m):
+            total = sum((products[i][k][l] * diag[i] for i in range(m)),
+                        G.zero())
+            if total != (G.scalar(diag[k]) if k == l else G.zero()):
+                return k, l
+    return None
+
+
+def solve_coinvariant_gram(n: int) -> GramForm:
+    """The coinvariant Gram form of V_n as the Haar average of the identity.
+
+    <e_k|e_k> is proportional to sum_i h(t[i][k]* t[i][k]); the diagonal is
+    normalized so the weight covector y^n has norm 1 and then certified
+    against the star-first coinvariance identity for every (k, l).  Fatal if
+    the average vanishes on y^n or the certificate fails.
     """
-    expected = _inverse_binomials(n)
-    diagonals = {}
-    for order in (STAR_FIRST, STAR_SECOND):
-        diag = diagonals[order] = _gram_order(n, order)[2]
-        if diag == expected:
-            return GramForm(n, diag, order)
-    # no order reproduces the inverse-binomial weights: report what exists
-    for order, diag in diagonals.items():
-        if diag is not None:
-            return GramForm(n, diag, order)
-    raise DomainError(
-        f"no diagonal coinvariant Gram form exists for n={n} in either order")
+    products = _star_first_products(n)
+    m = n + 1
+    raw = [sum((haar(products[i][k][k]) for i in range(m)), ZERO)
+           for k in range(m)]
+    if raw[0].is_zero():
+        raise DomainError(f"the Haar average of <y^{n}|y^{n}> vanishes")
+    diag = [r / raw[0] for r in raw]
+    defect = _coinvariance_defect(products, diag)
+    if defect is not None:
+        raise DomainError(
+            f"the Haar-averaged Gram form of V_{n} is not coinvariant at "
+            f"(k, l) = {defect}")
+    return GramForm(n, diag, STAR_FIRST)
 
 
 def gram_order_report(n: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .scalars import ONE, ZERO
 
-__all__ = ["kernel_basis", "solve_unique", "rank", "in_span", "invert_matrix"]
+__all__ = ["kernel_basis", "solve_unique", "in_span"]
 
 
 def _components(columns):
@@ -103,10 +103,6 @@ def kernel_basis(columns):
     return basis
 
 
-def rank(columns) -> int:
-    return len(columns) - len(kernel_basis(columns))
-
-
 def in_span(columns, target) -> list | None:
     """Coefficients expressing `target` in the span of `columns`, or None."""
     ext = list(columns) + [target]
@@ -126,29 +122,3 @@ def solve_unique(columns, target):
     if kernel_basis(columns):
         raise ValueError("underdetermined linear system")
     return sol
-
-
-def invert_matrix(mat):
-    """Inverse of a square QScalar matrix, or None if singular."""
-    n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] + [ONE if i == k else ZERO
-                                            for k in range(n)]
-           for i in range(n)]
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, n):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            return None
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]

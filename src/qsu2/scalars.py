@@ -31,7 +31,6 @@ __all__ = [
     "Q",
     "q_pow",
     "q_number",
-    "q_factorial",
     "gauss_binomial",
     "q_gamma_int",
     "QPoly",
@@ -462,14 +461,6 @@ def q_number(n: int) -> QScalar:
     # q^(1-n) * (1 + q^2 + ... + q^(2n-2))
     return QScalar(_ptrim([1 if i % 2 == 0 else 0 for i in range(2 * n - 1)]),
                    _pshift(_PONE, n - 1))
-
-
-def q_factorial(n: int) -> QScalar:
-    """[n]! = [1][2]...[n] in the symmetric convention."""
-    r = ONE
-    for k in range(1, n + 1):
-        r = r * q_number(k)
-    return r
 
 
 def gauss_binomial(n: int, k: int, base: QScalar) -> QScalar:

@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from qsu2 import comod, linalg
+from qsu2.coherent import gram
 from qsu2.comod import (STAR_FIRST, STAR_SECOND, NonScalarError, VnComodule,
-                        gram_order_report, intertwiner_space_dimension,
-                        pairing, schur_scalar, solve_coinvariant_gram,
-                        verify_comodule_axioms, weight_covectors)
-from qsu2.ncalg import STD, star, tensor_elem
+                        _coinvariance_defect, _gram_order, _inverse_binomials,
+                        _star_first_products, gram_order_report,
+                        intertwiner_space_dimension, pairing, schur_scalar,
+                        solve_coinvariant_gram, verify_comodule_axioms,
+                        weight_covectors)
+from qsu2.hopf import hopf_G
+from qsu2.ncalg import STD, DomainError, star, tensor_elem
 from qsu2.scalars import ONE, Q, ZERO, gauss_binomial, q_pow
 
 G, B, M = STD.G, STD.B, STD.M
@@ -115,6 +120,46 @@ def test_gram_coinvariance_exact():
                     total = total + star(t[i][k]) * t[i][l] * g.diag[i]
                 expect = G.scalar(g.diag[k]) if k == l else G.zero()
                 assert total == expect
+
+
+def test_haar_gram_matches_kernel_solve():
+    # oracle: the full (n+1)^2 kernel solve in the star-first order has one
+    # solution, it is diagonal, and it is the Haar average
+    for n in range(7):
+        assert _gram_order(n, STAR_FIRST) == (
+            1, True, solve_coinvariant_gram(n).diag), n
+
+
+def test_haar_gram_inverse_binomial_beyond_kernel_oracle():
+    for n in (7, 8):
+        assert gram(n).diag == _inverse_binomials(n), n
+
+
+def test_haar_gram_solves_no_kernel(monkeypatch):
+    def refuse(columns):
+        raise AssertionError("kernel_basis called")
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    assert solve_coinvariant_gram(3).diag == _inverse_binomials(3)
+
+
+def test_haar_gram_certificate_rejects_counit_average(monkeypatch):
+    # negative control: averaging with the counit instead of the Haar
+    # integral gives a form that is not coinvariant
+    monkeypatch.setattr(comod, "haar", hopf_G().counit)
+    for n in (2, 3):
+        with pytest.raises(DomainError):
+            solve_coinvariant_gram(n)
+
+
+def test_haar_gram_certificate_rejects_printed_order_diagonal():
+    printed = _gram_order(1, STAR_SECOND)[2]
+    assert printed == [ONE, q_pow(-2)]
+    products = _star_first_products(1)
+    assert _coinvariance_defect(products, printed) is not None
+    assert _coinvariance_defect(products, _inverse_binomials(1)) is None
+    # an off-diagonal pair is checked too
+    products[1][0][1] = products[1][0][1] + G.one()
+    assert _coinvariance_defect(products, _inverse_binomials(1)) == (0, 1)
 
 
 def test_printed_order_not_orthonormal():
