@@ -318,22 +318,13 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
     m = n + 1
     s_basis = slice_now.basis
     delta_s = [HG.delta(s) for s in s_basis]
-    columns = []
-    for jj in range(m):
-        for kk in range(m):
-            col = {}
-            # Delta(sum_k Phi[j][k] s_k) term for unknown Phi[jj][kk]
-            for mono, c in delta_s[kk].terms.items():
-                key = (jj, mono)
-                col[key] = col.get(key, ZERO) + c
-            # minus sum_i t[j][i] (x) (sum_k Phi[i][k] s_k): unknown Phi[jj][kk]
-            # appears with i = jj inside the row-j equation for every j
-            for j in range(m):
-                part = tensor_elem(GG, [t[j][jj], s_basis[kk]])
-                for mono, c in part.terms.items():
-                    key = (j, mono)
-                    col[key] = col.get(key, ZERO) - c
-            columns.append(col)
+    # unknown Phi[jj][kk] enters the row-j equation
+    # Delta(sum_k Phi[j][k] s_k) = sum_i t[j][i] (x) (sum_k Phi[i][k] s_k)
+    # on the left when j = jj, and on the right through i = jj for every j
+    columns = [linalg.column({
+        j: (delta_s[kk] if j == jj else GG.zero())
+        - tensor_elem(GG, [t[j][jj], s_basis[kk]]) for j in range(m)})
+        for jj in range(m) for kk in range(m)]
     sols = linalg.kernel_basis(columns)
     phi_ok = False
     if len(sols) == 1:

@@ -202,25 +202,15 @@ def _gram_order(n: int, order: str):
     G = STD.G
     m = n + 1
     tstar = [[star(t[i][k]) for k in range(m)] for i in range(m)]
+    pairs = [(k, l) for k in range(m) for l in range(m)]
     columns = []
-    unit = G._zero_mono
-    for i in range(m):
-        for j in range(m):
-            col = {}
-            for k in range(m):
-                for l in range(m):
-                    # coefficient of G_ij in the (w,z)=(e_k,e_l) identity
-                    if order == STAR_FIRST:
-                        prod = tstar[i][k] * t[j][l]
-                    else:
-                        prod = t[j][l] * tstar[i][k]
-                    for mono, c in prod.terms.items():
-                        key = (k, l, mono)
-                        col[key] = col.get(key, ZERO) + c
-            # right-hand side G_kl * 1 folded in: subtract on (i,j)=(k,l)
-            key = (i, j, unit)
-            col[key] = col.get(key, ZERO) - ONE
-            columns.append(col)
+    for i, j in pairs:
+        # coefficient of G_ij in the (w, z) = (e_k, e_l) identity, with the
+        # right-hand side G_kl 1 moved over on (k, l) = (i, j)
+        eqs = {(k, l): tstar[i][k] * t[j][l] if order == STAR_FIRST
+               else t[j][l] * tstar[i][k] for k, l in pairs}
+        eqs[i, j] = eqs[i, j] - G.one()
+        columns.append(linalg.column(eqs))
     sols = linalg.kernel_basis(columns)
     if len(sols) != 1:
         return len(sols), None, None
@@ -337,20 +327,11 @@ def intertwiner_space_dimension(n: int) -> int:
     V = VnComodule(n)
     t = V.coaction_matrix
     m = n + 1
-    columns = []
-    for a in range(m):
-        for b in range(m):
-            # commutator coefficient of M_ab: [t, M]_kj = sum t_ka M_aj - M_kb t_bj
-            col = {}
-            for k in range(m):
-                # (t M)_kj with M supported at (a,b): j=b, contribution t[k][a]
-                for mono, c in t[k][a].terms.items():
-                    key = (k, b, mono)
-                    col[key] = col.get(key, ZERO) + c
-            for j in range(m):
-                # (M t)_kj with M at (a,b): k=a, contribution t[b][j]
-                for mono, c in t[b][j].terms.items():
-                    key = (a, j, mono)
-                    col[key] = col.get(key, ZERO) - c
-            columns.append(col)
+    zero = STD.G.zero()
+    # the commutator [t, E_ab] of t with the matrix unit at (a, b):
+    # its (k, j) entry is t[k][a] delta_jb - delta_ka t[b][j]
+    columns = [linalg.column({
+        (k, j): (t[k][a] if j == b else zero) - (t[b][j] if k == a else zero)
+        for k in range(m) for j in range(m)})
+        for a in range(m) for b in range(m)]
     return len(linalg.kernel_basis(columns))

@@ -18,7 +18,7 @@ from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, apply_tensor_map,
                     linear_extension, normal_form_of_word, random_word, star,
                     tensor_elem)
 from .report import check
-from .scalars import ONE, QScalar, ZERO
+from .scalars import ONE, QScalar
 
 __all__ = [
     "HopfAlgebra",
@@ -56,8 +56,7 @@ class HopfAlgebra:
         self.T2 = STD.tensor(alg, alg)
         self.T3 = STD.tensor(alg, alg, alg)
         self.delta = AlgebraMap(alg, self.T2, delta_images, name=f"Delta[{name}]")
-        self.counit_images = {g: QScalar.coerce(v)
-                              for g, v in counit_images.items()}
+        self.eps = AlgebraMap(alg, STD.K, counit_images, name=f"eps[{name}]")
         try:
             self.antipode_images, self.antipode_unique = self._solve_antipode(
                 antipode_ansatz_degree)
@@ -75,23 +74,7 @@ class HopfAlgebra:
         return self.delta(p)
 
     def counit(self, p: NCPoly) -> QScalar:
-        total = ZERO
-        for mono, c in p.terms.items():
-            v = c
-            for g, e in zip(self.alg.gens, mono):
-                if not e:
-                    continue
-                base = self.counit_images[g]
-                if e < 0:
-                    if base.is_zero():
-                        raise DomainError("counit of a non-invertible image")
-                    v = v * base.inverse() ** (-e)
-                else:
-                    v = v * base ** e
-                if v.is_zero():
-                    break
-            total = total + v
-        return total
+        return self.eps(p).scalar_part()
 
     def antipode(self, p: NCPoly) -> NCPoly:
         """Antihomomorphic extension of the solved generator images."""
@@ -125,56 +108,38 @@ class HopfAlgebra:
         for g in alg.gens:
             if g not in self.delta.images:
                 continue
-            eqs.append((g, self.delta(alg.gen(g)), self.counit_images[g]))
-            i = alg.gen_index[g]
-            if i in alg.invertible:
+            eqs.append((g, self.delta(alg.gen(g)), self.counit(alg.gen(g))))
+            if alg.gen_index[g] in alg.invertible:
                 # convolution identity for the inverse power pins its leg
-                eqs.append((f"{g}^-1", self.delta(alg.gen(g, -1)),
-                            self.counit_images[g].inverse()))
-        ansatz = alg.basis_monomials(ansatz_degree)
-        unknown_index = {}
-        columns = []
-
-        def leg_base(i, e):
-            if (i, e) not in unknown_index:
-                unknown_index[(i, e)] = len(columns)
-                columns.extend({} for _ in ansatz)
-            return unknown_index[(i, e)]
-
+                inv = alg.gen(g, -1)
+                eqs.append((f"{g}^-1", self.delta(inv), self.counit(inv)))
+        # right[leg][label]: the right legs that S(leg) multiplies in the
+        # equation `label`; legs are numbered in order of appearance
+        right = {}
         for label, dp, _eps in eqs:
             for mono, c in dp.terms.items():
                 lm, rm = self.T2.split_mono(mono)
                 nz = [(i, e) for i, e in enumerate(lm) if e]
                 if len(nz) > 1:
                     raise DomainError("coproduct legs must be generator powers")
-                leg = nz[0] if nz else (0, 0)
-                right = NCPoly(alg, {rm: c})
-                base = leg_base(*leg)
-                for k, m in enumerate(ansatz):
-                    prod = NCPoly(alg, {m: ONE}) * right
-                    col = columns[base + k]
-                    for rmono, rc in prod.terms.items():
-                        key = (label, rmono)
-                        col[key] = col.get(key, ZERO) + rc
-        target = {(label, alg._zero_mono): eps for label, _, eps in eqs}
-        try:
-            sol = linalg.solve_unique(columns, target)
-            unique = True
-        except ValueError as exc:
-            if "underdetermined" in str(exc):
-                sol = linalg.in_span(columns, target)
-                unique = False
-                if sol is None:
-                    raise
-            else:
-                raise
+                legs = right.setdefault(nz[0] if nz else (0, 0), {})
+                legs[label] = (legs.get(label, alg.zero())
+                               + NCPoly(alg, {rm: c}))
+        ansatz = [NCPoly(alg, {m: ONE})
+                  for m in alg.basis_monomials(ansatz_degree)]
+        columns = [linalg.column({label: m * r for label, r in legs.items()})
+                   for legs in right.values() for m in ansatz]
+        target = linalg.column({label: alg.scalar(eps)
+                                for label, _, eps in eqs})
+        sol = linalg.in_span(columns, target)
+        if sol is None:
+            raise ValueError("inconsistent linear system")
+        unique = not linalg.kernel_basis(columns)
         images = {}
-        for (i, e), base in unknown_index.items():
-            poly = alg.zero()
-            for k, m in enumerate(ansatz):
-                if sol[base + k]:
-                    poly = poly + NCPoly(alg, {m: sol[base + k]})
-            images[(i, e)] = poly
+        for base, leg in zip(range(0, len(columns), len(ansatz)), right):
+            coeffs = sol[base:base + len(ansatz)]
+            images[leg] = sum((m * c for m, c in zip(ansatz, coeffs) if c),
+                              alg.zero())
         # the generator images define S; inverse legs are consistency data
         gen_images = {}
         for (i, e), poly in images.items():
@@ -187,23 +152,6 @@ class HopfAlgebra:
                     raise DomainError(
                         "antipode solution inconsistent on inverse legs")
         return gen_images, unique
-
-
-def _counit_slot(hopf: HopfAlgebra, p2: NCPoly, slot: int) -> NCPoly:
-    """Contract one tensor slot of an element of T2 with the counit."""
-    out = {}
-    T2 = hopf.T2
-    for mono, c in p2.terms.items():
-        m1, m2 = T2.split_mono(mono)
-        if slot == 0:
-            v = hopf.counit(NCPoly(hopf.alg, {m1: ONE})) * c
-            keep = m2
-        else:
-            v = hopf.counit(NCPoly(hopf.alg, {m2: ONE})) * c
-            keep = m1
-        if v:
-            out[keep] = out.get(keep, ZERO) + v
-    return NCPoly(hopf.alg, {m: c for m, c in out.items() if c})
 
 
 def _convolve_antipode(hopf: HopfAlgebra, p: NCPoly, side: str) -> NCPoly:
@@ -326,7 +274,7 @@ def _corrupted(which: str) -> HopfAlgebra:
     images = dict(hopf.delta.images)
     images[g] = images[g] + tensor_elem(hopf.T2,
                                         [hopf.alg.gen(g), hopf.alg.gen(g)])
-    return HopfAlgebra(hopf.alg, images, hopf.counit_images, hopf.name)
+    return HopfAlgebra(hopf.alg, images, hopf.eps.images, hopf.name)
 
 
 def verify_hopf(which: str, degree: int = 5, samples: int = 100,
@@ -351,8 +299,8 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
         == apply_tensor_map(hopf.delta(w), [None, hopf.delta], hopf.T3))
     run(f"{which}.counit_law",
         "(eps x id)Delta = id = (id x eps)Delta",
-        lambda w: _counit_slot(hopf, hopf.delta(w), 0) == w
-        and _counit_slot(hopf, hopf.delta(w), 1) == w)
+        lambda w: all(apply_tensor_map(hopf.delta(w), maps, hopf.alg) == w
+                      for maps in ([hopf.eps, None], [None, hopf.eps])))
     if hopf.antipode_images is None:
         checks.append(check(f"{which}.antipode_convolution", False,
                             "mu(S x id)Delta = eta eps = mu(id x S)Delta",

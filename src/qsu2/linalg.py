@@ -4,13 +4,25 @@ Vectors are dicts mapping arbitrary hashable row keys to QScalar.  Kernel
 computations split the column set into connected components (columns are
 linked when they share a row key), which keeps the Gaussian eliminations
 tiny for the graded systems that arise here.
+
+A system of several polynomial equations enters through `column`: each
+unknown's column is stated as {label: NCPoly}, its coefficient in every
+labelled equation, and the row key (label, monomial) is formed here and
+nowhere else.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, ZERO
 
-__all__ = ["kernel_basis", "solve_unique", "in_span"]
+__all__ = ["column", "kernel_basis", "in_span"]
+
+
+def column(equations):
+    """The kernel column {(label, mono): c} of one unknown whose
+    coefficient in the equation `label` is the polynomial equations[label]."""
+    return {(label, mono): c for label, p in equations.items()
+            for mono, c in p.terms.items() if c}
 
 
 def _components(columns):
@@ -112,13 +124,3 @@ def in_span(columns, target) -> list | None:
             return [x * inv for x in v[:-1]]
     return None
 
-
-def solve_unique(columns, target):
-    """Solve sum_j x_j columns[j] = target; return x if it exists and is
-    unique, raise otherwise."""
-    sol = in_span(columns, target)
-    if sol is None:
-        raise ValueError("inconsistent linear system")
-    if kernel_basis(columns):
-        raise ValueError("underdetermined linear system")
-    return sol

@@ -655,6 +655,9 @@ class _Standard:
              [(ONE, [("lambda", 1), ("xi", 1)])],
              [(Q, [("xi", 1), ("lambda", 1)])]),
         ]
+        # the ground field: no generators, so a map into K is a functional
+        # and a tensor factor mapped into K drops out of the monomial
+        self.K = Algebra("K", ())
         self.M = Algebra("Manin", ("x", "y"), comm={(0, 1): -1})
         self.M.relation_words = [
             ("xy=qyx", [(ONE, [("x", 1), ("y", 1)])],

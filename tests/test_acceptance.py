@@ -8,11 +8,9 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from qsu2 import bundle, charts, coherent, hopf, suites
 from qsu2.haar import (verify_invariance, verify_positivity, zeta_moment)
-from qsu2.ncalg import DomainError, STD, confluence_probe, parse_element
+from qsu2.ncalg import STD, confluence_probe, parse_element
 from qsu2.scalars import QScalar, ZERO, q_number, q_pow
 
 SEED = 20240901
@@ -103,8 +101,8 @@ def test_criterion_4_charts_suite():
         ctl = charts.paper_gamma_b_controls()
         assert not ctl["printed_lambda_image_is_weight_vector"]
         assert not ctl["printed_lambda_inv_is_inverse"]
-        with pytest.raises(DomainError):
-            charts.build_gamma(chb, fixed_lambda_inv=STD.Gb.gen("b"))
+        assert not charts.inverts_gamma_lambda(chb, STD.Gb.gen("b"))
+        assert charts.inverts_gamma_lambda(chb, chb.gamma(B.gen("lambda", -1)))
         for ch in (chd, chb):
             _assert_all_pass(charts.verify_chart(ch, degree=4, samples=50,
                                                  seed=SEED))
