@@ -200,6 +200,18 @@ def _section_coords(sec: Section, degree: int):
     return cb + cd
 
 
+def _is_basis_of_span(vectors, basis) -> bool:
+    """Whether `vectors` form a basis of the span of `basis`, whose vectors
+    are independent (the section basis is a kernel basis read back in
+    coordinates) and as many.  Two eliminations: `vectors` have no linear
+    relation, and `vectors` followed by `basis` have len(basis) independent
+    relations, so every vector lies in the span of `basis`."""
+    vec_cols = [dict(enumerate(v)) for v in vectors]
+    basis_cols = [dict(enumerate(v)) for v in basis]
+    return (not linalg.kernel_basis(vec_cols)
+            and len(linalg.kernel_basis(vec_cols + basis_cols)) == len(basis))
+
+
 def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
     """The Theorem-2/Theorem-3 package at one cutoff.
 
@@ -256,20 +268,7 @@ def glue_iso_check(n: int, degree: int, seed: int = 0, kappa_samples: int = 50):
          "g -> (iota_b(g) gamma_b(chi)^-1, iota_d(g) gamma_d(chi)^-1)",
          witness)
     if ok and len(images) == len(sec_mat) == n + 1:
-        # change of basis between images and the section basis is invertible
-        cols = [{i: v for i, v in enumerate(col)} for col in sec_mat]
-        coeffs = []
-        solvable = True
-        for img in images:
-            sol = linalg.in_span(cols, {i: v for i, v in enumerate(img)})
-            if sol is None:
-                solvable = False
-                break
-            coeffs.append(sol)
-        # square, so invertible iff its rows have no linear relation
-        bijective = solvable and not linalg.kernel_basis(
-            [dict(enumerate(row)) for row in coeffs])
-        emit("glue_map_bijective", bijective,
+        emit("glue_map_bijective", _is_basis_of_span(images, sec_mat),
              "naturally isomorphic to the cotensor product as a vector space")
     else:
         emit("glue_map_bijective", False, "dimension mismatch")

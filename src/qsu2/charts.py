@@ -19,7 +19,7 @@ import functools
 import random
 
 from . import linalg
-from .hopf import hopf_B, hopf_G, pi_map
+from .hopf import first_failing_word, hopf_B, hopf_G, pi_map
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     apply_tensor_map, normal_form_of_word, random_word,
                     retract, tensor_elem)
@@ -95,7 +95,7 @@ def coaction_B(alg: Algebra) -> AlgebraMap:
     and is recorded by `extend_coaction_report`.
     """
     target = STD.tensor(alg, STD.B)
-    maps = [STD.localization_embedding(alg), pi_map()]
+    maps = [STD.localization_embedding(alg).image, pi_map().image]
     images = {g: apply_tensor_map(hopf_G().delta(STD.G.gen(g)), maps, target)
               for g in "abcd"}
     return AlgebraMap(alg, target, images, name=f"rho_B[{alg.name}]")
@@ -347,7 +347,8 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
     HG = hopf_G()
     for mono in G.basis_monomials(degree):
         p = NCPoly(G, {mono: ONE})
-        expect = apply_tensor_map(HG.delta(p), [ch.iota, pi], ch.target)
+        expect = apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
+                                  ch.target)
         if ch.rho_B(ch.iota(p)) != expect:
             bad = G.mono_str(mono)
             break
@@ -376,13 +377,11 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
     words = [B.gen("lambda"), B.gen("lambda", -1), B.gen("xi")]
     for _ in range(samples):
         words.append(normal_form_of_word(B, random_word(B, rng, degree)))
-    bad = None
-    for w in words:
-        lhs = ch.rho_B(ch.gamma(w))
-        rhs = apply_tensor_map(HB.delta(w), [ch.gamma, None], ch.target)
-        if lhs != rhs:
-            bad = w
-            break
+    bad = first_failing_word(
+        words,
+        (lambda w: ch.rho_B(ch.gamma(w)),
+         lambda w: apply_tensor_map(HB.delta(w), [ch.gamma.image, None],
+                                    ch.target)))
     emit("gamma_comodule_map", bad is None,
          "rho_S gamma = (gamma x id) Delta_B", bad)
     bad = None

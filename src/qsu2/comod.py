@@ -160,7 +160,7 @@ def weight_covectors(n: int, chi_elem: NCPoly):
     columns = []
     for i in range(n + 1):
         vec = [ONE if k == i else ZERO for k in range(n + 1)]
-        lhs = apply_tensor_map(V.coaction(vec), [None, pi], MB)
+        lhs = apply_tensor_map(V.coaction(vec), [None, pi.image], MB)
         mono_i = [0, 0]
         mono_i[0] = i
         mono_i[1] = n - i

@@ -76,10 +76,12 @@ def zeta_moment_closed_form_report(max_r: int = 6):
     }
 
 
-def _haar_K(p: NCPoly) -> NCPoly:
-    """The Haar integral as an element of the ground algebra K, so that
-    `apply_tensor_map` can integrate one tensor factor away."""
-    return STD.K.scalar(haar(p))
+@functools.cache
+def _haar_K(mono) -> NCPoly:
+    """The Haar integral of one monomial of G as an element of the ground
+    algebra K, so that `apply_tensor_map` can integrate one tensor factor
+    away.  Shared: callers only read it."""
+    return STD.K.scalar(haar(NCPoly(STD.G, {mono: ONE})))
 
 
 def verify_invariance(degree: int):

@@ -187,6 +187,20 @@ class Algebra:
                 out[mono] = out.get(mono, ZERO) + c
         return NCPoly(self, {m: c for m, c in out.items() if c})
 
+    @functools.cache
+    def star_image(self, mono) -> NCPoly:
+        """The star of one monomial (see `star`).  Shared: callers only
+        read it."""
+        prod = self.one()
+        for i in range(self.n - 1, -1, -1):
+            e = mono[i]
+            if e < 0:
+                raise DomainError("star of an inverted generator")
+            if e:
+                g, s = self.star_images[self.gens[i]]
+                prod = prod * (self.gen(g) * s) ** e
+        return prod
+
     # -- canonical-monomial multiplication -------------------------------
 
     def _merge(self, m1, m2):
@@ -575,8 +589,9 @@ class AlgebraMap:
         return img.monomial_inverse()
 
     @functools.cache
-    def _image(self, mono) -> NCPoly:
-        """The image of one monomial; shared, so never handed out."""
+    def image(self, mono) -> NCPoly:
+        """The image of one monomial.  Shared: callers only read it, as
+        `linear_extension` and `apply_tensor_map` do."""
         prod = self.target.one()
         for i, e in enumerate(mono):
             if e:
@@ -588,7 +603,7 @@ class AlgebraMap:
     def __call__(self, p: NCPoly) -> NCPoly:
         if p.alg is not self.source:
             raise DomainError(f"{self.name}: argument not in {self.source.name}")
-        return linear_extension(p, self.target, self._image)
+        return linear_extension(p, self.target, self.image)
 
     def check_relations(self):
         """Evaluate the source's defining relations on the images.
@@ -716,21 +731,7 @@ def star(p: NCPoly) -> NCPoly:
         raise DomainError(
             f"star is not defined on {alg.name}; retract to G first")
     # coefficients are real rational functions, so they pass unchanged
-    return linear_extension(p, alg, functools.partial(_star_image, alg))
-
-
-@functools.cache
-def _star_image(alg: Algebra, mono) -> NCPoly:
-    """The star of one monomial; shared, so never handed out."""
-    prod = alg.one()
-    for i in range(alg.n - 1, -1, -1):
-        e = mono[i]
-        if e < 0:
-            raise DomainError("star of an inverted generator")
-        if e:
-            g, s = alg.star_images[alg.gens[i]]
-            prod = prod * (alg.gen(g) * s) ** e
-    return prod
+    return linear_extension(p, alg, alg.star_image)
 
 
 def retract(p: NCPoly, target: Algebra) -> NCPoly:
@@ -763,22 +764,24 @@ def tensor_elem(talg: Algebra, parts) -> NCPoly:
     return NCPoly(talg, {m: c for m, c in out.items() if c})
 
 
-def apply_tensor_map(p: NCPoly, maps, target: Algebra) -> NCPoly:
-    """Apply per-factor maps (None = identity) to a tensor element.
+def apply_tensor_map(p: NCPoly, images, target: Algebra) -> NCPoly:
+    """Apply a linear map to each tensor factor of p.
 
-    The image monomials of the factors are concatenated, so a factor map
-    may land in a tensor product itself: (Delta (x) id) takes T2 to T3.
-    The result owns a new term dict, as in `linear_extension`.
+    `images[k]` is the k-th factor map's image of one monomial, such as
+    `AlgebraMap.image` or `Algebra.star_image` (memoized, so each factor
+    monomial's image is read in place), or None for the identity.  The
+    image monomials of the factors are concatenated, so a factor map may
+    land in a tensor product itself: (Delta (x) id) takes T2 to T3, and a
+    factor mapped into K drops out.  The result owns a new term dict, as
+    in `linear_extension`.
     """
     src = p.alg
-    assert src.factors and len(maps) == len(src.factors)
+    assert src.factors and len(images) == len(src.factors)
     out = {}
     for mono, c in p.terms.items():
         # an identity factor keeps its monomial and multiplies nothing in
-        legs = [[(sub, None)] if fmap is None
-                else fmap(NCPoly(f, {sub: ONE})).terms.items()
-                for f, sub, fmap in zip(src.factors, src.split_mono(mono),
-                                        maps)]
+        legs = [[(sub, None)] if image is None else image(sub).terms.items()
+                for sub, image in zip(src.split_mono(mono), images)]
         for combo in itertools.product(*legs):
             v = c
             for _, cc in combo:

@@ -1,0 +1,94 @@
+"""The Hopf-law checks as `qsu2.hopf.verify_hopf` made them before it
+compared each law once per distinct monomial: every law is evaluated on
+every whole sample word, f(w) == g(w), and the convolution with the
+antipode is built from NCPoly products and sums.
+
+It is kept here only as an oracle for `verify_hopf` (tests/test_hopf.py),
+so it shares neither the per-monomial defects nor the accumulating
+convolution with the code under test.
+"""
+
+from __future__ import annotations
+
+from qsu2.hopf import _corrupted, _sample_words, _standard
+from qsu2.ncalg import NCPoly, apply_tensor_map, star
+from qsu2.report import check
+from qsu2.scalars import ONE
+
+
+def first_failing_word(words, *laws):
+    """The first word w with f(w) != g(w) for some law (f, g)."""
+    return next((w for w in words
+                 if any(f(w) != g(w) for f, g in laws)), None)
+
+
+def convolve_antipode(hopf, p, side):
+    """mu(S (x) id) Delta(p) for side='left', mu(id (x) S) for 'right'."""
+    out = hopf.alg.zero()
+    for mono, c in hopf.delta(p).terms.items():
+        m1, m2 = hopf.T2.split_mono(mono)
+        p1 = NCPoly(hopf.alg, {m1: ONE})
+        p2 = NCPoly(hopf.alg, {m2: ONE})
+        if side == "left":
+            out = out + hopf.antipode(p1) * p2 * c
+        else:
+            out = out + p1 * hopf.antipode(p2) * c
+    return out
+
+
+def verify_hopf(which, degree=5, samples=100, seed=0, corrupt_delta=False):
+    hopf = _corrupted(which) if corrupt_delta else _standard(which)
+    alg = hopf.alg
+    checks = []
+    words = _sample_words(alg, degree, samples, seed)
+
+    def run(name, anchor, fn):
+        bad = next((w for w in words if not fn(w)), None)
+        checks.append(check(name, bad is None, anchor, bad))
+
+    def eta_eps(w):
+        return alg.scalar(hopf.counit(w))
+
+    delta, eps = hopf.delta.image, hopf.eps.image
+    checks.append(check(f"{which}.delta_algebra_map",
+                        not hopf.delta.check_relations(),
+                        "coproduct preserves the defining relations"))
+    run(f"{which}.coassociativity",
+        "(Delta x id)Delta = (id x Delta)Delta",
+        lambda w: apply_tensor_map(hopf.delta(w), [delta, None], hopf.T3)
+        == apply_tensor_map(hopf.delta(w), [None, delta], hopf.T3))
+    run(f"{which}.counit_law",
+        "(eps x id)Delta = id = (id x eps)Delta",
+        lambda w: all(apply_tensor_map(hopf.delta(w), images, alg) == w
+                      for images in ([eps, None], [None, eps])))
+    if hopf.antipode_images is None:
+        checks.append(check(f"{which}.antipode_convolution", False,
+                            "mu(S x id)Delta = eta eps = mu(id x S)Delta",
+                            f"no antipode solution: {hopf.antipode_failure}"))
+    else:
+        run(f"{which}.antipode_convolution",
+            "mu(S x id)Delta = eta eps = mu(id x S)Delta",
+            lambda w: convolve_antipode(hopf, w, "left") == eta_eps(w)
+            and convolve_antipode(hopf, w, "right") == eta_eps(w))
+    checks.append(check(f"{which}.antipode_unique_in_ansatz",
+                        hopf.antipode_unique,
+                        "antipode derived by solving the convolution identity"))
+    if alg.star_images is not None:
+        star_image = alg.star_image
+        run(f"{which}.star_coproduct",
+            "Delta(a^*) = sum a_(1)^* x a_(2)^* (intended reading of Definition 3)",
+            lambda w: hopf.delta(star(w)) == apply_tensor_map(
+                hopf.delta(w), [star_image, star_image], hopf.T2))
+        run(f"{which}.star_counit",
+            "eps(a^*) = conj(eps(a))",
+            lambda w: hopf.counit(star(w)) == hopf.counit(w))
+        if hopf.antipode_images is not None:
+            run(f"{which}.star_antipode_compat",
+                "S(S(a^*)^*) = a (standard Hopf-* compatibility)",
+                lambda w: hopf.antipode(star(hopf.antipode(star(w)))) == w)
+    else:
+        checks.append(check(f"{which}.star_axioms", None,
+                            "Definition 3 (real form)",
+                            "no involution: the ideal (b) is not star-stable, "
+                            "so no star descends to the Borel quotient"))
+    return checks

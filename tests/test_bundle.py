@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from qsu2.bundle import (Section, c_chi, cotensor_slice, glue_iso_check,
-                         in_cotensor, kappa, kappa_bar, sections_space,
-                         vn_left_comodule)
+from qsu2.bundle import (Section, _is_basis_of_span, c_chi, cotensor_slice,
+                         glue_iso_check, in_cotensor, kappa, kappa_bar,
+                         sections_space, vn_left_comodule)
 from qsu2.charts import chart, cover
 from qsu2.ncalg import DomainError, normal_form_of_word, random_word
+from qsu2.scalars import Q, QScalar
 
 
 def test_cotensor_slice_n1():
@@ -72,6 +73,21 @@ def test_glue_iso(n):
     checks = glue_iso_check(n, max(n, 2), kappa_samples=20)
     assert all(c["status"] != "fail" for c in checks), \
         [c for c in checks if c["status"] == "fail"]
+
+
+def test_is_basis_of_span():
+    def vecs(rows):
+        return [[QScalar.coerce(x) for x in row] for row in rows]
+
+    # e0 + e1 and q (e0 + e1) + e2: a plane in a 4-dimensional space
+    basis = vecs([[1, 1, 0, 0], [0, 0, 1, 0]])
+    basis[1][:2] = [Q, Q]
+    assert _is_basis_of_span(vecs([[0, 0, 1, 0], [2, 2, 1, 0]]), basis)
+    # dependent vectors inside the span
+    assert not _is_basis_of_span(vecs([[1, 1, 0, 0], [2, 2, 0, 0]]), basis)
+    # independent vectors, one outside the span
+    assert not _is_basis_of_span(vecs([[1, 1, 0, 0], [0, 0, 0, 1]]), basis)
+    assert not _is_basis_of_span(vecs([[1, 0, 0, 0], [0, 0, 1, 0]]), basis)
 
 
 def test_dims_all_cutoffs():

@@ -35,7 +35,7 @@ def test_coaction_on_G_is_id_x_pi_of_delta():
     rng = random.Random(5)
     for _ in range(30):
         w = normal_form_of_word(G, random_word(G, rng, 4))
-        expect = apply_tensor_map(hopf_G().delta(w), [None, pi_map()],
+        expect = apply_tensor_map(hopf_G().delta(w), [None, pi_map().image],
                                   rho.target)
         assert rho(w) == expect
 

@@ -203,7 +203,7 @@ def test_factorization_identity_per_chart():
                 assembled = assembled + part
             vec = [ONE if i == 0 else ZERO for i in range(n + 1)]
             assert assembled == apply_tensor_map(V.coaction(vec),
-                                                 [None, ch.iota], target)
+                                                 [None, ch.iota.image], target)
 
 
 def test_lemma_diagonal_i_independence():

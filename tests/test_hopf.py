@@ -1,6 +1,13 @@
-from qsu2.hopf import (chi, hopf_B, hopf_G, is_group_like, pi_map,
-                       verify_hopf, verify_pi_hopf_map)
-from qsu2.ncalg import NCPoly, STD, parse_element, tensor_elem
+import random
+
+import pytest
+
+import hopf_oracle
+from qsu2.hopf import (_convolve_antipode, chi, first_failing_word, hopf_B,
+                       hopf_G, is_group_like, pi_map, verify_hopf,
+                       verify_pi_hopf_map)
+from qsu2.ncalg import (NCPoly, STD, linear_extension, normal_form_of_word,
+                        parse_element, random_word, tensor_elem)
 from qsu2.scalars import ONE, q_pow
 
 G, B = STD.G, STD.B
@@ -52,8 +59,8 @@ def test_coassociativity_on_basis():
     for mono in G.basis_monomials(5):
         p = NCPoly(G, {mono: ONE})
         dp = HG.delta(p)
-        assert (apply_tensor_map(dp, [HG.delta, None], HG.T3)
-                == apply_tensor_map(dp, [None, HG.delta], HG.T3))
+        assert (apply_tensor_map(dp, [HG.delta.image, None], HG.T3)
+                == apply_tensor_map(dp, [None, HG.delta.image], HG.T3))
 
 
 def test_verify_hopf_passes():
@@ -86,3 +93,70 @@ def test_pi_images():
     assert pi(G.gen("a")) == B.gen("lambda")
     assert pi(G.gen("b")) == B.zero()
     assert pi(G.gen("d")) == B.gen("lambda", -1)
+
+
+@pytest.mark.parametrize("which,seed,corrupt", [
+    ("G", 0, False), ("G", 1, False), ("G", 2, False),
+    ("B", 0, False), ("B", 1, False), ("B", 2, False),
+    ("G", 0, True), ("B", 0, True)])
+def test_verify_hopf_matches_per_word_oracle(which, seed, corrupt):
+    args = dict(degree=5, samples=100, seed=seed, corrupt_delta=corrupt)
+    assert verify_hopf(which, **args) == hopf_oracle.verify_hopf(which, **args)
+
+
+def test_convolution_matches_product_oracle():
+    for hopf in (HG, HB):
+        rng = random.Random(3)
+        words = [normal_form_of_word(hopf.alg, random_word(hopf.alg, rng, 4))
+                 for _ in range(40)]
+        # differences of words, so that convolution terms can cancel
+        for w in (x - y for x, y in zip(words[::2], words[1::2])):
+            for side in ("left", "right"):
+                assert (_convolve_antipode(hopf, w, side)
+                        == hopf_oracle.convolve_antipode(hopf, w, side))
+
+
+def _swap_law(m1, m2):
+    """(id, s) where s exchanges the monomials m1 and m2 and fixes the
+    rest: the defects of m1 and m2 are nonzero and cancel in m1 + m2."""
+    swap = {m1: m2, m2: m1}
+
+    def s(w):
+        return linear_extension(
+            w, w.alg, lambda m: NCPoly(w.alg, {swap.get(m, m): ONE}))
+    return (lambda w: w), s
+
+
+def test_cancelling_defects_pass_on_the_sum():
+    m1, m2, m3 = (parse_element(t, G) for t in ("a b", "c d", "b c"))
+    law = _swap_law(next(iter(m1.terms)), next(iter(m2.terms)))
+    holds = (lambda w: w, lambda w: w)
+    words = [m1 + m2, m3, (m1 + m2) * 3 + m3, m1, m2, m1 + m3]
+    for laws in ([law], [holds, law], [law, holds]):
+        assert first_failing_word(words, *laws) is words[3]
+        assert hopf_oracle.first_failing_word(words, *laws) is words[3]
+    assert first_failing_word(words[:3], law) is None
+    assert first_failing_word([], law) is None
+
+
+def test_first_failing_word_matches_oracle_on_random_sums():
+    rng = random.Random(4)
+    monos = [next(iter(parse_element(t, G).terms))
+             for t in ("a", "b", "c", "d", "a b", "b c", "c d", "a^2")]
+    cancelled = failed_late = 0
+    for _ in range(200):
+        m1, m2 = rng.sample(monos, 2)
+        law = _swap_law(m1, m2)
+        words = []
+        for _ in range(6):
+            w = G.zero()
+            for m in rng.sample(monos, rng.randint(1, 3)):
+                w = w + NCPoly(G, {m: ONE}) * rng.choice([-2, -1, 1, 2])
+            words.append(w)
+        expect = hopf_oracle.first_failing_word(words, law)
+        assert first_failing_word(words, law) is expect
+        cancelled += sum(m1 in w.terms and w.terms.get(m2) == w.terms[m1]
+                         for w in words)
+        failed_late += expect is not None and expect is not words[0]
+    # both paths are taken: sums that cancel, and witnesses past word 0
+    assert cancelled and failed_late

@@ -13,16 +13,15 @@ import pytest
 from qsu2.charts import chart
 from qsu2.hopf import (HopfAlgebra, _corrupted, hopf_B, hopf_G, pi_map,
                        verify_hopf)
-from qsu2.ncalg import (AlgebraMap, NCPoly, STD, _star_image,
-                        apply_tensor_map, normal_form_of_word, random_word,
-                        star, tensor_elem)
+from qsu2.ncalg import (Algebra, AlgebraMap, NCPoly, STD, apply_tensor_map,
+                        normal_form_of_word, random_word, star, tensor_elem)
 from qsu2.scalars import ONE, QScalar
 
 G, B = STD.G, STD.B
 
 
 def _map(amap):
-    return amap, functools.partial(AlgebraMap._image.__wrapped__, amap)
+    return amap, functools.partial(AlgebraMap.image.__wrapped__, amap)
 
 
 def _antipode(hopf):
@@ -34,6 +33,7 @@ def _antipode(hopf):
 MAPS = {
     "Delta[G]": (G, *_map(hopf_G().delta)),
     "Delta[B]": (B, *_map(hopf_B().delta)),
+    "eps[G]": (G, *_map(hopf_G().eps)),
     "pi": (G, *_map(pi_map())),
     "gamma[b]": (B, *_map(chart("b").gamma)),
     "gamma[d]": (B, *_map(chart("d").gamma)),
@@ -42,7 +42,7 @@ MAPS = {
     "iota[G_bd]": (G, *_map(STD.localization_embedding(STD.Gbd))),
     "S[G]": (G, *_antipode(hopf_G())),
     "S[B]": (B, *_antipode(hopf_B())),
-    "star": (G, star, functools.partial(_star_image.__wrapped__, G)),
+    "star": (G, star, functools.partial(Algebra.star_image.__wrapped__, G)),
 }
 
 
@@ -70,26 +70,33 @@ def test_cached_map_matches_uncached_helper(name):
 GG, BB = STD.tensor(G, G), STD.tensor(B, B)
 _D = chart("d")
 
-# name -> (source, cached maps, uncached per-monomial images, target);
-# None is the identity factor
+# name -> (source, memoized per-monomial images, uncached per-monomial
+# images, target); None is the identity factor
 TENSOR_MAPS = {
-    "pi x pi": (GG, [pi_map()] * 2, [MAPS["pi"][2]] * 2, BB),
-    "star x star": (GG, [star] * 2, [MAPS["star"][2]] * 2, GG),
-    "iota x pi": (GG, [_D.iota, pi_map()],
+    "pi x pi": (GG, [pi_map().image] * 2, [MAPS["pi"][2]] * 2, BB),
+    "star x star": (GG, [G.star_image] * 2, [MAPS["star"][2]] * 2, GG),
+    "iota x pi": (GG, [_D.iota.image, pi_map().image],
                   [MAPS["iota[G_d]"][2], MAPS["pi"][2]], _D.target),
-    "gamma x id": (BB, [_D.gamma, None], [MAPS["gamma[d]"][2], None],
+    "gamma x id": (BB, [_D.gamma.image, None], [MAPS["gamma[d]"][2], None],
                    _D.target),
-    "Delta x id": (GG, [hopf_G().delta, None], [MAPS["Delta[G]"][2], None],
-                   hopf_G().T3),
-    "id x Delta": (GG, [None, hopf_G().delta], [None, MAPS["Delta[G]"][2]],
-                   hopf_G().T3),
+    "Delta x id": (GG, [hopf_G().delta.image, None],
+                   [MAPS["Delta[G]"][2], None], hopf_G().T3),
+    "id x Delta": (GG, [None, hopf_G().delta.image],
+                   [None, MAPS["Delta[G]"][2]], hopf_G().T3),
+    "eps x id": (GG, [hopf_G().eps.image, None], [MAPS["eps[G]"][2], None],
+                 G),
+    "id x eps": (GG, [None, hopf_G().eps.image], [None, MAPS["eps[G]"][2]],
+                 G),
 }
 
 
 def _legs(image):
     """An image as (coefficient, factor elements) pairs: one pair per
-    monomial when it lies in a tensor product, else the image itself."""
+    monomial when it lies in a tensor product, its value and no factor
+    when it lies in K, else the image itself."""
     alg = image.alg
+    if alg is STD.K:
+        return [(image.scalar_part(), [])]
     if not alg.factors:
         return [(ONE, [image])]
     return [(c, [NCPoly(f, {sub: ONE})
@@ -109,7 +116,8 @@ def _tensor_map_oracle(p, images, target):
         for combo in itertools.product(*legs):
             coeff = functools.reduce(operator.mul, (cc for cc, _ in combo), c)
             parts = [x for _, xs in combo for x in xs]
-            out = out + tensor_elem(target, parts) * coeff
+            elem = tensor_elem(target, parts) if target.factors else parts[0]
+            out = out + elem * coeff
     return out
 
 
