@@ -11,7 +11,7 @@ from .scalars import (ONE, Q, QPoly, QRational, QScalar, ZERO, gauss_binomial,
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     confluence_probe, parse_element,
                     retract, star, tensor_elem)
-from .hopf import GroupLike, chi, hopf_B, hopf_G, is_group_like, pi_map
+from .hopf import hopf_B, hopf_G, is_group_like, pi_map
 from .comod import (GramForm, NonScalarError, VnComodule, pairing,
                     schur_scalar, solve_coinvariant_gram, weight_covectors)
 from .charts import (Cover, TrivializationChart, build_gamma, chart,

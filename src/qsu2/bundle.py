@@ -73,29 +73,28 @@ def vn_left_comodule(n: int) -> LeftBComodule:
     return LeftBComodule(f"V_{n} (left)", n + 1, coactions)
 
 
+def _twist(ch: TrivializationChart, F, M: LeftBComodule, phi):
+    """sum e_j phi(m_(-1)) (x) m_(0) for a map phi: B -> chart."""
+    out = [ch.alg.zero() for _ in range(M.dim)]
+    for j, f in enumerate(F):
+        if f.is_zero():
+            continue
+        for beta, k in M.coact(j):
+            out[k] = out[k] + f * phi(beta)
+    return out
+
+
 def kappa(ch: TrivializationChart, F, M: LeftBComodule):
     """kappa^gamma(sum e_j (x) m_j) = sum e_j gamma(m_(-1)) (x) m_(0).
 
     F is a list of chart elements indexed by the M basis."""
-    out = [ch.alg.zero() for _ in range(M.dim)]
-    for j, f in enumerate(F):
-        if f.is_zero():
-            continue
-        for beta, k in M.coact(j):
-            out[k] = out[k] + f * ch.gamma(beta)
-    return out
+    return _twist(ch, F, M, ch.gamma)
 
 
 def kappa_bar(ch: TrivializationChart, F, M: LeftBComodule):
     """The convolution inverse: gamma o S_B in place of gamma."""
-    HB = hopf_B()
-    out = [ch.alg.zero() for _ in range(M.dim)]
-    for j, f in enumerate(F):
-        if f.is_zero():
-            continue
-        for beta, k in M.coact(j):
-            out[k] = out[k] + f * ch.gamma(HB.antipode(beta))
-    return out
+    S_B = hopf_B().antipode
+    return _twist(ch, F, M, lambda beta: ch.gamma(S_B(beta)))
 
 
 def in_cotensor(ch: TrivializationChart, F, M: LeftBComodule) -> bool:
@@ -126,11 +125,11 @@ def coinvariant_components(ch: TrivializationChart, F) -> bool:
 class Section:
     """A global section of L_chi: a gluing pair (f_b, f_d)."""
 
-    def __init__(self, f_b: NCPoly, f_d: NCPoly, n: int, check=True):
+    def __init__(self, f_b: NCPoly, f_d: NCPoly, n: int):
         self.f_b = f_b
         self.f_d = f_d
         self.n = n
-        if check and not self.glues():
+        if not self.glues():
             raise DomainError(f"pair does not glue: ({f_b}, {f_d})")
 
     def glues(self) -> bool:

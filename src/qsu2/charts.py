@@ -341,17 +341,14 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
          "localization map is a ring homomorphism")
     emit("rho_B_algebra_map", not ch.rho_B.check_relations(),
          "there is a (unique) B-coaction rho_S making S^-1 E a comodule algebra")
-    bad = None
     G = STD.G
     pi = pi_map()
     HG = hopf_G()
-    for mono in G.basis_monomials(degree):
-        p = NCPoly(G, {mono: ONE})
-        expect = apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
-                                  ch.target)
-        if ch.rho_B(ch.iota(p)) != expect:
-            bad = G.mono_str(mono)
-            break
+    bad = first_failing_word(
+        [NCPoly(G, {mono: ONE}) for mono in G.basis_monomials(degree)],
+        (lambda p: ch.rho_B(ch.iota(p)),
+         lambda p: apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
+                                    ch.target)))
     emit("rho_B_restricts", bad is None,
          "the localization map is a map of B-comodule algebras", bad)
     emit("coinv_gen_invariant",
@@ -366,11 +363,8 @@ def verify_chart(ch: TrivializationChart, degree: int = 4, samples: int = 50,
          "the Gauss-ansatz constraint system has a unique solution")
     emit("gamma_algebra_map", not ch.gamma.check_relations(),
          "gamma_lambda : B -> S_lambda^-1 E comodule algebra maps")
-    lam_img = ch.gamma(B.gen("lambda"))
-    lam_inv_img = ch.gamma(B.gen("lambda", -1))
     emit("gamma_lambda_inverses",
-         lam_img * lam_inv_img == ch.alg.one()
-         and lam_inv_img * lam_img == ch.alg.one(),
+         inverts_gamma_lambda(ch, ch.gamma(B.gen("lambda", -1))),
          "gamma(lambda) gamma(lambda^-1) = 1 = gamma(lambda^-1) gamma(lambda)")
     # comodule-map property on generators and random words
     rng = random.Random(seed)

@@ -68,7 +68,7 @@ def cmd_eval(args) -> int:
             if which is None:
                 raise DomainError("coproduct is defined on G and B")
             h = hopf.hopf_G() if which == "G" else hopf.hopf_B()
-            print(h.coproduct(p))
+            print(h.delta(p))
         elif args.action == "star":
             print(star(p))
         elif args.action == "haar":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .hopf import hopf_G
+from .hopf import first_failing_word, hopf_G
 from .ncalg import (DomainError, NCPoly, STD, apply_tensor_map,
                     normal_form_of_word, random_word, star)
 from .report import check
@@ -89,17 +89,16 @@ def verify_invariance(degree: int):
     monomials up to the degree."""
     G = STD.G
     HG = hopf_G()
-    bad_left = bad_right = None
-    for mono in G.basis_monomials(degree):
-        p = NCPoly(G, {mono: ONE})
-        dp = HG.delta(p)
-        left = apply_tensor_map(dp, [None, _haar_K], G)
-        right = apply_tensor_map(dp, [_haar_K, None], G)
-        expect = G.scalar(haar(p))
-        if left != expect and bad_left is None:
-            bad_left = G.mono_str(mono)
-        if right != expect and bad_right is None:
-            bad_right = G.mono_str(mono)
+    basis = [NCPoly(G, {mono: ONE}) for mono in G.basis_monomials(degree)]
+
+    def integrate(images):
+        return lambda p: apply_tensor_map(HG.delta(p), images, G)
+
+    def integral(p):
+        return G.scalar(haar(p))
+
+    bad_left = first_failing_word(basis, (integrate([None, _haar_K]), integral))
+    bad_right = first_failing_word(basis, (integrate([_haar_K, None]), integral))
     return [check(f"haar.left_invariance_deg{degree}", bad_left is None,
                   "(id x int) Delta(a) = (int a) 1_H", bad_left),
             check(f"haar.right_invariance_deg{degree}", bad_right is None,

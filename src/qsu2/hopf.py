@@ -6,14 +6,19 @@ checker is the arbiter that it preserves all relations.  The antipode is
 not transcribed from anywhere: generator images are solved from the
 convolution identity mu(S (x) id) Delta(g) = eps(g) 1 inside a finite
 monomial ansatz, and uniqueness of the solution is part of the contract.
+Every structure map is an `AlgebraMap`: Delta, eps and pi are
+multiplicative, the antipode S (like the involution `ncalg.STD.star`)
+is antimultiplicative.
 
-Each law is a pair (f, g) of Q(q)-linear maps checked on seeded sample
-words (`first_failing_word`).  By linearity f(w) = g(w) is decided from
-the defects f(m) - g(m) of the monomials m of w, each computed once per
-distinct monomial; the verdicts and witnesses are those of comparing
-f(w) with g(w) word by word.  The star is antilinear, but conjugation is
-the identity on Q(q) (q is real and the coefficients are rational), so
-star is linear here and the star laws are linear laws too.
+Each law is a pair (f, g) of Q(q)-linear maps checked on a list of words
+by `first_failing_word`: the Hopf and star laws on seeded sample words,
+pi's compatibility with Delta and eps on the basis monomials and with S
+on the generators.  By linearity f(w) = g(w) is decided from the defects
+f(m) - g(m) of the monomials m of w, each computed once per distinct
+monomial; the verdicts and witnesses are those of comparing f(w) with
+g(w) word by word.  The star is antilinear, but conjugation is the
+identity on Q(q) (q is real and the coefficients are rational), so star
+is linear here and the star laws are linear laws too.
 """
 
 from __future__ import annotations
@@ -30,29 +35,14 @@ from .scalars import ONE, QScalar
 
 __all__ = [
     "HopfAlgebra",
-    "GroupLike",
     "hopf_G",
     "hopf_B",
     "pi_map",
-    "chi",
     "is_group_like",
     "verify_hopf",
     "first_failing_word",
     "verify_pi_hopf_map",
 ]
-
-
-class GroupLike:
-    """A group-like element: Delta(g) = g (x) g and eps(g) = 1, verified."""
-
-    def __init__(self, hopf: HopfAlgebra, element: NCPoly):
-        if not is_group_like(hopf, element):
-            raise DomainError(f"{element} is not group-like")
-        self.hopf = hopf
-        self.element = element
-
-    def __repr__(self):
-        return f"GroupLike({self.element})"
 
 
 class HopfAlgebra:
@@ -66,42 +56,23 @@ class HopfAlgebra:
         self.T3 = STD.tensor(alg, alg, alg)
         self.delta = AlgebraMap(alg, self.T2, delta_images, name=f"Delta[{name}]")
         self.eps = AlgebraMap(alg, STD.K, counit_images, name=f"eps[{name}]")
+        # the antipode S is the antihomomorphic extension of the solved
+        # generator images; None when the convolution identity has no
+        # solution (a broken coproduct, as in the negative control)
         try:
-            self.antipode_images, self.antipode_unique = self._solve_antipode(
+            images, self.antipode_unique = self._solve_antipode(
                 antipode_ansatz_degree)
         except (ValueError, DomainError) as exc:
-            # a broken coproduct admits no antipode; callers report this
-            self.antipode_images = None
+            self.antipode = None
             self.antipode_unique = False
             self.antipode_failure = str(exc)
         else:
+            self.antipode = AlgebraMap(alg, alg, images, name=f"S[{name}]",
+                                       anti=True)
             self.antipode_failure = None
-
-    # -- structure maps ---------------------------------------------------
-
-    def coproduct(self, p: NCPoly) -> NCPoly:
-        return self.delta(p)
 
     def counit(self, p: NCPoly) -> QScalar:
         return self.eps(p).scalar_part()
-
-    def antipode(self, p: NCPoly) -> NCPoly:
-        """Antihomomorphic extension of the solved generator images."""
-        if p.alg is not self.alg:
-            raise DomainError("antipode outside its Hopf algebra")
-        if self.antipode_images is None:
-            raise DomainError(f"no antipode: {self.antipode_failure}")
-        return linear_extension(p, self.alg, self._antipode_image)
-
-    @functools.cache
-    def _antipode_image(self, mono) -> NCPoly:
-        """S of one monomial; shared, so never handed out."""
-        prod = self.alg.one()
-        for i in range(self.alg.n - 1, -1, -1):
-            e = mono[i]
-            if e:
-                prod = prod * self.antipode_images[self.alg.gens[i]] ** e
-        return prod
 
     # -- derived antipode ---------------------------------------------------
 
@@ -170,10 +141,10 @@ def _convolve_antipode(hopf: HopfAlgebra, p: NCPoly, side: str) -> NCPoly:
     for mono, c in hopf.delta(p).terms.items():
         m1, m2 = hopf.T2.split_mono(mono)
         if side == "left":
-            for m, v in hopf._antipode_image(m1).terms.items():
+            for m, v in hopf.antipode.image(m1).terms.items():
                 alg.mul_mono(m, m2, c * v, acc)
         else:
-            for m, v in hopf._antipode_image(m2).terms.items():
+            for m, v in hopf.antipode.image(m2).terms.items():
                 alg.mul_mono(m1, m, c * v, acc)
     return NCPoly(alg, {m: v for m, v in acc.items() if v})
 
@@ -244,11 +215,6 @@ def hopf_B() -> HopfAlgebra:
 
 def pi_map() -> AlgebraMap:
     return _PI
-
-
-def chi(n: int) -> GroupLike:
-    """The group-like weight lambda^-n in B."""
-    return GroupLike(_HOPF_B, STD.B.gen("lambda", -n))
 
 
 def is_group_like(hopf: HopfAlgebra, p: NCPoly) -> bool:
@@ -356,7 +322,7 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
         "(eps x id)Delta = id = (id x eps)Delta",
         (tensor_map([eps, None], alg), identity),
         (tensor_map([None, eps], alg), identity))
-    if hopf.antipode_images is None:
+    if hopf.antipode is None:
         checks.append(check(f"{which}.antipode_convolution", False,
                             "mu(S x id)Delta = eta eps = mu(id x S)Delta",
                             f"no antipode solution: {hopf.antipode_failure}"))
@@ -368,15 +334,15 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
     checks.append(check(f"{which}.antipode_unique_in_ansatz",
                         hopf.antipode_unique,
                         "antipode derived by solving the convolution identity"))
-    if alg.star_images is not None:
+    if alg is STD.G:
         run(f"{which}.star_coproduct",
             "Delta(a^*) = sum a_(1)^* x a_(2)^* (intended reading of Definition 3)",
             (lambda w: hopf.delta(star(w)),
-             tensor_map([alg.star_image, alg.star_image], hopf.T2)))
+             tensor_map([STD.star.image, STD.star.image], hopf.T2)))
         run(f"{which}.star_counit",
             "eps(a^*) = conj(eps(a))",
             (lambda w: hopf.eps(star(w)), hopf.eps))
-        if hopf.antipode_images is not None:
+        if hopf.antipode is not None:
             run(f"{which}.star_antipode_compat",
                 "S(S(a^*)^*) = a (standard Hopf-* compatibility)",
                 (lambda w: hopf.antipode(star(hopf.antipode(star(w)))),
@@ -390,28 +356,24 @@ def verify_hopf(which: str, degree: int = 5, samples: int = 100,
 
 
 def verify_pi_hopf_map(degree: int = 5):
-    """pi is a Hopf-algebra map, checked on all basis monomials."""
+    """pi is a Hopf-algebra map: Delta and eps checked on all basis
+    monomials, S on the generators."""
     G = STD.G
-    BB = _HOPF_B.T2
-    checks = []
-    bad_delta = bad_counit = None
-    for mono in G.basis_monomials(degree):
-        p = NCPoly(G, {mono: ONE})
-        lhs = _HOPF_B.delta(_PI(p))
-        rhs = apply_tensor_map(_HOPF_G.delta(p), [_PI.image, _PI.image], BB)
-        if lhs != rhs and bad_delta is None:
-            bad_delta = G.mono_str(mono)
-        if _HOPF_B.counit(_PI(p)) != _HOPF_G.counit(p) and bad_counit is None:
-            bad_counit = G.mono_str(mono)
-    checks.append(check("pi.coproduct_compat", bad_delta is None,
-                        "Delta_B pi = (pi x pi) Delta_G", bad_delta))
-    checks.append(check("pi.counit_compat", bad_counit is None,
-                        "eps_B pi = eps_G", bad_counit))
-    bad_s = None
-    for g in "abcd":
-        if _HOPF_B.antipode(_PI(G.gen(g))) != _PI(_HOPF_G.antipode(G.gen(g))):
-            bad_s = g
-            break
-    checks.append(check("pi.antipode_compat", bad_s is None,
-                        "S_B pi = pi S_G", bad_s))
-    return checks
+    basis = [NCPoly(G, {mono: ONE}) for mono in G.basis_monomials(degree)]
+
+    def law(name, anchor, words, f, g):
+        bad = first_failing_word(words, (f, g))
+        return check(f"pi.{name}", bad is None, anchor, bad)
+
+    return [
+        law("coproduct_compat", "Delta_B pi = (pi x pi) Delta_G", basis,
+            lambda p: _HOPF_B.delta(_PI(p)),
+            lambda p: apply_tensor_map(_HOPF_G.delta(p),
+                                       [_PI.image, _PI.image], _HOPF_B.T2)),
+        law("counit_compat", "eps_B pi = eps_G", basis,
+            lambda p: _HOPF_B.eps(_PI(p)), _HOPF_G.eps),
+        law("antipode_compat", "S_B pi = pi S_G",
+            [G.gen(g) for g in G.gens],
+            lambda p: _HOPF_B.antipode(_PI(p)),
+            lambda p: _PI(_HOPF_G.antipode(p))),
+    ]

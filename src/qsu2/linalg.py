@@ -83,7 +83,7 @@ def _dense_kernel(cols):
         for pr, pc in enumerate(pivots):
             v[pc] = -mat[pr][fc]
         basis.append(v)
-    return basis, pivots
+    return basis
 
 
 def kernel_basis(columns):
@@ -106,7 +106,7 @@ def kernel_basis(columns):
                 basis.append(v)
             continue
         dense = [[columns[ci].get(k, ZERO) for k in keys] for ci in group]
-        sub_basis, _ = _dense_kernel(dense)
+        sub_basis = _dense_kernel(dense)
         for sv in sub_basis:
             v = [ZERO] * n
             for local, ci in enumerate(group):

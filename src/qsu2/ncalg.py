@@ -73,7 +73,6 @@ class Algebra:
         self.ad_pair = ad_pair
         self.elim_gen = {}  # index -> tuple of (QScalar, mono)
         self.factors = tuple(factors) if factors else None
-        self.star_images = None  # set on G by the standard container
         self.relation_words = []  # list of (name, lhs_terms, rhs_terms)
         self._zero_mono = (0,) * self.n
         if factors:
@@ -186,20 +185,6 @@ class Algebra:
             if c:
                 out[mono] = out.get(mono, ZERO) + c
         return NCPoly(self, {m: c for m, c in out.items() if c})
-
-    @functools.cache
-    def star_image(self, mono) -> NCPoly:
-        """The star of one monomial (see `star`).  Shared: callers only
-        read it."""
-        prod = self.one()
-        for i in range(self.n - 1, -1, -1):
-            e = mono[i]
-            if e < 0:
-                raise DomainError("star of an inverted generator")
-            if e:
-                g, s = self.star_images[self.gens[i]]
-                prod = prod * (self.gen(g) * s) ** e
-        return prod
 
     # -- canonical-monomial multiplication -------------------------------
 
@@ -553,13 +538,20 @@ def linear_extension(p: NCPoly, target: Algebra, image) -> NCPoly:
 
 
 class AlgebraMap:
-    """Multiplicative, linear extension of a generator assignment."""
+    """Multiplicative, linear extension of a generator assignment.
+
+    With `anti` the extension is antimultiplicative, f(xy) = f(y) f(x), as
+    for the involution star and the antipode: the image of a monomial
+    multiplies the generator images in reverse order, and
+    `check_relations` reads each relation word reversed.
+    """
 
     def __init__(self, source: Algebra, target: Algebra, images: dict,
-                 name: str = ""):
+                 name: str = "", anti: bool = False):
         self.source = source
         self.target = target
         self.name = name or f"{source.name}->{target.name}"
+        self.anti = anti
         self.images = {}
         for g, img in images.items():
             if g not in source.gen_index:
@@ -593,7 +585,9 @@ class AlgebraMap:
         """The image of one monomial.  Shared: callers only read it, as
         `linear_extension` and `apply_tensor_map` do."""
         prod = self.target.one()
-        for i, e in enumerate(mono):
+        order = reversed(range(len(mono))) if self.anti else range(len(mono))
+        for i in order:
+            e = mono[i]
             if e:
                 prod = prod * self._power(i, e)
                 if prod.is_zero():
@@ -620,7 +614,7 @@ class AlgebraMap:
         out = self.target.zero()
         for coeff, word in terms:
             p = self.target.scalar(coeff)
-            for g, e in word:
+            for g, e in reversed(word) if self.anti else word:
                 p = p * self._power(self.source.gen_index[g], e)
             out = out + p
         return out
@@ -678,8 +672,11 @@ class _Standard:
             ("xy=qyx", [(ONE, [("x", 1), ("y", 1)])],
              [(Q, [("y", 1), ("x", 1)])]),
         ]
-        self.G.star_images = {"a": ("d", ONE), "b": ("c", -Q),
-                              "c": ("b", -q_pow(-1)), "d": ("a", ONE)}
+        G = self.G
+        self.star = AlgebraMap(G, G, {"a": G.gen("d"), "b": G.gen("c") * -Q,
+                                      "c": G.gen("b") * -q_pow(-1),
+                                      "d": G.gen("a")},
+                               name="star", anti=True)
 
     @functools.cache
     def tensor(self, *factors) -> Algebra:
@@ -726,12 +723,11 @@ def star(p: NCPoly) -> NCPoly:
     Localized arguments are rejected; rewrite them into the image of G
     first (see `retract`).
     """
-    alg = p.alg
-    if alg.star_images is None:
+    if p.alg is not STD.G:
         raise DomainError(
-            f"star is not defined on {alg.name}; retract to G first")
+            f"star is not defined on {p.alg.name}; retract to G first")
     # coefficients are real rational functions, so they pass unchanged
-    return linear_extension(p, alg, alg.star_image)
+    return STD.star(p)
 
 
 def retract(p: NCPoly, target: Algebra) -> NCPoly:
@@ -768,8 +764,9 @@ def apply_tensor_map(p: NCPoly, images, target: Algebra) -> NCPoly:
     """Apply a linear map to each tensor factor of p.
 
     `images[k]` is the k-th factor map's image of one monomial, such as
-    `AlgebraMap.image` or `Algebra.star_image` (memoized, so each factor
-    monomial's image is read in place), or None for the identity.  The
+    `AlgebraMap.image` (memoized, so each factor monomial's image is read
+    in place; star and the antipode are `AlgebraMap`s too), or None for
+    the identity.  The
     image monomials of the factors are concatenated, so a factor map may
     land in a tensor product itself: (Delta (x) id) takes T2 to T3, and a
     factor mapped into K drops out.  The result owns a new term dict, as

@@ -501,40 +501,16 @@ class QPoly:
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
-    @classmethod
-    def marker(cls) -> QPoly:
-        return cls((ZERO, ONE))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return QPoly([(a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO)
-                      for i in range(n)])
-
     def __mul__(self, other):
-        if isinstance(other, (QScalar, int, Fraction)):
-            c = QScalar.coerce(other)
-            return QPoly([x * c for x in self.coeffs])
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs))
         for i, x in enumerate(self.coeffs):
             for j, y in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + x * y
         return QPoly(out)
 
-    __rmul__ = __mul__
-
     def shift(self, k: int) -> QPoly:
         """Multiply by marker^k."""
         return QPoly((ZERO,) * k + self.coeffs)
-
-    def __call__(self, value: QScalar) -> QScalar:
-        r = ZERO
-        for c in reversed(self.coeffs):
-            r = r * value + c
-        return r
 
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.coeffs == other.coeffs

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from qsu2 import charts as charts_module
 from qsu2.charts import (chart, coaction_B, coinv_poly_coeffs, cover,
                          cover_equalizer, extend_coaction_report,
                          inverts_gamma_lambda, localized_coinvariants,
                          paper_gamma_b_controls, verify_chart)
 from qsu2.comod import VnComodule
 from qsu2.hopf import hopf_G, pi_map
-from qsu2.ncalg import (STD, apply_tensor_map, normal_form_of_word,
+from qsu2.ncalg import (STD, AlgebraMap, apply_tensor_map, normal_form_of_word,
                         parse_element, random_word, tensor_elem)
 from qsu2.scalars import q_pow
 
@@ -139,6 +140,18 @@ def test_verify_chart(which):
     checks = verify_chart(chart(which), degree=4, samples=30, seed=0)
     assert all(c["status"] != "fail" for c in checks), \
         [c for c in checks if c["status"] == "fail"]
+
+
+def test_rho_B_restricts_names_the_first_failing_monomial(monkeypatch):
+    charts = [chart("b"), chart("d")]  # built with the true pi
+    pi = pi_map()
+    monkeypatch.setattr(charts_module, "pi_map", lambda: AlgebraMap(
+        STD.G, STD.B, {**pi.images, "c": STD.B.gen("xi") * 2}, name="pi"))
+    for ch in charts:
+        checks = {c["name"]: c for c in verify_chart(ch, degree=2, samples=5)}
+        restricts = checks[f"{ch.name}.rho_B_restricts"]
+        assert restricts["status"] == "fail"
+        assert restricts["witness"] == "c"
 
 
 def test_cover_equalizer():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from qsu2.ncalg import DomainError, NCPoly, STD, parse_element, star
 from qsu2.scalars import ONE, Q, q_number, q_pow
 
 G = STD.G
+# the package exports the function `haar`, which hides the module
+haar_module = importlib.import_module("qsu2.haar")
 
 
 def g(text):
@@ -54,6 +57,21 @@ def test_invariance_example_a():
 def test_invariance_suite():
     checks = verify_invariance(4)
     assert all(c["status"] == "pass" for c in checks)
+
+
+def test_invariance_fails_on_a_wrong_moment():
+    moment = haar_module.zeta_moment
+    haar_module._haar_K.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(haar_module, "zeta_moment",
+                       lambda r: moment(r) + ONE if r == 2 else moment(r))
+            left, right = verify_invariance(5)
+    finally:
+        haar_module._haar_K.cache_clear()
+    assert left["status"] == right["status"] == "fail"
+    assert left["witness"] == "c^2 d^2"
+    assert right["witness"] == "b^2 d^2"
 
 
 def test_positivity():

@@ -3,10 +3,12 @@ import random
 import pytest
 
 import hopf_oracle
-from qsu2.hopf import (_convolve_antipode, chi, first_failing_word, hopf_B,
+from qsu2 import hopf
+from qsu2.hopf import (_convolve_antipode, first_failing_word, hopf_B,
                        hopf_G, is_group_like, pi_map, verify_hopf,
                        verify_pi_hopf_map)
-from qsu2.ncalg import (NCPoly, STD, linear_extension, normal_form_of_word,
+from qsu2.ncalg import (AlgebraMap, NCPoly, STD, linear_extension,
+                        normal_form_of_word,
                         parse_element, random_word, tensor_elem)
 from qsu2.scalars import ONE, q_pow
 
@@ -51,7 +53,6 @@ def test_group_like():
     assert is_group_like(HB, B.gen("lambda", -3))
     assert is_group_like(HB, B.one())
     assert not is_group_like(HB, B.gen("lambda") + B.gen("xi"))
-    assert chi(2).element == B.gen("lambda", -2)
 
 
 def test_coassociativity_on_basis():
@@ -86,6 +87,43 @@ def test_corrupted_delta_fails_with_witness():
 def test_pi_is_hopf_map():
     checks = verify_pi_hopf_map(degree=5)
     assert all(c["status"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("gen, image, witnesses", [
+    # b -> xi: Delta_B pi and (pi x pi) Delta_G first differ on d,
+    # eps_B pi = eps_G still holds, and S first breaks on b
+    ("b", "xi", {"coproduct_compat": "d", "counit_compat": None,
+                 "antipode_compat": "b"}),
+    # c -> lambda breaks all three laws first on c
+    ("c", "lambda", {"coproduct_compat": "c", "counit_compat": "c",
+                     "antipode_compat": "c"}),
+])
+def test_pi_laws_name_the_first_failing_word(monkeypatch, gen, image,
+                                             witnesses):
+    pi = pi_map()
+    monkeypatch.setattr(hopf, "_PI", AlgebraMap(
+        G, B, {**pi.images, gen: B.gen(image)}, name="pi"))
+    checks = {c["name"]: c for c in verify_pi_hopf_map(degree=5)}
+    for name, witness in witnesses.items():
+        assert checks[f"pi.{name}"].get("witness") == witness
+        assert checks[f"pi.{name}"]["status"] == (
+            "pass" if witness is None else "fail")
+
+
+G_RELATIONS = ["ab=qba", "ac=qca", "bc=cb", "bd=qdb", "cd=qdc",
+               "ad-da=(q-q^-1)bc", "ad-qbc=1"]
+
+
+@pytest.mark.parametrize("amap, fails_unless_anti", [
+    (STD.star, [r for r in G_RELATIONS if r != "bc=cb"]),
+    (HG.antipode, [r for r in G_RELATIONS if r != "bc=cb"]),
+    (HB.antipode, ["lambda xi=q xi lambda"]),
+], ids=["star", "S_G", "S_B"])
+def test_antihomomorphisms_respect_relations_only_reversed(amap,
+                                                           fails_unless_anti):
+    assert amap.anti and amap.check_relations() == []
+    plain = AlgebraMap(amap.source, amap.target, amap.images)
+    assert plain.check_relations() == fails_unless_anti
 
 
 def test_pi_images():

@@ -11,9 +11,8 @@ import sys
 import pytest
 
 from qsu2.charts import chart
-from qsu2.hopf import (HopfAlgebra, _corrupted, hopf_B, hopf_G, pi_map,
-                       verify_hopf)
-from qsu2.ncalg import (Algebra, AlgebraMap, NCPoly, STD, apply_tensor_map,
+from qsu2.hopf import _corrupted, hopf_B, hopf_G, pi_map, verify_hopf
+from qsu2.ncalg import (AlgebraMap, NCPoly, STD, apply_tensor_map,
                         normal_form_of_word, random_word, star, tensor_elem)
 from qsu2.scalars import ONE, QScalar
 
@@ -22,11 +21,6 @@ G, B = STD.G, STD.B
 
 def _map(amap):
     return amap, functools.partial(AlgebraMap.image.__wrapped__, amap)
-
-
-def _antipode(hopf):
-    return hopf.antipode, functools.partial(
-        HopfAlgebra._antipode_image.__wrapped__, hopf)
 
 
 # name -> (source, cached map, uncached image of one monomial)
@@ -40,9 +34,11 @@ MAPS = {
     "iota[G_b]": (G, *_map(STD.localization_embedding(STD.Gb))),
     "iota[G_d]": (G, *_map(STD.localization_embedding(STD.Gd))),
     "iota[G_bd]": (G, *_map(STD.localization_embedding(STD.Gbd))),
-    "S[G]": (G, *_antipode(hopf_G())),
-    "S[B]": (B, *_antipode(hopf_B())),
-    "star": (G, star, functools.partial(Algebra.star_image.__wrapped__, G)),
+    "S[G]": (G, *_map(hopf_G().antipode)),
+    "S[B]": (B, *_map(hopf_B().antipode)),
+    # the module function `star` in front of the uncached STD.star oracle
+    "star": (G, star, functools.partial(AlgebraMap.image.__wrapped__,
+                                        STD.star)),
 }
 
 
@@ -74,7 +70,7 @@ _D = chart("d")
 # images, target); None is the identity factor
 TENSOR_MAPS = {
     "pi x pi": (GG, [pi_map().image] * 2, [MAPS["pi"][2]] * 2, BB),
-    "star x star": (GG, [G.star_image] * 2, [MAPS["star"][2]] * 2, GG),
+    "star x star": (GG, [STD.star.image] * 2, [MAPS["star"][2]] * 2, GG),
     "iota x pi": (GG, [_D.iota.image, pi_map().image],
                   [MAPS["iota[G_d]"][2], MAPS["pi"][2]], _D.target),
     "gamma x id": (BB, [_D.gamma.image, None], [MAPS["gamma[d]"][2], None],
