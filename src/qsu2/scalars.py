@@ -8,9 +8,11 @@ lc(den) > 0, and zero is num = () with val = 0 and den = 1, so equality
 is tuple equality.  Keeping the q-valuation apart makes the Laurent
 values c*q^k (den a constant) cheap: q_pow(k), Q and every product of
 Laurent values skip the polynomial gcd, which only a den of length > 1
-needs.  The constructor QScalar(num, den), `polys()`, printing and
-`specialize` deal in the full polynomials q^val*num and den (or num and
-q^-val*den when val < 0).
+needs.  A one-term factor costs no convolution and no polynomial gcd
+either: `_pmul` scales the other factor by it, and a product with q^k
+only shifts the valuation.  The constructor QScalar(num, den),
+`polys()`, printing and `specialize` deal in the full polynomials
+q^val*num and den (or num and q^-val*den when val < 0).
 
 Complex conjugation is the identity: q is a real parameter in (0,1) and
 all coefficients are rational.
@@ -77,6 +79,12 @@ def _pneg(f):
 def _pmul(f, g):
     if not f or not g:
         return _PZERO
+    # a one-term factor scales the other: no convolution, nothing to trim
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:
+        c = g[0]
+        return f if c == 1 else tuple(c * x for x in f)
     c = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:
@@ -84,12 +92,6 @@ def _pmul(f, g):
                 if y:
                     c[i + j] += x * y
     return _ptrim(c)
-
-
-def _pmul_int(f, n: int):
-    if n == 0:
-        return _PZERO
-    return tuple(n * x for x in f)
 
 
 def _pshift(f, k: int):
@@ -158,8 +160,7 @@ def _pgcd_full(f, g):
     c = math.gcd(_pcontent(f), _pcontent(g))
     if len(f) == 1 or len(g) == 1:
         return (c,)
-    prim = _pgcd(f, g)
-    return _pmul_int(prim, c) if c > 1 else prim
+    return _pmul((c,), _pgcd(f, g))
 
 
 def _pdivexact(f, g):
@@ -215,11 +216,12 @@ def _pstr(f) -> str:
 
 
 def _new(val, num, den) -> QScalar:
-    # a QScalar from parts already in normalized form
-    x = object.__new__(QScalar)
-    object.__setattr__(x, "val", val)
-    object.__setattr__(x, "num", num)
-    object.__setattr__(x, "den", den)
+    # a QScalar from parts already in normalized form; the slot setters
+    # are bound below the class, since QScalar.__setattr__ always raises
+    x = _object_new(QScalar)
+    _set_val(x, val)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
 
 
@@ -269,6 +271,8 @@ class QScalar:
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
 
+    __delattr__ = __setattr__
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -300,16 +304,20 @@ class QScalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (QScalar, int, Fraction)):
-            return NotImplemented
-        other = QScalar.coerce(other)
-        if not self.num:
+        if type(other) is not QScalar:
+            if not isinstance(other, (QScalar, int, Fraction)):
+                return NotImplemented
+            other = QScalar.coerce(other)
+        n1, n2 = self.num, other.num
+        if not n1:
             return other
-        if not other.num:
+        if not n2:
             return self
-        v = min(self.val, other.val)
-        n1 = _pshift(self.num, self.val - v)
-        n2 = _pshift(other.num, other.val - v)
+        v = self.val
+        if v != other.val:
+            v = min(v, other.val)
+            n1 = _pshift(n1, self.val - v)
+            n2 = _pshift(n2, other.val - v)
         d1, d2 = self.den, other.den
         if d1 == d2:
             return _reduced(v, _padd(n1, n2), d1)
@@ -329,9 +337,10 @@ class QScalar:
         return QScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (QScalar, int, Fraction)):
-            return NotImplemented
-        other = QScalar.coerce(other)
+        if type(other) is not QScalar:
+            if not isinstance(other, (QScalar, int, Fraction)):
+                return NotImplemented
+            other = QScalar.coerce(other)
         n1, n2 = self.num, other.num
         if not n1 or not n2:
             return ZERO
@@ -339,6 +348,11 @@ class QScalar:
         val = self.val + other.val
         d1, d2 = self.den, other.den
         if d1 == _PONE and d2 == _PONE:
+            # times q^k is a shift of the valuation alone
+            if n1 == _PONE:
+                return _new(val, n2, _PONE)
+            if n2 == _PONE:
+                return _new(val, n1, _PONE)
             return _new(val, _pmul(n1, n2), _PONE)
         # cross-reduce: products of reduced fractions reduce pairwise
         g1 = _pgcd_full(n1, d2)
@@ -440,6 +454,11 @@ class QScalar:
     def __repr__(self):
         return f"QScalar({self})"
 
+
+_object_new = object.__new__
+_set_val = QScalar.val.__set__
+_set_num = QScalar.num.__set__
+_set_den = QScalar.den.__set__
 
 ZERO = _new(0, _PZERO, _PONE)
 ONE = _new(0, _PONE, _PONE)

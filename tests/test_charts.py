@@ -154,6 +154,13 @@ def test_rho_B_restricts_names_the_first_failing_monomial(monkeypatch):
         assert restricts["witness"] == "c"
 
 
+def test_gamma_lambda_inverses_fails_on_a_corrupted_solved_image(monkeypatch):
+    for ch in (chart("b"), chart("d")):
+        monkeypatch.setattr(ch, "gamma_lambda_inv", ch.gamma_lambda_inv * 2)
+        checks = {c["name"]: c for c in verify_chart(ch, degree=2, samples=5)}
+        assert checks[f"{ch.name}.gamma_lambda_inverses"]["status"] == "fail"
+
+
 def test_cover_equalizer():
     cov = cover()
     for degree in range(1, 5):

@@ -28,6 +28,30 @@ def fractions(draw):
     return tuple(num), tuple(den)
 
 
+@st.composite
+def monomials(draw):
+    """(num, den) of a Laurent monomial c*q^k, c in {+-1, +-2, 3}."""
+    c = draw(st.sampled_from((1, -1, 2, -2, 3)))
+    k = draw(st.integers(min_value=-4, max_value=4))
+    if k >= 0:
+        return (0,) * k + (c,), (1,)
+    return (c,), (0,) * -k + (1,)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two Laurent polynomials q^k * p(q) with the same k, p(0) != 0."""
+    k = draw(st.integers(min_value=-4, max_value=4))
+    out = []
+    for _ in range(2):
+        p = draw(st.lists(small_ints, min_size=1, max_size=4))
+        if not p[0]:
+            p[0] = draw(st.sampled_from((1, -1, 2)))
+        out.append(((0,) * k + tuple(p), (1,)) if k >= 0
+                   else (tuple(p), (0,) * -k + (1,)))
+    return tuple(out)
+
+
 def scalars():
     return fractions().map(lambda nd: QScalar(*nd))
 
@@ -127,9 +151,9 @@ def assert_matches_oracle(value, expect):
     assert QScalar(*value.polys()) == value
 
 
-@settings(max_examples=300)
-@given(fractions(), fractions(), st.integers(min_value=-3, max_value=3))
-def test_arithmetic_matches_fraction_oracle(x, y, k):
+def assert_operations_match_oracle(x, y, k):
+    """+, -, *, / and ** on the (num, den) pairs x and y agree with the
+    oracle, normal form included."""
     a, b = QScalar(*x), QScalar(*y)
     oa, ob = OracleScalar(*x), OracleScalar(*y)
     assert_matches_oracle(a, oa)
@@ -140,6 +164,49 @@ def test_arithmetic_matches_fraction_oracle(x, y, k):
         assert_matches_oracle(a / b, oa / ob)
     if a or k >= 0:
         assert_matches_oracle(a ** k, oa ** k)
+
+
+exponents = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=300)
+@given(fractions(), fractions(), exponents)
+def test_arithmetic_matches_fraction_oracle(x, y, k):
+    assert_operations_match_oracle(x, y, k)
+
+
+# the one-term branches: a unit times a unit, a unit times any value, and
+# a sum of two values with the same q-valuation and denominator 1
+
+@settings(max_examples=200)
+@given(monomials(), monomials(), exponents)
+def test_monomial_products_match_fraction_oracle(x, y, k):
+    assert_operations_match_oracle(x, y, k)
+
+
+@settings(max_examples=200)
+@given(monomials(), fractions(), exponents)
+def test_monomial_times_fraction_matches_fraction_oracle(x, y, k):
+    assert_operations_match_oracle(x, y, k)
+    assert_operations_match_oracle(y, x, k)
+
+
+@settings(max_examples=200)
+@given(laurent_pairs(), exponents)
+def test_same_valuation_sums_match_fraction_oracle(xy, k):
+    x, y = xy
+    assert QScalar(*x).val == QScalar(*y).val
+    assert_operations_match_oracle(x, y, k)
+
+
+@pytest.mark.parametrize("slot", ["val", "num", "den"])
+def test_scalar_slots_cannot_be_set(slot):
+    x = q_pow(2) * 3
+    with pytest.raises(AttributeError):
+        setattr(x, slot, getattr(x, slot))
+    with pytest.raises(AttributeError):
+        delattr(x, slot)
+    assert (x.val, x.num, x.den) == (2, (3,), (1,))
 
 
 def test_laurent_values_keep_q_apart():
