@@ -9,8 +9,8 @@ from .scalars import (ONE, Q, QPoly, QRational, QScalar, ZERO, gauss_binomial,
                       jackson_q_integral_01, q_gamma_int,
                       q_number, q_pochhammer, q_pow, parse_scalar)
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
-                    confluence_probe, parse_element,
-                    retract, star, tensor_elem)
+                    parse_element, retract, rewriting_certificate, star,
+                    tensor_elem)
 from .hopf import hopf_B, hopf_G, is_group_like, pi_map
 from .comod import (GramForm, NonScalarError, VnComodule, pairing,
                     schur_scalar, solve_coinvariant_gram, weight_covectors)

@@ -299,13 +299,11 @@ def reproducing_apply(n: int, H, v_vec):
 
     H is an (n+1)x(n+1) QScalar matrix acting on the monomial basis;
     returns the resulting coefficient vector, which the resolution theorem
-    says equals H v."""
+    says equals H v.  The Gram-weighted integrals int r_i r_k^* g_k are
+    the entries of `resolution_operator(n).matrix`."""
     res = resolution_operator(n)
     if res.alpha.is_zero():
         raise DomainError("alpha vanishes; resolution formula undefined")
-    cov = cover()
-    r = assembled_coefficients(cov.d, n)
-    g = gram(n)
     m = n + 1
     alpha_inv = res.alpha.inverse()
     out = []
@@ -313,9 +311,8 @@ def reproducing_apply(n: int, H, v_vec):
         total = ZERO
         for i in range(m):
             for k in range(m):
-                total = total + (QScalar.coerce(H[j][i])
-                                 * haar(r[i] * star(r[k]))
-                                 * g.diag[k] * QScalar.coerce(v_vec[k]))
+                total = total + (QScalar.coerce(H[j][i]) * res.matrix[i][k]
+                                 * QScalar.coerce(v_vec[k]))
         out.append(total * alpha_inv)
     return out
 

@@ -14,11 +14,10 @@ first be rewritten into the image of G.
 from __future__ import annotations
 
 import functools
-import random
+from fractions import Fraction
 
-from .hopf import first_failing_word, hopf_G
-from .ncalg import (DomainError, NCPoly, STD, apply_tensor_map,
-                    normal_form_of_word, random_word, star)
+from .hopf import basis_words, hopf_G, law_check
+from .ncalg import DomainError, NCPoly, STD, apply_tensor_map, star
 from .report import check
 from .scalars import ONE, QRational, QScalar, ZERO, q_number, q_pow
 
@@ -89,7 +88,7 @@ def verify_invariance(degree: int):
     monomials up to the degree."""
     G = STD.G
     HG = hopf_G()
-    basis = [NCPoly(G, {mono: ONE}) for mono in G.basis_monomials(degree)]
+    basis = basis_words(G, degree)
 
     def integrate(images):
         return lambda p: apply_tensor_map(HG.delta(p), images, G)
@@ -97,34 +96,47 @@ def verify_invariance(degree: int):
     def integral(p):
         return G.scalar(haar(p))
 
-    bad_left = first_failing_word(basis, (integrate([None, _haar_K]), integral))
-    bad_right = first_failing_word(basis, (integrate([_haar_K, None]), integral))
-    return [check(f"haar.left_invariance_deg{degree}", bad_left is None,
-                  "(id x int) Delta(a) = (int a) 1_H", bad_left),
-            check(f"haar.right_invariance_deg{degree}", bad_right is None,
-                  "two-sided invariance of the Haar state", bad_right)]
+    return [law_check(f"haar.left_invariance_deg{degree}",
+                      "(id x int) Delta(a) = (int a) 1_H", degree, basis,
+                      (integrate([None, _haar_K]), integral)),
+            law_check(f"haar.right_invariance_deg{degree}",
+                      "two-sided invariance of the Haar state", degree, basis,
+                      (integrate([_haar_K, None]), integral))]
 
 
-def verify_positivity(q0: QRational, samples: int, degree: int, seed: int = 0):
-    """specialize(int(f f*), q0) > 0 for random nonzero f."""
+def verify_positivity(q0: QRational, degree: int):
+    """specialize(int(f f*), q0) > 0 for every nonzero f of degree <= degree.
+
+    f = sum c_i m_i over the basis monomials m_i, with real c_i (star fixes
+    Q(q), and q0 is real), has int(f f*) = c^T S c for the symmetrized
+    moment matrix S of [int(m_i m_j*)](q0).  So the claim holds iff S is
+    positive definite, which an exact LDL^T decides: every pivot must be
+    positive (Sylvester's criterion).  A failure names the monomial at the
+    first pivot that is not.
+    """
     if not (0 < q0 < 1):
         raise DomainError("positivity regime requires 0 < q0 < 1")
-    rng = random.Random(seed)
-    G = STD.G
+    name = f"haar.positivity_q{q0}"
+    anchor = ("the Haar state is positive (unitarity behind the resolution "
+              "formula)")
+    basis = basis_words(STD.G, degree)
+    if not basis:
+        return [check(name, None, anchor,
+                      f"no basis monomial of degree <= {degree}")]
+    starred = [star(m) for m in basis]
+    moments = [[haar(m * s).specialize(q0) for s in starred] for m in basis]
+    S = [[(x + y) / 2 for x, y in zip(row, col)]
+         for row, col in zip(moments, zip(*moments))]
+    # L[i][j] D[j] for j < i, built row by row
+    LD = []
     bad = None
-    checked = 0
-    while checked < samples:
-        f = G.zero()
-        for _ in range(rng.randint(1, 4)):
-            f = f + normal_form_of_word(G, random_word(G, rng, degree)) \
-                * rng.choice([1, -1, 2]) * q_pow(rng.randint(-1, 1))
-        if f.is_zero():
-            continue
-        checked += 1
-        v = haar(f * star(f)).specialize(q0)
-        if v <= 0:
-            bad = (str(f), str(v))
+    for i, row in enumerate(S):
+        LD.append([])
+        for j in range(i + 1):
+            v = row[j] - sum((LD[i][k] * LD[j][k] / LD[k][k]
+                              for k in range(j)), Fraction(0))
+            LD[i].append(v)
+        if LD[i][i] <= 0:
+            bad = (str(basis[i]), str(LD[i][i]))
             break
-    return [check(f"haar.positivity_q{q0}", bad is None,
-                  "the Haar state is positive (unitarity behind "
-                  "the resolution formula)", bad)]
+    return [check(name, bad is None, anchor, bad)]

@@ -1,8 +1,9 @@
 """Machine-readable verification reports (shared JSON schema, version 1).
 
-A report is deterministic for a fixed seed up to the runtime_ms field,
-which is wall-clock by nature; consumers comparing reports byte-for-byte
-should strip it first.  Checks are ordered by name.
+A report is deterministic up to the runtime_ms field, which is
+wall-clock by nature; consumers comparing reports byte-for-byte should
+strip it first.  No check samples, so the `seed` field only records the
+seed the caller passed.  Checks are ordered by name.
 """
 
 from __future__ import annotations

@@ -520,6 +520,8 @@ class QPoly:
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
+    __delattr__ = __setattr__
+
     def __mul__(self, other):
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs))
         for i, x in enumerate(self.coeffs):

@@ -1,7 +1,9 @@
 """The Hopf-law checks as `qsu2.hopf.verify_hopf` made them before it
 compared each law once per distinct monomial: every law is evaluated on
-every whole sample word, f(w) == g(w), and the convolution with the
-antipode is built from NCPoly products and sums.
+every whole word, f(w) == g(w), and the convolution with the antipode is
+built from NCPoly products and sums.  The words are given, so the same
+oracle runs on the basis words and on the old seeded sample words
+(`rewriting_oracle.sample_words`).
 
 It is kept here only as an oracle for `verify_hopf` (tests/test_hopf.py),
 so it shares neither the per-monomial defects nor the accumulating
@@ -10,7 +12,7 @@ convolution with the code under test.
 
 from __future__ import annotations
 
-from qsu2.hopf import _corrupted, _sample_words, _standard
+from qsu2.hopf import _corrupted, _standard
 from qsu2.ncalg import NCPoly, STD, apply_tensor_map, star
 from qsu2.report import check
 from qsu2.scalars import ONE
@@ -36,11 +38,10 @@ def convolve_antipode(hopf, p, side):
     return out
 
 
-def verify_hopf(which, degree=5, samples=100, seed=0, corrupt_delta=False):
+def verify_hopf(which, words, corrupt_delta=False):
     hopf = _corrupted(which) if corrupt_delta else _standard(which)
     alg = hopf.alg
     checks = []
-    words = _sample_words(alg, degree, samples, seed)
 
     def run(name, anchor, fn):
         bad = next((w for w in words if not fn(w)), None)

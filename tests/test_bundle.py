@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from qsu2 import bundle
 from qsu2.bundle import (Section, _is_basis_of_span, c_chi, cotensor_slice,
                          glue_iso_check, in_cotensor, kappa, kappa_bar,
                          sections_space, vn_left_comodule)
 from qsu2.charts import chart, cover
-from qsu2.ncalg import DomainError, normal_form_of_word, random_word
+from qsu2.ncalg import DomainError, normal_form_of_word
 from qsu2.scalars import Q, QScalar
+from rewriting_oracle import random_word
 
 
 def test_cotensor_slice_n1():
@@ -70,9 +72,20 @@ def test_kappa_kappa_bar_inverse():
 
 @pytest.mark.parametrize("n", range(4))
 def test_glue_iso(n):
-    checks = glue_iso_check(n, max(n, 2), kappa_samples=20)
+    checks = glue_iso_check(n, max(n, 2))
     assert all(c["status"] != "fail" for c in checks), \
         [c for c in checks if c["status"] == "fail"]
+
+
+def test_kappa_inverse_fails_when_kappa_bar_drops_the_antipode(monkeypatch):
+    # gamma in place of gamma o S_B makes kappa-bar a second kappa, which
+    # undoes nothing once chi != 1
+    monkeypatch.setattr(bundle, "kappa_bar",
+                        lambda ch, F, M: bundle._twist(ch, F, M, ch.gamma))
+    checks = {c["name"]: c for c in glue_iso_check(1, 2)}
+    assert checks["n=1.kappa_inverse"]["status"] == "fail"
+    assert checks["n=1.kappa_inverse"]["witness"] == \
+        "('d-chart', 'C_chi(n=1)', 'unit row 0')"
 
 
 def test_is_basis_of_span():

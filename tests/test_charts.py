@@ -10,8 +10,9 @@ from qsu2.charts import (chart, coaction_B, coinv_poly_coeffs, cover,
 from qsu2.comod import VnComodule
 from qsu2.hopf import hopf_G, pi_map
 from qsu2.ncalg import (STD, AlgebraMap, apply_tensor_map, normal_form_of_word,
-                        parse_element, random_word, tensor_elem)
+                        parse_element, tensor_elem)
 from qsu2.scalars import q_pow
+from rewriting_oracle import random_word, sample_words
 
 B = STD.B
 
@@ -137,7 +138,7 @@ def test_unknown_chart_rejected(which):
 
 @pytest.mark.parametrize("which", ["d", "b"])
 def test_verify_chart(which):
-    checks = verify_chart(chart(which), degree=4, samples=30, seed=0)
+    checks = verify_chart(chart(which), degree=4)
     assert all(c["status"] != "fail" for c in checks), \
         [c for c in checks if c["status"] == "fail"]
 
@@ -148,7 +149,7 @@ def test_rho_B_restricts_names_the_first_failing_monomial(monkeypatch):
     monkeypatch.setattr(charts_module, "pi_map", lambda: AlgebraMap(
         STD.G, STD.B, {**pi.images, "c": STD.B.gen("xi") * 2}, name="pi"))
     for ch in charts:
-        checks = {c["name"]: c for c in verify_chart(ch, degree=2, samples=5)}
+        checks = {c["name"]: c for c in verify_chart(ch, degree=2)}
         restricts = checks[f"{ch.name}.rho_B_restricts"]
         assert restricts["status"] == "fail"
         assert restricts["witness"] == "c"
@@ -157,8 +158,39 @@ def test_rho_B_restricts_names_the_first_failing_monomial(monkeypatch):
 def test_gamma_lambda_inverses_fails_on_a_corrupted_solved_image(monkeypatch):
     for ch in (chart("b"), chart("d")):
         monkeypatch.setattr(ch, "gamma_lambda_inv", ch.gamma_lambda_inv * 2)
-        checks = {c["name"]: c for c in verify_chart(ch, degree=2, samples=5)}
+        checks = {c["name"]: c for c in verify_chart(ch, degree=2)}
         assert checks[f"{ch.name}.gamma_lambda_inverses"]["status"] == "fail"
+
+
+def test_gamma_comodule_map_fails_on_a_corrupted_gamma_xi(monkeypatch):
+    for ch in (chart("b"), chart("d")):
+        gamma = AlgebraMap(B, ch.alg, {**ch.gamma.images,
+                                       "xi": ch.gamma.images["xi"] * 2},
+                           name=ch.gamma.name)
+        monkeypatch.setattr(ch, "gamma", gamma)
+        checks = {c["name"]: c for c in verify_chart(ch, degree=2)}
+        check = checks[f"{ch.name}.gamma_comodule_map"]
+        assert check["status"] == "fail"
+        assert check["witness"] == "xi"
+
+
+def test_chart_basis_covers_the_old_sample_words():
+    # the 50 seeded B words of degree <= 4 (seeds 0..2) that
+    # gamma_comodule_map was checked on lie in the B basis it now uses
+    basis = set(B.basis_monomials(4))
+    for seed in range(3):
+        for w in sample_words(B, 4, 50, seed):
+            assert set(w.terms) <= basis, (seed, w)
+
+
+@pytest.mark.parametrize("which", ["d", "b"])
+def test_empty_basis_skips_rho_B_restricts(which):
+    checks = {c["name"]: c for c in verify_chart(chart(which), degree=-1)}
+    restricts = checks[f"{chart(which).name}.rho_B_restricts"]
+    assert restricts["status"] == "skip"
+    assert restricts["witness"] == "no basis monomial of degree <= -1"
+    # the comodule-map check keeps the generators
+    assert checks[f"{chart(which).name}.gamma_comodule_map"]["status"] == "pass"
 
 
 def test_cover_equalizer():

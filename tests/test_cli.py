@@ -134,6 +134,9 @@ def test_tsv_format(capsys):
     (["verify", "theorem4", "--n", "5..6"], 1),
     (["verify", "theorem4", "--n", "0..0"], 1),
     (["verify", "coherent", "--n", "5..5"], 0),
+    (["verify", "haar", "--degree", "-2"], 0),
+    (["verify", "hopf", "--degree", "-1"], 0),
+    (["verify", "charts", "--degree", "-1"], 0),
 ])
 def test_exit_code_contract(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
@@ -160,6 +163,23 @@ def test_check_without_requested_n_is_skipped(capsys, suite, n, name,
     assert checks[name]["witness"] == (
         f"no n in {allowed} among the requested {n}")
     assert not any(k.startswith("theorem4.scalar_n") for k in checks)
+
+
+@pytest.mark.parametrize("suite, degree, names", [
+    ("haar", "-2", ["haar.left_invariance_deg-2",
+                    "haar.right_invariance_deg-2"]),
+    ("hopf", "-1", ["pi.coproduct_compat", "pi.counit_compat"]),
+    ("charts", "-1", ["b-chart.rho_B_restricts", "d-chart.rho_B_restricts"]),
+])
+def test_law_on_no_basis_monomial_is_skipped(capsys, suite, degree, names):
+    # a law checked on an empty word list skips and names the degree
+    _, out, _ = run(capsys, "verify", suite, "--degree", degree,
+                    "--format", "json")
+    checks = json.loads(out)["checks"]
+    empty = {c["name"]: c["status"] for c in checks
+             if c.get("witness") == f"no basis monomial of degree <= {degree}"}
+    assert empty == {name: "skip" for name in names}
+    assert not any(c["status"] == "fail" for c in checks)
 
 
 # generators of every algebra, so that most draws use one foreign to the

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from qsu2.charts import chart
-from qsu2.coherent import (classical_limit_report, expected_alpha,
-                           expected_d_chart_coefficient, gram,
+from qsu2.charts import chart, cover
+from qsu2.coherent import (assembled_coefficients, classical_limit_report,
+                           expected_alpha, expected_d_chart_coefficient, gram,
                            integrand_sign_check, lemma_integral,
                            lemma_integral_closed_form, mu_density,
                            qbeta_check, ramanujan_qbeta, reproducing_apply,
                            resolution_operator, scalar_operator_general,
                            section_property_check, solve_coherent)
-from qsu2.ncalg import STD, parse_element
+from qsu2.haar import haar
+from qsu2.ncalg import STD, parse_element, star
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
 
 
@@ -161,6 +162,30 @@ def test_reproducing_random():
         expect = [sum((QScalar.coerce(H[j][i]) * v[i]
                        for i in range(n + 1)), ZERO) for j in range(n + 1)]
         assert out == expect
+
+
+def _reproducing_by_integrals(n, H, v_vec):
+    """H|v> = alpha^-1 int H|C> dmu <C|v> with every integral
+    int r_i r_k^* recomputed, as `reproducing_apply` once did."""
+    r = assembled_coefficients(cover().d, n)
+    g = gram(n)
+    m = n + 1
+    total = [sum((QScalar.coerce(H[j][i]) * haar(r[i] * star(r[k]))
+                  * g.diag[k] * QScalar.coerce(v_vec[k])
+                  for i in range(m) for k in range(m)), ZERO)
+             for j in range(m)]
+    return [t * resolution_operator(n).alpha.inverse() for t in total]
+
+
+def test_reproducing_reads_the_resolution_matrix():
+    rng = random.Random(14)
+    for n in range(4):
+        for _ in range(3):
+            H = [[QScalar.coerce(rng.randint(-2, 2)) * q_pow(rng.randint(-1, 1))
+                  for _ in range(n + 1)] for _ in range(n + 1)]
+            v = [QScalar.coerce(rng.randint(-2, 2)) for _ in range(n + 1)]
+            assert reproducing_apply(n, H, v) == \
+                _reproducing_by_integrals(n, H, v)
 
 
 def test_classical_limit():

@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from qsu2.haar import (haar, verify_invariance, verify_positivity,
                        zeta_moment, zeta_moment_closed_form_report)
 from qsu2.hopf import hopf_G
-from qsu2.ncalg import DomainError, NCPoly, STD, parse_element, star
+from qsu2.ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
+                        parse_element, star)
 from qsu2.scalars import ONE, Q, q_number, q_pow
+from rewriting_oracle import random_word
 
 G = STD.G
 # the package exports the function `haar`, which hides the module
@@ -75,8 +78,44 @@ def test_invariance_fails_on_a_wrong_moment():
 
 
 def test_positivity():
-    checks = verify_positivity(Fraction(1, 2), samples=30, degree=3, seed=4)
+    checks = verify_positivity(Fraction(1, 2), degree=3)
     assert all(c["status"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(1, 3)])
+def test_positivity_fails_for_the_counit(monkeypatch, q0):
+    # eps(f f*) is only semidefinite: eps(d - 1) = 0, so the pivot at d is 0
+    monkeypatch.setattr(haar_module, "haar", hopf_G().counit)
+    check, = verify_positivity(q0, degree=3)
+    assert check["name"] == f"haar.positivity_q{q0}"
+    assert check["status"] == "fail"
+    assert check["witness"] == "('d', '0')"
+
+
+def test_positivity_skips_an_empty_basis():
+    check, = verify_positivity(Fraction(1, 2), degree=-1)
+    assert check["status"] == "skip"
+    assert check["witness"] == "no basis monomial of degree <= -1"
+
+
+def test_positivity_quadratic_form_matches_sampled_integrals():
+    # int(f f*) at q0 is c^T S c for the coefficients c of f on the basis;
+    # checked on seeded sums of random words, as the check once sampled them
+    q0 = Fraction(1, 2)
+    basis = G.basis_monomials(3)
+    moments = [[haar(NCPoly(G, {m: ONE}) * star(NCPoly(G, {k: ONE})))
+                .specialize(q0) for k in basis] for m in basis]
+    rng = random.Random(4)
+    for _ in range(30):
+        f = G.zero()
+        for _ in range(rng.randint(1, 4)):
+            f = f + normal_form_of_word(G, random_word(G, rng, 3)) \
+                * rng.choice([1, -1, 2]) * q_pow(rng.randint(-1, 1))
+        c = [f.coeff(m).specialize(q0) for m in basis]
+        assert set(f.terms) <= set(basis)
+        form = sum(c[i] * moments[i][j] * c[j]
+                   for i in range(len(basis)) for j in range(len(basis)))
+        assert haar(f * star(f)).specialize(q0) == form
 
 
 def test_positivity_bb_star():

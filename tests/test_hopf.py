@@ -1,15 +1,16 @@
+import functools
 import random
 
 import pytest
 
 import hopf_oracle
 from qsu2 import hopf
-from qsu2.hopf import (_convolve_antipode, first_failing_word, hopf_B,
-                       hopf_G, is_group_like, pi_map, verify_hopf,
+from qsu2.hopf import (_convolve_antipode, basis_words, first_failing_word,
+                       hopf_B, hopf_G, is_group_like, pi_map, verify_hopf,
                        verify_pi_hopf_map)
 from qsu2.ncalg import (AlgebraMap, NCPoly, STD, linear_extension,
-                        normal_form_of_word,
-                        parse_element, random_word, tensor_elem)
+                        normal_form_of_word, parse_element, tensor_elem)
+from rewriting_oracle import random_word, sample_words
 from qsu2.scalars import ONE, q_pow
 
 G, B = STD.G, STD.B
@@ -66,22 +67,36 @@ def test_coassociativity_on_basis():
 
 def test_verify_hopf_passes():
     for which in ("G", "B"):
-        checks = verify_hopf(which, degree=4, samples=40, seed=1)
+        checks = verify_hopf(which, degree=4)
         assert all(c["status"] != "fail" for c in checks), checks
 
 
 def test_borel_star_reported_skipped():
-    checks = verify_hopf("B", degree=3, samples=5, seed=0)
+    checks = verify_hopf("B", degree=3)
     skips = [c for c in checks if c["status"] == "skip"]
     assert any("star" in c["name"] for c in skips)
 
 
 def test_corrupted_delta_fails_with_witness():
-    checks = verify_hopf("G", degree=3, samples=10, seed=2,
-                         corrupt_delta=True)
+    checks = verify_hopf("G", degree=3, corrupt_delta=True)
     failed = [c for c in checks if c["status"] == "fail"]
     assert failed
     assert any("witness" in c for c in failed)
+
+
+def test_corrupted_delta_fails_the_same_five_checks():
+    # the basis words put d and c before a and b, so the first failing
+    # words differ from those of the old sample words, not the verdicts
+    failed = {c["name"]: c.get("witness")
+              for c in verify_hopf("G", degree=3, corrupt_delta=True)
+              if c["status"] == "fail"}
+    assert failed == {
+        "G.delta_algebra_map": None,
+        "G.coassociativity": "d",
+        "G.antipode_convolution":
+            "no antipode solution: inconsistent linear system",
+        "G.antipode_unique_in_ansatz": None,
+        "G.star_coproduct": "c"}
 
 
 def test_pi_is_hopf_map():
@@ -133,13 +148,38 @@ def test_pi_images():
     assert pi(G.gen("d")) == B.gen("lambda", -1)
 
 
+@functools.cache
+def _oracle_on_basis(which, corrupt):
+    alg = hopf._standard(which).alg
+    return hopf_oracle.verify_hopf(which, basis_words(alg, 5),
+                                   corrupt_delta=corrupt)
+
+
 @pytest.mark.parametrize("which,seed,corrupt", [
     ("G", 0, False), ("G", 1, False), ("G", 2, False),
     ("B", 0, False), ("B", 1, False), ("B", 2, False),
     ("G", 0, True), ("B", 0, True)])
 def test_verify_hopf_matches_per_word_oracle(which, seed, corrupt):
-    args = dict(degree=5, samples=100, seed=seed, corrupt_delta=corrupt)
-    assert verify_hopf(which, **args) == hopf_oracle.verify_hopf(which, **args)
+    # the oracle on the basis words gives the same records, and on the old
+    # seeded sample words the same verdicts (its witnesses may differ)
+    alg = hopf._standard(which).alg
+    got = verify_hopf(which, degree=5, corrupt_delta=corrupt)
+    assert got == _oracle_on_basis(which, corrupt)
+    sampled = hopf_oracle.verify_hopf(
+        which, sample_words(alg, 5, 100, seed), corrupt_delta=corrupt)
+    assert ([(c["name"], c["status"]) for c in got]
+            == [(c["name"], c["status"]) for c in sampled])
+
+
+@pytest.mark.parametrize("which, degree", [("G", 5), ("B", 5)])
+def test_basis_covers_the_old_sample_words(which, degree):
+    # every monomial the seeded samples (seeds 0..2) reached is a basis
+    # word of the check that replaced them
+    alg = hopf._standard(which).alg
+    basis = set(alg.basis_monomials(degree))
+    for seed in range(3):
+        for w in sample_words(alg, degree, 100, seed):
+            assert set(w.terms) <= basis, (seed, w)
 
 
 def test_convolution_matches_product_oracle():

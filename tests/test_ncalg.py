@@ -3,10 +3,10 @@ import random
 import pytest
 
 from qsu2 import linalg
-from qsu2.ncalg import (DomainError, NCPoly, STD, confluence_probe,
-                        normal_form_of_word, parse_element, random_word,
-                        retract, star)
+from qsu2.ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
+                        parse_element, retract, rewriting_certificate, star)
 from qsu2.scalars import ONE, Q, q_pow
+from rewriting_oracle import confluence_probe, random_word
 
 G, Gb, Gd, Gbd = STD.G, STD.Gb, STD.Gd, STD.Gbd
 
@@ -167,6 +167,31 @@ def test_confluence(alg):
 def test_manin_confluence():
     rep = confluence_probe(STD.M, samples=30, degree=6, seed=2)
     assert rep["passed"]
+
+
+# -- the rewriting certificate -------------------------------------------------------
+
+HOLDS = {"associativity": None, "canonical": None, "relations": []}
+
+
+@pytest.mark.parametrize("alg", [G, Gb, Gd, Gbd, STD.B, STD.M],
+                         ids=lambda a: a.name)
+def test_rewriting_certificate_holds(alg):
+    assert rewriting_certificate(alg, 5) == HOLDS
+
+
+def test_rewriting_certificate_keeps_degree_one():
+    # the generators and their inverses are multiplied at every degree
+    for degree in (-2, 0, 1):
+        assert rewriting_certificate(Gbd, degree) == HOLDS
+
+
+def test_certificate_relations_are_not_implied_by_associativity(monkeypatch):
+    # lambda xi = q^-1 xi lambda still gives an associative q-skew product
+    # on B, so only the relation check sees the flipped sign
+    monkeypatch.setitem(STD.B.comm, (0, 1), 1)
+    assert rewriting_certificate(STD.B, 5) == {
+        **HOLDS, "relations": ["lambda xi=q xi lambda"]}
 
 
 # -- degrees -------------------------------------------------------------------------

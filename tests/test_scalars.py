@@ -209,6 +209,15 @@ def test_scalar_slots_cannot_be_set(slot):
     assert (x.val, x.num, x.den) == (2, (3,), (1,))
 
 
+def test_qpoly_coeffs_cannot_be_set():
+    p = QPoly((ONE, Q))
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p.coeffs == (ONE, Q)
+
+
 def test_laurent_values_keep_q_apart():
     x = QScalar((0, 0, 2, 0, 6), (0, 4))  # (2q^2 + 6q^4)/(4q)
     assert (x.val, x.num, x.den) == (1, (1, 0, 3), (2,))

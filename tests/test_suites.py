@@ -1,0 +1,97 @@
+"""The suites' certificates: each fails under its own name, with a witness,
+when the engine function or datum it certifies is broken, and no suite
+draws a random number."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qsu2 import coherent, suites
+from qsu2.comod import STAR_FIRST, GramForm
+from qsu2.ncalg import Algebra, STD, rewriting_certificate
+from qsu2.scalars import ONE, ZERO, q_pow
+
+Q0 = Fraction(1, 2)
+
+
+def _checks(suite, n_range=range(0, 4), degree=5):
+    return {c["name"]: c for c in suites.SUITES[suite](n_range, degree, Q0)}
+
+
+def _failed(check):
+    return check["status"] == "fail" and "witness" in check
+
+
+def test_engine_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    for name in ("random", "randint", "randrange", "choice", "choices",
+                 "sample", "shuffle", "uniform", "getrandbits", "seed"):
+        monkeypatch.setattr(random, name, refuse)
+    assert suites.run_suite("all").passed
+    assert not suites.run_suite("hopf_negative_control").passed
+
+
+def test_confluence_fails_when_da_expand_drops_bc(monkeypatch):
+    original = Algebra._da_expand.__wrapped__
+
+    def da_expand(self, t, k):
+        return {m: c for m, c in original(self, t, k).items() if not m[1]}
+
+    monkeypatch.setattr(Algebra, "_da_expand", da_expand)
+    check = _checks("rewriting", degree=3)["confluence.G"]
+    assert _failed(check)
+    assert check["witness"].startswith("(x y) g != x (y g)")
+
+
+@pytest.mark.parametrize("pair, relation", [
+    ((0, 1), "ab=qba"), ((0, 2), "ac=qca"), ((1, 3), "bd=qdb"),
+    ((2, 3), "cd=qdc")])
+def test_confluence_fails_on_a_flipped_commutation_sign(monkeypatch, pair,
+                                                        relation):
+    # on G the a-d rule rests on every commutation exponent, so a flipped
+    # sign breaks associativity as well as its relation
+    monkeypatch.setitem(STD.G.comm, pair, -STD.G.comm[pair])
+    checks = _checks("rewriting", degree=3)
+    assert _failed(checks["confluence.G"])
+    assert rewriting_certificate(STD.G, 3)["relations"] == [relation]
+
+
+def test_no_ad_cooccurrence_fails_when_a_and_d_stay_together(monkeypatch):
+    def keep(self, mono, coeff, acc):
+        acc[mono] = acc.get(mono, ZERO) + coeff
+
+    monkeypatch.setattr(Algebra, "_reduce_ordered", keep)
+    check = _checks("rewriting", degree=3)["basis.no_ad_cooccurrence"]
+    assert _failed(check)
+    assert check["witness"] == "a d in (a) d"
+
+
+def test_theorem4_fails_on_a_wrong_gram_diagonal(monkeypatch):
+    # with the Gram diagonal [1, q^-2] in place of the coinvariant [1, 1],
+    # the operator of w = e_0 is not scalar
+    gram = coherent.gram
+    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
+        n, [ONE, q_pow(-2)], STAR_FIRST) if n == 1 else gram(n))
+    check = _checks("theorem4", n_range=range(1, 2))["theorem4.scalar_n1"]
+    assert _failed(check)
+    assert check["witness"].startswith("(['1', '0'], ")
+
+
+def test_reproducing_fails_on_a_non_scalar_resolution_matrix(monkeypatch):
+    resolution = coherent.resolution_operator
+
+    def skewed(n):
+        res = resolution(n)
+        matrix = [row[:] for row in res.matrix]
+        matrix[0][n] = matrix[0][n] + ONE
+        return coherent.ResolutionResult(n, matrix, res.alpha,
+                                         res.chart_agreement)
+
+    monkeypatch.setattr(coherent, "resolution_operator", skewed)
+    check = _checks("coherent", n_range=range(1, 2))["reproducing.exact"]
+    assert _failed(check)
+    assert check["witness"] == "(1, 'E_00', 'e_1')"
