@@ -13,11 +13,15 @@ The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
 admits two noncommutative orderings of the right-hand side.  The form used
 everywhere is the Haar average of the identity start form,
 <e_k|e_k> = sum_i h(t[i][k]* t[i][k]) (Woronowicz's orthogonality
-relations), normalized so <y^n|y^n> = 1.  It is certified exactly in the
-star-first order w1* z1: for every (k, l) the identity is checked on the
-products t[i][k]* t[i][l], and a failure is fatal.  Both orders are still
-solved as full (n+1)^2 kernel systems for the misprint ledger
-(`gram_order_report`), which needs the solution count in each.
+relations), normalized so <y^n|y^n> = 1; the Haar integral is linear, so
+each k takes one call on the summed products.  It is certified exactly in
+the star-first order w1* z1 on the products t[i][k]* t[i][l] for k <= l
+(star turns the (k, l) identity into the (l, k) one), and a failure is
+fatal.  The certificate is fraction-free: the identity is homogeneous in
+the weights, so it runs on the diagonal times the lcm of its denominators,
+whose entries are Laurent polynomials in q.  Both orders are still solved
+as full (n+1)^2 kernel systems for the misprint ledger (`gram_order_report`),
+which needs the solution count in each.
 """
 
 from __future__ import annotations
@@ -223,44 +227,59 @@ def _gram_order(n: int, order: str):
 
 
 def _star_first_products(n: int):
-    """P[i][k][l] = t[i][k]* t[i][l] over the coaction matrix t of V_n."""
+    """P[k, l][i] = t[i][k]* t[i][l] over the coaction matrix t of V_n, for
+    k <= l only, keyed in row-major order."""
     t = VnComodule(n).coaction_matrix
     m = n + 1
     tstar = [[star(x) for x in row] for row in t]
-    return [[[tstar[i][k] * t[i][l] for l in range(m)] for k in range(m)]
-            for i in range(m)]
+    return {(k, l): [tstar[i][k] * t[i][l] for i in range(m)]
+            for k in range(m) for l in range(k, m)}
 
 
-def _coinvariance_defect(products, diag):
-    """The first (k, l) where sum_i diag[i] t[i][k]* t[i][l] differs from
-    diag[k] delta_kl 1, or None when the diagonal form is coinvariant."""
+def _laurent_weights(diag):
+    """diag times the lcm of its q-free denominators: the same form, with
+    every entry a Laurent polynomial in q (den 1)."""
+    lcm = ONE
+    for d in diag:
+        # the den of d * lcm is den(d) / gcd(den(d), lcm)
+        lcm = lcm * QScalar((d * lcm).den)
+    return [d * lcm for d in diag]
+
+
+def _coinvariance_defect(products, weights):
+    """The first (k, l), k <= l in row-major order, where
+    sum_i weights[i] t[i][k]* t[i][l] differs from weights[k] delta_kl 1,
+    or None when the diagonal form is coinvariant.
+
+    The pairs k > l need no check: star is an antimultiplicative involution
+    (an `AlgebraMap` with anti=True that squares to the identity on the
+    generators) and fixes the real weights, so the (l, k) sum is the star
+    of the (k, l) sum.  `verify_hopf` checks the star laws.  With Laurent
+    weights and Laurent products no scalar product here runs a gcd.
+    """
     G = STD.G
-    m = len(diag)
-    for k in range(m):
-        for l in range(m):
-            total = sum((products[i][k][l] * diag[i] for i in range(m)),
-                        G.zero())
-            if total != (G.scalar(diag[k]) if k == l else G.zero()):
-                return k, l
+    for (k, l), column in products.items():
+        total = sum((p * w for p, w in zip(column, weights)), G.zero())
+        if total != (G.scalar(weights[k]) if k == l else G.zero()):
+            return k, l
     return None
 
 
 def solve_coinvariant_gram(n: int) -> GramForm:
     """The coinvariant Gram form of V_n as the Haar average of the identity.
 
-    <e_k|e_k> is proportional to sum_i h(t[i][k]* t[i][k]); the diagonal is
+    <e_k|e_k> is proportional to h(sum_i t[i][k]* t[i][k]); the diagonal is
     normalized so the weight covector y^n has norm 1 and then certified
-    against the star-first coinvariance identity for every (k, l).  Fatal if
-    the average vanishes on y^n or the certificate fails.
+    against the star-first coinvariance identity for every k <= l.  Fatal
+    if the average vanishes on y^n or the certificate fails.
     """
     products = _star_first_products(n)
-    m = n + 1
-    raw = [sum((haar(products[i][k][k]) for i in range(m)), ZERO)
-           for k in range(m)]
+    G = STD.G
+    raw = [haar(sum(products[k, k], G.zero())) for k in range(n + 1)]
     if raw[0].is_zero():
         raise DomainError(f"the Haar average of <y^{n}|y^{n}> vanishes")
     diag = [r / raw[0] for r in raw]
-    defect = _coinvariance_defect(products, diag)
+    defect = _coinvariance_defect(products, _laurent_weights(diag))
     if defect is not None:
         raise DomainError(
             f"the Haar-averaged Gram form of V_{n} is not coinvariant at "

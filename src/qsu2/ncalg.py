@@ -364,8 +364,11 @@ class NCPoly:
             raise DomainError(
                 f"presentation mismatch: {self.alg.name} vs {other.alg.name}")
 
+    # +, -, * and == test `type(other) is NCPoly` before the scalar types:
+    # Fraction is an ABC, so its isinstance test is slow.
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
+        if (type(other) is not NCPoly
+                and isinstance(other, (QScalar, int, Fraction))):
             other = self.alg.scalar(other)
         self._require_same(other)
         out = dict(self.terms)
@@ -383,7 +386,8 @@ class NCPoly:
         return NCPoly(self.alg, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
+        if (type(other) is not NCPoly
+                and isinstance(other, (QScalar, int, Fraction))):
             other = self.alg.scalar(other)
         return self + (-other)
 
@@ -391,7 +395,8 @@ class NCPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
+        if (type(other) is not NCPoly
+                and isinstance(other, (QScalar, int, Fraction))):
             c = QScalar.coerce(other)
             if not c:
                 return self.alg.zero()
@@ -448,10 +453,11 @@ class NCPoly:
         return NCPoly(self.alg, {inv_mono: (c * c0).inverse()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
-            other = self.alg.scalar(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
+        if type(other) is not NCPoly:
+            if isinstance(other, (QScalar, int, Fraction)):
+                other = self.alg.scalar(other)
+            elif not isinstance(other, NCPoly):
+                return NotImplemented
         return self.alg is other.alg and self.terms == other.terms
 
     def __hash__(self):

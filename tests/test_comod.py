@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from qsu2 import comod, linalg
+import gram_oracle
+from qsu2 import comod, linalg, scalars
 from qsu2.coherent import gram
 from qsu2.comod import (STAR_FIRST, STAR_SECOND, NonScalarError, VnComodule,
                         _coinvariance_defect, _gram_order, _inverse_binomials,
-                        _star_first_products, gram_order_report,
+                        _laurent_weights, _star_first_products,
+                        gram_order_report,
                         intertwiner_space_dimension, pairing, schur_scalar,
                         solve_coinvariant_gram, verify_comodule_axioms,
                         weight_covectors)
@@ -158,8 +160,101 @@ def test_haar_gram_certificate_rejects_printed_order_diagonal():
     assert _coinvariance_defect(products, printed) is not None
     assert _coinvariance_defect(products, _inverse_binomials(1)) is None
     # an off-diagonal pair is checked too
-    products[1][0][1] = products[1][0][1] + G.one()
+    products[0, 1][1] = products[0, 1][1] + G.one()
     assert _coinvariance_defect(products, _inverse_binomials(1)) == (0, 1)
+
+
+def test_haar_gram_matches_fraction_oracle():
+    # the m^3 products, m Haar calls per k and the certificate on the
+    # fractional diagonal give the same form, and both certificates accept it
+    for n in range(9):
+        diag = solve_coinvariant_gram(n).diag
+        assert diag == gram_oracle.gram_diag(n) == _inverse_binomials(n), n
+        assert gram_oracle.coinvariance_defect(
+            gram_oracle.star_first_products(n), diag) is None, n
+        products = _star_first_products(n)
+        assert _coinvariance_defect(products, _laurent_weights(diag)) is None
+        # the identity is homogeneous: the fractional weights pass as well
+        if n <= 4:
+            assert _coinvariance_defect(products, diag) is None, n
+
+
+def test_star_first_products_cover_k_le_l_in_row_major_order():
+    for n in range(4):
+        m = n + 1
+        full = gram_oracle.star_first_products(n)
+        products = _star_first_products(n)
+        assert list(products) == [(k, l) for k in range(m)
+                                  for l in range(k, m)]
+        for (k, l), column in products.items():
+            assert column == [full[i][k][l] for i in range(m)], (n, k, l)
+
+
+def test_both_certificates_reject_the_printed_order_diagonal():
+    printed = _gram_order(1, STAR_SECOND)[2]
+    assert printed == [ONE, q_pow(-2)]
+    witness = gram_oracle.coinvariance_defect(
+        gram_oracle.star_first_products(1), printed)
+    assert witness is not None
+    products = _star_first_products(1)
+    assert _coinvariance_defect(products, _laurent_weights(printed)) == witness
+    assert _coinvariance_defect(products, printed) == witness
+
+
+def test_both_certificates_reject_the_counit_average():
+    counit = hopf_G().counit
+    for n in (2, 3):
+        m = n + 1
+        full = gram_oracle.star_first_products(n)
+        raw = [sum((counit(full[i][k][k]) for i in range(m)), ZERO)
+               for k in range(m)]
+        diag = [r / raw[0] for r in raw]
+        witness = gram_oracle.coinvariance_defect(full, diag)
+        assert witness is not None, n
+        assert _coinvariance_defect(_star_first_products(n),
+                                    _laurent_weights(diag)) == witness, n
+
+
+def test_both_certificates_report_a_corrupted_off_diagonal_product():
+    for n in (1, 2, 3):
+        diag = _inverse_binomials(n)
+        full = gram_oracle.star_first_products(n)
+        full[1][0][1] = full[1][0][1] + G.one()
+        assert gram_oracle.coinvariance_defect(full, diag) == (0, 1), n
+        products = _star_first_products(n)
+        products[0, 1][1] = products[0, 1][1] + G.one()
+        assert _coinvariance_defect(
+            products, _laurent_weights(diag)) == (0, 1), n
+
+
+def test_laurent_weights_are_laurent_and_proportional():
+    for n in range(9):
+        diag = _inverse_binomials(n)
+        weights = _laurent_weights(diag)
+        assert all(w.den == (1,) for w in weights), n
+        assert all(w == diag[i] * weights[0] for i, w in enumerate(weights))
+
+
+def test_gram_certificate_runs_no_gcd(monkeypatch):
+    # the certificate inside solve_coinvariant_gram is handed Laurent
+    # weights, so with the polynomial gcd disabled it still certifies
+    def no_gcd(f, g):
+        raise AssertionError("polynomial gcd in the certificate")
+
+    certify = comod._coinvariance_defect
+    calls = []
+
+    def guarded(products, weights):
+        calls.append(weights)
+        assert all(w.den == (1,) for w in weights)
+        with monkeypatch.context() as patch:
+            patch.setattr(scalars, "_pgcd_full", no_gcd)
+            return certify(products, weights)
+
+    monkeypatch.setattr(comod, "_coinvariance_defect", guarded)
+    for n in range(7):
+        assert solve_coinvariant_gram(n).diag == _inverse_binomials(n), n
+    assert len(calls) == 7
 
 
 def test_printed_order_not_orthonormal():
