@@ -22,7 +22,7 @@ from .comod import (GramForm, VnComodule, schur_scalar,
 from .haar import haar
 from .ncalg import DomainError, NCPoly, STD, retract, star, tensor_elem
 from .report import check
-from .scalars import (ONE, QScalar, ZERO, gauss_binomial, q_number,
+from .scalars import (ONE, Q, QScalar, ZERO, gauss_binomial, q_number,
                       q_pochhammer, q_pow)
 
 __all__ = [
@@ -169,10 +169,13 @@ def resolution_operator(n: int) -> ResolutionResult:
     r_b = assembled_coefficients(cov.b, n)
     r_d = assembled_coefficients(cov.d, n)
     m = n + 1
-    triple_b = {(i, j): r_b[i] * star(r_b[j]) for i in range(m)
-                for j in range(m)}
-    triple_d = {(i, j): r_d[i] * star(r_d[j]) for i in range(m)
-                for j in range(m)}
+
+    def triple(r):
+        r_star = [star(x) for x in r]
+        return {(i, j): r[i] * r_star[j] for i in range(m) for j in range(m)}
+
+    triple_b = triple(r_b)
+    triple_d = triple(r_d)
     agreement = triple_b == triple_d
     if not agreement:
         raise DomainError(
@@ -188,12 +191,15 @@ def lemma_integral(i: int, j: int, n: int) -> QScalar:
     """int u^i d^n (u^j d^n)^* computed through the Haar functional."""
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i,j <= n")
+    return haar(_lemma_side(i, n) * star(_lemma_side(j, n)))
+
+
+@functools.cache
+def _lemma_side(i: int, n: int) -> NCPoly:
+    """u^i d^n in the d-chart, retracted to G.  Shared: callers only read
+    it."""
     ch = chart("d")
-    u = ch.coinv_gen
-    dn = ch.alg.gen("d", n)
-    left = retract(u ** i * dn, STD.G)
-    right = retract(u ** j * dn, STD.G)
-    return haar(left * star(right))
+    return retract(ch.coinv_gen ** i * ch.alg.gen("d", n), STD.G)
 
 
 def lemma_integral_closed_form(i: int, n: int) -> QScalar:
@@ -218,14 +224,18 @@ def lemma_table(n: int):
 
 def _zeta_pochhammer(i: int, n: int) -> NCPoly:
     """zeta^i (q^-2 zeta; q^-2)_(n-i) in G, with zeta = -q b c."""
-    zeta = STD.G.gen("b") * STD.G.gen("c") * (-q_pow(1))
     poch = q_pochhammer(q_pow(-2), q_pow(-2), n - i)
     out = STD.G.zero()
-    zpow = zeta ** i
     for k, c in enumerate(poch.coeffs):
         if not c.is_zero():
-            out = out + zpow * (zeta ** k) * c
+            out = out + _zeta_power(i + k) * c
     return out
+
+
+@functools.cache
+def _zeta_power(k: int) -> NCPoly:
+    """zeta^k in G, zeta = -q b c.  Shared: callers only read it."""
+    return (STD.G.gen("b") * STD.G.gen("c") * (-Q)) ** k
 
 
 def qbeta_check(i: int, n: int):
@@ -252,10 +262,7 @@ def qbeta_check(i: int, n: int):
 def integrand_sign_check(i: int, n: int):
     """u^i d^n (u^i d^n)^* = + q^(2 C(i,2)) zeta^i (q^-2 zeta;q^-2)_(n-i);
     the printed minus sign would contradict positivity."""
-    ch = chart("d")
-    u = ch.coinv_gen
-    dn = ch.alg.gen("d", n)
-    lhs = retract(u ** i * dn, STD.G)
+    lhs = _lemma_side(i, n)
     lhs = lhs * star(lhs)
     rhs = _zeta_pochhammer(i, n) * q_pow(i * (i - 1))
     return {"plus_sign_holds": lhs == rhs, "minus_sign_holds": lhs == -rhs}
@@ -265,7 +272,7 @@ def ramanujan_qbeta(alpha: int, beta: int):
     """Jackson-integral representation of the q-beta function at integer
     parameters: int_0^1 x^(alpha-1) (qx; q)_(beta-1) d_q x =
     Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta)."""
-    from .scalars import Q, jackson_q_integral_01, q_gamma_int
+    from .scalars import jackson_q_integral_01, q_gamma_int
     if alpha < 1 or beta < 1:
         raise ValueError("integer parameters must be >= 1")
     integrand = q_pochhammer(Q, Q, beta - 1).shift(alpha - 1)

@@ -3,7 +3,10 @@ inner product.
 
 V_n is spanned by the monomials x^i y^(n-i); elements are plain coefficient
 lists over that basis.  Every coaction of V_n is read from its coaction
-matrix t: rho(v) = sum_j e_j (x) w_j with w_j = sum_i t[j][i] v_i.  The
+matrix t: rho(v) = sum_j e_j (x) w_j with w_j = sum_i t[j][i] v_i.  t is
+built degree by degree, since x^i y^(n-i) = (x^i y^(n-1-i)) y and
+x^n = x^(n-1) x in the Manin plane: each step multiplies every entry of
+the V_(n-1) matrix by one generator of G (and the Manin factor q^-k).  The
 inner product is carried as a diagonal Gram matrix on the monomial basis,
 which keeps everything inside the rational function field (no square
 roots): the orthonormal-basis prefactors of the usual presentation are
@@ -33,7 +36,8 @@ from .haar import haar
 from .hopf import pi_map
 from .ncalg import (DomainError, NCPoly, STD, apply_tensor_map, star,
                     tensor_elem)
-from .scalars import ONE, QScalar, ZERO, gauss_binomial, q_pow
+from .scalars import (ONE, QScalar, ZERO, denominator_lcm, gauss_binomial,
+                      q_pow)
 
 __all__ = [
     "VnComodule",
@@ -65,28 +69,19 @@ class VnComodule:
 
     Basis index i is the x-exponent: e_i = x^i y^(n-i).  The coaction
     matrix t satisfies rho(e_i) = sum_j e_j (x) t[j][i]; every coaction is
-    read from it.
+    read from it.  t is built from the 1x1 matrix of V_0 by n steps of
+    `_extend_coaction_matrix`, one generator product per entry and step,
+    in a loop: building V_n calls no other VnComodule.
     """
 
     def __init__(self, n: int, /):
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n
-        G, M = STD.G, STD.M
-        self.MG = STD.tensor(M, G)
-        rho_x = (tensor_elem(self.MG, [M.gen("x"), G.gen("a")])
-                 + tensor_elem(self.MG, [M.gen("y"), G.gen("c")]))
-        rho_y = (tensor_elem(self.MG, [M.gen("x"), G.gen("b")])
-                 + tensor_elem(self.MG, [M.gen("y"), G.gen("d")]))
-        # t[j][i] over G with rho(e_i) = sum_j e_j (x) t[j][i]
-        t = [[G.zero() for _ in range(n + 1)] for _ in range(n + 1)]
-        for i in range(n + 1):
-            img = rho_x ** i * rho_y ** (n - i)
-            for mono, c in img.terms.items():
-                mm, gm = self.MG.split_mono(mono)
-                j = mm[0]
-                assert mm[0] + mm[1] == n
-                t[j][i] = t[j][i] + NCPoly(G, {gm: c})
+        self.MG = STD.tensor(STD.M, STD.G)
+        t = [[STD.G.one()]]
+        for k in range(1, n + 1):
+            t = _extend_coaction_matrix(t, k)
         self.coaction_matrix = t
 
     # -- basis helpers ------------------------------------------------------
@@ -118,6 +113,28 @@ class VnComodule:
         """The Borel coaction matrix pi(t) over B."""
         pi = pi_map()
         return [[pi(x) for x in row] for row in self.coaction_matrix]
+
+
+def _extend_coaction_matrix(t, n: int):
+    """The coaction matrix of V_n from the matrix t of V_(n-1), n >= 1.
+
+    With e_i' = x^i y^(n-1-i) the basis of V_(n-1), e_i = e_i' y for i < n
+    and e_n = e_(n-1)' x.  rho is multiplicative, rho(x) = x (x) a + y (x) c
+    and rho(y) = x (x) b + y (x) d, and e_j' y = e_j, while the Manin
+    relation y x = q^-1 x y gives e_j' x = q^-(n-1-j) e_(j+1).
+    """
+    G = STD.G
+    a, b, c, d = (G.gen(g) for g in "abcd")
+    out = [[G.zero()] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        # e_i = e_src' g with rho(g) = x (x) gx + y (x) gy
+        src, gx, gy = (i, b, d) if i < n else (n - 1, a, c)
+        for j, row in enumerate(t):
+            x = row[src]
+            if x:
+                out[j][i] = out[j][i] + x * gy
+                out[j + 1][i] = out[j + 1][i] + x * gx * q_pow(j + 1 - n)
+    return out
 
 
 # one V_n per n: VnComodule(n) is VnComodule(n).  The name is now a cached
@@ -239,10 +256,7 @@ def _star_first_products(n: int):
 def _laurent_weights(diag):
     """diag times the lcm of its q-free denominators: the same form, with
     every entry a Laurent polynomial in q (den 1)."""
-    lcm = ONE
-    for d in diag:
-        # the den of d * lcm is den(d) / gcd(den(d), lcm)
-        lcm = lcm * QScalar((d * lcm).den)
+    lcm = denominator_lcm(diag)
     return [d * lcm for d in diag]
 
 
@@ -259,7 +273,11 @@ def _coinvariance_defect(products, weights):
     """
     G = STD.G
     for (k, l), column in products.items():
-        total = sum((p * w for p, w in zip(column, weights)), G.zero())
+        acc = {}
+        for p, w in zip(column, weights):
+            for m, c in p.terms.items():
+                acc[m] = acc.get(m, ZERO) + c * w
+        total = NCPoly(G, {m: c for m, c in acc.items() if c})
         if total != (G.scalar(weights[k]) if k == l else G.zero()):
             return k, l
     return None

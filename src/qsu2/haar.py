@@ -6,9 +6,12 @@ span of the (bc)^r monomials and takes the value
     int zeta^r = (1 - q^-2) / (1 - q^-2(r+1)),   zeta = -q b c,
 
 which equals q^r / [r+1]_q in the symmetric q-integer convention (note the
-positive power; two-sided invariance, checked below, forces it).  The
-functional is defined on G only: integrands living in a localization must
-first be rewritten into the image of G.
+positive power; two-sided invariance, checked below, forces it).  `haar`
+sums the (bc)^r coefficients against the moments times L, the lcm of their
+denominators (Laurent polynomials, cached per highest r), and divides by L
+once, so a Laurent integrand costs one polynomial gcd however many terms
+it has.  The functional is defined on G only: integrands living in a
+localization must first be rewritten into the image of G.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from fractions import Fraction
 from .hopf import basis_words, hopf_G, law_check
 from .ncalg import DomainError, NCPoly, STD, apply_tensor_map, star
 from .report import check
-from .scalars import ONE, QRational, QScalar, ZERO, q_number, q_pow
+from .scalars import (ONE, QRational, QScalar, ZERO, denominator_lcm,
+                      q_number, q_pow)
 
 __all__ = [
     "haar",
@@ -35,22 +39,37 @@ def zeta_moment(r: int) -> QScalar:
     return (ONE - q_pow(-2)) / (ONE - q_pow(-2 * (r + 1)))
 
 
+@functools.cache
+def _moment_weights(top: int):
+    """(1/L, w) with w[r] = L (-q^-1)^r zeta_moment(r) for r = 0..top, where
+    L is the lcm of the denominators, so every w[r] is a Laurent polynomial.
+    Shared: callers only read it."""
+    # (bc)^r = (-q^-1 zeta)^r
+    moments = [zeta_moment(r) * q_pow(-r) * (-1) ** r for r in range(top + 1)]
+    lcm = denominator_lcm(moments)
+    return lcm.inverse(), [v * lcm for v in moments]
+
+
 def haar(p: NCPoly) -> QScalar:
-    """The normalized two-sided Haar integral of an element of G."""
+    """The normalized two-sided Haar integral of an element of G.
+
+    Only the (bc)^r terms contribute.  Their coefficients are summed
+    against the Laurent weights of `_moment_weights` and the sum is divided
+    by the common denominator once, so a Laurent integrand costs one
+    polynomial gcd, not one per term."""
     if p.alg is not STD.G:
         raise DomainError(
             "the Haar integral is defined on G only; retract localized "
             "integrands into the image of G first")
+    terms = [(r, c) for (k, r, s, t), c in p.terms.items()
+             if not (k or t or r != s)]
+    if not terms:
+        return ZERO
+    inv_lcm, weights = _moment_weights(max(r for r, _ in terms))
     total = ZERO
-    for (k, r, s, t), c in p.terms.items():
-        if k or t or r != s:
-            continue
-        # (bc)^r = (-q^-1 zeta)^r
-        v = zeta_moment(r) * q_pow(-r)
-        if r % 2:
-            v = -v
-        total = total + c * v
-    return total
+    for r, c in terms:
+        total = total + c * weights[r]
+    return total * inv_lcm
 
 
 def zeta_moment_closed_form_report(max_r: int = 6):

@@ -32,6 +32,7 @@ __all__ = [
     "ONE",
     "Q",
     "q_pow",
+    "denominator_lcm",
     "q_number",
     "gauss_binomial",
     "q_gamma_int",
@@ -396,10 +397,13 @@ class QScalar:
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QScalar.coerce(other)
-        if not isinstance(other, QScalar):
-            return NotImplemented
+        # `type(other) is QScalar` first: Fraction is an ABC, so its
+        # isinstance test is slow
+        if type(other) is not QScalar:
+            if isinstance(other, (int, Fraction)):
+                other = QScalar.coerce(other)
+            elif not isinstance(other, QScalar):
+                return NotImplemented
         return (self.val == other.val and self.num == other.num
                 and self.den == other.den)
 
@@ -469,6 +473,16 @@ Q = _new(1, _PONE, _PONE)
 def q_pow(k: int) -> QScalar:
     """q^k for any integer k."""
     return _new(k, _PONE, _PONE)
+
+
+def denominator_lcm(values) -> QScalar:
+    """The lcm L of the q-free denominators of the values, lc(L) > 0, so
+    that every value times L is a Laurent polynomial in q (den 1)."""
+    lcm = ONE
+    for v in values:
+        # the den of v * lcm is den(v) / gcd(den(v), lcm)
+        lcm = lcm * QScalar((v * lcm).den)
+    return lcm
 
 
 def q_number(n: int) -> QScalar:

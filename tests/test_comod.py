@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import comod_oracle
 import gram_oracle
 from qsu2 import comod, linalg, scalars
 from qsu2.coherent import gram
@@ -40,6 +41,38 @@ def test_coaction_matches_manin_powers():
         for i in range(n + 1):
             e_i = [ONE if k == i else ZERO for k in range(n + 1)]
             assert V.coaction(e_i) == rho_x ** i * rho_y ** (n - i), (n, i)
+
+
+def test_coaction_matrix_matches_power_oracle():
+    # V_n extended from V_(n-1) degree by degree against the columns read
+    # off rho(x)^i rho(y)^(n-i)
+    for n in range(11):
+        got = VnComodule(n).coaction_matrix
+        want = comod_oracle.coaction_matrix(n)
+        assert ([[x.terms for x in row] for row in got]
+                == [[x.terms for x in row] for row in want]), n
+
+
+def test_vn_build_does_not_nest_a_call_per_degree(monkeypatch):
+    # a V_n that recursed through the cache would nest n calls, and a deep
+    # enough n would end in a RecursionError
+    build = comod.VnComodule
+    depth, deepest = [0], [0]
+
+    def counted(n):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return build(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(comod, "VnComodule", counted)
+    build.cache_clear()
+    V = counted(12)
+    assert deepest[0] <= 2
+    assert V.n == 12 and len(V.coaction_matrix) == 13
+    assert V.coaction_matrix[0][0] == G.gen("d", 12)
 
 
 def test_negative_n_rejected_on_every_call():

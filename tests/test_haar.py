@@ -3,13 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import haar_oracle
+from qsu2 import scalars
+from qsu2.charts import chart
+from qsu2.coherent import assembled_coefficients
 from qsu2.haar import (haar, verify_invariance, verify_positivity,
                        zeta_moment, zeta_moment_closed_form_report)
 from qsu2.hopf import hopf_G
 from qsu2.ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
                         parse_element, star)
-from qsu2.scalars import ONE, Q, q_number, q_pow
+from qsu2.scalars import ONE, Q, QScalar, q_number, q_pow
 from rewriting_oracle import random_word
 
 G = STD.G
@@ -63,15 +68,20 @@ def test_invariance_suite():
 
 
 def test_invariance_fails_on_a_wrong_moment():
+    # the monomial integrals and the moment weights are cached from the
+    # true moments, so both caches are cleared around the patch
     moment = haar_module.zeta_moment
-    haar_module._haar_K.cache_clear()
+    caches = (haar_module._haar_K, haar_module._moment_weights)
+    for cache in caches:
+        cache.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(haar_module, "zeta_moment",
                        lambda r: moment(r) + ONE if r == 2 else moment(r))
             left, right = verify_invariance(5)
     finally:
-        haar_module._haar_K.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert left["status"] == right["status"] == "fail"
     assert left["witness"] == "c^2 d^2"
     assert right["witness"] == "b^2 d^2"
@@ -142,3 +152,84 @@ def test_star_symmetry():
 def test_localized_argument_rejected():
     with pytest.raises(DomainError):
         haar(STD.Gd.gen("d", -1))
+
+
+# -- the Laurent-weighted sum against the per-term rational oracle -----------
+
+def test_haar_matches_oracle_on_basis_monomials():
+    for mono in G.basis_monomials(8):
+        p = NCPoly(G, {mono: ONE})
+        assert haar(p) == haar_oracle.haar(p), mono
+
+
+def test_haar_matches_oracle_on_resolution_integrands():
+    # the integrands r_i r_k^* of resolution_operator(n).matrix
+    for n in range(5):
+        r = assembled_coefficients(chart("d"), n)
+        for x in r:
+            for y in r:
+                p = x * star(y)
+                assert haar(p) == haar_oracle.haar(p), n
+
+
+@st.composite
+def rational_elements(draw):
+    """Elements of G on the degree-4 basis whose coefficients have
+    denominators that are not powers of q."""
+    basis = G.basis_monomials(4)
+    coeff = st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
+                     max_size=3)
+    terms = {}
+    for mono in draw(st.lists(st.sampled_from(basis), min_size=1,
+                              max_size=6)):
+        num = draw(coeff)
+        den = draw(coeff) + [1]  # nonzero, and never a lone power of q
+        den[0] = den[0] or 1
+        c = QScalar(num, den)
+        if c:
+            terms[mono] = c
+    # one (bc)^r term with a genuinely rational coefficient
+    r = draw(st.integers(min_value=0, max_value=2))
+    terms[(0, r, r, 0)] = QScalar(draw(coeff) + [1], (1, 1))
+    return NCPoly(G, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_elements())
+def test_haar_matches_oracle_on_rational_coefficients(p):
+    assert haar(p) == haar_oracle.haar(p)
+
+
+def _gcd_calls(monkeypatch, integrate, p):
+    calls = []
+    gcd = scalars._pgcd_full
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scalars, "_pgcd_full", counted)
+        value = integrate(p)
+    return value, len(calls)
+
+
+def test_haar_divides_once_on_a_laurent_integrand(monkeypatch):
+    # sum_r c_r (bc)^r for r = 0..8 with Laurent c_r, plus terms the
+    # integral kills; every integrand has top 8, so the weights are cached
+    # once and the gcd count stays flat as terms are added
+    bc = [NCPoly(G, {(0, r, r, 0): q_pow(r) - 2}) for r in range(9)]
+    noise = g("a b + q^-1 c d^2")
+    haar(bc[8])
+    counts, oracle_counts = [], []
+    for k in range(9):
+        p = sum(bc[8 - k:], noise)
+        value, count = _gcd_calls(monkeypatch, haar, p)
+        oracle_value, oracle_count = _gcd_calls(
+            monkeypatch, haar_oracle.haar, p)
+        assert value == oracle_value
+        counts.append(count)
+        oracle_counts.append(oracle_count)
+    assert counts == [counts[0]] * 9 and counts[0] <= 2, counts
+    # the per-term oracle is the growth the one division removes
+    assert oracle_counts[-1] > oracle_counts[0] + 8, oracle_counts

@@ -225,6 +225,27 @@ def test_laurent_values_keep_q_apart():
     assert (q_pow(-3).val, q_pow(-3).num, q_pow(-3).den) == (-3, (1,), (1,))
 
 
+def test_equality_of_two_scalars_skips_the_fraction_abc(monkeypatch):
+    # Fraction is an ABC: an isinstance test against it goes through
+    # ABCMeta.__instancecheck__, which a QScalar operand must not reach
+    import abc
+    seen = []
+    instancecheck = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        if cls is Fraction:
+            seen.append(instance)
+        return instancecheck(cls, instance)
+
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    x = S("q/(q + 1)")
+    assert x == S("q/(q + 1)") and x != ONE and not x == ZERO
+    assert seen == []
+    # ints and Fractions still compare by value; other types do not compare
+    assert ONE == 1 and q_pow(0) * Fraction(1, 2) == Fraction(1, 2)
+    assert x.__eq__("q") is NotImplemented
+
+
 # -- q-integers ---------------------------------------------------------------
 
 def test_q_number_small():
