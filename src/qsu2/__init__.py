@@ -17,7 +17,7 @@ from .comod import (GramForm, NonScalarError, VnComodule, pairing,
 from .charts import (Cover, TrivializationChart, build_gamma, chart,
                      cover, cover_equalizer, gauss_decompose,
                      localized_coinvariants, verify_chart)
-from .bundle import (Section, CotensorSlice, cotensor_slice, glue_iso_check,
+from .bundle import (Section, cotensor_slice, glue_iso_check,
                      kappa, kappa_bar, sections_space)
 from .haar import haar, verify_invariance, verify_positivity, zeta_moment
 from .coherent import (CoherentFamily, ResolutionResult, classical_limit_report,

@@ -4,6 +4,11 @@ gluing isomorphism with the cotensor product.
 Everything is instantiated on the fixed two-chart cover and the comodules
 C_chi and V_n; kernels are computed on filtration slices with exact linear
 algebra, and a dimension change between consecutive cutoffs fails the run.
+
+A finite-dimensional left B-comodule is its coaction matrix L over B: basis
+vector j coacts as e_j -> sum_k L[j][k] (x) e_k.  C_chi is the 1x1 matrix
+[[lambda^-n]], and V_n's matrix is read from its right G-coaction matrix t
+through pi and the antipode of B.  The cotensor slice is its basis list.
 """
 
 from __future__ import annotations
@@ -11,15 +16,13 @@ from __future__ import annotations
 from . import linalg
 from .charts import TrivializationChart, coinv_poly_coeffs, cover, weight_slice
 from .comod import VnComodule
-from .hopf import hopf_B, hopf_G
+from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, tensor_elem
 from .report import check
 from .scalars import ZERO
 
 __all__ = [
     "Section",
-    "CotensorSlice",
-    "LeftBComodule",
     "c_chi",
     "vn_left_comodule",
     "kappa",
@@ -31,82 +34,59 @@ __all__ = [
 ]
 
 
-class LeftBComodule:
-    """A finite-dimensional left B-comodule given by basis coactions.
-
-    `coact(j)` returns the left coaction of basis vector j as a list of
-    (element of B, basis index) pairs.
-    """
-
-    def __init__(self, name, dim, coactions):
-        self.name = name
-        self.dim = dim
-        self._coactions = coactions
-
-    def coact(self, j):
-        return self._coactions[j]
+def c_chi(n: int):
+    """The coaction matrix of the one-dimensional comodule 1 -> chi (x) 1."""
+    return [[STD.B.gen("lambda", -n)]]
 
 
-def c_chi(n: int) -> LeftBComodule:
-    """The one-dimensional comodule with left coaction 1 -> chi (x) 1."""
-    return LeftBComodule(f"C_chi(n={n})", 1,
-                         [[(STD.B.gen("lambda", -n), 0)]])
+def vn_left_comodule(n: int):
+    """The coaction matrix of V_n as a left B-comodule via the standard
+    antipode side conversion: L[i][j] = S_B(pi(t[j][i])), so
+    e_i -> sum_j S_B(pi(t[j][i])) (x) e_j."""
+    t = VnComodule(n).coaction_matrix
+    pi = pi_map()
+    S_B = hopf_B().antipode
+    return [[S_B(pi(t[j][i])) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def vn_left_comodule(n: int) -> LeftBComodule:
-    """V_n as a left B-comodule via the standard antipode side conversion:
-    e_i -> sum_j S_B(tB[j][i]) (x) e_j."""
-    V = VnComodule(n)
-    tB = V.rho_B_matrix()
-    HB = hopf_B()
-    coactions = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            s = HB.antipode(tB[j][i])
-            if not s.is_zero():
-                row.append((s, j))
-        coactions.append(row)
-    return LeftBComodule(f"V_{n} (left)", n + 1, coactions)
-
-
-def _twist(ch: TrivializationChart, F, M: LeftBComodule, phi):
-    """sum e_j phi(m_(-1)) (x) m_(0) for a map phi: B -> chart."""
-    out = [ch.alg.zero() for _ in range(M.dim)]
-    for j, f in enumerate(F):
+def _twist(ch: TrivializationChart, F, L, phi):
+    """sum_k e_k (sum_j F_j phi(L[j][k])) for a map phi: B -> chart."""
+    out = [ch.alg.zero() for _ in L]
+    for f, row in zip(F, L):
         if f.is_zero():
             continue
-        for beta, k in M.coact(j):
-            out[k] = out[k] + f * phi(beta)
+        for k, beta in enumerate(row):
+            if not beta.is_zero():
+                out[k] = out[k] + f * phi(beta)
     return out
 
 
-def kappa(ch: TrivializationChart, F, M: LeftBComodule):
+def kappa(ch: TrivializationChart, F, L):
     """kappa^gamma(sum e_j (x) m_j) = sum e_j gamma(m_(-1)) (x) m_(0).
 
-    F is a list of chart elements indexed by the M basis."""
-    return _twist(ch, F, M, ch.gamma)
+    F is a list of chart elements indexed by the basis of the comodule
+    with coaction matrix L."""
+    return _twist(ch, F, L, ch.gamma)
 
 
-def kappa_bar(ch: TrivializationChart, F, M: LeftBComodule):
+def kappa_bar(ch: TrivializationChart, F, L):
     """The convolution inverse: gamma o S_B in place of gamma."""
     S_B = hopf_B().antipode
-    return _twist(ch, F, M, lambda beta: ch.gamma(S_B(beta)))
+    return _twist(ch, F, L, lambda beta: ch.gamma(S_B(beta)))
 
 
-def in_cotensor(ch: TrivializationChart, F, M: LeftBComodule) -> bool:
-    """Membership in E box M: (rho_E x id)F = (id x rho_M)F."""
+def in_cotensor(ch: TrivializationChart, F, L) -> bool:
+    """Membership in E box M, M the comodule with coaction matrix L:
+    (rho_E x id)F = (id x rho_M)F."""
     EB = ch.target  # chart (x) B
-    for j in range(M.dim):
+    for j in range(len(L)):
         # slot j of (rho_E x id)F is rho_B(F_j); slot j of (id x rho_M)F
-        # collects F_i (x) beta over coactions e_i -> beta (x) e_j
-        lhs = ch.rho_B(F[j])
+        # is sum_i F_i (x) L[i][j]
         rhs = EB.zero()
-        for i in range(M.dim):
-            for beta, k in M.coact(i):
-                if k == j:
-                    rhs = rhs + tensor_elem(EB, [F[i], beta])
-        if lhs != rhs:
+        for f, row in zip(F, L):
+            if not row[j].is_zero():
+                rhs = rhs + tensor_elem(EB, [f, row[j]])
+        if ch.rho_B(F[j]) != rhs:
             return False
     return True
 
@@ -141,22 +121,9 @@ class Section:
         return f"Section(n={self.n}, f_b={self.f_b}, f_d={self.f_d})"
 
 
-class CotensorSlice:
+def cotensor_slice(n: int, degree: int):
     """Basis of {g in G : rho_B(g) = g (x) lambda^-n} within a cutoff."""
-
-    def __init__(self, n: int, degree: int, basis):
-        self.n = n
-        self.degree = degree
-        self.basis = basis
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-def cotensor_slice(n: int, degree: int) -> CotensorSlice:
-    return CotensorSlice(
-        n, degree, weight_slice(STD.G, STD.B.gen("lambda", -n), degree))
+    return weight_slice(STD.G, STD.B.gen("lambda", -n), degree)
 
 
 def sections_space(n: int, degree: int):
@@ -229,16 +196,16 @@ def glue_iso_check(n: int, degree: int):
     slice_next = cotensor_slice(n, degree + 1)
     secs_now = sections_space(n, degree)
     secs_next = sections_space(n, degree + 1)
-    emit("cotensor_dim", slice_now.dim == n + 1,
+    emit("cotensor_dim", len(slice_now) == n + 1,
          "Gamma L_chi isomorphic to the cotensor product; dim = n+1",
-         slice_now.dim)
+         len(slice_now))
     emit("sections_dim", len(secs_now) == n + 1,
          "space of gluing pairs f_lambda gamma_lambda(chi) = ...",
          len(secs_now))
     emit("cutoff_stability",
-         slice_next.dim == slice_now.dim and len(secs_next) == len(secs_now),
+         len(slice_next) == len(slice_now) and len(secs_next) == len(secs_now),
          "dimensions stable under cutoff increase",
-         (slice_now.dim, slice_next.dim, len(secs_now), len(secs_next)))
+         (len(slice_now), len(slice_next), len(secs_now), len(secs_next)))
 
     # bijectivity of the gluing map
     gb_inv = cov.b.gamma(B.gen("lambda", n))
@@ -247,7 +214,7 @@ def glue_iso_check(n: int, degree: int):
     images = []
     ok = True
     witness = None
-    for g in slice_now.basis:
+    for g in slice_now:
         f_b = cov.b.iota(g) * gb_inv
         f_d = cov.d.iota(g) * gd_inv
         try:
@@ -272,32 +239,33 @@ def glue_iso_check(n: int, degree: int):
     # kappa / kappa-bar on the unit rows, both comodules, both charts:
     # `_twist` multiplies each F_j on the left, so both maps are left-linear
     # over the chart and the unit rows decide the identities for every F
-    def unit_row_fails(ch, M, j):
-        F = [ch.alg.one() if k == j else ch.alg.zero() for k in range(M.dim)]
-        return (kappa(ch, kappa_bar(ch, F, M), M) != F
-                or kappa_bar(ch, kappa(ch, F, M), M) != F)
+    def unit_row_fails(ch, L, j):
+        F = [ch.alg.one() if k == j else ch.alg.zero() for k in range(len(L))]
+        return (kappa(ch, kappa_bar(ch, F, L), L) != F
+                or kappa_bar(ch, kappa(ch, F, L), L) != F)
 
-    witness = next(((ch.name, M.name, f"unit row {j}")
+    comodules = ((f"C_chi(n={n})", c_chi(n)),
+                 (f"V_{n} (left)", vn_left_comodule(n)))
+    witness = next(((ch.name, name, f"unit row {j}")
                     for ch in (cov.d, cov.b)
-                    for M in (c_chi(n), vn_left_comodule(n))
-                    for j in range(M.dim) if unit_row_fails(ch, M, j)), None)
+                    for name, L in comodules
+                    for j in range(len(L)) if unit_row_fails(ch, L, j)), None)
     emit("kappa_inverse", witness is None,
          "kappa o kappa-bar = Id = kappa-bar o kappa", witness)
 
     # image characterization at the cutoff
     ok = True
     witness = None
+    L = c_chi(n)
     for ch in (cov.d, cov.b):
-        M = c_chi(n)
         for k in range(degree + 1):
-            F = [ch.coinv_gen ** k]
-            img = kappa(ch, F, M)
-            if not in_cotensor(ch, img, M):
+            img = kappa(ch, [ch.coinv_gen ** k], L)
+            if not in_cotensor(ch, img, L):
                 ok, witness = False, (ch.name, f"u^{k}")
                 break
         # localized cotensor elements map back into coinvariants (x) M
         for h in weight_slice(ch.alg, B.gen("lambda", -n), max(2, n)):
-            back = kappa_bar(ch, [h], M)
+            back = kappa_bar(ch, [h], L)
             if not coinvariant_components(ch, back):
                 ok, witness = False, (ch.name, str(h))
                 break
@@ -310,14 +278,13 @@ def glue_iso_check(n: int, degree: int):
     HG = hopf_G()
     GG = HG.T2
     m = n + 1
-    s_basis = slice_now.basis
-    delta_s = [HG.delta(s) for s in s_basis]
+    delta_s = [HG.delta(s) for s in slice_now]
     # unknown Phi[jj][kk] enters the row-j equation
     # Delta(sum_k Phi[j][k] s_k) = sum_i t[j][i] (x) (sum_k Phi[i][k] s_k)
     # on the left when j = jj, and on the right through i = jj for every j
     columns = [linalg.column({
         j: (delta_s[kk] if j == jj else GG.zero())
-        - tensor_elem(GG, [t[j][jj], s_basis[kk]]) for j in range(m)})
+        - tensor_elem(GG, [t[j][jj], slice_now[kk]]) for j in range(m)})
         for jj in range(m) for kk in range(m)]
     sols = linalg.kernel_basis(columns)
     phi_ok = False

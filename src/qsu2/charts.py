@@ -125,17 +125,18 @@ def gauss_decompose(ch: TrivializationChart) -> GaussDecomposition:
     """Solve T = wUA for both permutation matrices; keep the solvable one.
 
     Solvability needs (w^-1 T)_22 invertible in the chart, which selects
-    w = id on the d-chart and the transposition on the b-chart.
+    w = id on the d-chart and the transposition on the b-chart.  Whether
+    wUA multiplies back to T is recorded as `verified`, not assumed; only
+    a chart where no w is solvable raises.
     """
     alg = ch.alg
     T = [[alg.gen("a"), alg.gen("b")], [alg.gen("c"), alg.gen("d")]]
-    solutions = {}
+    solvable = []
     for w_is_identity in (True, False):
         M = T if w_is_identity else [T[1], T[0]]
         try:
             a22_inv = M[1][1].monomial_inverse()
         except DomainError:
-            solutions[w_is_identity] = None
             continue
         u = M[0][1] * a22_inv
         A21, A22 = M[1][0], M[1][1]
@@ -146,13 +147,11 @@ def gauss_decompose(ch: TrivializationChart) -> GaussDecomposition:
         if not w_is_identity:
             wUA = [wUA[1], wUA[0]]
         verified = all(wUA[i][j] == T[i][j] for i in range(2) for j in range(2))
-        solutions[w_is_identity] = GaussDecomposition(w_is_identity, U, A,
-                                                      verified)
-    good = [s for s in solutions.values() if s is not None and s.verified]
-    if len(good) != 1:
-        raise DomainError(f"{ch.name}: Gauss decomposition not unique")
-    dec = good[0]
-    dec.other_w_solvable = solutions[not dec.w_is_identity] is not None
+        solvable.append(GaussDecomposition(w_is_identity, U, A, verified))
+    if not solvable:
+        raise DomainError(f"{ch.name}: no permutation w solves T = wUA")
+    dec = solvable[0]
+    dec.other_w_solvable = len(solvable) == 2
     return dec
 
 

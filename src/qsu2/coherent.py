@@ -17,7 +17,7 @@ import functools
 from fractions import Fraction
 
 from .charts import TrivializationChart, chart, cover
-from .comod import (GramForm, VnComodule, schur_scalar,
+from .comod import (GramForm, VnComodule, pairing, schur_scalar,
                     solve_coinvariant_gram)
 from .haar import haar
 from .ncalg import DomainError, NCPoly, STD, retract, star, tensor_elem
@@ -119,13 +119,10 @@ def section_property_check(n: int):
     checks = []
     for k in range(n + 1):
         vec = [ONE if i == k else ZERO for i in range(n + 1)]
-        fb = sum((fam_b.coefficients[i] * (g.diag[i] * QScalar.coerce(v))
-                  for i, v in enumerate(vec)), cov.b.alg.zero())
-        fd = sum((fam_d.coefficients[i] * (g.diag[i] * QScalar.coerce(v))
-                  for i, v in enumerate(vec)), cov.d.alg.zero())
         witness = None
         try:
-            Section(fb, fd, n)
+            Section(pairing(fam_b.coefficients, vec, g),
+                    pairing(fam_d.coefficients, vec, g), n)
         except DomainError as exc:
             witness = exc
         checks.append(check(
@@ -161,9 +158,10 @@ def resolution_operator(n: int) -> ResolutionResult:
     """Integrate |C> dmu <C| and certify the scalar operator.
 
     Assembles, per chart, the V (x) G (x) V* element with entries
-    r_i r_j^* where r_i = (C_lambda)_i gamma_lambda(chi); the two charts
-    must give the identical element (lambda-independence), and the
-    Gram-weighted Haar integral must be an exact scalar matrix.
+    r_i r_j^* where r_i = (C_lambda)_i gamma_lambda(chi).  Whether the two
+    charts give the identical element (lambda-independence) is recorded as
+    `chart_agreement`; the matrix is integrated from the d-chart element.
+    The Gram-weighted Haar integral must be an exact scalar matrix.
     """
     cov = cover()
     r_b = assembled_coefficients(cov.b, n)
@@ -176,15 +174,11 @@ def resolution_operator(n: int) -> ResolutionResult:
 
     triple_b = triple(r_b)
     triple_d = triple(r_d)
-    agreement = triple_b == triple_d
-    if not agreement:
-        raise DomainError(
-            f"chart-assembled V(x)G(x)V* elements differ for n={n}")
     g = gram(n)
     matrix = [[haar(triple_d[(i, k)]) * g.diag[k] for k in range(m)]
               for i in range(m)]
     alpha = schur_scalar(matrix, n)
-    return ResolutionResult(n, matrix, alpha, agreement)
+    return ResolutionResult(n, matrix, alpha, triple_b == triple_d)
 
 
 def lemma_integral(i: int, j: int, n: int) -> QScalar:

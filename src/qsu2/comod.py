@@ -2,8 +2,10 @@
 inner product.
 
 V_n is spanned by the monomials x^i y^(n-i); elements are plain coefficient
-lists over that basis.  Every coaction of V_n is read from its coaction
-matrix t: rho(v) = sum_j e_j (x) w_j with w_j = sum_i t[j][i] v_i.  t is
+lists over that basis.  A comodule is its coaction matrix t, and nothing
+else: rho(v) = sum_j e_j (x) w_j is carried as its list of components
+w_j = sum_i t[j][i] v_i in G, weight covectors are read from pi(t) entry by
+entry, and an element of V_n (x) A is its list of A-components.  t is
 built degree by degree, since x^i y^(n-i) = (x^i y^(n-1-i)) y and
 x^n = x^(n-1) x in the Manin plane: each step multiplies every entry of
 the V_(n-1) matrix by one generator of G (and the Manin factor q^-k).  The
@@ -34,10 +36,8 @@ import functools
 from . import linalg
 from .haar import haar
 from .hopf import pi_map
-from .ncalg import (DomainError, NCPoly, STD, apply_tensor_map, star,
-                    tensor_elem)
-from .scalars import (ONE, QScalar, ZERO, denominator_lcm, gauss_binomial,
-                      q_pow)
+from .ncalg import DomainError, NCPoly, STD, star, tensor_elem
+from .scalars import ONE, QScalar, ZERO, denominator_lcm, gauss_binomial, q_pow
 
 __all__ = [
     "VnComodule",
@@ -78,7 +78,6 @@ class VnComodule:
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n
-        self.MG = STD.tensor(STD.M, STD.G)
         t = [[STD.G.one()]]
         for k in range(1, n + 1):
             t = _extend_coaction_matrix(t, k)
@@ -100,19 +99,6 @@ class VnComodule:
         vec = [QScalar.coerce(c) for c in vec]
         return [sum((t_j[i] * c for i, c in enumerate(vec) if c),
                     STD.G.zero()) for t_j in self.coaction_matrix]
-
-    def coaction(self, vec) -> NCPoly:
-        """rho(v) in Manin (x) G for a coefficient vector over the e_i."""
-        out = self.MG.zero()
-        for j, w in enumerate(self.components(vec)):
-            e_j = NCPoly(STD.M, {(j, self.n - j): ONE})
-            out = out + tensor_elem(self.MG, [e_j, w])
-        return out
-
-    def rho_B_matrix(self):
-        """The Borel coaction matrix pi(t) over B."""
-        pi = pi_map()
-        return [[pi(x) for x in row] for row in self.coaction_matrix]
 
 
 def _extend_coaction_matrix(t, n: int):
@@ -174,35 +160,27 @@ def verify_comodule_axioms(n: int) -> bool:
 
 
 def weight_covectors(n: int, chi_elem: NCPoly):
-    """Spanning vectors of {v in V_n : (id x pi) rho(v) = v (x) chi}."""
-    V = VnComodule(n)
+    """Spanning vectors of {v in V_n : (id x pi) rho(v) = v (x) chi}.
+
+    Read entry by entry, the condition says sum_i (pi(t[j][i]) - delta_ij
+    chi) v_i = 0 in B for every j."""
+    t = VnComodule(n).coaction_matrix
     pi = pi_map()
-    MB = STD.tensor(STD.M, STD.B)
-    columns = []
-    for i in range(n + 1):
-        vec = [ONE if k == i else ZERO for k in range(n + 1)]
-        lhs = apply_tensor_map(V.coaction(vec), [None, pi.image], MB)
-        mono_i = [0, 0]
-        mono_i[0] = i
-        mono_i[1] = n - i
-        rhs = tensor_elem(MB, [NCPoly(STD.M, {tuple(mono_i): ONE}), chi_elem])
-        diff = lhs - rhs
-        columns.append(dict(diff.terms))
-    return linalg.kernel_basis(columns)
+    return linalg.kernel_basis([linalg.column(
+        {j: pi(t[j][i]) - chi_elem if i == j else pi(t[j][i])
+         for j in range(n + 1)}) for i in range(n + 1)])
 
 
 class GramForm:
     """Diagonal coinvariant Gram matrix on the monomial basis of V_n."""
 
-    def __init__(self, n: int, diag, order_convention: str):
+    def __init__(self, n: int, diag):
         self.n = n
         self.diag = list(diag)
-        self.order_convention = order_convention
 
     def __repr__(self):
         return (f"GramForm(n={self.n}, diag=[" +
-                ", ".join(str(d) for d in self.diag) +
-                f"], order={self.order_convention})")
+                ", ".join(str(d) for d in self.diag) + "])")
 
 
 def _inverse_binomials(n: int):
@@ -302,7 +280,7 @@ def solve_coinvariant_gram(n: int) -> GramForm:
         raise DomainError(
             f"the Haar-averaged Gram form of V_{n} is not coinvariant at "
             f"(k, l) = {defect}")
-    return GramForm(n, diag, STAR_FIRST)
+    return GramForm(n, diag)
 
 
 def gram_order_report(n: int):
@@ -324,24 +302,18 @@ def gram_order_report(n: int):
     return out
 
 
-def pairing(F: NCPoly, vec, gram: GramForm) -> NCPoly:
-    """<F | v> for F in V_n (x) A: antilinear in the V-slot of F, linear in
-    v, with the diagonal Gram pairing; returns an element of A."""
-    talg = F.alg
-    M = STD.M
-    assert talg.factors and talg.factors[0] is M
-    A = talg.factors[1]
-    out = A.zero()
-    n = gram.n
-    for mono, c in F.terms.items():
-        mm, am = talg.split_mono(mono)
-        i = mm[0]
-        assert mm[0] + mm[1] == n, "pairing needs homogeneous degree n"
-        v_i = QScalar.coerce(vec[i])
-        if v_i.is_zero():
-            continue
-        # coefficients are real rational functions, conjugation is identity
-        out = out + NCPoly(A, {am: ONE}) * (c * gram.diag[i] * v_i)
+def pairing(F, vec, gram: GramForm) -> NCPoly:
+    """<F | v> for F = sum_i e_i (x) F[i] in V_n (x) A, given as its list of
+    A-components: antilinear in the V-slot of F, linear in v, with the
+    diagonal Gram pairing.  Returns sum_i F[i] g_i v_i in A (the
+    coefficients are real rational functions, so conjugation is the
+    identity)."""
+    assert len(F) == gram.n + 1, "pairing needs the n + 1 components of F"
+    out = F[0].alg.zero()
+    for f, g_i, v_i in zip(F, gram.diag, vec):
+        v_i = QScalar.coerce(v_i)
+        if not v_i.is_zero():
+            out = out + f * (g_i * v_i)
     return out
 
 

@@ -1,15 +1,24 @@
-"""The coaction matrix of V_n as `qsu2.comod.VnComodule` built it before it
-extended V_(n-1) by one generator: every column read off the power
-rho(x)^i rho(y)^(n-i) in Manin (x) G.
+"""Two old code paths of `qsu2.comod`, kept here only as oracles
+(tests/test_comod.py).
 
-It is kept here only as an oracle for the coaction matrix
-(tests/test_comod.py), so it shares neither the degree-by-degree recursion
-nor the Manin commutation factor with the code under test.
+`coaction_matrix` is the coaction matrix of V_n as `VnComodule` built it
+before it extended V_(n-1) by one generator: every column read off the power
+rho(x)^i rho(y)^(n-i) in Manin (x) G.  It shares neither the degree-by-degree
+recursion nor the Manin commutation factor with the code under test.
+
+`coaction` and `weight_covectors` are the tensor form of the coaction that
+`comod` used before a comodule was only its coaction matrix: rho(v) as an
+element of Manin (x) G, and the weight condition (id x pi) rho(v) = v (x) chi
+solved on its Manin (x) B monomials.
 """
 
 from __future__ import annotations
 
-from qsu2.ncalg import NCPoly, STD, tensor_elem
+from qsu2 import linalg
+from qsu2.comod import VnComodule
+from qsu2.hopf import pi_map
+from qsu2.ncalg import NCPoly, STD, apply_tensor_map, tensor_elem
+from qsu2.scalars import ONE, ZERO
 
 
 def coaction_matrix(n: int):
@@ -29,3 +38,26 @@ def coaction_matrix(n: int):
             assert mm[0] + mm[1] == n
             t[j][i] = t[j][i] + NCPoly(G, {gm: c})
     return t
+
+
+def coaction(n: int, vec) -> NCPoly:
+    """rho(v) in Manin (x) G for a coefficient vector over the e_i."""
+    MG = STD.tensor(STD.M, STD.G)
+    out = MG.zero()
+    for j, w in enumerate(VnComodule(n).components(vec)):
+        e_j = NCPoly(STD.M, {(j, n - j): ONE})
+        out = out + tensor_elem(MG, [e_j, w])
+    return out
+
+
+def weight_covectors(n: int, chi_elem: NCPoly):
+    """Spanning vectors of {v in V_n : (id x pi) rho(v) = v (x) chi}."""
+    pi = pi_map()
+    MB = STD.tensor(STD.M, STD.B)
+    columns = []
+    for i in range(n + 1):
+        vec = [ONE if k == i else ZERO for k in range(n + 1)]
+        lhs = apply_tensor_map(coaction(n, vec), [None, pi.image], MB)
+        rhs = tensor_elem(MB, [NCPoly(STD.M, {(i, n - i): ONE}), chi_elem])
+        columns.append(dict((lhs - rhs).terms))
+    return linalg.kernel_basis(columns)

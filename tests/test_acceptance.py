@@ -126,7 +126,7 @@ def test_criterion_5_bundle_suite():
             checks = bundle.glue_iso_check(n, max(n, 2))
             _assert_all_pass(checks)
             assert len(bundle.sections_space(n, max(n, 2))) == n + 1
-            assert bundle.cotensor_slice(n, max(n, 2)).dim == n + 1
+            assert len(bundle.cotensor_slice(n, max(n, 2))) == n + 1
 
     _run(5, "bundle: dim(sections) = dim(cotensor) = n+1 stable for "
             "n = 0..4; kappa o kappa-bar = id; glue iso intertwines V_n",

@@ -14,18 +14,18 @@ from rewriting_oracle import random_word
 
 def test_cotensor_slice_n1():
     sl = cotensor_slice(1, 1)
-    assert sl.dim == 2
-    basis = {str(p) for p in sl.basis}
+    assert len(sl) == 2
+    basis = {str(p) for p in sl}
     assert basis == {"b", "d"}
 
 
 def test_cotensor_slice_n2():
     sl = cotensor_slice(2, 2)
-    assert {str(p) for p in sl.basis} == {"b^2", "b d", "d^2"}
+    assert {str(p) for p in sl} == {"b^2", "b d", "d^2"}
 
 
 def test_cotensor_slice_stable():
-    assert cotensor_slice(1, 3).dim == 2
+    assert len(cotensor_slice(1, 3)) == 2
 
 
 def test_sections_dims():
@@ -65,7 +65,7 @@ def test_kappa_kappa_bar_inverse():
         for M in (c_chi(2), vn_left_comodule(1)):
             for _ in range(25):
                 F = [normal_form_of_word(ch.alg, random_word(ch.alg, rng, 3))
-                     for _ in range(M.dim)]
+                     for _ in range(len(M))]
                 assert kappa(ch, kappa_bar(ch, F, M), M) == F
                 assert kappa_bar(ch, kappa(ch, F, M), M) == F
 
@@ -107,5 +107,5 @@ def test_dims_all_cutoffs():
     # dim(sections) = dim(cotensor) = n+1 for every cutoff in [n+1, 6]
     for n in range(5):
         for degree in range(n + 1, 7):
-            assert cotensor_slice(n, degree).dim == n + 1
+            assert len(cotensor_slice(n, degree)) == n + 1
             assert len(sections_space(n, degree)) == n + 1

@@ -1,14 +1,17 @@
 """The suites' certificates: each fails under its own name, with a witness,
 when the engine function or datum it certifies is broken, and no suite
-draws a random number."""
+draws a random number.  `qsu2 resolution` reports such a failure as a JSON
+report and exit 1."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qsu2 import coherent, suites
-from qsu2.comod import STAR_FIRST, GramForm
+from qsu2 import charts, coherent, suites
+from qsu2.cli import main
+from qsu2.comod import GramForm
 from qsu2.ncalg import Algebra, STD, rewriting_certificate
 from qsu2.scalars import ONE, ZERO, q_pow
 
@@ -21,6 +24,20 @@ def _checks(suite, n_range=range(0, 4), degree=5):
 
 def _failed(check):
     return check["status"] == "fail" and "witness" in check
+
+
+@pytest.fixture
+def fresh_resolution():
+    # resolution_operator is cached: a fault must neither meet a result
+    # computed without it nor leave one behind
+    coherent.resolution_operator.cache_clear()
+    yield
+    coherent.resolution_operator.cache_clear()
+
+
+def _resolution_report(capsys, n):
+    code = main(["resolution", "--n", str(n)])
+    return code, json.loads(capsys.readouterr().out)
 
 
 def test_engine_draws_no_random_numbers(monkeypatch):
@@ -75,7 +92,7 @@ def test_theorem4_fails_on_a_wrong_gram_diagonal(monkeypatch):
     # the operator of w = e_0 is not scalar
     gram = coherent.gram
     monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
-        n, [ONE, q_pow(-2)], STAR_FIRST) if n == 1 else gram(n))
+        n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
     check = _checks("theorem4", n_range=range(1, 2))["theorem4.scalar_n1"]
     assert _failed(check)
     assert check["witness"].startswith("(['1', '0'], ")
@@ -95,3 +112,59 @@ def test_reproducing_fails_on_a_non_scalar_resolution_matrix(monkeypatch):
     check = _checks("coherent", n_range=range(1, 2))["reproducing.exact"]
     assert _failed(check)
     assert check["witness"] == "(1, 'E_00', 'e_1')"
+
+
+def test_resolution_reports_a_non_scalar_matrix(monkeypatch, capsys,
+                                                fresh_resolution):
+    # the printed-order Gram diagonal [1, q^-2] makes the resolution
+    # matrix non-scalar: a failed check, so a JSON report and exit 1
+    gram = coherent.gram
+    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
+        n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
+    code, rep = _resolution_report(capsys, 1)
+    assert code == 1
+    assert rep["matrix_is_scalar"] is False
+    # the operator raised before the charts were compared
+    assert rep["alpha_exact"] is None and rep["chart_agreement"] is None
+
+
+def test_chart_independence_fails_when_the_charts_disagree(monkeypatch,
+                                                           capsys,
+                                                           fresh_resolution):
+    assembled = coherent.assembled_coefficients
+
+    def skewed(ch, n):
+        r = assembled(ch, n)
+        if ch is charts.chart("b"):
+            r[0] = r[0] * 2
+        return r
+
+    monkeypatch.setattr(coherent, "assembled_coefficients", skewed)
+    check = _checks("coherent", n_range=range(1, 2))["n=1.chart_independence"]
+    assert check["status"] == "fail"
+    code, rep = _resolution_report(capsys, 1)
+    assert code == 1
+    assert rep["chart_agreement"] is False
+    # the matrix is integrated from the d-chart, which the fault leaves alone
+    assert rep["matrix_is_scalar"] is True
+
+
+def test_gauss_product_fails_on_a_wrong_matrix_product(monkeypatch):
+    mat_mul = charts._mat_mul
+
+    def skewed(A, B):
+        out = mat_mul(A, B)
+        out[0][0] = out[0][0] + out[0][0].alg.one()
+        return out
+
+    monkeypatch.setattr(charts, "_mat_mul", skewed)
+    charts.chart.cache_clear()
+    charts.cover.cache_clear()
+    try:
+        checks = _checks("charts", degree=2)
+    finally:
+        # the charts built under the fault must not outlive it
+        charts.chart.cache_clear()
+        charts.cover.cache_clear()
+    for which in ("d", "b"):
+        assert checks[f"{which}-chart.gauss_product"]["status"] == "fail"
