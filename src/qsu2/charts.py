@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .hopf import basis_words, hopf_B, hopf_G, law_check, pi_map
+from .hopf import hopf_B, hopf_G, law_check, pi_map
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     apply_tensor_map, retract, tensor_elem)
 from .report import check
@@ -182,10 +182,9 @@ def build_gamma(ch: TrivializationChart):
                        "xi_comodule": -tensor_elem(ch.target, [A22, xi])}),
     ]
     target = linalg.column({"ll_inv": alg.one(), "linv_l": alg.one()})
-    sol = linalg.in_span(columns, target)
+    sol, unique = linalg.in_span(columns, target)
     if sol is None:
         raise DomainError(f"{ch.name}: no gamma in the Gauss ansatz")
-    unique = not linalg.kernel_basis(columns)
     beta, delta = sol
     gamma = AlgebraMap(B, alg, {"lambda": A11, "xi": A21 * beta},
                        name=f"gamma[{ch.name}]")
@@ -343,8 +342,7 @@ def verify_chart(ch: TrivializationChart, degree: int = 4):
     HG = hopf_G()
     checks.append(law_check(
         f"{ch.name}.rho_B_restricts",
-        "the localization map is a map of B-comodule algebras",
-        degree, basis_words(G, degree),
+        "the localization map is a map of B-comodule algebras", G, degree,
         (lambda p: ch.rho_B(ch.iota(p)),
          lambda p: apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
                                     ch.target))))
@@ -367,7 +365,7 @@ def verify_chart(ch: TrivializationChart, degree: int = 4):
          "gamma(lambda) gamma(lambda^-1) = 1 = gamma(lambda^-1) gamma(lambda)")
     checks.append(law_check(
         f"{ch.name}.gamma_comodule_map", "rho_S gamma = (gamma x id) Delta_B",
-        max(degree, 1), basis_words(B, max(degree, 1)),
+        B, max(degree, 1),
         (lambda w: ch.rho_B(ch.gamma(w)),
          lambda w: apply_tensor_map(HB.delta(w), [ch.gamma.image, None],
                                     ch.target))))

@@ -129,9 +129,11 @@ def _extend_coaction_matrix(t, n: int):
 VnComodule = functools.cache(VnComodule)
 
 
-def verify_comodule_axioms(n: int) -> bool:
-    """(Delta t)_ik = sum_j t_ij (x) t_jk and eps(t_ik) = delta_ik, plus
-    homogeneity of degree n."""
+def verify_comodule_axioms(n: int):
+    """The first (axiom, i, k) at which the entry t[i][k] of the coaction
+    matrix breaks an axiom, or None: "coproduct" for
+    (Delta t)_ik = sum_j t_ij (x) t_jk, "counit" for eps(t_ik) = delta_ik,
+    "homogeneity" for homogeneity of degree n."""
     from .hopf import hopf_G
     HG = hopf_G()
     V = VnComodule(n)
@@ -144,19 +146,18 @@ def verify_comodule_axioms(n: int) -> bool:
             for j in range(n + 1):
                 rhs = rhs + tensor_elem(GG, [t[i][j], t[j][k]])
             if lhs != rhs:
-                return False
+                return ("coproduct", i, k)
             expect = ONE if i == k else ZERO
             if HG.counit(t[i][k]) != expect:
-                return False
+                return ("counit", i, k)
             # degree-n homogeneity survives ad -> 1 + qbc only as the
             # filtration bound plus the torus bigrading
             for mono in t[i][k].terms:
                 ka, r, s, td = mono
-                if sum(mono) > n:
-                    return False
-                if (ka + r - s - td, ka - r + s - td) != (2 * i - n, 2 * k - n):
-                    return False
-    return True
+                if (sum(mono) > n or (ka + r - s - td, ka - r + s - td)
+                        != (2 * i - n, 2 * k - n)):
+                    return ("homogeneity", i, k)
+    return None
 
 
 def weight_covectors(n: int, chi_elem: NCPoly):

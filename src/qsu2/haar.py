@@ -107,7 +107,6 @@ def verify_invariance(degree: int):
     monomials up to the degree."""
     G = STD.G
     HG = hopf_G()
-    basis = basis_words(G, degree)
 
     def integrate(images):
         return lambda p: apply_tensor_map(HG.delta(p), images, G)
@@ -116,10 +115,10 @@ def verify_invariance(degree: int):
         return G.scalar(haar(p))
 
     return [law_check(f"haar.left_invariance_deg{degree}",
-                      "(id x int) Delta(a) = (int a) 1_H", degree, basis,
+                      "(id x int) Delta(a) = (int a) 1_H", G, degree,
                       (integrate([None, _haar_K]), integral)),
             law_check(f"haar.right_invariance_deg{degree}",
-                      "two-sided invariance of the Haar state", degree, basis,
+                      "two-sided invariance of the Haar state", G, degree,
                       (integrate([_haar_K, None]), integral))]
 
 

@@ -115,12 +115,17 @@ def kernel_basis(columns):
     return basis
 
 
-def in_span(columns, target) -> list | None:
-    """Coefficients expressing `target` in the span of `columns`, or None."""
+def in_span(columns, target):
+    """(coefficients expressing `target` in the span of `columns`, or None;
+    whether `columns` are independent) from one elimination.
+
+    The kernel of columns + [target] is the kernel of `columns`, plus one
+    vector with a nonzero last entry when the target is in their span.
+    """
     ext = list(columns) + [target]
-    for v in kernel_basis(ext):
+    kernel = kernel_basis(ext)
+    for v in kernel:
         if v[-1]:
             inv = -v[-1].inverse()  # move target to the other side
-            return [x * inv for x in v[:-1]]
-    return None
-
+            return [x * inv for x in v[:-1]], len(kernel) == 1
+    return None, not kernel

@@ -31,7 +31,6 @@ __all__ = [
     "Algebra",
     "NCPoly",
     "AlgebraMap",
-    "linear_extension",
     "DomainError",
     "STD",
     "star",
@@ -523,24 +522,6 @@ class NCPoly:
 # algebra maps
 # ---------------------------------------------------------------------------
 
-def linear_extension(p: NCPoly, target: Algebra, image) -> NCPoly:
-    """sum of c * image(mono) over the terms of p, in a new term dict.
-
-    `image` is a memoized per-monomial map, so its values are shared and
-    only read here.  Terms are added in the order NCPoly addition would
-    add them.
-    """
-    out = {}
-    for mono, c in p.terms.items():
-        for m, v in image(mono).terms.items():
-            v = out.get(m, ZERO) + c * v
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return NCPoly(target, out)
-
-
 class AlgebraMap:
     """Multiplicative, linear extension of a generator assignment.
 
@@ -587,7 +568,7 @@ class AlgebraMap:
     @functools.cache
     def image(self, mono) -> NCPoly:
         """The image of one monomial.  Shared: callers only read it, as
-        `linear_extension` and `apply_tensor_map` do."""
+        `__call__` and `apply_tensor_map` do."""
         prod = self.target.one()
         order = reversed(range(len(mono))) if self.anti else range(len(mono))
         for i in order:
@@ -599,9 +580,19 @@ class AlgebraMap:
         return prod
 
     def __call__(self, p: NCPoly) -> NCPoly:
+        """sum of c * image(mono) over the terms of p, in a new term dict,
+        added in the order NCPoly addition would add them."""
         if p.alg is not self.source:
             raise DomainError(f"{self.name}: argument not in {self.source.name}")
-        return linear_extension(p, self.target, self.image)
+        out = {}
+        for mono, c in p.terms.items():
+            for m, v in self.image(mono).terms.items():
+                v = out.get(m, ZERO) + c * v
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return NCPoly(self.target, out)
 
     def check_relations(self):
         """Evaluate the source's defining relations on the images.
@@ -781,7 +772,7 @@ def apply_tensor_map(p: NCPoly, images, target: Algebra) -> NCPoly:
     image monomials of the factors are concatenated, so a factor map may
     land in a tensor product itself: (Delta (x) id) takes T2 to T3, and a
     factor mapped into K drops out.  The result owns a new term dict, as
-    in `linear_extension`.
+    that of `AlgebraMap.__call__` does.
     """
     src = p.alg
     assert src.factors and len(images) == len(src.factors)

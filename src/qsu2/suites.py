@@ -17,12 +17,6 @@ from .scalars import ONE, ZERO, q_number, q_pochhammer, q_pow
 __all__ = ["run_suite", "SUITES"]
 
 
-def _no_n_in(n_range, lo, hi):
-    """Witness of a check skipped because no requested n is in lo..hi."""
-    return (f"no n in {lo}..{hi} among the requested "
-            f"{min(n_range)}..{max(n_range)}")
-
-
 def suite_rewriting(n_range, degree, q0):
     checks = []
     for alg in (STD.G, STD.Gb, STD.Gd, STD.Gbd):
@@ -66,9 +60,10 @@ def suite_haar(n_range, degree, q0):
 def suite_gram(n_range, degree, q0):
     checks = []
     for n in n_range:
+        bad = comod.verify_comodule_axioms(n)
         checks.append(check(
-            f"comod.axioms_n{n}", comod.verify_comodule_axioms(n),
-            "rho(x^r y^s) = (x x a + y x c)^r (x x b + y x d)^s"))
+            f"comod.axioms_n{n}", bad is None,
+            "rho(x^r y^s) = (x x a + y x c)^r (x x b + y x d)^s", bad))
         wc = comod.weight_covectors(n, STD.B.gen("lambda", -n))
         ok = (len(wc) == 1 and wc[0][0] == ONE
               and all(x.is_zero() for x in wc[0][1:]))
@@ -142,6 +137,9 @@ def suite_bundle(n_range, degree, q0):
 
 def suite_coherent(n_range, degree, q0):
     checks = []
+    # n -> why resolution_operator(n) raised; the checks that read its
+    # result fail with that witness
+    unresolved = {}
     for n in n_range:
         fam_d = coherent.solve_coherent(charts.chart("d"), n)
         ok = all(fam_d.coefficients[i] == coherent.expected_d_chart_coefficient(n, i)
@@ -173,6 +171,7 @@ def suite_coherent(n_range, degree, q0):
                 res.alpha * q_number(n + 1) * q_pow(-n) == ONE,
                 "alpha [n+1]_q q^-n = 1", res.alpha))
         except (DomainError, comod.NonScalarError) as exc:
+            unresolved[n] = exc
             checks.append(check(f"n={n}.resolution_scalar", False,
                                 "the resolution operator is scalar", exc))
         bad = [(r["i"], r["j"], r["value"]) for r in coherent.lemma_table(n)
@@ -181,10 +180,13 @@ def suite_coherent(n_range, degree, q0):
             f"n={n}.lemma_integral", not bad,
             "int u^i d^n (u^j d^n)^* = delta_ij binom^-1 q^n q^(2C(i,2)) "
             "[n+1]^-1", bad[-1] if bad else None))
-        cl = coherent.classical_limit_report(n)
+        if n in unresolved:
+            ok, cl = False, unresolved[n]
+        else:
+            cl = coherent.classical_limit_report(n)
+            ok = cl["coefficients_to_binomials"] and cl["alpha_limit_ok"]
         checks.append(check(
-            f"n={n}.classical_limit",
-            cl["coefficients_to_binomials"] and cl["alpha_limit_ok"],
+            f"n={n}.classical_limit", ok,
             "q -> 1: coefficients -> binomials, alpha -> 1/(n+1)", cl))
     qb = [coherent.qbeta_check(i, n) for n in range(6) for i in range(n + 1)]
     bad = [r for r in qb if not r["matches_inverse_binomial_form"]]
@@ -205,10 +207,10 @@ def suite_coherent(n_range, degree, q0):
         "integral representation of Ramanujan's q-beta function", witness))
     # the reproducing formula is linear in H and in v: check it on every
     # matrix unit E_ab and basis vector e_c, where H v = delta_bc e_a
-    small = [x for x in n_range if x <= 3]
-    rep_ok = True if small else None
-    witness = None if small else _no_n_in(n_range, 0, 3)
-    for n in small:
+    rep_ok, witness = True, None
+    for n in n_range:
+        if rep_ok and n in unresolved:
+            rep_ok, witness = False, (n, unresolved[n])
         m = n + 1
         for a, b, c in itertools.product(range(m), repeat=3):
             H = [[ONE if (j, i) == (a, b) else ZERO for i in range(m)]
@@ -226,10 +228,11 @@ def suite_coherent(n_range, degree, q0):
 def suite_theorem4(n_range, degree, q0):
     anchor = ("A|v> = sum <w0|v> w0' int ... is a scalar operator "
               "(starred factor grouped second, matching the Gram order)")
-    ns = [x for x in n_range if 1 <= x <= 3]
+    ns = [x for x in n_range if x >= 1]
     if not ns:
         return [check("theorem4.scalar", None, anchor,
-                      _no_n_in(n_range, 1, 3))]
+                      f"no n >= 1 among the requested "
+                      f"{min(n_range)}..{max(n_range)}")]
     checks = []
     for n in ns:
         # A(w) is quadratic in w (star is linear here), so by polarization
@@ -333,17 +336,23 @@ def suite_typos(n_range, degree, q0):
         "for n=1; the swapped order w*_(1) z_(1) yields the orthonormal "
         "diag(1,1) and is the convention the suite records", rep1))
 
-    alphas = [coherent.resolution_operator(n).alpha for n in range(4)]
-    alpha_ok = all(alphas[n] == coherent.expected_alpha(n) for n in range(4))
-    alpha_neg = all(alphas[n] != q_pow(-n) / q_number(n + 1)
-                    for n in range(1, 4))
     zrep = zeta_moment_closed_form_report(6)
+    try:
+        alphas = [coherent.resolution_operator(n).alpha for n in range(4)]
+    except (DomainError, comod.NonScalarError) as exc:
+        alpha_ok, witness = False, exc
+    else:
+        alpha_ok = (
+            all(alphas[n] == coherent.expected_alpha(n) for n in range(4))
+            and all(alphas[n] != q_pow(-n) / q_number(n + 1)
+                    for n in range(1, 4))
+            and zrep["all_match_positive_power"])
+        witness = zrep
     checks.append(check(
-        "typo.qn_vs_qminusn",
-        alpha_ok and alpha_neg and zrep["all_match_positive_power"],
+        "typo.qn_vs_qminusn", alpha_ok,
         "printed: both q^n [n+1]^-1 (alpha) and [n+1]^-1 q^-n (the display); "
         "engine: alpha = q^n [n+1]^-1 exactly, and likewise int zeta^r = "
-        "q^r/[r+1]_q with the positive power", zrep))
+        "q^r/[r+1]_q with the positive power", witness))
 
     signs = [coherent.integrand_sign_check(i, n)
              for n in range(1, 4) for i in range(n + 1)]

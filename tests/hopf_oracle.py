@@ -1,13 +1,12 @@
-"""The Hopf-law checks as `qsu2.hopf.verify_hopf` made them before it
-compared each law once per distinct monomial: every law is evaluated on
-every whole word, f(w) == g(w), and the convolution with the antipode is
-built from NCPoly products and sums.  The words are given, so the same
-oracle runs on the basis words and on the old seeded sample words
-(`rewriting_oracle.sample_words`).
+"""The Hopf-law checks as `qsu2.hopf.verify_hopf` made them before
+`hopf.law_check`: each law is evaluated on every whole word, f(w) == g(w),
+and the convolution with the antipode is built from NCPoly products and
+sums.  The words are given, so the same oracle runs on the basis words and
+on the old seeded sample words (`rewriting_oracle.sample_words`).
 
 It is kept here only as an oracle for `verify_hopf` (tests/test_hopf.py),
-so it shares neither the per-monomial defects nor the accumulating
-convolution with the code under test.
+so it shares neither `law_check` nor the accumulating convolution with the
+code under test.
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ from qsu2.hopf import _corrupted, _standard
 from qsu2.ncalg import NCPoly, STD, apply_tensor_map, star
 from qsu2.report import check
 from qsu2.scalars import ONE
-
-
-def first_failing_word(words, *laws):
-    """The first word w with f(w) != g(w) for some law (f, g)."""
-    return next((w for w in words
-                 if any(f(w) != g(w) for f, g in laws)), None)
 
 
 def convolve_antipode(hopf, p, side):

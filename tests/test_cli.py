@@ -131,7 +131,7 @@ def test_tsv_format(capsys):
     (["verify", "haar", "--q", "1/0"], 2),
     (["eval", "a", "--action", "haar", "--q", "1/0"], 2),
     (["resolution", "--n", "1", "--q", "1/0"], 2),
-    (["verify", "theorem4", "--n", "5..6"], 1),
+    (["verify", "theorem4", "--n", "5..6"], 0),
     (["verify", "theorem4", "--n", "0..0"], 1),
     (["verify", "coherent", "--n", "5..5"], 0),
     (["verify", "haar", "--degree", "-2"], 0),
@@ -148,21 +148,28 @@ def test_exit_code_contract(capsys, argv, expected):
         assert out == ""
 
 
-@pytest.mark.parametrize("suite, n, name, allowed", [
-    ("theorem4", "5..6", "theorem4.scalar", "1..3"),
-    ("theorem4", "0..0", "theorem4.scalar", "1..3"),
-    ("coherent", "5..5", "reproducing.exact", "0..3"),
+def test_check_without_requested_n_is_skipped(capsys):
+    # theorem4 needs an n >= 1: it skips and says so; it neither passes on
+    # zero samples nor runs on an n that was not requested
+    _, out, _ = run(capsys, "verify", "theorem4", "--n", "0..0",
+                    "--format", "json")
+    check, = json.loads(out)["checks"]
+    assert (check["name"], check["status"], check["witness"]) == (
+        "theorem4.scalar", "skip", "no n >= 1 among the requested 0..0")
+
+
+@pytest.mark.parametrize("suite, n, names", [
+    ("theorem4", "5..6", ["theorem4.scalar_n5", "theorem4.scalar_n6"]),
+    ("coherent", "5..5", ["reproducing.exact"]),
 ])
-def test_check_without_requested_n_is_skipped(capsys, suite, n, name,
-                                              allowed):
-    # a check with no n in its range skips and names the range; it neither
-    # passes on zero samples nor runs on an n that was not requested
-    _, out, _ = run(capsys, "verify", suite, "--n", n, "--format", "json")
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks[name]["status"] == "skip"
-    assert checks[name]["witness"] == (
-        f"no n in {allowed} among the requested {n}")
-    assert not any(k.startswith("theorem4.scalar_n") for k in checks)
+def test_every_requested_n_is_checked(capsys, suite, n, names):
+    # no check drops a requested n: n = 5 and 6 are checked, not skipped
+    code, out, _ = run(capsys, "verify", suite, "--n", n, "--format", "json")
+    checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 0
+    assert {name: checks.get(name) for name in names} == dict.fromkeys(
+        names, "pass")
+    assert "skip" not in checks.values()
 
 
 @pytest.mark.parametrize("suite, degree, names", [

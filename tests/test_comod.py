@@ -4,7 +4,7 @@ import pytest
 
 import comod_oracle
 import gram_oracle
-from qsu2 import comod, linalg, scalars
+from qsu2 import comod, linalg, scalars, suites
 from qsu2.coherent import gram
 from qsu2.comod import (STAR_FIRST, STAR_SECOND, NonScalarError, VnComodule,
                         _coinvariance_defect, _gram_order, _inverse_binomials,
@@ -87,7 +87,24 @@ def test_coaction_trivial():
 
 def test_comodule_axioms():
     for n in range(6):
-        assert verify_comodule_axioms(n)
+        assert verify_comodule_axioms(n) is None
+
+
+def test_comodule_axioms_name_a_corrupted_entry(monkeypatch):
+    # t[0][0] = d doubled: Delta(2d) = 2(c (x) b + d (x) d) is not
+    # 2d (x) 2d + c (x) b, so the coproduct law fails on that entry first.
+    # The cached Gram form is solved from the true matrix beforehand: from
+    # the corrupted one its solve raises, and the suite would stop there.
+    gram(1)
+    V = VnComodule(1)
+    t = [row[:] for row in V.coaction_matrix]
+    t[0][0] = t[0][0] * 2
+    monkeypatch.setattr(V, "coaction_matrix", t)
+    assert verify_comodule_axioms(1) == ("coproduct", 0, 0)
+    check, = [c for c in suites.SUITES["gram"](range(1, 2), 5, Fraction(1, 2))
+              if c["name"] == "comod.axioms_n1"]
+    assert check["status"] == "fail"
+    assert check["witness"] == "('coproduct', 0, 0)"
 
 
 def test_weight_covectors_span_yn():

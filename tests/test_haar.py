@@ -12,8 +12,8 @@ from qsu2.coherent import assembled_coefficients
 from qsu2.haar import (haar, verify_invariance, verify_positivity,
                        zeta_moment, zeta_moment_closed_form_report)
 from qsu2.hopf import hopf_G
-from qsu2.ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
-                        parse_element, star)
+from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD,
+                        normal_form_of_word, parse_element, star, tensor_elem)
 from qsu2.scalars import ONE, Q, QScalar, q_number, q_pow
 from rewriting_oracle import random_word
 
@@ -85,6 +85,23 @@ def test_invariance_fails_on_a_wrong_moment():
     assert left["status"] == right["status"] == "fail"
     assert left["witness"] == "c^2 d^2"
     assert right["witness"] == "b^2 d^2"
+
+
+@pytest.mark.parametrize("legs, left, right", [
+    # (int x id)(1 (x) b) = b breaks right invariance on a itself; the left
+    # side first breaks where b meets c, on a c
+    (("1", "b"), "a c", "a"),
+    (("b", "1"), "a", "a c"),
+])
+def test_invariance_names_the_first_failing_monomial(monkeypatch, legs, left,
+                                                     right):
+    HG = hopf_G()
+    images = dict(HG.delta.images)
+    images["a"] = images["a"] + tensor_elem(HG.T2, [g(x) for x in legs])
+    monkeypatch.setattr(HG, "delta", AlgebraMap(G, HG.T2, images))
+    got = verify_invariance(5)
+    assert [(c["status"], c["witness"]) for c in got] == [("fail", left),
+                                                          ("fail", right)]
 
 
 def test_positivity():

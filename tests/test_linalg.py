@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qsu2 import linalg
+from qsu2 import charts, linalg
 from qsu2.hopf import hopf_B, hopf_G
 from qsu2.ncalg import NCPoly, STD
 from qsu2.scalars import ONE, QScalar, ZERO, q_pow
@@ -47,9 +47,38 @@ def test_kernel_basis_two_components_and_a_zero_column():
 
 
 def test_in_span_inconsistent_target():
+    # dependent columns: a solution, if any, is not unique
     columns = [{"r": ONE}, {"r": q_pow(1)}]
-    assert linalg.in_span(columns, {"s": ONE}) is None
-    assert linalg.in_span(columns, {"r": q_pow(2)}) == [q_pow(2), ZERO]
+    assert linalg.in_span(columns, {"s": ONE}) == (None, False)
+    assert linalg.in_span(columns, {"r": q_pow(2)}) == ([q_pow(2), ZERO],
+                                                         False)
+    # independent columns: unique whether or not the target is reached
+    columns = [{"r": ONE}, {"s": q_pow(1)}]
+    assert linalg.in_span(columns, {"t": ONE}) == (None, True)
+    assert linalg.in_span(columns, {"s": ONE}) == ([ZERO, q_pow(-1)], True)
+
+
+def test_in_span_flags_uniqueness_on_the_engine_systems(monkeypatch):
+    # the flag from the one elimination of columns + [target] is the one a
+    # second elimination of the columns alone gave, on both antipode
+    # systems and both gamma systems
+    chs = [charts.chart(which) for which in ("d", "b")]
+    systems = []
+    in_span = linalg.in_span
+
+    def record(columns, target):
+        sol, unique = in_span(columns, target)
+        systems.append((columns, unique))
+        return sol, unique
+
+    monkeypatch.setattr(linalg, "in_span", record)
+    for hopf in (hopf_G(), hopf_B()):
+        hopf._solve_antipode(2)
+    for ch in chs:
+        charts.build_gamma(ch)
+    assert [unique for _, unique in systems] == [True] * 4
+    for columns, unique in systems:
+        assert unique == (not linalg.kernel_basis(columns))
 
 
 def test_antipodes_are_unique_in_their_ansatz():
@@ -110,6 +139,8 @@ def test_kernel_and_span_on_integer_matrices(data):
         assert _apply(columns, v) == {}
     assert len(kernel) == len(columns) - _fraction_rank(rows)
     target = _apply(columns, [QScalar.coerce(e) for e in x])
-    sol = linalg.in_span(columns, target)
+    sol, unique = linalg.in_span(columns, target)
     assert sol is not None
+    assert unique == (not kernel)
+    assert linalg.in_span(columns, {"extra": ONE}) == (None, not kernel)
     assert _apply(columns, sol) == target

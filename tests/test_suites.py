@@ -128,6 +128,34 @@ def test_resolution_reports_a_non_scalar_matrix(monkeypatch, capsys,
     assert rep["alpha_exact"] is None and rep["chart_agreement"] is None
 
 
+@pytest.mark.parametrize("argv, failed", [
+    (["coherent", "--n", "1..1"], ["n=1.classical_limit",
+                                   "n=1.resolution_scalar",
+                                   "reproducing.exact"]),
+    (["typos"], ["typo.qn_vs_qminusn"]),
+    (["all"], ["gram.inverse_binomial_n1", "n=1.classical_limit",
+               "n=1.resolution_scalar", "reproducing.exact", "resolution.n1",
+               "theorem4.scalar_n1", "typo.qn_vs_qminusn"]),
+], ids=["coherent", "typos", "all"])
+def test_verify_reports_a_non_scalar_resolution_matrix(monkeypatch, capsys,
+                                                       fresh_resolution,
+                                                       argv, failed):
+    # under the printed-order Gram diagonal at n = 1 every check that reads
+    # the resolution operator fails with the NonScalarError as its witness,
+    # and the command exits 1 with its report, not with a traceback
+    gram = coherent.gram
+    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
+        n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
+    code = main(["verify", *argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == failed
+    for c in checks:
+        if c["status"] == "fail" and c["name"] != "gram.inverse_binomial_n1":
+            assert "matrix is not scalar at entry (1, 1)" in c["witness"]
+
+
 def test_chart_independence_fails_when_the_charts_disagree(monkeypatch,
                                                            capsys,
                                                            fresh_resolution):
