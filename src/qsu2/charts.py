@@ -226,28 +226,6 @@ def paper_gamma_b_controls():
     }
 
 
-def chart_golden(ch: TrivializationChart) -> dict:
-    """Chart data in the canonical grammar, for golden-file comparison."""
-    B = STD.B
-    dec = ch.gauss
-    return {
-        "chart": ch.name,
-        "inverted": ch.inverted,
-        "coinvariant_generator": str(ch.coinv_gen),
-        "gamma": {
-            "lambda": str(ch.gamma(B.gen("lambda"))),
-            "lambda^-1": str(ch.gamma(B.gen("lambda", -1))),
-            "xi": str(ch.gamma(B.gen("xi"))),
-        },
-        "gauss": {
-            "w": "identity" if dec.w_is_identity else "transposition",
-            "U": [[str(x) for x in row] for row in dec.U],
-            "A": [[str(x) for x in row] for row in dec.A],
-        },
-        "rho_B_on_inverted": str(ch.rho_B(ch.alg.gen(ch.inverted, -1))),
-    }
-
-
 @functools.cache
 def chart(which: str) -> TrivializationChart:
     """The d-chart (`which` = "d") or the b-chart ("b")."""

@@ -172,13 +172,14 @@ def resolution_operator(n: int) -> ResolutionResult:
         r_star = [star(x) for x in r]
         return {(i, j): r[i] * r_star[j] for i in range(m) for j in range(m)}
 
-    triple_b = triple(r_b)
     triple_d = triple(r_d)
+    # equal vectors give equal triples; differing ones (r_b = -r_d) may too
+    agree = r_b == r_d or triple(r_b) == triple_d
     g = gram(n)
     matrix = [[haar(triple_d[(i, k)]) * g.diag[k] for k in range(m)]
               for i in range(m)]
     alpha = schur_scalar(matrix, n)
-    return ResolutionResult(n, matrix, alpha, triple_b == triple_d)
+    return ResolutionResult(n, matrix, alpha, agree)
 
 
 def lemma_integral(i: int, j: int, n: int) -> QScalar:

@@ -16,17 +16,18 @@ absorbed into the Gram weights.
 
 The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
 admits two noncommutative orderings of the right-hand side.  The form used
-everywhere is the Haar average of the identity start form,
-<e_k|e_k> = sum_i h(t[i][k]* t[i][k]) (Woronowicz's orthogonality
-relations), normalized so <y^n|y^n> = 1; the Haar integral is linear, so
-each k takes one call on the summed products.  It is certified exactly in
-the star-first order w1* z1 on the products t[i][k]* t[i][l] for k <= l
-(star turns the (k, l) identity into the (l, k) one), and a failure is
-fatal.  The certificate is fraction-free: the identity is homogeneous in
-the weights, so it runs on the diagonal times the lcm of its denominators,
-whose entries are Laurent polynomials in q.  Both orders are still solved
-as full (n+1)^2 kernel systems for the misprint ledger (`gram_order_report`),
-which needs the solution count in each.
+everywhere is the star-first one, t* W t = W for W = diag(w) and
+(t*)[k][i] = t[i][k]*.  `solve_coinvariant_gram` certifies it by a chain.
+First, t is a corepresentation, by induction on n: the comodule axioms hold
+on V_1, and at each step k = 2..n the column of e_(j+1) built as e_(j+1)' y
+equals q^(k-1-j) e_j' x read from V_(k-1) and a, c, so V_k is a quotient
+comodule of V_(k-1) (x) V_1.  Second, the antipode law (the `hopf` suite)
+then gives S(t) t = t S(t) = 1.  So t* W t = W exactly when t* W = W S(t),
+the unitarity of t (Woronowicz, Compact matrix pseudogroups, CMP 111
+(1987)): w_i t[i][k]* = w_k S(t[k][i]) for every (i, k), m^2 comparisons
+with no product of degree-n elements and no Haar integral.  Both orders
+are still solved as full (n+1)^2 kernel systems for the misprint ledger
+(`gram_order_report`), which needs the solution count in each.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .haar import haar
-from .hopf import pi_map
+from .hopf import hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, star, tensor_elem
 from .scalars import ONE, QScalar, ZERO, denominator_lcm, gauss_binomial, q_pow
 
@@ -134,10 +134,8 @@ def verify_comodule_axioms(n: int):
     matrix breaks an axiom, or None: "coproduct" for
     (Delta t)_ik = sum_j t_ij (x) t_jk, "counit" for eps(t_ik) = delta_ik,
     "homogeneity" for homogeneity of degree n."""
-    from .hopf import hopf_G
     HG = hopf_G()
-    V = VnComodule(n)
-    t = V.coaction_matrix
+    t = VnComodule(n).coaction_matrix
     GG = HG.T2
     for i in range(n + 1):
         for k in range(n + 1):
@@ -222,65 +220,81 @@ def _gram_order(n: int, order: str):
     return 1, True, [mat[i][i] / norm for i in range(m)]
 
 
-def _star_first_products(n: int):
-    """P[k, l][i] = t[i][k]* t[i][l] over the coaction matrix t of V_n, for
-    k <= l only, keyed in row-major order."""
+def _step_defect(prev, t, k: int):
+    """The first column j + 1 (j = 0..k-2) of the coaction matrix t of V_k
+    that is not q^(k-1-j) times the column of e_j' x, read from the matrix
+    prev of V_(k-1) and rho(x) = x (x) a + y (x) c, with e_l' y = e_l and
+    e_l' x = q^-(k-1-l) e_(l+1); None when all agree."""
+    a, c = STD.G.gen("a"), STD.G.gen("c")
+    for j in range(k - 1):
+        col = [row[j] * c for row in prev] + [STD.G.zero()]
+        for l, row in enumerate(prev):
+            col[l + 1] = col[l + 1] + row[j] * a * q_pow(l + 1 - k)
+        if any(t[l][j + 1] != x * q_pow(k - 1 - j) for l, x in enumerate(col)):
+            return j + 1
+    return None
+
+
+def _certify_corepresentation(n: int):
+    """Raise unless the coaction matrix of V_n is a corepresentation: the
+    axioms on V_1 (V_0 when n = 0), each step k = 2..n of the extension
+    from V_1, and the last matrix of those steps is that of V_n."""
+    base = min(n, 1)
+    bad = verify_comodule_axioms(base)
+    if bad is not None:
+        raise DomainError(
+            f"base case: the coaction matrix of V_{base} breaks the "
+            f"comodule axioms at {bad}")
+    t = VnComodule(base).coaction_matrix
+    for k in range(2, n + 1):
+        nxt = _extend_coaction_matrix(t, k)
+        column = _step_defect(t, nxt, k)
+        if column is not None:
+            raise DomainError(
+                f"step {k}: column {column} of the coaction matrix of V_{k} "
+                f"is not q^{k - column} e_{column - 1}' x")
+        t = nxt
+    if t != VnComodule(n).coaction_matrix:
+        raise DomainError(f"V_{n} is not the matrix its steps from V_1 build")
+
+
+def _unitarity_defect(n: int, weights):
+    """The first (i, k) in row-major order with w_i t[i][k]* != w_k S(t[k][i])
+    over the coaction matrix t of V_n, or None.  The identity is homogeneous
+    in w, so it runs on w times the lcm of its denominators: Laurent
+    weights, whose products with the entries of t run no gcd."""
     t = VnComodule(n).coaction_matrix
+    S = hopf_G().antipode
+    lcm = denominator_lcm(weights)
+    w = [x * lcm for x in weights]
     m = n + 1
-    tstar = [[star(x) for x in row] for row in t]
-    return {(k, l): [tstar[i][k] * t[i][l] for i in range(m)]
-            for k in range(m) for l in range(k, m)}
-
-
-def _laurent_weights(diag):
-    """diag times the lcm of its q-free denominators: the same form, with
-    every entry a Laurent polynomial in q (den 1)."""
-    lcm = denominator_lcm(diag)
-    return [d * lcm for d in diag]
-
-
-def _coinvariance_defect(products, weights):
-    """The first (k, l), k <= l in row-major order, where
-    sum_i weights[i] t[i][k]* t[i][l] differs from weights[k] delta_kl 1,
-    or None when the diagonal form is coinvariant.
-
-    The pairs k > l need no check: star is an antimultiplicative involution
-    (an `AlgebraMap` with anti=True that squares to the identity on the
-    generators) and fixes the real weights, so the (l, k) sum is the star
-    of the (k, l) sum.  `verify_hopf` checks the star laws.  With Laurent
-    weights and Laurent products no scalar product here runs a gcd.
-    """
-    G = STD.G
-    for (k, l), column in products.items():
-        acc = {}
-        for p, w in zip(column, weights):
-            for m, c in p.terms.items():
-                acc[m] = acc.get(m, ZERO) + c * w
-        total = NCPoly(G, {m: c for m, c in acc.items() if c})
-        if total != (G.scalar(weights[k]) if k == l else G.zero()):
-            return k, l
+    for i in range(m):
+        for k in range(m):
+            if star(t[i][k]) * w[i] != S(t[k][i]) * w[k]:
+                return i, k
     return None
 
 
 def solve_coinvariant_gram(n: int) -> GramForm:
-    """The coinvariant Gram form of V_n as the Haar average of the identity.
-
-    <e_k|e_k> is proportional to h(sum_i t[i][k]* t[i][k]); the diagonal is
-    normalized so the weight covector y^n has norm 1 and then certified
-    against the star-first coinvariance identity for every k <= l.  Fatal
-    if the average vanishes on y^n or the certificate fails.
-    """
-    products = _star_first_products(n)
-    G = STD.G
-    raw = [haar(sum(products[k, k], G.zero())) for k in range(n + 1)]
-    if raw[0].is_zero():
-        raise DomainError(f"the Haar average of <y^{n}|y^{n}> vanishes")
-    diag = [r / raw[0] for r in raw]
-    defect = _coinvariance_defect(products, _laurent_weights(diag))
+    """The coinvariant Gram form of V_n, from the antipode: w_0 = 1 (so
+    <y^n|y^n> = 1) and each w_i read off one common monomial of t[i][0]*
+    and S(t[0][i]); fatal unless t is certified a corepresentation and
+    unitary for diag(w)."""
+    _certify_corepresentation(n)
+    t = VnComodule(n).coaction_matrix
+    S = hopf_G().antipode
+    diag = [ONE]
+    for i in range(1, n + 1):
+        lhs, rhs = star(t[i][0]), S(t[0][i])
+        mono = next((m for m in lhs.terms if m in rhs.terms), None)
+        if mono is None:
+            raise DomainError(f"t[{i}][0]* and S(t[0][{i}]) share no monomial")
+        diag.append(rhs.terms[mono] / lhs.terms[mono])
+    defect = _unitarity_defect(n, diag)
     if defect is not None:
         raise DomainError(
-            f"the Haar-averaged Gram form of V_{n} is not coinvariant at "
-            f"(k, l) = {defect}")
+            f"the Gram form of V_{n} is not coinvariant: "
+            f"w_i t[i][k]* != w_k S(t[k][i]) at (i, k) = {defect}")
     return GramForm(n, diag)
 
 

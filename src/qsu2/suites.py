@@ -70,17 +70,22 @@ def suite_gram(n_range, degree, q0):
         checks.append(check(
             f"comod.weight_covector_n{n}", ok,
             "(id x pi) rho v_chi = v_chi x chi; spanned by y^n", wc))
-        g = coherent.gram(n)
+        # a failed Gram certificate is the witness of the checks on the form
+        try:
+            diag, unsolved = coherent.gram(n).diag, None
+        except DomainError as exc:
+            diag, unsolved = None, exc
         checks.append(check(
             f"gram.inverse_binomial_n{n}",
-            g.diag == comod._inverse_binomials(n),
+            diag == comod._inverse_binomials(n),
             "basis vectors sqrt(binom) x^i y^(n-i) are orthonormal "
             "(holds in the swapped Sweedler order)",
-            [str(d) for d in g.diag]))
+            unsolved or [str(d) for d in diag]))
         checks.append(check(
             f"gram.positive_at_half_n{n}",
-            all(d.specialize(Fraction(1, 2)) > 0 for d in g.diag),
-            "Gram diagonals positive at q = 1/2"))
+            diag is not None
+            and all(d.specialize(Fraction(1, 2)) > 0 for d in diag),
+            "Gram diagonals positive at q = 1/2", unsolved))
     nmax = max(n_range)
     dims = [comod.intertwiner_space_dimension(n) for n in range(min(nmax, 3) + 1)]
     checks.append(check(

@@ -1,20 +1,27 @@
-"""The Haar-averaged Gram form as `qsu2.comod.solve_coinvariant_gram` built
-it before its certificate became fraction-free: every product
-t[i][k]* t[i][l] for all m^3 index triples, one Haar call per (i, k) with
-the rational results added, and the coinvariance identity certified on the
-normalized diagonal itself, for every (k, l).
+"""Two Haar-averaged Gram forms that `qsu2.comod.solve_coinvariant_gram`
+used before it read the form off the antipode, kept here only as oracles
+for the Gram solve (tests/test_comod.py).
 
-It is kept here only as an oracle for the Gram solve (tests/test_comod.py),
-so it shares neither the k <= l product layout nor the Laurent weights
-with the code under test.
+- The m^3 form: every product t[i][k]* t[i][l] for all m^3 index triples,
+  one Haar call per (i, k) with the rational results added, and the
+  coinvariance identity certified on the normalized diagonal itself, for
+  every (k, l).
+- The fraction-free form: the products for k <= l only, keyed in row-major
+  order, one Haar call per k on the summed diagonal products, and the
+  identity certified on the diagonal times the lcm of its denominators,
+  whose entries are Laurent polynomials in q.
+
+Both certify the sum_i w_i t[i][k]* t[i][l] = delta_kl w_k form of the
+identity, which needs products of two degree-n elements; the engine
+certifies the equivalent w_i t[i][k]* = w_k S(t[k][i]) instead.
 """
 
 from __future__ import annotations
 
 from qsu2.comod import VnComodule
 from qsu2.haar import haar
-from qsu2.ncalg import STD, star
-from qsu2.scalars import ZERO
+from qsu2.ncalg import STD, DomainError, NCPoly, star
+from qsu2.scalars import ZERO, denominator_lcm
 
 
 def star_first_products(n: int):
@@ -47,3 +54,61 @@ def gram_diag(n: int):
     raw = [sum((haar(products[i][k][k]) for i in range(m)), ZERO)
            for k in range(m)]
     return [r / raw[0] for r in raw]
+
+
+def products_k_le_l(n: int):
+    """P[k, l][i] = t[i][k]* t[i][l] over the coaction matrix t of V_n, for
+    k <= l only, keyed in row-major order."""
+    t = VnComodule(n).coaction_matrix
+    m = n + 1
+    tstar = [[star(x) for x in row] for row in t]
+    return {(k, l): [tstar[i][k] * t[i][l] for i in range(m)]
+            for k in range(m) for l in range(k, m)}
+
+
+def laurent_weights(diag):
+    """diag times the lcm of its q-free denominators: the same form, with
+    every entry a Laurent polynomial in q (den 1)."""
+    lcm = denominator_lcm(diag)
+    return [d * lcm for d in diag]
+
+
+def laurent_defect(products, weights):
+    """The first (k, l), k <= l in row-major order, where
+    sum_i weights[i] t[i][k]* t[i][l] differs from weights[k] delta_kl 1,
+    or None when the diagonal form is coinvariant.
+
+    The pairs k > l need no check: star is an antimultiplicative involution
+    and fixes the real weights, so the (l, k) sum is the star of the (k, l)
+    sum.  With Laurent weights and Laurent products no scalar product here
+    runs a gcd.
+    """
+    G = STD.G
+    for (k, l), column in products.items():
+        acc = {}
+        for p, w in zip(column, weights):
+            for m, c in p.terms.items():
+                acc[m] = acc.get(m, ZERO) + c * w
+        total = NCPoly(G, {m: c for m, c in acc.items() if c})
+        if total != (G.scalar(weights[k]) if k == l else G.zero()):
+            return k, l
+    return None
+
+
+def haar_solve(n: int):
+    """The Gram diagonal of V_n as the Haar average of the identity,
+    normalized so <y^n|y^n> = 1 and certified fraction-free on the k <= l
+    products; raises DomainError if the average vanishes on y^n or the
+    certificate fails."""
+    products = products_k_le_l(n)
+    G = STD.G
+    raw = [haar(sum(products[k, k], G.zero())) for k in range(n + 1)]
+    if raw[0].is_zero():
+        raise DomainError(f"the Haar average of <y^{n}|y^{n}> vanishes")
+    diag = [r / raw[0] for r in raw]
+    defect = laurent_defect(products, laurent_weights(diag))
+    if defect is not None:
+        raise DomainError(
+            f"the Haar-averaged Gram form of V_{n} is not coinvariant at "
+            f"(k, l) = {defect}")
+    return diag

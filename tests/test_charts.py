@@ -210,8 +210,29 @@ def test_injectivity_no_kernel_element():
             assert not iota(f).is_zero()
 
 
+def chart_golden(ch) -> dict:
+    """Chart data in the canonical grammar, for golden-file comparison."""
+    B = STD.B
+    dec = ch.gauss
+    return {
+        "chart": ch.name,
+        "inverted": ch.inverted,
+        "coinvariant_generator": str(ch.coinv_gen),
+        "gamma": {
+            "lambda": str(ch.gamma(B.gen("lambda"))),
+            "lambda^-1": str(ch.gamma(B.gen("lambda", -1))),
+            "xi": str(ch.gamma(B.gen("xi"))),
+        },
+        "gauss": {
+            "w": "identity" if dec.w_is_identity else "transposition",
+            "U": [[str(x) for x in row] for row in dec.U],
+            "A": [[str(x) for x in row] for row in dec.A],
+        },
+        "rho_B_on_inverted": str(ch.rho_B(ch.alg.gen(ch.inverted, -1))),
+    }
+
+
 def test_chart_golden():
-    from qsu2.charts import chart_golden
     g = chart_golden(chart("d"))
     assert g["gamma"] == {"lambda": "d^-1", "lambda^-1": "d", "xi": "c"}
     assert g["gauss"]["w"] == "identity"

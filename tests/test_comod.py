@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 import comod_oracle
 import gram_oracle
 from qsu2 import comod, linalg, scalars, suites
+from qsu2.cli import main
 from qsu2.coherent import gram
 from qsu2.comod import (STAR_FIRST, STAR_SECOND, NonScalarError, VnComodule,
-                        _coinvariance_defect, _gram_order, _inverse_binomials,
-                        _laurent_weights, _star_first_products,
+                        _gram_order, _inverse_binomials, _unitarity_defect,
                         gram_order_report,
                         intertwiner_space_dimension, pairing, schur_scalar,
                         solve_coinvariant_gram, verify_comodule_axioms,
@@ -90,21 +91,120 @@ def test_comodule_axioms():
         assert verify_comodule_axioms(n) is None
 
 
-def test_comodule_axioms_name_a_corrupted_entry(monkeypatch):
-    # t[0][0] = d doubled: Delta(2d) = 2(c (x) b + d (x) d) is not
-    # 2d (x) 2d + c (x) b, so the coproduct law fails on that entry first.
-    # The cached Gram form is solved from the true matrix beforehand: from
-    # the corrupted one its solve raises, and the suite would stop there.
-    gram(1)
+@pytest.fixture
+def doubled_v1_corner(monkeypatch):
+    # t[0][0] = d of V_1 doubled, with no Gram form cached from the true
+    # matrix and none left behind from the corrupted one
     V = VnComodule(1)
     t = [row[:] for row in V.coaction_matrix]
     t[0][0] = t[0][0] * 2
     monkeypatch.setattr(V, "coaction_matrix", t)
+    gram.cache_clear()
+    yield
+    gram.cache_clear()
+
+
+def test_comodule_axioms_name_a_corrupted_entry(doubled_v1_corner):
+    # Delta(2d) = 2(c (x) b + d (x) d) is not 2d (x) 2d + c (x) b, so the
+    # coproduct law fails on that entry first; the Gram checks that read
+    # the form fail with the failed base case as their witness
     assert verify_comodule_axioms(1) == ("coproduct", 0, 0)
-    check, = [c for c in suites.SUITES["gram"](range(1, 2), 5, Fraction(1, 2))
-              if c["name"] == "comod.axioms_n1"]
-    assert check["status"] == "fail"
-    assert check["witness"] == "('coproduct', 0, 0)"
+    checks = {c["name"]: c for c in
+              suites.SUITES["gram"](range(1, 2), 5, Fraction(1, 2))}
+    assert checks["comod.axioms_n1"]["status"] == "fail"
+    assert checks["comod.axioms_n1"]["witness"] == "('coproduct', 0, 0)"
+    for name in ("gram.inverse_binomial_n1", "gram.positive_at_half_n1"):
+        assert checks[name]["status"] == "fail"
+        assert checks[name]["witness"].startswith("base case: "), name
+
+
+def test_verify_gram_reports_a_corrupted_v1_with_exit_1(doubled_v1_corner,
+                                                         capsys):
+    code = main(["verify", "gram", "--n", "0..1", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    failed = {c["name"]: c["witness"] for c in checks
+              if c["status"] == "fail"}
+    # the weight covector of V_1 is read from the corrupted matrix as well
+    assert sorted(failed) == ["comod.axioms_n1", "comod.weight_covector_n1",
+                              "gram.inverse_binomial_n1",
+                              "gram.positive_at_half_n1"]
+    assert failed["gram.inverse_binomial_n1"] == (
+        "base case: the coaction matrix of V_1 breaks the comodule axioms "
+        "at ('coproduct', 0, 0)")
+
+
+def test_doubled_v1_corner_is_unitary_and_fails_the_base_case(
+        doubled_v1_corner):
+    # both sides of w_0 t[0][0]* = w_0 S(t[0][0]) double, so unitarity
+    # alone would accept the corrupted matrix: the base case must catch it
+    assert _unitarity_defect(1, [ONE, ONE]) is None
+    with pytest.raises(DomainError, match=r"^base case: .*V_1"):
+        solve_coinvariant_gram(1)
+
+
+def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch):
+    # V_1 and every step from it are sound, and unitarity doubles on both
+    # sides again: only the comparison of V_2 with the matrix its steps
+    # build catches the corrupted entry
+    V = VnComodule(2)
+    t = [row[:] for row in V.coaction_matrix]
+    t[0][0] = t[0][0] * 2
+    monkeypatch.setattr(V, "coaction_matrix", t)
+    assert _unitarity_defect(2, _inverse_binomials(2)) is None
+    with pytest.raises(DomainError, match=r"^V_2 is not the matrix its steps"):
+        solve_coinvariant_gram(2)
+
+
+def _extend_with_flipped_manin_sign(t, n):
+    # `_extend_coaction_matrix` with the Manin relation read as y x = q x y:
+    # the factor of e_j' x is q^(n-1-j) in place of q^-(n-1-j).  V_1 is
+    # unchanged (the exponent is 0 there); V_2 is not a corepresentation.
+    a, b, c, d = (G.gen(g) for g in "abcd")
+    out = [[G.zero()] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        src, gx, gy = (i, b, d) if i < n else (n - 1, a, c)
+        for j, row in enumerate(t):
+            x = row[src]
+            if x:
+                out[j][i] = out[j][i] + x * gy
+                out[j + 1][i] = out[j + 1][i] + x * gx * q_pow(n - 1 - j)
+    return out
+
+
+def test_a_wrong_manin_exponent_fails_at_step_2(monkeypatch):
+    monkeypatch.setattr(comod, "_extend_coaction_matrix",
+                        _extend_with_flipped_manin_sign)
+    VnComodule.cache_clear()
+    try:
+        assert verify_comodule_axioms(1) is None
+        for n in (2, 3):
+            with pytest.raises(DomainError, match=r"^step 2: column 1 "):
+                solve_coinvariant_gram(n)
+    finally:
+        # the matrices built under the fault must not outlive it
+        VnComodule.cache_clear()
+
+
+def test_unitarity_rejects_the_all_ones_and_printed_order_diagonals():
+    for n in (2, 3):
+        printed = _gram_order(n, STAR_SECOND)[2]
+        assert printed != _inverse_binomials(n), n
+        assert _unitarity_defect(n, printed) == (0, 1), n
+        assert _unitarity_defect(n, [ONE] * (n + 1)) == (0, 1), n
+        assert _unitarity_defect(n, _inverse_binomials(n)) is None, n
+
+
+def test_unitarity_names_the_first_failing_pair_in_row_major_order(
+        monkeypatch):
+    # a corrupted t[1][0] of V_2 first shows at (0, 1), where S(t[1][0])
+    # is compared, before (1, 0), where t[1][0]* is
+    V = VnComodule(2)
+    t = [row[:] for row in V.coaction_matrix]
+    t[1][0] = t[1][0] + G.gen("b")
+    monkeypatch.setattr(V, "coaction_matrix", t)
+    assert _unitarity_defect(2, _inverse_binomials(2)) == (0, 1)
 
 
 def test_weight_covectors_span_yn():
@@ -187,45 +287,51 @@ def test_haar_gram_solves_no_kernel(monkeypatch):
 
 
 def test_haar_gram_certificate_rejects_counit_average(monkeypatch):
-    # negative control: averaging with the counit instead of the Haar
-    # integral gives a form that is not coinvariant
-    monkeypatch.setattr(comod, "haar", hopf_G().counit)
+    # negative control on the Haar-averaged oracle: averaging with the
+    # counit instead of the Haar integral gives a form that is not
+    # coinvariant
+    monkeypatch.setattr(gram_oracle, "haar", hopf_G().counit)
     for n in (2, 3):
         with pytest.raises(DomainError):
-            solve_coinvariant_gram(n)
+            gram_oracle.haar_solve(n)
 
 
 def test_haar_gram_certificate_rejects_printed_order_diagonal():
     printed = _gram_order(1, STAR_SECOND)[2]
     assert printed == [ONE, q_pow(-2)]
-    products = _star_first_products(1)
-    assert _coinvariance_defect(products, printed) is not None
-    assert _coinvariance_defect(products, _inverse_binomials(1)) is None
+    products = gram_oracle.products_k_le_l(1)
+    assert gram_oracle.laurent_defect(products, printed) is not None
+    assert gram_oracle.laurent_defect(products, _inverse_binomials(1)) is None
     # an off-diagonal pair is checked too
     products[0, 1][1] = products[0, 1][1] + G.one()
-    assert _coinvariance_defect(products, _inverse_binomials(1)) == (0, 1)
+    assert gram_oracle.laurent_defect(
+        products, _inverse_binomials(1)) == (0, 1)
+    # the antipode certificate rejects the printed order as well
+    assert _unitarity_defect(1, printed) == (0, 1)
 
 
 def test_haar_gram_matches_fraction_oracle():
-    # the m^3 products, m Haar calls per k and the certificate on the
-    # fractional diagonal give the same form, and both certificates accept it
+    # the antipode solve, the m^3 Haar average and the fraction-free Haar
+    # average give the same form, and both Haar certificates accept it
     for n in range(9):
         diag = solve_coinvariant_gram(n).diag
         assert diag == gram_oracle.gram_diag(n) == _inverse_binomials(n), n
+        assert diag == gram_oracle.haar_solve(n), n
         assert gram_oracle.coinvariance_defect(
             gram_oracle.star_first_products(n), diag) is None, n
-        products = _star_first_products(n)
-        assert _coinvariance_defect(products, _laurent_weights(diag)) is None
+        products = gram_oracle.products_k_le_l(n)
+        assert gram_oracle.laurent_defect(
+            products, gram_oracle.laurent_weights(diag)) is None
         # the identity is homogeneous: the fractional weights pass as well
         if n <= 4:
-            assert _coinvariance_defect(products, diag) is None, n
+            assert gram_oracle.laurent_defect(products, diag) is None, n
 
 
 def test_star_first_products_cover_k_le_l_in_row_major_order():
     for n in range(4):
         m = n + 1
         full = gram_oracle.star_first_products(n)
-        products = _star_first_products(n)
+        products = gram_oracle.products_k_le_l(n)
         assert list(products) == [(k, l) for k in range(m)
                                   for l in range(k, m)]
         for (k, l), column in products.items():
@@ -238,9 +344,10 @@ def test_both_certificates_reject_the_printed_order_diagonal():
     witness = gram_oracle.coinvariance_defect(
         gram_oracle.star_first_products(1), printed)
     assert witness is not None
-    products = _star_first_products(1)
-    assert _coinvariance_defect(products, _laurent_weights(printed)) == witness
-    assert _coinvariance_defect(products, printed) == witness
+    products = gram_oracle.products_k_le_l(1)
+    assert gram_oracle.laurent_defect(
+        products, gram_oracle.laurent_weights(printed)) == witness
+    assert gram_oracle.laurent_defect(products, printed) == witness
 
 
 def test_both_certificates_reject_the_counit_average():
@@ -253,8 +360,9 @@ def test_both_certificates_reject_the_counit_average():
         diag = [r / raw[0] for r in raw]
         witness = gram_oracle.coinvariance_defect(full, diag)
         assert witness is not None, n
-        assert _coinvariance_defect(_star_first_products(n),
-                                    _laurent_weights(diag)) == witness, n
+        assert gram_oracle.laurent_defect(
+            gram_oracle.products_k_le_l(n),
+            gram_oracle.laurent_weights(diag)) == witness, n
 
 
 def test_both_certificates_report_a_corrupted_off_diagonal_product():
@@ -263,27 +371,28 @@ def test_both_certificates_report_a_corrupted_off_diagonal_product():
         full = gram_oracle.star_first_products(n)
         full[1][0][1] = full[1][0][1] + G.one()
         assert gram_oracle.coinvariance_defect(full, diag) == (0, 1), n
-        products = _star_first_products(n)
+        products = gram_oracle.products_k_le_l(n)
         products[0, 1][1] = products[0, 1][1] + G.one()
-        assert _coinvariance_defect(
-            products, _laurent_weights(diag)) == (0, 1), n
+        assert gram_oracle.laurent_defect(
+            products, gram_oracle.laurent_weights(diag)) == (0, 1), n
 
 
 def test_laurent_weights_are_laurent_and_proportional():
     for n in range(9):
         diag = _inverse_binomials(n)
-        weights = _laurent_weights(diag)
+        weights = gram_oracle.laurent_weights(diag)
         assert all(w.den == (1,) for w in weights), n
         assert all(w == diag[i] * weights[0] for i, w in enumerate(weights))
 
 
 def test_gram_certificate_runs_no_gcd(monkeypatch):
-    # the certificate inside solve_coinvariant_gram is handed Laurent
-    # weights, so with the polynomial gcd disabled it still certifies
+    # the certificate inside the fraction-free Haar oracle is handed
+    # Laurent weights, so with the polynomial gcd disabled it still
+    # certifies
     def no_gcd(f, g):
         raise AssertionError("polynomial gcd in the certificate")
 
-    certify = comod._coinvariance_defect
+    certify = gram_oracle.laurent_defect
     calls = []
 
     def guarded(products, weights):
@@ -293,9 +402,9 @@ def test_gram_certificate_runs_no_gcd(monkeypatch):
             patch.setattr(scalars, "_pgcd_full", no_gcd)
             return certify(products, weights)
 
-    monkeypatch.setattr(comod, "_coinvariance_defect", guarded)
+    monkeypatch.setattr(gram_oracle, "laurent_defect", guarded)
     for n in range(7):
-        assert solve_coinvariant_gram(n).diag == _inverse_binomials(n), n
+        assert gram_oracle.haar_solve(n) == _inverse_binomials(n), n
     assert len(calls) == 7
 
 

@@ -177,6 +177,26 @@ def test_chart_independence_fails_when_the_charts_disagree(monkeypatch,
     assert rep["matrix_is_scalar"] is True
 
 
+def test_chart_independence_holds_when_the_charts_differ_by_a_sign(
+        monkeypatch, capsys, fresh_resolution):
+    # r_b = -r_d: the coefficient vectors differ, so the b-chart triple is
+    # built, and each r_i r_k* keeps its sign, so the triples still agree
+    assembled = coherent.assembled_coefficients
+
+    def negated(ch, n):
+        if ch is charts.chart("b"):
+            return [-x for x in assembled(charts.chart("d"), n)]
+        return assembled(ch, n)
+
+    monkeypatch.setattr(coherent, "assembled_coefficients", negated)
+    assert negated(charts.chart("b"), 1) != assembled(charts.chart("d"), 1)
+    check = _checks("coherent", n_range=range(1, 2))["n=1.chart_independence"]
+    assert check["status"] == "pass"
+    code, rep = _resolution_report(capsys, 1)
+    assert code == 0
+    assert rep["chart_agreement"] is True
+
+
 def test_gauss_product_fails_on_a_wrong_matrix_product(monkeypatch):
     mat_mul = charts._mat_mul
 
