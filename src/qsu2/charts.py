@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .hopf import hopf_B, hopf_G, law_check, pi_map
+from .hopf import generator_law, hopf_B, hopf_G, pi_map
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     apply_tensor_map, retract, tensor_elem)
 from .report import check
@@ -300,10 +300,10 @@ def coinv_poly_coeffs(p: NCPoly, ch: TrivializationChart):
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_chart(ch: TrivializationChart, degree: int = 4):
-    """The chart's checks; `rho_B_restricts` runs on the G basis monomials
-    of degree <= `degree`, `gamma_comodule_map` on the B basis monomials of
-    degree <= max(degree, 1), so on the generators at least."""
+def verify_chart(ch: TrivializationChart):
+    """The chart's checks; `rho_B_restricts` and `gamma_comodule_map` are
+    laws between algebra maps, decided in every degree on the generators
+    (`hopf.generator_law`)."""
     checks = []
     B = STD.B
     HB = hopf_B()
@@ -318,9 +318,13 @@ def verify_chart(ch: TrivializationChart, degree: int = 4):
     G = STD.G
     pi = pi_map()
     HG = hopf_G()
-    checks.append(law_check(
+    # the maps each law applies to a product: rho_B_restricts rho_B (on
+    # iota(m)), iota and pi (in iota x pi); gamma_comodule_map rho_B (on
+    # gamma(m)) and gamma (in gamma x id)
+    checks.append(generator_law(
         f"{ch.name}.rho_B_restricts",
-        "the localization map is a map of B-comodule algebras", G, degree,
+        "the localization map is a map of B-comodule algebras", G,
+        [ch.rho_B, ch.iota, pi],
         (lambda p: ch.rho_B(ch.iota(p)),
          lambda p: apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
                                     ch.target))))
@@ -341,9 +345,9 @@ def verify_chart(ch: TrivializationChart, degree: int = 4):
     emit("gamma_lambda_inverses",
          inverts_gamma_lambda(ch, ch.gamma_lambda_inv),
          "gamma(lambda) gamma(lambda^-1) = 1 = gamma(lambda^-1) gamma(lambda)")
-    checks.append(law_check(
+    checks.append(generator_law(
         f"{ch.name}.gamma_comodule_map", "rho_S gamma = (gamma x id) Delta_B",
-        B, max(degree, 1),
+        B, [ch.rho_B, ch.gamma],
         (lambda w: ch.rho_B(ch.gamma(w)),
          lambda w: apply_tensor_map(HB.delta(w), [ch.gamma.image, None],
                                     ch.target))))

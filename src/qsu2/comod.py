@@ -24,9 +24,13 @@ equals q^(k-1-j) e_j' x read from V_(k-1) and a, c, so V_k is a quotient
 comodule of V_(k-1) (x) V_1.  Second, the antipode law (the `hopf` suite)
 then gives S(t) t = t S(t) = 1.  So t* W t = W exactly when t* W = W S(t),
 the unitarity of t (Woronowicz, Compact matrix pseudogroups, CMP 111
-(1987)): w_i t[i][k]* = w_k S(t[k][i]) for every (i, k), m^2 comparisons
-with no product of degree-n elements and no Haar integral.  Both orders
-are still solved as full (n+1)^2 kernel systems for the misprint ledger
+(1987)): w_i t[i][k]* = w_k S(t[k][i]) for every (i, k), with no product
+of degree-n elements and no Haar integral.  Only the pairs k >= i are
+compared: star and then S turn the identity at (i, k) into the one at
+(k, i), since the weights are real and S(S(y)*) = y* (put x = y* in
+S(S(x*)*) = x).  That rests on the `star_antipode_compat` law, which the
+`hopf` suite decides in every degree.  Both orders are still solved as
+full (n+1)^2 kernel systems for the misprint ledger
 (`gram_order_report`), which needs the solution count in each.
 """
 
@@ -260,16 +264,19 @@ def _certify_corepresentation(n: int):
 
 def _unitarity_defect(n: int, weights):
     """The first (i, k) in row-major order with w_i t[i][k]* != w_k S(t[k][i])
-    over the coaction matrix t of V_n, or None.  The identity is homogeneous
-    in w, so it runs on w times the lcm of its denominators: Laurent
-    weights, whose products with the entries of t run no gcd."""
+    over the coaction matrix t of V_n, or None.  The pairs k < i follow
+    from (k, i) by star-antipode compatibility, so only k >= i run; the
+    first failing pair of all m^2 is among them, since (k, i) precedes
+    (i, k).  The identity is homogeneous in w, so it runs on w times the
+    lcm of its denominators: Laurent weights, whose products with the
+    entries of t run no gcd."""
     t = VnComodule(n).coaction_matrix
     S = hopf_G().antipode
     lcm = denominator_lcm(weights)
     w = [x * lcm for x in weights]
     m = n + 1
     for i in range(m):
-        for k in range(m):
+        for k in range(i, m):
             if star(t[i][k]) * w[i] != S(t[k][i]) * w[k]:
                 return i, k
     return None

@@ -10,14 +10,36 @@ Every structure map is an `AlgebraMap`: Delta, eps and pi are
 multiplicative, the antipode S (like the involution `ncalg.STD.star`)
 is antimultiplicative.
 
-Each law is a pair (f, g) of Q(q)-linear maps, and `law_check` checks it
-as f(m) = g(m) on the basis monomials m up to a degree: the Hopf and star
-laws and pi's compatibility with Delta and eps up to the requested
-degree, pi's compatibility with S on the unit and the generators.  A law
-that holds on a basis holds on its span, so these checks are exhaustive
-up to the degree.  The star is antilinear, but conjugation is the
-identity on Q(q) (q is real and the coefficients are rational), so star
-is linear here and the star laws are linear laws too.
+Each law is a pair (f, g) of Q(q)-linear maps, compared on basis
+monomials, so a law that holds on them holds on their span.  The Hopf and
+star laws, pi's compatibility with Delta, eps and S, and the two chart
+laws of `charts.verify_chart` are laws between two composites of structure maps that are both multiplicative or both
+antimultiplicative, and `generator_law` decides each of them in every
+degree on `basis_words(alg, 1)`: the unit, the generators and the
+inverses of the invertible generators.  The argument: the engine's image
+of a basis monomial m = g_1^e_1 ... g_k^e_k under an `AlgebraMap` is the
+product of the generator images, by construction.  A map applied to that
+product, such as Delta x id to Delta(m) or S to star(m), splits it into
+the product of its values on the factors when it respects the defining
+relations of its source.  Then f(m) and g(m) are the products of
+f(g_i^e_i) and g(g_i^e_i) in the same (or the same reversed) order, and
+agree once the generator values do.  So each law rests on the
+`check_relations` of the maps it applies to a product, named next to the
+code; a failed relation check fails the law, and its witness names the map
+and the relation.  The antipode convolution is not multiplicative, but it
+holds on xy once it holds on x and on y: with Delta(xy) = Delta(x) Delta(y)
+(by construction on a basis monomial) and S antimultiplicative,
+S((xy)_1) (xy)_2 = S(y_1) S(x_1) x_2 y_2 = eps(x) eps(y) 1, and likewise on
+the right, so it rests on S alone.  Every argument also rests on the
+associativity of the engine's products, which the `rewriting` suite
+certifies only up to its `--degree`.
+
+The Haar invariance laws (`haar`) are not of this kind, since the Haar
+functional is not multiplicative: `law_check` checks a law on every basis
+monomial up to a degree, so such a check is exhaustive up to that degree.
+The star is antilinear, but conjugation is the identity on Q(q) (q is real
+and the coefficients are rational), so star is linear here and the star
+laws are linear laws too.
 """
 
 from __future__ import annotations
@@ -39,6 +61,7 @@ __all__ = [
     "verify_hopf",
     "basis_words",
     "law_check",
+    "generator_law",
     "verify_pi_hopf_map",
 ]
 
@@ -248,6 +271,21 @@ def law_check(name, anchor, alg, degree, *laws):
     return check(name, bad is None, anchor, bad)
 
 
+def generator_law(name, anchor, alg, maps, *laws):
+    """The check record of the laws (f, g) between (anti)multiplicative
+    composites on `alg`, in every degree: f(m) = g(m) on the unit, the
+    generators and their inverses (`basis_words(alg, 1)`), and every
+    `AlgebraMap` in `maps`, those the composites apply to a product,
+    respects the relations.  A failure names the first such m, else the
+    first map and relation that fail."""
+    bad = next((m for m in basis_words(alg, 1)
+                if any(f(m) != g(m) for f, g in laws)), None)
+    if bad is None:
+        bad = next((f"{amap.name} fails relation {rel}" for amap in maps
+                    for rel in amap.check_relations()), None)
+    return check(name, bad is None, anchor, bad)
+
+
 def _standard(which: str) -> HopfAlgebra:
     return {"G": _HOPF_G, "B": _HOPF_B}[which]
 
@@ -265,18 +303,16 @@ def _corrupted(which: str) -> HopfAlgebra:
     return HopfAlgebra(hopf.alg, images, hopf.eps.images, hopf.name)
 
 
-def verify_hopf(which: str, degree: int = 5, corrupt_delta: bool = False):
-    """Check coassociativity, counit, antipode and star laws on the basis
-    monomials of degree <= max(degree, 1), so on the generators at least;
-    returns the shared report-check list.  `corrupt_delta` installs a
-    broken Delta(b) as a negative control."""
+def verify_hopf(which: str, corrupt_delta: bool = False):
+    """Check coassociativity, counit, antipode and star laws in every
+    degree, on the generators; returns the shared report-check list.
+    `corrupt_delta` installs a broken Delta(b) as a negative control."""
     hopf = _corrupted(which) if corrupt_delta else _standard(which)
     alg = hopf.alg
     checks = []
-    degree = max(degree, 1)
 
-    def run(name, anchor, *laws):
-        checks.append(law_check(name, anchor, alg, degree, *laws))
+    def run(name, anchor, maps, *laws):
+        checks.append(generator_law(name, anchor, alg, maps, *laws))
 
     def tensor_map(images, target):
         return lambda w: apply_tensor_map(hopf.delta(w), images, target)
@@ -290,22 +326,28 @@ def verify_hopf(which: str, degree: int = 5, corrupt_delta: bool = False):
     checks.append(check(f"{which}.delta_algebra_map",
                         not hopf.delta.check_relations(),
                         "coproduct preserves the defining relations"))
+    # the maps each law applies to a product, whose relation checks it
+    # rests on: coassociativity Delta (in Delta x id and id x Delta),
+    # counit_law eps, antipode_convolution S, star_coproduct Delta (on
+    # star(m)) and star (in star x star), star_counit eps (on star(m)),
+    # star_antipode_compat S and star
+    S = hopf.antipode
     delta, eps = hopf.delta.image, hopf.eps.image
     run(f"{which}.coassociativity",
-        "(Delta x id)Delta = (id x Delta)Delta",
+        "(Delta x id)Delta = (id x Delta)Delta", [hopf.delta],
         (tensor_map([delta, None], hopf.T3),
          tensor_map([None, delta], hopf.T3)))
     run(f"{which}.counit_law",
-        "(eps x id)Delta = id = (id x eps)Delta",
+        "(eps x id)Delta = id = (id x eps)Delta", [hopf.eps],
         (tensor_map([eps, None], alg), identity),
         (tensor_map([None, eps], alg), identity))
-    if hopf.antipode is None:
+    if S is None:
         checks.append(check(f"{which}.antipode_convolution", False,
                             "mu(S x id)Delta = eta eps = mu(id x S)Delta",
                             f"no antipode solution: {hopf.antipode_failure}"))
     else:
         run(f"{which}.antipode_convolution",
-            "mu(S x id)Delta = eta eps = mu(id x S)Delta",
+            "mu(S x id)Delta = eta eps = mu(id x S)Delta", [S],
             (lambda w: _convolve_antipode(hopf, w, "left"), eta_eps),
             (lambda w: _convolve_antipode(hopf, w, "right"), eta_eps))
     checks.append(check(f"{which}.antipode_unique_in_ansatz",
@@ -314,16 +356,17 @@ def verify_hopf(which: str, degree: int = 5, corrupt_delta: bool = False):
     if alg is STD.G:
         run(f"{which}.star_coproduct",
             "Delta(a^*) = sum a_(1)^* x a_(2)^* (intended reading of Definition 3)",
+            [hopf.delta, STD.star],
             (lambda w: hopf.delta(star(w)),
              tensor_map([STD.star.image, STD.star.image], hopf.T2)))
         run(f"{which}.star_counit",
-            "eps(a^*) = conj(eps(a))",
+            "eps(a^*) = conj(eps(a))", [hopf.eps],
             (lambda w: hopf.eps(star(w)), hopf.eps))
-        if hopf.antipode is not None:
+        if S is not None:
             run(f"{which}.star_antipode_compat",
                 "S(S(a^*)^*) = a (standard Hopf-* compatibility)",
-                (lambda w: hopf.antipode(star(hopf.antipode(star(w)))),
-                 identity))
+                [S, STD.star],
+                (lambda w: S(star(S(star(w)))), identity))
     else:
         checks.append(check(f"{which}.star_axioms", None,
                             "Definition 3 (real form)",
@@ -332,21 +375,26 @@ def verify_hopf(which: str, degree: int = 5, corrupt_delta: bool = False):
     return checks
 
 
-def verify_pi_hopf_map(degree: int = 5):
-    """pi is a Hopf-algebra map: Delta and eps checked on all basis
-    monomials up to the degree, S on the unit and the generators."""
+def verify_pi_hopf_map():
+    """pi is a Hopf-algebra map: Delta, eps and S checked in every degree,
+    on the generators."""
 
-    def law(name, anchor, degree, f, g):
-        return law_check(f"pi.{name}", anchor, STD.G, degree, (f, g))
+    def law(name, anchor, maps, f, g):
+        return generator_law(f"pi.{name}", anchor, STD.G, maps, (f, g))
 
+    # the maps each law applies to a product: coproduct_compat Delta_B (on
+    # pi(m)) and pi (in pi x pi), counit_compat eps_B (on pi(m)),
+    # antipode_compat S_B (on pi(m)) and pi (on S_G(m))
+    HB, HG = _HOPF_B, _HOPF_G
     return [
-        law("coproduct_compat", "Delta_B pi = (pi x pi) Delta_G", degree,
-            lambda p: _HOPF_B.delta(_PI(p)),
-            lambda p: apply_tensor_map(_HOPF_G.delta(p),
-                                       [_PI.image, _PI.image], _HOPF_B.T2)),
-        law("counit_compat", "eps_B pi = eps_G", degree,
-            lambda p: _HOPF_B.eps(_PI(p)), _HOPF_G.eps),
-        law("antipode_compat", "S_B pi = pi S_G", 1,
-            lambda p: _HOPF_B.antipode(_PI(p)),
-            lambda p: _PI(_HOPF_G.antipode(p))),
+        law("coproduct_compat", "Delta_B pi = (pi x pi) Delta_G",
+            [HB.delta, _PI],
+            lambda p: HB.delta(_PI(p)),
+            lambda p: apply_tensor_map(HG.delta(p), [_PI.image, _PI.image],
+                                       HB.T2)),
+        law("counit_compat", "eps_B pi = eps_G", [HB.eps],
+            lambda p: HB.eps(_PI(p)), HG.eps),
+        law("antipode_compat", "S_B pi = pi S_G", [HB.antipode, _PI],
+            lambda p: HB.antipode(_PI(p)),
+            lambda p: _PI(HG.antipode(p))),
     ]

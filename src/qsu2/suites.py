@@ -39,9 +39,9 @@ def suite_rewriting(n_range, degree, q0):
 
 
 def suite_hopf(n_range, degree, q0):
-    checks = hopf.verify_hopf("G", degree=degree)
-    checks += hopf.verify_hopf("B", degree=degree)
-    checks += hopf.verify_pi_hopf_map(degree=min(degree, 5))
+    checks = hopf.verify_hopf("G")
+    checks += hopf.verify_hopf("B")
+    checks += hopf.verify_pi_hopf_map()
     return checks
 
 
@@ -98,7 +98,7 @@ def suite_charts(n_range, degree, q0):
     checks = []
     for which in ("d", "b"):
         ch = charts.chart(which)
-        checks += charts.verify_chart(ch, degree=min(degree, 4))
+        checks += charts.verify_chart(ch)
         for k in range(1, max(2, degree // 2) + 1):
             basis = charts.localized_coinvariants(ch, 2 * k)
             ok = len(basis) == k + 1
@@ -433,7 +433,7 @@ def suite_typos(n_range, degree, q0):
 
 def suite_hopf_negative_control(n_range, degree, q0):
     """Deliberately corrupted Delta(b); must FAIL (exit code contract)."""
-    return hopf.verify_hopf("G", degree=3, corrupt_delta=True)
+    return hopf.verify_hopf("G", corrupt_delta=True)
 
 
 SUITES = {

@@ -13,13 +13,16 @@ for the Gram solve (tests/test_comod.py).
 
 Both certify the sum_i w_i t[i][k]* t[i][l] = delta_kl w_k form of the
 identity, which needs products of two degree-n elements; the engine
-certifies the equivalent w_i t[i][k]* = w_k S(t[k][i]) instead.
+certifies the equivalent w_i t[i][k]* = w_k S(t[k][i]) instead, on the
+pairs k >= i.  `unitarity_defect` is that identity on all m^2 pairs, the
+oracle for the halved loop.
 """
 
 from __future__ import annotations
 
 from qsu2.comod import VnComodule
 from qsu2.haar import haar
+from qsu2.hopf import hopf_G
 from qsu2.ncalg import STD, DomainError, NCPoly, star
 from qsu2.scalars import ZERO, denominator_lcm
 
@@ -112,3 +115,15 @@ def haar_solve(n: int):
             f"the Haar-averaged Gram form of V_{n} is not coinvariant at "
             f"(k, l) = {defect}")
     return diag
+
+
+def unitarity_defect(n: int, weights):
+    """The first (i, k) of all m^2 pairs in row-major order with
+    w_i t[i][k]* != w_k S(t[k][i]) over the coaction matrix t of V_n, or
+    None, on the weights as given."""
+    t = VnComodule(n).coaction_matrix
+    S = hopf_G().antipode
+    m = n + 1
+    return next(((i, k) for i in range(m) for k in range(m)
+                 if star(t[i][k]) * weights[i] != S(t[k][i]) * weights[k]),
+                None)

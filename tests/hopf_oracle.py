@@ -1,17 +1,22 @@
-"""The Hopf-law checks as `qsu2.hopf.verify_hopf` made them before
-`hopf.law_check`: each law is evaluated on every whole word, f(w) == g(w),
-and the convolution with the antipode is built from NCPoly products and
-sums.  The words are given, so the same oracle runs on the basis words and
-on the old seeded sample words (`rewriting_oracle.sample_words`).
+"""The laws between algebra maps as degree scans: each law is evaluated on
+every given word, f(w) == g(w), and the convolution with the antipode is
+built from NCPoly products and sums.  The words are given, so the same
+oracle runs on the basis words up to a degree and on the old seeded sample
+words (`rewriting_oracle.sample_words`).
 
-It is kept here only as an oracle for `verify_hopf` (tests/test_hopf.py),
-so it shares neither `law_check` nor the accumulating convolution with the
-code under test.
+The engine decides these laws on the generators, in every degree, with the
+relation checks of the maps they apply to a product
+(`qsu2.hopf.generator_law`).  The scans are kept here only as oracles for
+`verify_hopf`, `verify_pi_hopf_map` and the chart laws of `verify_chart`
+(tests/test_hopf.py), so they share neither `generator_law` nor the
+accumulating convolution with the code under test.  Every structure map is
+read at call time, so a fault installed on the engine reaches the oracle.
 """
 
 from __future__ import annotations
 
-from qsu2.hopf import _corrupted, _standard
+from qsu2 import charts
+from qsu2.hopf import _corrupted, _standard, hopf_B, hopf_G, pi_map
 from qsu2.ncalg import NCPoly, STD, apply_tensor_map, star
 from qsu2.report import check
 from qsu2.scalars import ONE
@@ -31,14 +36,18 @@ def convolve_antipode(hopf, p, side):
     return out
 
 
+def _scan(name, anchor, words, fn):
+    bad = next((w for w in words if not fn(w)), None)
+    return check(name, bad is None, anchor, bad)
+
+
 def verify_hopf(which, words, corrupt_delta=False):
     hopf = _corrupted(which) if corrupt_delta else _standard(which)
     alg = hopf.alg
     checks = []
 
     def run(name, anchor, fn):
-        bad = next((w for w in words if not fn(w)), None)
-        checks.append(check(name, bad is None, anchor, bad))
+        checks.append(_scan(name, anchor, words, fn))
 
     def eta_eps(w):
         return alg.scalar(hopf.counit(w))
@@ -86,3 +95,33 @@ def verify_hopf(which, words, corrupt_delta=False):
                             "no involution: the ideal (b) is not star-stable, "
                             "so no star descends to the Borel quotient"))
     return checks
+
+
+def verify_pi_hopf_map(words):
+    """pi's compatibility with Delta, eps and S on every G word."""
+    HB, HG, pi = hopf_B(), hopf_G(), pi_map()
+    return [
+        _scan("pi.coproduct_compat", "Delta_B pi = (pi x pi) Delta_G", words,
+              lambda w: HB.delta(pi(w)) == apply_tensor_map(
+                  HG.delta(w), [pi.image, pi.image], HB.T2)),
+        _scan("pi.counit_compat", "eps_B pi = eps_G", words,
+              lambda w: HB.eps(pi(w)) == HG.eps(w)),
+        _scan("pi.antipode_compat", "S_B pi = pi S_G", words,
+              lambda w: HB.antipode(pi(w)) == pi(HG.antipode(w))),
+    ]
+
+
+def chart_laws(ch, g_words, b_words):
+    """`rho_B_restricts` on every G word and `gamma_comodule_map` on every
+    B word, for one chart."""
+    HB, HG, pi = hopf_B(), hopf_G(), charts.pi_map()
+    return [
+        _scan(f"{ch.name}.rho_B_restricts",
+              "the localization map is a map of B-comodule algebras", g_words,
+              lambda w: ch.rho_B(ch.iota(w)) == apply_tensor_map(
+                  HG.delta(w), [ch.iota.image, pi.image], ch.target)),
+        _scan(f"{ch.name}.gamma_comodule_map",
+              "rho_S gamma = (gamma x id) Delta_B", b_words,
+              lambda w: ch.rho_B(ch.gamma(w)) == apply_tensor_map(
+                  HB.delta(w), [ch.gamma.image, None], ch.target)),
+    ]

@@ -207,6 +207,29 @@ def test_unitarity_names_the_first_failing_pair_in_row_major_order(
     assert _unitarity_defect(2, _inverse_binomials(2)) == (0, 1)
 
 
+def test_halved_unitarity_matches_the_full_loop(monkeypatch):
+    # the pairs k < i follow from the pairs k > i, and the first failing
+    # pair of all m^2 has k >= i: both loops name the same pair
+    for n in range(9):
+        good = _inverse_binomials(n)
+        bad_last = good[:-1] + [good[-1] * 2]
+        for weights in (good, [ONE] * (n + 1), bad_last):
+            assert (_unitarity_defect(n, weights)
+                    == gram_oracle.unitarity_defect(n, weights)), (n, weights)
+        assert _unitarity_defect(n, good) is None, n
+        if n:
+            assert _unitarity_defect(n, bad_last) is not None, n
+    # a corrupted entry below the diagonal shows above it, through S
+    for n in (2, 5):
+        V = VnComodule(n)
+        t = [row[:] for row in V.coaction_matrix]
+        t[n][1] = t[n][1] + G.gen("b")
+        monkeypatch.setattr(V, "coaction_matrix", t)
+        got = _unitarity_defect(n, _inverse_binomials(n))
+        assert got == gram_oracle.unitarity_defect(n, _inverse_binomials(n))
+        assert got == (1, n), n
+
+
 def test_weight_covectors_span_yn():
     for n in range(1, 6):
         vs = weight_covectors(n, B.gen("lambda", -n))

@@ -4,7 +4,8 @@ import random
 import pytest
 
 import hopf_oracle
-from qsu2 import hopf
+from qsu2 import charts, hopf
+from qsu2.charts import chart, verify_chart
 from qsu2.hopf import (_convolve_antipode, basis_words, hopf_B, hopf_G,
                        is_group_like, pi_map, verify_hopf, verify_pi_hopf_map)
 from qsu2.ncalg import (AlgebraMap, NCPoly, STD, normal_form_of_word,
@@ -66,18 +67,18 @@ def test_coassociativity_on_basis():
 
 def test_verify_hopf_passes():
     for which in ("G", "B"):
-        checks = verify_hopf(which, degree=4)
+        checks = verify_hopf(which)
         assert all(c["status"] != "fail" for c in checks), checks
 
 
 def test_borel_star_reported_skipped():
-    checks = verify_hopf("B", degree=3)
+    checks = verify_hopf("B")
     skips = [c for c in checks if c["status"] == "skip"]
     assert any("star" in c["name"] for c in skips)
 
 
 def test_corrupted_delta_fails_with_witness():
-    checks = verify_hopf("G", degree=3, corrupt_delta=True)
+    checks = verify_hopf("G", corrupt_delta=True)
     failed = [c for c in checks if c["status"] == "fail"]
     assert failed
     assert any("witness" in c for c in failed)
@@ -87,7 +88,7 @@ def test_corrupted_delta_fails_the_same_five_checks():
     # the basis words put d and c before a and b, so the first failing
     # words differ from those of the old sample words, not the verdicts
     failed = {c["name"]: c.get("witness")
-              for c in verify_hopf("G", degree=3, corrupt_delta=True)
+              for c in verify_hopf("G", corrupt_delta=True)
               if c["status"] == "fail"}
     assert failed == {
         "G.delta_algebra_map": None,
@@ -99,7 +100,7 @@ def test_corrupted_delta_fails_the_same_five_checks():
 
 
 def test_pi_is_hopf_map():
-    checks = verify_pi_hopf_map(degree=5)
+    checks = verify_pi_hopf_map()
     assert all(c["status"] == "pass" for c in checks)
 
 
@@ -117,7 +118,7 @@ def test_pi_laws_name_the_first_failing_word(monkeypatch, gen, image,
     pi = pi_map()
     monkeypatch.setattr(hopf, "_PI", AlgebraMap(
         G, B, {**pi.images, gen: B.gen(image)}, name="pi"))
-    checks = {c["name"]: c for c in verify_pi_hopf_map(degree=5)}
+    checks = {c["name"]: c for c in verify_pi_hopf_map()}
     for name, witness in witnesses.items():
         assert checks[f"pi.{name}"].get("witness") == witness
         assert checks[f"pi.{name}"]["status"] == (
@@ -140,7 +141,7 @@ def test_pi_laws_name_the_first_failing_word(monkeypatch, gen, image,
 def test_hopf_law_names_the_first_failing_monomial(monkeypatch, owner, attr,
                                                    fault, law, witness):
     monkeypatch.setattr(owner, attr, fault)
-    check = {c["name"]: c for c in verify_hopf("G", degree=5)}[law]
+    check = {c["name"]: c for c in verify_hopf("G")}[law]
     assert check["status"] == "fail"
     assert check["witness"] == witness
 
@@ -183,7 +184,7 @@ def test_verify_hopf_matches_per_word_oracle(which, seed, corrupt):
     # the oracle on the basis words gives the same records, and on the old
     # seeded sample words the same verdicts (its witnesses may differ)
     alg = hopf._standard(which).alg
-    got = verify_hopf(which, degree=5, corrupt_delta=corrupt)
+    got = verify_hopf(which, corrupt_delta=corrupt)
     assert got == _oracle_on_basis(which, corrupt)
     sampled = hopf_oracle.verify_hopf(
         which, sample_words(alg, 5, 100, seed), corrupt_delta=corrupt)
@@ -213,3 +214,126 @@ def test_convolution_matches_product_oracle():
                 assert (_convolve_antipode(hopf, w, side)
                         == hopf_oracle.convolve_antipode(hopf, w, side))
 
+
+
+# the laws decided on the generators, by the suite that reports them
+CHARTS = [chart("d"), chart("b")]  # built before any fault is installed
+GENERATOR_LAWS = {
+    "G.coassociativity", "G.counit_law", "G.antipode_convolution",
+    "G.star_coproduct", "G.star_counit", "G.star_antipode_compat",
+    "B.coassociativity", "B.counit_law", "B.antipode_convolution",
+    "pi.coproduct_compat", "pi.counit_compat", "pi.antipode_compat",
+    *(f"{ch.name}.{law}" for ch in CHARTS
+      for law in ("rho_B_restricts", "gamma_comodule_map"))}
+
+
+def _generator_law_records():
+    checks = verify_hopf("G") + verify_hopf("B") + verify_pi_hopf_map()
+    for ch in CHARTS:
+        checks += verify_chart(ch)
+    return {c["name"]: c for c in checks if c["name"] in GENERATOR_LAWS}
+
+
+def _scan_records():
+    # the degree-5 scans, and degree 4 for the chart laws
+    checks = (hopf_oracle.verify_hopf("G", basis_words(G, 5))
+              + hopf_oracle.verify_hopf("B", basis_words(B, 5))
+              + hopf_oracle.verify_pi_hopf_map(basis_words(G, 5)))
+    for ch in CHARTS:
+        checks += hopf_oracle.chart_laws(ch, basis_words(G, 4),
+                                         basis_words(B, 4))
+    return {c["name"]: c for c in checks if c["name"] in GENERATOR_LAWS}
+
+
+PI_IMAGES = dict(pi_map().images)
+
+
+def _pi_with(gen, image):
+    return AlgebraMap(G, B, {**PI_IMAGES, gen: image}, name="pi")
+
+
+def _corrupt_both_deltas(mp):
+    # the negative control's Delta, with the true antipodes kept
+    for which in "GB":
+        mp.setattr(hopf._standard(which), "delta",
+                   hopf._corrupted(which).delta)
+
+
+def _double_gamma_xi(mp):
+    for ch in CHARTS:
+        mp.setattr(ch, "gamma", AlgebraMap(
+            B, ch.alg, {**ch.gamma.images, "xi": ch.gamma.images["xi"] * 2},
+            name=ch.gamma.name))
+
+
+# every fault that the law tests here and in tests/test_charts.py install
+LAW_FAULTS = {
+    "none": lambda mp: None,
+    "pi_b_to_xi": lambda mp: mp.setattr(hopf, "_PI",
+                                        _pi_with("b", B.gen("xi"))),
+    "pi_c_to_lambda": lambda mp: mp.setattr(hopf, "_PI",
+                                            _pi_with("c", B.gen("lambda"))),
+    "eps_b_is_1": lambda mp: mp.setattr(
+        HG, "eps", AlgebraMap(G, STD.K, {**HG.eps.images, "b": 1})),
+    "star_a_is_b": lambda mp: mp.setattr(STD, "star", AlgebraMap(
+        G, G, {**STD.star.images, "a": G.gen("b")}, name="star", anti=True)),
+    "S_b_is_minus_b": lambda mp: mp.setattr(HG, "antipode", AlgebraMap(
+        G, G, {**HG.antipode.images, "b": G.gen("b") * -1}, anti=True)),
+    "corrupted_delta": _corrupt_both_deltas,
+    "chart_pi_c_to_2xi": lambda mp: mp.setattr(
+        charts, "pi_map", lambda: _pi_with("c", B.gen("xi") * 2)),
+    "chart_gamma_xi_doubled": _double_gamma_xi,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LAW_FAULTS))
+def test_generator_laws_match_the_degree_scans(monkeypatch, fault):
+    # each law decided on the generators gives the record of its scan over
+    # every basis word up to degree 5 (4 for the charts): same verdict,
+    # same witness, on the standard data and under every fault
+    LAW_FAULTS[fault](monkeypatch)
+    got = _generator_law_records()
+    assert sorted(got) == sorted(GENERATOR_LAWS)
+    assert got == _scan_records()
+
+
+# map -> the generator laws that apply it to a product, so fail when it
+# breaks a relation
+RELATION_FOLDS = {
+    "Delta[G]": (lambda: HG.delta,
+                 {"G.coassociativity", "G.star_coproduct"}),
+    "Delta[B]": (lambda: HB.delta,
+                 {"B.coassociativity", "pi.coproduct_compat"}),
+    "eps[G]": (lambda: HG.eps, {"G.counit_law", "G.star_counit"}),
+    "eps[B]": (lambda: HB.eps, {"B.counit_law", "pi.counit_compat"}),
+    "star": (lambda: STD.star,
+             {"G.star_coproduct", "G.star_antipode_compat"}),
+    "S[G]": (lambda: HG.antipode,
+             {"G.antipode_convolution", "G.star_antipode_compat"}),
+    "S[B]": (lambda: HB.antipode,
+             {"B.antipode_convolution", "pi.antipode_compat"}),
+    "pi": (pi_map, {"pi.coproduct_compat", "pi.antipode_compat",
+                    "d-chart.rho_B_restricts", "b-chart.rho_B_restricts"}),
+    **{f"{part}[{ch.name}]": (
+        functools.partial(getattr, ch, part),
+        {f"{ch.name}.{law}" for law in laws})
+       for ch in CHARTS for part, laws in [
+           ("iota", ["rho_B_restricts"]),
+           ("rho_B", ["rho_B_restricts", "gamma_comodule_map"]),
+           ("gamma", ["gamma_comodule_map"])]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_FOLDS))
+def test_a_broken_relation_fails_exactly_the_laws_that_need_it(monkeypatch,
+                                                               name):
+    # every generator scan still passes: only the relation check of the
+    # map can fail a law, and it fails just those that apply the map to a
+    # product, with a witness naming the map and the relation
+    get, needs = RELATION_FOLDS[name]
+    amap = get()
+    monkeypatch.setattr(amap, "check_relations", lambda: ["xy=yx"])
+    got = _generator_law_records()
+    failed = {n: c.get("witness") for n, c in got.items()
+              if c["status"] != "pass"}
+    assert failed == dict.fromkeys(needs, f"{amap.name} fails relation xy=yx")

@@ -151,11 +151,11 @@ def _caches():
 
 @pytest.mark.parametrize("which", ["G", "B"])
 def test_negative_control_adds_nothing_on_repeat(which):
-    verify_hopf(which, degree=2, corrupt_delta=True)
+    verify_hopf(which, corrupt_delta=True)
     caches = _caches()
     assert "qsu2.ncalg.AlgebraMap._power" in caches
     before = {k: f.cache_info().currsize for k, f in caches.items()}
-    verify_hopf(which, degree=2, corrupt_delta=True)
+    verify_hopf(which, corrupt_delta=True)
     after = {k: f.cache_info().currsize for k, f in caches.items()}
     assert after == before
     assert _corrupted(which) is _corrupted(which)
