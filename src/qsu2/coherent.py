@@ -17,8 +17,8 @@ import functools
 from fractions import Fraction
 
 from .charts import TrivializationChart, chart, cover
-from .comod import (GramForm, VnComodule, pairing, schur_scalar,
-                    solve_coinvariant_gram)
+from .comod import (GramForm, VnComodule, homogeneous_weight, pairing,
+                    schur_scalar, solve_coinvariant_gram)
 from .haar import haar
 from .ncalg import DomainError, NCPoly, STD, retract, star, tensor_elem
 from .report import check
@@ -160,8 +160,12 @@ def resolution_operator(n: int) -> ResolutionResult:
     Assembles, per chart, the V (x) G (x) V* element with entries
     r_i r_j^* where r_i = (C_lambda)_i gamma_lambda(chi).  Whether the two
     charts give the identical element (lambda-independence) is recorded as
-    `chart_agreement`; the matrix is integrated from the d-chart element.
-    The Gram-weighted Haar integral must be an exact scalar matrix.
+    `chart_agreement`; the triples are built only when the two vectors
+    differ.  The matrix is integrated from the d-chart vector, one entry
+    at a time by `_integral`: where r_i and r_k are homogeneous of
+    different torus weights, r_i r_k^* has a nonzero weight and the entry
+    is exact zero; any other entry integrates the full product.  The
+    Gram-weighted Haar integral must be an exact scalar matrix.
     """
     cov = cover()
     r_b = assembled_coefficients(cov.b, n)
@@ -172,21 +176,34 @@ def resolution_operator(n: int) -> ResolutionResult:
         r_star = [star(x) for x in r]
         return {(i, j): r[i] * r_star[j] for i in range(m) for j in range(m)}
 
-    triple_d = triple(r_d)
     # equal vectors give equal triples; differing ones (r_b = -r_d) may too
-    agree = r_b == r_d or triple(r_b) == triple_d
+    agree = r_b == r_d or triple(r_b) == triple(r_d)
     g = gram(n)
-    matrix = [[haar(triple_d[(i, k)]) * g.diag[k] for k in range(m)]
+    matrix = [[_integral(r_d[i], r_d[k]) * g.diag[k] for k in range(m)]
               for i in range(m)]
     alpha = schur_scalar(matrix, n)
     return ResolutionResult(n, matrix, alpha, agree)
 
 
+def _integral(x: NCPoly, y: NCPoly) -> QScalar:
+    """int x y^*.  When x and y are both homogeneous for the torus
+    bigrading, x y^* has weight w(x) - w(y) (star negates the weight), and
+    the Haar state vanishes off weight (0, 0): different weights give
+    exact zero with no product formed.  An x or y that is zero or mixes
+    weights integrates the full product."""
+    wx, wy = homogeneous_weight(x), homogeneous_weight(y)
+    if wx is not None and wy is not None and wx != wy:
+        return ZERO
+    return haar(x * star(y))
+
+
 def lemma_integral(i: int, j: int, n: int) -> QScalar:
-    """int u^i d^n (u^j d^n)^* computed through the Haar functional."""
+    """int u^i d^n (u^j d^n)^* computed through the Haar functional, by
+    `_integral`: the sides are homogeneous of different torus weights
+    for i != j, so those entries are exact zero without a product."""
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i,j <= n")
-    return haar(_lemma_side(i, n) * star(_lemma_side(j, n)))
+    return _integral(_lemma_side(i, n), _lemma_side(j, n))
 
 
 @functools.cache

@@ -21,17 +21,21 @@ everywhere is the star-first one, t* W t = W for W = diag(w) and
 First, t is a corepresentation, by induction on n: the comodule axioms hold
 on V_1, and at each step k = 2..n the column of e_(j+1) built as e_(j+1)' y
 equals q^(k-1-j) e_j' x read from V_(k-1) and a, c, so V_k is a quotient
-comodule of V_(k-1) (x) V_1.  Second, the antipode law (the `hopf` suite)
-then gives S(t) t = t S(t) = 1.  So t* W t = W exactly when t* W = W S(t),
-the unitarity of t (Woronowicz, Compact matrix pseudogroups, CMP 111
-(1987)): w_i t[i][k]* = w_k S(t[k][i]) for every (i, k), with no product
-of degree-n elements and no Haar integral.  Only the pairs k >= i are
-compared: star and then S turn the identity at (i, k) into the one at
-(k, i), since the weights are real and S(S(y)*) = y* (put x = y* in
-S(S(x*)*) = x).  That rests on the `star_antipode_compat` law, which the
-`hopf` suite decides in every degree.  Both orders are still solved as
-full (n+1)^2 kernel systems for the misprint ledger
-(`gram_order_report`), which needs the solution count in each.
+comodule of V_(k-1) (x) V_1.  Each step also ties the cached matrix of V_k
+to the extension of the cached V_(k-1), so the induction runs on the
+matrices every caller reads; a step is certified once per process
+(`_certified_step`), and V_n costs only the steps no smaller n has run.
+Second, the antipode law (the `hopf` suite) then gives S(t) t = t S(t) = 1.
+So t* W t = W exactly when t* W = W S(t), the unitarity of t (Woronowicz,
+Compact matrix pseudogroups, CMP 111 (1987)): w_i t[i][k]* = w_k S(t[k][i])
+for every (i, k), with no product of degree-n elements and no Haar
+integral.  Only the pairs k >= i are compared: star and then S turn the
+identity at (i, k) into the one at (k, i), since the weights are real and
+S(S(y)*) = y* (put x = y* in S(S(x*)*) = x).  That rests on the
+`star_antipode_compat` law, which the `hopf` suite decides in every degree.
+Both orders are still solved as full (n+1)^2 kernel systems for the
+misprint ledger (`gram_order_report`), which needs the solution count in
+each.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ __all__ = [
     "NonScalarError",
     "intertwiner_space_dimension",
     "verify_comodule_axioms",
+    "torus_weight",
+    "homogeneous_weight",
 ]
 
 STAR_FIRST = "star_first"   # sum <w0|z0> w1* z1
@@ -155,11 +161,25 @@ def verify_comodule_axioms(n: int):
             # degree-n homogeneity survives ad -> 1 + qbc only as the
             # filtration bound plus the torus bigrading
             for mono in t[i][k].terms:
-                ka, r, s, td = mono
-                if (sum(mono) > n or (ka + r - s - td, ka - r + s - td)
-                        != (2 * i - n, 2 * k - n)):
+                if (sum(mono) > n
+                        or torus_weight(mono) != (2 * i - n, 2 * k - n)):
                     return ("homogeneity", i, k)
     return None
+
+
+def torus_weight(mono):
+    """The torus bigrading (k + r - s - t, k - r + s - t) of the monomial
+    a^k b^r c^s d^t of G.  The relations of G are homogeneous for it,
+    star negates it, and the Haar state vanishes off weight (0, 0)."""
+    k, r, s, t = mono
+    return (k + r - s - t, k - r + s - t)
+
+
+def homogeneous_weight(p: NCPoly):
+    """The torus weight every monomial of p has, or None when p is zero or
+    mixes weights."""
+    weights = {torus_weight(mono) for mono in p.terms}
+    return weights.pop() if len(weights) == 1 else None
 
 
 def weight_covectors(n: int, chi_elem: NCPoly):
@@ -239,27 +259,44 @@ def _step_defect(prev, t, k: int):
     return None
 
 
+@functools.cache
+def _certified_step(k: int):
+    """Raise unless step k >= 2 holds between the cached matrices of
+    V_(k-1) and V_k: V_k is the extension of V_(k-1) (the tie), and
+    `_step_defect` finds no column of V_k that differs from its reading
+    through e_j' x.  Each step is certified once per process; a failed
+    step raises and caches nothing."""
+    prev = VnComodule(k - 1).coaction_matrix
+    t = VnComodule(k).coaction_matrix
+    if t != _extend_coaction_matrix(prev, k):
+        raise DomainError(f"V_{k} is not the matrix its steps from V_1 build")
+    column = _step_defect(prev, t, k)
+    if column is not None:
+        raise DomainError(
+            f"step {k}: column {column} of the coaction matrix of V_{k} "
+            f"is not q^{k - column} e_{column - 1}' x")
+
+
 def _certify_corepresentation(n: int):
     """Raise unless the coaction matrix of V_n is a corepresentation: the
-    axioms on V_1 (V_0 when n = 0), each step k = 2..n of the extension
-    from V_1, and the last matrix of those steps is that of V_n."""
+    axioms on V_1 (V_0 when n = 0) and each step k = 2..n from V_1."""
     base = min(n, 1)
     bad = verify_comodule_axioms(base)
     if bad is not None:
         raise DomainError(
             f"base case: the coaction matrix of V_{base} breaks the "
             f"comodule axioms at {bad}")
-    t = VnComodule(base).coaction_matrix
     for k in range(2, n + 1):
-        nxt = _extend_coaction_matrix(t, k)
-        column = _step_defect(t, nxt, k)
-        if column is not None:
-            raise DomainError(
-                f"step {k}: column {column} of the coaction matrix of V_{k} "
-                f"is not q^{k - column} e_{column - 1}' x")
-        t = nxt
-    if t != VnComodule(n).coaction_matrix:
-        raise DomainError(f"V_{n} is not the matrix its steps from V_1 build")
+        _certified_step(k)
+
+
+def _antipode():
+    """The antipode of G; fatal when its solve failed."""
+    HG = hopf_G()
+    if HG.antipode is None:
+        raise DomainError(
+            f"no antipode solution on G: {HG.antipode_failure}")
+    return HG.antipode
 
 
 def _unitarity_defect(n: int, weights):
@@ -271,7 +308,7 @@ def _unitarity_defect(n: int, weights):
     lcm of its denominators: Laurent weights, whose products with the
     entries of t run no gcd."""
     t = VnComodule(n).coaction_matrix
-    S = hopf_G().antipode
+    S = _antipode()
     lcm = denominator_lcm(weights)
     w = [x * lcm for x in weights]
     m = n + 1
@@ -285,11 +322,11 @@ def _unitarity_defect(n: int, weights):
 def solve_coinvariant_gram(n: int) -> GramForm:
     """The coinvariant Gram form of V_n, from the antipode: w_0 = 1 (so
     <y^n|y^n> = 1) and each w_i read off one common monomial of t[i][0]*
-    and S(t[0][i]); fatal unless t is certified a corepresentation and
-    unitary for diag(w)."""
+    and S(t[0][i]); fatal unless t is certified a corepresentation, G has
+    an antipode, and t is unitary for diag(w)."""
     _certify_corepresentation(n)
     t = VnComodule(n).coaction_matrix
-    S = hopf_G().antipode
+    S = _antipode()
     diag = [ONE]
     for i in range(1, n + 1):
         lhs, rhs = star(t[i][0]), S(t[0][i])

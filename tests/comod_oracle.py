@@ -1,4 +1,4 @@
-"""Two old code paths of `qsu2.comod`, kept here only as oracles
+"""Three old code paths of `qsu2.comod`, kept here only as oracles
 (tests/test_comod.py).
 
 `coaction_matrix` is the coaction matrix of V_n as `VnComodule` built it
@@ -10,14 +10,20 @@ recursion nor the Manin commutation factor with the code under test.
 `comod` used before a comodule was only its coaction matrix: rho(v) as an
 element of Manin (x) G, and the weight condition (id x pi) rho(v) = v (x) chi
 solved on its Manin (x) B monomials.
+
+`certify_corepresentation` is the corepresentation certificate as
+`solve_coinvariant_gram` ran it before each Manin step was certified once
+per process: for every n it rebuilt the chain V_2..V_n from V_1, checked
+each step on the chain's own matrices, and tied only V_n to the cached
+matrix.
 """
 
 from __future__ import annotations
 
-from qsu2 import linalg
+from qsu2 import comod, linalg
 from qsu2.comod import VnComodule
 from qsu2.hopf import pi_map
-from qsu2.ncalg import NCPoly, STD, apply_tensor_map, tensor_elem
+from qsu2.ncalg import DomainError, NCPoly, STD, apply_tensor_map, tensor_elem
 from qsu2.scalars import ONE, ZERO
 
 
@@ -61,3 +67,25 @@ def weight_covectors(n: int, chi_elem: NCPoly):
         rhs = tensor_elem(MB, [NCPoly(STD.M, {(i, n - i): ONE}), chi_elem])
         columns.append(dict((lhs - rhs).terms))
     return linalg.kernel_basis(columns)
+
+
+def certify_corepresentation(n: int):
+    """Raise unless the axioms hold on V_1 (V_0 when n = 0), each step
+    k = 2..n of the chain from V_1 holds, and the chain ends at V_n."""
+    base = min(n, 1)
+    bad = comod.verify_comodule_axioms(base)
+    if bad is not None:
+        raise DomainError(
+            f"base case: the coaction matrix of V_{base} breaks the "
+            f"comodule axioms at {bad}")
+    t = VnComodule(base).coaction_matrix
+    for k in range(2, n + 1):
+        nxt = comod._extend_coaction_matrix(t, k)
+        column = comod._step_defect(t, nxt, k)
+        if column is not None:
+            raise DomainError(
+                f"step {k}: column {column} of the coaction matrix of V_{k} "
+                f"is not q^{k - column} e_{column - 1}' x")
+        t = nxt
+    if t != VnComodule(n).coaction_matrix:
+        raise DomainError(f"V_{n} is not the matrix its steps from V_1 build")

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import resolution_oracle
+from qsu2 import coherent
 from qsu2.charts import chart, cover
 from qsu2.coherent import (assembled_coefficients, classical_limit_report,
                            expected_alpha, expected_d_chart_coefficient, gram,
@@ -60,6 +62,44 @@ def test_resolution_alpha(n):
     assert res.chart_agreement
     assert res.alpha == expected_alpha(n)
     assert res.alpha * q_number(n + 1) * q_pow(-n) == ONE
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_weight_gated_matrix_matches_the_full_products(n):
+    # the gated matrix is the one integrated from every product r_i r_k^*,
+    # from either chart
+    got = resolution_operator(n).matrix
+    for ch in (cover().d, cover().b):
+        assert resolution_oracle.matrix(ch, n) == got, ch.name
+
+
+def test_weight_gated_lemma_matches_the_full_products():
+    for n in range(7):
+        for i in range(n + 1):
+            for j in range(n + 1):
+                want = resolution_oracle.lemma_integral(i, j, n)
+                assert lemma_integral(i, j, n) == want, (i, j, n)
+
+
+def test_resolution_integrates_only_weight_matched_products(monkeypatch):
+    # the r_i are homogeneous of pairwise different weights, so only the
+    # diagonal products are formed and integrated, and the Lemma table
+    # integrates its diagonal only
+    integrands = []
+
+    def counted(p):
+        integrands.append(p)
+        return haar(p)
+
+    monkeypatch.setattr(coherent, "haar", counted)
+    for n in range(5):
+        r = assembled_coefficients(cover().d, n)
+        integrands.clear()
+        resolution_operator.__wrapped__(n)
+        assert integrands == [x * star(x) for x in r], n
+        integrands.clear()
+        coherent.lemma_table(n)
+        assert len(integrands) == n + 1, n
 
 
 def test_resolution_values_at_half():

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import comod_oracle
 import gram_oracle
-from qsu2 import comod, linalg, scalars, suites
+from qsu2 import comod, hopf, linalg, scalars, suites
 from qsu2.cli import main
 from qsu2.coherent import gram
 from qsu2.comod import (STAR_FIRST, STAR_SECOND, NonScalarError, VnComodule,
@@ -92,13 +95,27 @@ def test_comodule_axioms():
 
 
 @pytest.fixture
-def doubled_v1_corner(monkeypatch):
-    # t[0][0] = d of V_1 doubled, with no Gram form cached from the true
-    # matrix and none left behind from the corrupted one
-    V = VnComodule(1)
+def fresh_steps():
+    # each Manin step is certified once per process: a fault must neither
+    # meet a step certified without it nor leave one behind
+    comod._certified_step.cache_clear()
+    yield
+    comod._certified_step.cache_clear()
+
+
+def _double_corner(monkeypatch, n):
+    # t[0][0] = d^n of V_n doubled on the cached V_n
+    V = VnComodule(n)
     t = [row[:] for row in V.coaction_matrix]
     t[0][0] = t[0][0] * 2
     monkeypatch.setattr(V, "coaction_matrix", t)
+
+
+@pytest.fixture
+def doubled_v1_corner(monkeypatch, fresh_steps):
+    # t[0][0] = d of V_1 doubled, with no Gram form cached from the true
+    # matrix and none left behind from the corrupted one
+    _double_corner(monkeypatch, 1)
     gram.cache_clear()
     yield
     gram.cache_clear()
@@ -144,14 +161,12 @@ def test_doubled_v1_corner_is_unitary_and_fails_the_base_case(
         solve_coinvariant_gram(1)
 
 
-def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch):
+def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch,
+                                                        fresh_steps):
     # V_1 and every step from it are sound, and unitarity doubles on both
     # sides again: only the comparison of V_2 with the matrix its steps
     # build catches the corrupted entry
-    V = VnComodule(2)
-    t = [row[:] for row in V.coaction_matrix]
-    t[0][0] = t[0][0] * 2
-    monkeypatch.setattr(V, "coaction_matrix", t)
+    _double_corner(monkeypatch, 2)
     assert _unitarity_defect(2, _inverse_binomials(2)) is None
     with pytest.raises(DomainError, match=r"^V_2 is not the matrix its steps"):
         solve_coinvariant_gram(2)
@@ -173,18 +188,105 @@ def _extend_with_flipped_manin_sign(t, n):
     return out
 
 
-def test_a_wrong_manin_exponent_fails_at_step_2(monkeypatch):
+@pytest.fixture
+def flipped_manin_sign(monkeypatch):
     monkeypatch.setattr(comod, "_extend_coaction_matrix",
                         _extend_with_flipped_manin_sign)
     VnComodule.cache_clear()
+    yield
+    # the matrices built under the fault must not outlive it
+    VnComodule.cache_clear()
+
+
+def test_a_wrong_manin_exponent_fails_at_step_2(fresh_steps,
+                                                flipped_manin_sign):
+    assert verify_comodule_axioms(1) is None
+    for n in (2, 3):
+        with pytest.raises(DomainError, match=r"^step 2: column 1 "):
+            solve_coinvariant_gram(n)
+
+
+def _certificate(certify, n):
     try:
-        assert verify_comodule_axioms(1) is None
-        for n in (2, 3):
-            with pytest.raises(DomainError, match=r"^step 2: column 1 "):
-                solve_coinvariant_gram(n)
+        certify(n)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+CERTIFICATE_FAULTS = {
+    "none": lambda request: None,
+    "doubled_v1_corner": lambda request: _double_corner(
+        request.getfixturevalue("monkeypatch"), 1),
+    "flipped_manin_sign": lambda request: request.getfixturevalue(
+        "flipped_manin_sign"),
+    "doubled_v2_corner": lambda request: _double_corner(
+        request.getfixturevalue("monkeypatch"), 2),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CERTIFICATE_FAULTS))
+def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
+    # the per-step certificate gives the verdict and message of the old
+    # chain rebuilt from V_1 for each n, on the sound matrices and under
+    # each fault, with the steps certified by smaller n read from the cache
+    CERTIFICATE_FAULTS[fault](request)
+    for n in range(7):
+        got = _certificate(comod._certify_corepresentation, n)
+        want = _certificate(comod_oracle.certify_corepresentation, n)
+        if fault == "doubled_v2_corner" and n >= 3:
+            # the one intended difference: the chain reads V_2 only at
+            # n = 2, while every step ties its own V_k, so a V_n past a
+            # corrupted V_2 is no longer certified
+            assert want is None, n
+            assert got == "V_2 is not the matrix its steps from V_1 build"
+        else:
+            assert got == want, (fault, n)
+    if fault == "none":
+        assert comod._certified_step.cache_info().currsize == 5
+
+
+def test_resolution_curve_certifies_each_step_once():
+    # `resolution --n 0..6` in one fresh process certifies steps 2..6, each
+    # once, where rebuilding the chain per n ran 15 steps
+    script = ("import contextlib, io\n"
+              "from qsu2 import comod\n"
+              "from qsu2.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(['resolution', '--n', str(n)])"
+              " for n in range(7)]\n"
+              "info = comod._certified_step.cache_info()\n"
+              "print(codes, info.misses)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[0, 0, 0, 0, 0, 0, 0] 5\n"
+
+
+def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys):
+    # the negative control's Delta installed on G: V_0 passes its axioms,
+    # so the certificate reaches the antipode, whose solve failed; the Gram
+    # checks fail with the failed solve as their witness
+    corrupted = hopf._corrupted("G")
+    assert corrupted.antipode is None
+    monkeypatch.setattr(hopf, "_HOPF_G", corrupted)
+    gram.cache_clear()
+    try:
+        expect = r"^no antipode solution on G: inconsistent linear system$"
+        with pytest.raises(DomainError, match=expect):
+            _unitarity_defect(0, [ONE])
+        with pytest.raises(DomainError, match=expect):
+            solve_coinvariant_gram(0)
+        code = main(["verify", "gram", "--n", "0..0", "--format", "json"])
     finally:
-        # the matrices built under the fault must not outlive it
-        VnComodule.cache_clear()
+        gram.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"]
+              if c["status"] == "fail"}
+    assert failed == dict.fromkeys(
+        ["gram.inverse_binomial_n0", "gram.positive_at_half_n0"],
+        "no antipode solution on G: inconsistent linear system")
 
 
 def test_unitarity_rejects_the_all_ones_and_printed_order_diagonals():

@@ -84,6 +84,27 @@ def test_corrupted_delta_fails_with_witness():
     assert any("witness" in c for c in failed)
 
 
+@pytest.mark.parametrize("which", "BG")
+def test_pi_antipode_compat_fails_without_an_antipode(monkeypatch, which):
+    # with the negative control's Delta installed as the Hopf algebra, the
+    # antipode solve fails: pi.antipode_compat fails with the witness
+    # verify_hopf gives its antipode_convolution, not with a TypeError
+    corrupted = hopf._corrupted(which)
+    assert corrupted.antipode is None
+    monkeypatch.setattr(hopf, f"_HOPF_{which}", corrupted)
+    checks = {c["name"]: c for c in verify_pi_hopf_map()}
+    assert sorted(checks) == ["pi.antipode_compat", "pi.coproduct_compat",
+                              "pi.counit_compat"]
+    assert checks["pi.antipode_compat"] == {
+        "name": "pi.antipode_compat", "status": "fail",
+        "paper_anchor": "S_B pi = pi S_G",
+        "witness": "no antipode solution: inconsistent linear system"}
+    convolution = {c["name"]: c for c in
+                   verify_hopf(which, corrupt_delta=True)}
+    assert (convolution[f"{which}.antipode_convolution"]["witness"]
+            == checks["pi.antipode_compat"]["witness"])
+
+
 def test_corrupted_delta_fails_the_same_five_checks():
     # the basis words put d and c before a and b, so the first failing
     # words differ from those of the old sample words, not the verdicts

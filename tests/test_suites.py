@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+import resolution_oracle
 from qsu2 import charts, coherent, suites
 from qsu2.cli import main
-from qsu2.comod import GramForm
+from qsu2.comod import GramForm, NonScalarError, homogeneous_weight
 from qsu2.ncalg import Algebra, STD, rewriting_certificate
 from qsu2.scalars import ONE, ZERO, q_pow
 
@@ -195,6 +196,37 @@ def test_chart_independence_holds_when_the_charts_differ_by_a_sign(
     code, rep = _resolution_report(capsys, 1)
     assert code == 0
     assert rep["chart_agreement"] is True
+
+
+def test_a_mixed_weight_coefficient_takes_the_full_product(monkeypatch,
+                                                          capsys,
+                                                          fresh_resolution):
+    # r_1 of n = 2 gains r_0, a term of another torus weight, on both
+    # charts: r_1 is no longer homogeneous, so its entries integrate the
+    # full product, and int r_0 r_1^* picks up int r_0 r_0^* != 0
+    assembled = coherent.assembled_coefficients
+
+    def mixed(ch, n):
+        r = assembled(ch, n)
+        if n == 2:
+            r[1] = r[1] + r[0]
+        return r
+
+    monkeypatch.setattr(coherent, "assembled_coefficients", mixed)
+    r = mixed(charts.cover().d, 2)
+    assert homogeneous_weight(r[0]) is not None
+    assert homogeneous_weight(r[1]) is None
+    # the operator names the first entry, and its value, at which the
+    # ungated matrix is not scalar
+    full = resolution_oracle.matrix(charts.cover().d, 2)
+    i, k = next((i, k) for i in range(3) for k in range(3)
+                if full[i][k] != (full[0][0] if i == k else ZERO))
+    with pytest.raises(NonScalarError) as exc:
+        coherent.resolution_operator(2)
+    assert (exc.value.entry, exc.value.value) == ((i, k), full[i][k])
+    code, rep = _resolution_report(capsys, 2)
+    assert code == 1
+    assert rep["matrix_is_scalar"] is False
 
 
 def test_gauss_product_fails_on_a_wrong_matrix_product(monkeypatch):
