@@ -39,13 +39,21 @@ def c_chi(n: int):
     return [[STD.B.gen("lambda", -n)]]
 
 
+def _antipode_B():
+    """The antipode of B; a domain error when its solve failed."""
+    HB = hopf_B()
+    if HB.antipode is None:
+        raise DomainError(f"no antipode solution: {HB.antipode_failure}")
+    return HB.antipode
+
+
 def vn_left_comodule(n: int):
     """The coaction matrix of V_n as a left B-comodule via the standard
     antipode side conversion: L[i][j] = S_B(pi(t[j][i])), so
     e_i -> sum_j S_B(pi(t[j][i])) (x) e_j."""
     t = VnComodule(n).coaction_matrix
     pi = pi_map()
-    S_B = hopf_B().antipode
+    S_B = _antipode_B()
     return [[S_B(pi(t[j][i])) for j in range(n + 1)] for i in range(n + 1)]
 
 
@@ -71,7 +79,7 @@ def kappa(ch: TrivializationChart, F, L):
 
 def kappa_bar(ch: TrivializationChart, F, L):
     """The convolution inverse: gamma o S_B in place of gamma."""
-    S_B = hopf_B().antipode
+    S_B = _antipode_B()
     return _twist(ch, F, L, lambda beta: ch.gamma(S_B(beta)))
 
 
@@ -244,12 +252,18 @@ def glue_iso_check(n: int, degree: int):
         return (kappa(ch, kappa_bar(ch, F, L), L) != F
                 or kappa_bar(ch, kappa(ch, F, L), L) != F)
 
-    comodules = ((f"C_chi(n={n})", c_chi(n)),
-                 (f"V_{n} (left)", vn_left_comodule(n)))
-    witness = next(((ch.name, name, f"unit row {j}")
-                    for ch in (cov.d, cov.b)
-                    for name, L in comodules
-                    for j in range(len(L)) if unit_row_fails(ch, L, j)), None)
+    # both need the antipode of B; a failed solve fails them, with the
+    # failure as the witness
+    try:
+        comodules = ((f"C_chi(n={n})", c_chi(n)),
+                     (f"V_{n} (left)", vn_left_comodule(n)))
+        witness = next(((ch.name, name, f"unit row {j}")
+                        for ch in (cov.d, cov.b)
+                        for name, L in comodules
+                        for j in range(len(L))
+                        if unit_row_fails(ch, L, j)), None)
+    except DomainError as exc:
+        witness = exc
     emit("kappa_inverse", witness is None,
          "kappa o kappa-bar = Id = kappa-bar o kappa", witness)
 
@@ -257,18 +271,21 @@ def glue_iso_check(n: int, degree: int):
     ok = True
     witness = None
     L = c_chi(n)
-    for ch in (cov.d, cov.b):
-        for k in range(degree + 1):
-            img = kappa(ch, [ch.coinv_gen ** k], L)
-            if not in_cotensor(ch, img, L):
-                ok, witness = False, (ch.name, f"u^{k}")
-                break
-        # localized cotensor elements map back into coinvariants (x) M
-        for h in weight_slice(ch.alg, B.gen("lambda", -n), max(2, n)):
-            back = kappa_bar(ch, [h], L)
-            if not coinvariant_components(ch, back):
-                ok, witness = False, (ch.name, str(h))
-                break
+    try:
+        for ch in (cov.d, cov.b):
+            for k in range(degree + 1):
+                img = kappa(ch, [ch.coinv_gen ** k], L)
+                if not in_cotensor(ch, img, L):
+                    ok, witness = False, (ch.name, f"u^{k}")
+                    break
+            # localized cotensor elements map back into coinvariants (x) M
+            for h in weight_slice(ch.alg, B.gen("lambda", -n), max(2, n)):
+                back = kappa_bar(ch, [h], L)
+                if not coinvariant_components(ch, back):
+                    ok, witness = False, (ch.name, str(h))
+                    break
+    except DomainError as exc:
+        ok, witness = False, exc
     emit("kappa_image_characterization", ok,
          "Im(kappa|) = E box M and Im(kappa-bar|) = E^coB (x) M", witness)
 

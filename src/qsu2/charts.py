@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 
-from . import linalg
+from . import comod, linalg
 from .hopf import generator_law, hopf_B, hopf_G, pi_map
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     apply_tensor_map, retract, tensor_elem)
@@ -255,11 +255,44 @@ def cover() -> Cover:
 # localized coinvariants
 # ---------------------------------------------------------------------------
 
+def _graded_by_right_weight(rho: AlgebraMap) -> bool:
+    """Whether the xi-free part of rho(g) is g (x) lambda^(w_R(g)) for every
+    basis generator g of rho's source and every inverse g^-1, where w_R is
+    the second torus weight (`comod.torus_weight`)."""
+    alg = rho.source
+    for i, g in enumerate(alg.gens):
+        if i in alg.elim_gen:
+            continue
+        for e in (1, -1) if i in alg.invertible else (1,):
+            p = alg.gen(g, e)
+            (mono, _), = p.terms.items()
+            weight = STD.B.gen("lambda", comod.torus_weight(mono)[1])
+            # the last exponent of a monomial of alg (x) B is xi's
+            xi_free = {m: c for m, c in rho(p).terms.items() if not m[-1]}
+            if xi_free != tensor_elem(rho.target, [p, weight]).terms:
+                return False
+    return True
+
+
 def weight_slice(alg: Algebra, chi: NCPoly, degree: int):
     """Basis of {p in alg : rho_B(p) = p (x) chi} on the canonical monomials
-    up to degree: the kernel of rho_B - (. x chi)."""
+    up to degree: the kernel of rho_B - (. x chi).
+
+    For chi = lambda^-n the kernel is solved on the monomials m of right
+    torus weight w_R(m) = comod.torus_weight(m)[1] = -n only.  Sending xi
+    to 0 is an algebra map B -> K[lambda^+-1], so once the premise
+    `_graded_by_right_weight` holds on the generators, the xi-free part of
+    rho_B(m) is m (x) lambda^(w_R(m)) on every monomial, and a kernel vector
+    vanishes on every m of another weight.  Those columns are pivots, so
+    leaving them out leaves the kernel basis as it was.  When the premise
+    fails, or chi is not a multiple of a power of lambda, every monomial is
+    solved on."""
     rho = coaction_B(alg)
     monos = alg.basis_monomials(degree)
+    # chi = c lambda^k has the single B-monomial (k, 0)
+    chi_mono = next(iter(chi.terms)) if len(chi.terms) == 1 else None
+    if chi_mono and not chi_mono[1] and _graded_by_right_weight(rho):
+        monos = [m for m in monos if comod.torus_weight(m)[1] == chi_mono[0]]
     columns = []
     for m in monos:
         p = NCPoly(alg, {m: ONE})
@@ -269,7 +302,8 @@ def weight_slice(alg: Algebra, chi: NCPoly, degree: int):
 
 
 def localized_coinvariants(ch: TrivializationChart, degree: int):
-    """Kernel of rho_B - (. x 1) on the canonical monomials up to degree."""
+    """Kernel of rho_B - (. x 1) on the canonical monomials up to degree:
+    the weight slice of chi = 1, solved on right torus weight 0."""
     return weight_slice(ch.alg, STD.B.one(), degree)
 
 

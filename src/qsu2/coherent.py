@@ -250,12 +250,13 @@ def _zeta_power(k: int) -> NCPoly:
     return (STD.G.gen("b") * STD.G.gen("c") * (-Q)) ** k
 
 
+@functools.cache
 def qbeta_check(i: int, n: int):
     """int zeta^i (q^-2 zeta; q^-2)_(n-i) against the closed forms.
 
     The Haar value matches the inverse-binomial form (the one implied by
     the Lemma); the printed display with the binomial uninverted fails for
-    0 < i < n and is recorded as a misprint.
+    0 < i < n and is recorded as a misprint.  Shared: callers only read it.
     """
     if not (0 <= i <= n):
         raise ValueError("need 0 <= i <= n")
@@ -280,10 +281,12 @@ def integrand_sign_check(i: int, n: int):
     return {"plus_sign_holds": lhs == rhs, "minus_sign_holds": lhs == -rhs}
 
 
+@functools.cache
 def ramanujan_qbeta(alpha: int, beta: int):
     """Jackson-integral representation of the q-beta function at integer
     parameters: int_0^1 x^(alpha-1) (qx; q)_(beta-1) d_q x =
-    Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta)."""
+    Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).  Shared: callers
+    only read it."""
     from .scalars import jackson_q_integral_01, q_gamma_int
     if alpha < 1 or beta < 1:
         raise ValueError("integer parameters must be >= 1")

@@ -12,6 +12,11 @@ denominators (Laurent polynomials, cached per highest r), and divides by L
 once, so a Laurent integrand costs one polynomial gcd however many terms
 it has.  The functional is defined on G only: integrands living in a
 localization must first be rewritten into the image of G.
+
+Positivity runs on weight-matched pairs: `verify_positivity` integrates a
+product m_i m_j^* only where the functional is nonzero on some monomial of
+its torus weight (`comod.torus_weight`), which for the Haar state is
+weight (0, 0); every other entry of the moment matrix is an exact zero.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from .comod import torus_weight
 from .hopf import basis_words, hopf_G, law_check
 from .ncalg import DomainError, NCPoly, STD, apply_tensor_map, star
 from .report import check
@@ -131,6 +137,18 @@ def verify_positivity(q0: QRational, degree: int):
     positive definite, which an exact LDL^T decides: every pivot must be
     positive (Sylvester's criterion).  A failure names the monomial at the
     first pivot that is not.
+
+    The entries are integrated by weight.  m_i m_j^* is homogeneous of
+    torus weight w(m_i) - w(m_j), since the relations of G are homogeneous
+    and star negates the weight, and has degree <= 2 degree.  The checked
+    premise: `haar` is evaluated once on every monomial of degree
+    <= 2 degree, and an entry is integrated only when its weight is one on
+    which some monomial integrates to nonzero.  Every other entry is an
+    exact Fraction(0), so the matrix is the one all N^2 integrals give.
+    Under the Haar state only weight (0, 0) survives; a functional that is
+    nonzero on other weights (the counit, on every (k, k)) has those pairs
+    integrated too, so nothing falls outside the gate.  The LDL^T sum skips
+    the terms whose factor L[i][k] D[k] or L[j][k] D[k] is zero.
     """
     if not (0 < q0 < 1):
         raise DomainError("positivity regime requires 0 < q0 < 1")
@@ -141,18 +159,28 @@ def verify_positivity(q0: QRational, degree: int):
     if not basis:
         return [check(name, None, anchor,
                       f"no basis monomial of degree <= {degree}")]
+    # m_i m_j^* is homogeneous of weight w_i - w_j and degree <= 2 degree,
+    # so it integrates to zero unless haar is nonzero on some monomial of
+    # that weight and degree
+    live = {torus_weight(mono) for p in basis_words(STD.G, 2 * degree)
+            for mono in p.terms if haar(p)}
+    weights = [torus_weight(mono) for m in basis for mono in m.terms]
     starred = [star(m) for m in basis]
-    moments = [[haar(m * s).specialize(q0) for s in starred] for m in basis]
+    moments = [[haar(m * s).specialize(q0)
+                if (wm[0] - ws[0], wm[1] - ws[1]) in live else Fraction(0)
+                for s, ws in zip(starred, weights)]
+               for m, wm in zip(basis, weights)]
     S = [[(x + y) / 2 for x, y in zip(row, col)]
          for row, col in zip(moments, zip(*moments))]
-    # L[i][j] D[j] for j < i, built row by row
+    # L[i][j] D[j] for j < i, built row by row; a zero factor drops its term
     LD = []
     bad = None
     for i, row in enumerate(S):
         LD.append([])
         for j in range(i + 1):
             v = row[j] - sum((LD[i][k] * LD[j][k] / LD[k][k]
-                              for k in range(j)), Fraction(0))
+                              for k in range(j) if LD[i][k] and LD[j][k]),
+                             Fraction(0))
             LD[i].append(v)
         if LD[i][i] <= 0:
             bad = (str(basis[i]), str(LD[i][i]))

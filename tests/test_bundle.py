@@ -1,12 +1,14 @@
+import json
 import random
 
 import pytest
 
-from qsu2 import bundle
+from qsu2 import bundle, hopf
 from qsu2.bundle import (Section, _is_basis_of_span, c_chi, cotensor_slice,
                          glue_iso_check, in_cotensor, kappa, kappa_bar,
                          sections_space, vn_left_comodule)
 from qsu2.charts import chart, cover
+from qsu2.cli import main
 from qsu2.ncalg import DomainError, normal_form_of_word
 from qsu2.scalars import Q, QScalar
 from rewriting_oracle import random_word
@@ -109,3 +111,25 @@ def test_dims_all_cutoffs():
         for degree in range(n + 1, 7):
             assert len(cotensor_slice(n, degree)) == n + 1
             assert len(sections_space(n, degree)) == n + 1
+
+
+def test_bundle_without_an_antipode_on_B_fails_its_kappa_checks(monkeypatch,
+                                                                 capsys):
+    # the negative control's Delta installed on B: the antipode solve fails,
+    # so kappa-bar and V_n's left coaction have no S_B; the checks that need
+    # them fail with the failed solve as their witness, and the rest pass
+    corrupted = hopf._corrupted("B")
+    assert corrupted.antipode is None
+    monkeypatch.setattr(hopf, "_HOPF_B", corrupted)
+    expect = "no antipode solution: inconsistent linear system"
+    with pytest.raises(DomainError, match=f"^{expect}$"):
+        vn_left_comodule(1)
+    code = main(["verify", "bundle", "--n", "0..1", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"]
+              if c["status"] == "fail"}
+    assert failed == dict.fromkeys(
+        [f"n={n}.{name}" for n in (0, 1)
+         for name in ("kappa_image_characterization", "kappa_inverse")],
+        expect)

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import weight_gate_oracle
 from qsu2 import charts as charts_module
+from qsu2 import linalg
 from qsu2.charts import (chart, coaction_B, coinv_poly_coeffs, cover,
                          cover_equalizer, extend_coaction_report,
                          inverts_gamma_lambda, localized_coinvariants,
                          paper_gamma_b_controls, verify_chart)
-from qsu2.comod import VnComodule
+from qsu2.comod import VnComodule, torus_weight
 from qsu2.hopf import hopf_G, pi_map
 from qsu2.ncalg import (STD, AlgebraMap, apply_tensor_map, normal_form_of_word,
                         parse_element, tensor_elem)
@@ -242,3 +244,77 @@ def test_chart_golden():
     assert g["gamma"] == {"lambda": "-q b^-1", "lambda^-1": "-q^-1 b",
                           "xi": "-q^-1 a"}
     assert g["gauss"]["w"] == "transposition"
+
+
+ALGS = {"G": STD.G, "G_b": STD.Gb, "G_d": STD.Gd}
+
+
+def _slice_cutoffs(n):
+    """The cutoffs at which the suites ask for the slice of chi = lambda^-n,
+    at suite degree 5 (the default) and 6: `glue_iso_check`'s two cotensor
+    cutoffs and its kappa-bar slice, and for n = 0 the charts' coinvariants."""
+    out = {max(2, n)}
+    for degree in (5, 6):
+        cutoff = max(n, min(degree, n + 2))
+        out |= {cutoff, cutoff + 1}
+        if n == 0:
+            out |= {2 * k for k in range(1, max(2, degree // 2) + 1)}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", sorted(ALGS))
+def test_weight_slice_matches_the_ungated_oracle(name):
+    alg = ALGS[name]
+    for n in range(6):
+        chi = B.gen("lambda", -n)
+        for degree in _slice_cutoffs(n):
+            assert (charts_module.weight_slice(alg, chi, degree)
+                    == weight_gate_oracle.weight_slice(alg, chi, degree)), \
+                (name, n, degree)
+
+
+def _kernel_widths(monkeypatch):
+    widths = []
+    kernel_basis = linalg.kernel_basis
+
+    def counted(columns):
+        widths.append(len(columns))
+        return kernel_basis(columns)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    return widths
+
+
+@pytest.mark.parametrize("name", sorted(ALGS))
+def test_weight_slice_solves_on_the_slice_weight(monkeypatch, name):
+    alg = ALGS[name]
+    assert charts_module._graded_by_right_weight(coaction_B(alg))
+    widths = _kernel_widths(monkeypatch)
+    for n in range(3):
+        charts_module.weight_slice(alg, B.gen("lambda", -n), 4)
+    assert widths == [sum(torus_weight(m)[1] == -n
+                          for m in alg.basis_monomials(4)) for n in range(3)]
+
+
+@pytest.mark.parametrize("name", sorted(ALGS))
+def test_weight_slice_falls_back_when_the_premise_fails(monkeypatch, name):
+    # b (x) lambda in place of b (x) lambda^-1: b's xi-free part has the
+    # wrong weight, so monomials of other weights enter the slice (on G,
+    # b d is coinvariant), and the slice is solved on every monomial
+    alg = ALGS[name]
+    rho = coaction_B(alg)
+    images = dict(rho.images,
+                  b=tensor_elem(rho.target, [alg.gen("b"), B.gen("lambda")]))
+    faulty = AlgebraMap(alg, rho.target, images, name="faulty rho_B")
+    monkeypatch.setattr(charts_module, "coaction_B",
+                        lambda a: faulty if a is alg else coaction_B(a))
+    assert not charts_module._graded_by_right_weight(faulty)
+    widths = _kernel_widths(monkeypatch)
+    for n in range(3):
+        chi = B.gen("lambda", -n)
+        got = charts_module.weight_slice(alg, chi, 3)
+        assert got == weight_gate_oracle.weight_slice(alg, chi, 3), n
+    assert widths == [len(alg.basis_monomials(3))] * 6
+    if alg is STD.G:
+        assert [str(p) for p in charts_module.weight_slice(
+            alg, B.one(), 2)] == ["1", "b d"]

@@ -16,6 +16,7 @@ from qsu2.coherent import (assembled_coefficients, classical_limit_report,
 from qsu2.haar import haar
 from qsu2.ncalg import STD, parse_element, star
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
+from qsu2.suites import run_suite
 
 
 def test_coherent_d_n1():
@@ -271,3 +272,14 @@ def test_lemma_diagonal_i_independence():
                  * q_pow(-i * (i - 1)))
             vals.add(str(v))
         assert len(vals) == 1, (n, vals)
+
+
+def test_qbeta_identities_are_computed_once_per_process():
+    # the coherent and typos suites read the same q-beta identities
+    ramanujan_qbeta.cache_clear()
+    qbeta_check.cache_clear()
+    for suite in ("coherent", "typos"):
+        run_suite(suite)
+    assert ramanujan_qbeta.cache_info().misses == 25
+    assert qbeta_check.cache_info().misses == 21
+    assert qbeta_check(1, 2) is qbeta_check(1, 2)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import haar_oracle
+import weight_gate_oracle
 from qsu2 import scalars
 from qsu2.charts import chart
 from qsu2.coherent import assembled_coefficients
+from qsu2.comod import homogeneous_weight, torus_weight
 from qsu2.haar import (haar, verify_invariance, verify_positivity,
                        zeta_moment, zeta_moment_closed_form_report)
-from qsu2.hopf import hopf_G
+from qsu2.hopf import basis_words, hopf_G
 from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD,
                         normal_form_of_word, parse_element, star, tensor_elem)
 from qsu2.scalars import ONE, Q, QScalar, q_number, q_pow
@@ -117,6 +119,53 @@ def test_positivity_fails_for_the_counit(monkeypatch, q0):
     assert check["name"] == f"haar.positivity_q{q0}"
     assert check["status"] == "fail"
     assert check["witness"] == "('d', '0')"
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(1, 3)])
+def test_positivity_matches_the_ungated_oracle(q0):
+    for degree in range(4):
+        assert (verify_positivity(q0, degree)
+                == weight_gate_oracle.verify_positivity(q0, degree)), degree
+
+
+def _recorded(monkeypatch, functional):
+    integrands = []
+
+    def recorded(p):
+        integrands.append(p)
+        return functional(p)
+
+    monkeypatch.setattr(haar_module, "haar", recorded)
+    return integrands
+
+
+def test_positivity_integrates_only_weight_matched_pairs(monkeypatch):
+    # one probe per monomial of degree <= 6 finds the Haar state nonzero on
+    # weight (0, 0) only; then only the products m_i m_j^* of equal weights
+    # are integrated
+    integrands = _recorded(monkeypatch, haar)
+    verify_positivity(Fraction(1, 2), degree=3)
+    probes = list(basis_words(G, 6))
+    weights = [torus_weight(mono) for m in basis_words(G, 3)
+               for mono in m.terms]
+    assert integrands[:len(probes)] == probes
+    products = integrands[len(probes):]
+    assert len(products) == sum(v == w for v in weights for w in weights)
+    assert {homogeneous_weight(p) for p in products} == {(0, 0)}
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(1, 3)])
+def test_positivity_integrates_where_a_faulty_functional_lives(monkeypatch,
+                                                               q0):
+    # the Haar state plus the coefficient of b is nonzero on weight (1, -1)
+    # as well, so the pairs of that weight difference are integrated too
+    b = G.gen("b")
+    integrands = _recorded(monkeypatch, lambda p: haar(p) + p.coeff(
+        next(iter(b.terms))))
+    got = verify_positivity(q0, degree=3)
+    products = integrands[len(basis_words(G, 6)):]
+    assert {homogeneous_weight(p) for p in products} == {(0, 0), (1, -1)}
+    assert got == weight_gate_oracle.verify_positivity(q0, degree=3)
 
 
 def test_positivity_skips_an_empty_basis():
