@@ -14,7 +14,8 @@ through pi and the antipode of B.  The cotensor slice is its basis list.
 from __future__ import annotations
 
 from . import linalg
-from .charts import TrivializationChart, coinv_poly_coeffs, cover, weight_slice
+from .charts import (TrivializationChart, coinv_poly_coeffs, cover,
+                     in_cotensor, weight_slice)
 from .comod import VnComodule
 from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, tensor_elem
@@ -83,30 +84,6 @@ def kappa_bar(ch: TrivializationChart, F, L):
     return _twist(ch, F, L, lambda beta: ch.gamma(S_B(beta)))
 
 
-def in_cotensor(ch: TrivializationChart, F, L) -> bool:
-    """Membership in E box M, M the comodule with coaction matrix L:
-    (rho_E x id)F = (id x rho_M)F."""
-    EB = ch.target  # chart (x) B
-    for j in range(len(L)):
-        # slot j of (rho_E x id)F is rho_B(F_j); slot j of (id x rho_M)F
-        # is sum_i F_i (x) L[i][j]
-        rhs = EB.zero()
-        for f, row in zip(F, L):
-            if not row[j].is_zero():
-                rhs = rhs + tensor_elem(EB, [f, row[j]])
-        if ch.rho_B(F[j]) != rhs:
-            return False
-    return True
-
-
-def coinvariant_components(ch: TrivializationChart, F) -> bool:
-    """Every component lies in the localized coinvariants."""
-    for f in F:
-        if ch.rho_B(f) != tensor_elem(ch.target, [f, STD.B.one()]):
-            return False
-    return True
-
-
 class Section:
     """A global section of L_chi: a gluing pair (f_b, f_d)."""
 
@@ -121,9 +98,7 @@ class Section:
         """f_b gamma_b(chi) = f_d gamma_d(chi) in G_bd, checked for both
         consecutive-localization orders (they coincide for this cover)."""
         cov = cover()
-        lhs = cov.to_double_b(self.f_b * cov.b.gamma_chi(self.n))
-        rhs = cov.to_double_d(self.f_d * cov.d.gamma_chi(self.n))
-        return lhs == rhs
+        return cov.b.glued(self.f_b, self.n) == cov.d.glued(self.f_d, self.n)
 
     def __repr__(self):
         return f"Section(n={self.n}, f_b={self.f_b}, f_d={self.f_d})"
@@ -137,27 +112,10 @@ def cotensor_slice(n: int, degree: int):
 def sections_space(n: int, degree: int):
     """Basis of gluing pairs with u- and u'-degree up to `degree`."""
     cov = cover()
-    ub = [cov.b.coinv_gen ** k for k in range(degree + 1)]
-    ud = [cov.d.coinv_gen ** k for k in range(degree + 1)]
-    gb, gd = cov.b.gamma_chi(n), cov.d.gamma_chi(n)
-    columns = []
-    for p in ub:
-        columns.append(dict(cov.to_double_b(p * gb).terms))
-    for p in ud:
-        columns.append({m: -c for m, c in
-                        cov.to_double_d(p * gd).terms.items()})
-    out = []
-    for vec in linalg.kernel_basis(columns):
-        f_b = cov.b.alg.zero()
-        f_d = cov.d.alg.zero()
-        for k, c in enumerate(vec[:degree + 1]):
-            if c:
-                f_b = f_b + ub[k] * c
-        for k, c in enumerate(vec[degree + 1:]):
-            if c:
-                f_d = f_d + ud[k] * c
-        out.append(Section(f_b, f_d, n))
-    return out
+    pairs = cov.glued_pairs([cov.b.coinv_gen ** k for k in range(degree + 1)],
+                            [cov.d.coinv_gen ** k for k in range(degree + 1)],
+                            n)
+    return [Section(f_b, f_d, n) for f_b, f_d in pairs]
 
 
 def _section_coords(sec: Section, degree: int):
@@ -280,8 +238,7 @@ def glue_iso_check(n: int, degree: int):
                     break
             # localized cotensor elements map back into coinvariants (x) M
             for h in weight_slice(ch.alg, B.gen("lambda", -n), max(2, n)):
-                back = kappa_bar(ch, [h], L)
-                if not coinvariant_components(ch, back):
+                if not in_cotensor(ch, kappa_bar(ch, [h], L), [[B.one()]]):
                     ok, witness = False, (ch.name, str(h))
                     break
     except DomainError as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "cover",
     "coaction_B",
     "extend_coaction_report",
+    "in_cotensor",
     "weight_slice",
     "localized_coinvariants",
     "coinv_poly_coeffs",
@@ -61,17 +62,17 @@ class GaussDecomposition:
 
 
 class TrivializationChart:
-    def __init__(self, name, alg, inverted):
-        self.name = name  # "b-chart" or "d-chart"
+    def __init__(self, alg, inverted):
+        self.name = f"{inverted}-chart"
         self.alg = alg
-        self.inverted = inverted  # generator name made invertible
+        self.inverted = inverted  # generator name made invertible, b or d
         self.iota = STD.localization_embedding(alg)
+        self.to_double = STD.chart_to_double(alg)
         self.target = STD.tensor(alg, STD.B)
         self.rho_B = coaction_B(alg)
-        if name == "d-chart":
-            self.coinv_gen = alg.gen("b") * alg.gen("d", -1)   # u
-        else:
-            self.coinv_gen = alg.gen("d") * alg.gen("b", -1)   # u'
+        # u = b d^-1 on the d-chart, u' = d b^-1 on the b-chart
+        other = "bd".replace(inverted, "")
+        self.coinv_gen = alg.gen(other) * alg.gen(inverted, -1)
         self.gauss = gauss_decompose(self)
         (self.gamma, self.gamma_unique,
          self.gamma_lambda_inv) = build_gamma(self)
@@ -79,6 +80,11 @@ class TrivializationChart:
     def gamma_chi(self, n: int) -> NCPoly:
         """gamma(lambda^-n)."""
         return self.gamma(STD.B.gen("lambda", -n))
+
+    def glued(self, f: NCPoly, n: int) -> NCPoly:
+        """f gamma(lambda^-n) in G_bd; gamma(lambda^0) = 1 is not
+        multiplied in."""
+        return self.to_double(f * self.gamma_chi(n) if n else f)
 
     def __repr__(self):
         return f"<{self.name}>"
@@ -100,6 +106,23 @@ def coaction_B(alg: Algebra) -> AlgebraMap:
     return AlgebraMap(alg, target, images, name=f"rho_B[{alg.name}]")
 
 
+def in_cotensor(ch: TrivializationChart, F, L) -> bool:
+    """Membership in E box M, M the comodule with coaction matrix L:
+    (rho_E x id)F = (id x rho_M)F.  With L = [[chi]] this is
+    rho_B(F_0) = F_0 (x) chi."""
+    EB = ch.target  # chart (x) B
+    for j in range(len(L)):
+        # slot j of (rho_E x id)F is rho_B(F_j); slot j of (id x rho_M)F
+        # is sum_i F_i (x) L[i][j]
+        rhs = EB.zero()
+        for f, row in zip(F, L):
+            if not row[j].is_zero():
+                rhs = rhs + tensor_elem(EB, [f, row[j]])
+        if ch.rho_B(F[j]) != rhs:
+            return False
+    return True
+
+
 def extend_coaction_report(ch: TrivializationChart):
     """Computed coaction on the inverted generator, with the weight-inversion
     cross-check that overrides the printed formula."""
@@ -108,15 +131,14 @@ def extend_coaction_report(ch: TrivializationChart):
     computed = ch.rho_B(inv)
     # weight inversion: rho_B(g) = g (x) w forces rho_B(g^-1) = g^-1 (x) w^-1
     weight = STD.B.gen("lambda", -1)
-    expected = tensor_elem(ch.target, [inv, weight.monomial_inverse()])
-    printed = tensor_elem(ch.target, [inv, weight])
     product = ch.rho_B(ch.alg.gen(g)) * computed
     return {
         "chart": ch.name,
         "generator": f"{g}^-1",
         "computed": str(computed),
-        "weight_inversion_consistent": computed == expected,
-        "printed_formula_holds": computed == printed,
+        "weight_inversion_consistent":
+            in_cotensor(ch, [inv], [[weight.monomial_inverse()]]),
+        "printed_formula_holds": in_cotensor(ch, [inv], [[weight]]),
         "product_is_unit": product == ch.target.one(),
     }
 
@@ -212,12 +234,10 @@ def paper_gamma_b_controls():
     lam = B.gen("lambda")
     a = alg.gen("a")
     b = alg.gen("b")
-    rho_a = ch.rho_B(a)
-    weight_ok = rho_a == tensor_elem(ch.target, [a, lam])
     A11 = ch.gauss.A[0][0]
     return {
-        "printed_lambda_image_is_weight_vector": weight_ok,
-        "printed_lambda_image_coaction": str(rho_a),
+        "printed_lambda_image_is_weight_vector": in_cotensor(ch, [a], [[lam]]),
+        "printed_lambda_image_coaction": str(ch.rho_B(a)),
         "printed_lambda_inv_product": str(A11 * b),
         "printed_lambda_inv_is_inverse": inverts_gamma_lambda(ch, b),
         "solved_lambda": str(A11),
@@ -229,11 +249,9 @@ def paper_gamma_b_controls():
 @functools.cache
 def chart(which: str) -> TrivializationChart:
     """The d-chart (`which` = "d") or the b-chart ("b")."""
-    if which == "d":
-        return TrivializationChart("d-chart", STD.Gd, "d")
-    if which == "b":
-        return TrivializationChart("b-chart", STD.Gb, "b")
-    raise ValueError(which)
+    if which not in ("b", "d"):
+        raise ValueError(which)
+    return TrivializationChart(STD.Gd if which == "d" else STD.Gb, which)
 
 
 class Cover:
@@ -242,8 +260,22 @@ class Cover:
     def __init__(self):
         self.b = chart("b")
         self.d = chart("d")
-        self.to_double_b = STD.chart_to_double(STD.Gb)
-        self.to_double_d = STD.chart_to_double(STD.Gd)
+
+    def glued_pairs(self, fs_b, fs_d, n: int):
+        """Basis of the pairs (f_b, f_d), f_b in the span of the b-chart
+        elements fs_b and f_d in that of the d-chart elements fs_d, with
+        f_b gamma_b(chi) = f_d gamma_d(chi) in G_bd, chi = lambda^-n."""
+        columns = [dict(self.b.glued(f, n).terms) for f in fs_b]
+        columns += [{m: -c for m, c in self.d.glued(f, n).terms.items()}
+                    for f in fs_d]
+
+        def span(alg, fs, coeffs):
+            return sum((f * c for f, c in zip(fs, coeffs) if c), alg.zero())
+
+        nb = len(fs_b)
+        return [(span(self.b.alg, fs_b, vec[:nb]),
+                 span(self.d.alg, fs_d, vec[nb:]))
+                for vec in linalg.kernel_basis(columns)]
 
 
 @functools.cache
@@ -311,16 +343,15 @@ def coinv_poly_coeffs(p: NCPoly, ch: TrivializationChart):
     """Coefficients c_k with p = sum c_k (coinv_gen)^k, or None."""
     if p.is_zero():
         return []
+    # coinv_gen is one monomial, exponent 1 on one generator and -1 on the
+    # inverted one; its k-th power has k times its exponents
+    (u_mono, _), = ch.coinv_gen.terms.items()
+    i = u_mono.index(1)
     coeffs = {}
     for mono, c in p.terms.items():
-        if ch.name == "d-chart":
-            k = mono[1]
-            if mono != (0, k, 0, -k):
-                return None
-        else:
-            k = mono[3]
-            if mono != (0, -k, 0, k):
-                return None
+        k = mono[i]
+        if mono != tuple(k * e for e in u_mono):
+            return None
         coeffs[k] = c
     out = []
     for k in range(max(coeffs) + 1):
@@ -362,9 +393,7 @@ def verify_chart(ch: TrivializationChart):
         (lambda p: ch.rho_B(ch.iota(p)),
          lambda p: apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
                                     ch.target))))
-    emit("coinv_gen_invariant",
-         ch.rho_B(ch.coinv_gen) == tensor_elem(ch.target,
-                                               [ch.coinv_gen, B.one()]),
+    emit("coinv_gen_invariant", in_cotensor(ch, [ch.coinv_gen], [[B.one()]]),
          "localized coinvariants: rho_S(e) = e x 1")
     emit("gauss_product", ch.gauss.verified,
          "decomposition of matrix T in the form wUA")
@@ -387,14 +416,12 @@ def verify_chart(ch: TrivializationChart):
                                     ch.target))))
     bad = None
     for n in range(5):
-        gchi = ch.gamma_chi(n)
-        if ch.rho_B(gchi) != tensor_elem(ch.target,
-                                         [gchi, B.gen("lambda", -n)]):
+        if not in_cotensor(ch, [ch.gamma_chi(n)], [[B.gen("lambda", -n)]]):
             bad = n
             break
     emit("gamma_chi_weight", bad is None,
          "rho_B(gamma(chi)) = gamma(chi) x chi for chi = lambda^-n", bad)
-    if ch.name == "d-chart":
+    if ch.inverted == "d":
         bad = None
         for n in range(5):
             if ch.gamma_chi(n) != ch.alg.gen("d", n):
@@ -422,7 +449,6 @@ def cover_equalizer(cov: Cover, degree: int):
     G = STD.G
     g_monos = G.basis_monomials(degree)
     iota_b, iota_d = cov.b.iota, cov.d.iota
-    to_bd_b, to_bd_d = cov.to_double_b, cov.to_double_d
 
     columns = []
     for m in g_monos:
@@ -432,24 +458,13 @@ def cover_equalizer(cov: Cover, degree: int):
     checks.append(check(f"cover.injectivity_deg{degree}", not ker,
                         "0 -> M -> prod S_lambda^-1 M is exact"))
 
-    b_monos = cov.b.alg.basis_monomials(degree)
-    d_monos = cov.d.alg.basis_monomials(degree)
-    columns = []
-    for m in b_monos:
-        p = to_bd_b(NCPoly(cov.b.alg, {m: ONE}))
-        columns.append(dict(p.terms))
-    for m in d_monos:
-        p = to_bd_d(NCPoly(cov.d.alg, {m: ONE}))
-        columns.append({mono: -c for mono, c in p.terms.items()})
-    pairs = linalg.kernel_basis(columns)
-    nb = len(b_monos)
+    pairs = cov.glued_pairs(
+        [NCPoly(cov.b.alg, {m: ONE}) for m in cov.b.alg.basis_monomials(degree)],
+        [NCPoly(cov.d.alg, {m: ONE}) for m in cov.d.alg.basis_monomials(degree)],
+        0)
     glue_ok = True
     witness = None
-    for vec in pairs:
-        f_b = NCPoly(cov.b.alg,
-                     {m: c for m, c in zip(b_monos, vec[:nb]) if c})
-        f_d = NCPoly(cov.d.alg,
-                     {m: c for m, c in zip(d_monos, vec[nb:]) if c})
+    for f_b, f_d in pairs:
         try:
             f = retract(f_b, G)
         except DomainError:

@@ -56,19 +56,14 @@ def _parse_n(text: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    alg = ALGEBRAS.get(args.algebra)
-    if alg is None:
-        print(f"unknown algebra {args.algebra!r}", file=sys.stderr)
-        return 2
     try:
-        p = parse_element(args.expr, alg)
+        p = parse_element(args.expr, ALGEBRAS[args.algebra])
         if args.action == "nf":
             print(p)
         elif args.action == "coproduct":
-            which = {"G": "G", "B": "B"}.get(args.algebra)
-            if which is None:
+            if args.algebra not in ("G", "B"):
                 raise DomainError("coproduct is defined on G and B")
-            h = hopf.hopf_G() if which == "G" else hopf.hopf_B()
+            h = hopf.hopf_G() if args.algebra == "G" else hopf.hopf_B()
             print(h.delta(p))
         elif args.action == "star":
             print(star(p))
@@ -86,12 +81,6 @@ def cmd_eval(args) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def cmd_haar(args) -> int:
-    args.algebra = "G"
-    args.action = "haar"
-    return cmd_eval(args)
 
 
 def cmd_verify(args) -> int:
@@ -160,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expr")
-    p.add_argument("--algebra", default="G",
-                   choices=["G", "G_b", "G_d", "G_bd", "B", "M"])
+    p.add_argument("--algebra", default="G", choices=list(ALGEBRAS))
     p.add_argument("--action", default="nf",
                    choices=["nf", "coproduct", "star", "haar"])
     p.add_argument("--q", type=_parse_q, default=None, metavar="P/R")
@@ -170,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("haar", help="Haar integral of a G expression")
     p.add_argument("expr")
     p.add_argument("--q", type=_parse_q, default=None, metavar="P/R")
-    p.set_defaults(fn=cmd_haar)
+    p.set_defaults(fn=cmd_eval, algebra="G", action="haar")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb
 
-from .charts import TrivializationChart, chart, cover
+from .bundle import Section
+from .charts import TrivializationChart, chart, cover, in_cotensor
 from .comod import (GramForm, VnComodule, homogeneous_weight, pairing,
                     schur_scalar, solve_coinvariant_gram)
 from .haar import haar
-from .ncalg import DomainError, NCPoly, STD, retract, star, tensor_elem
+from .ncalg import DomainError, NCPoly, STD, retract, star
 from .report import check
-from .scalars import (ONE, Q, QScalar, ZERO, gauss_binomial, q_number,
+from .scalars import (ONE, Q, QScalar, ZERO, gauss_binomial,
+                      jackson_q_integral_01, q_gamma_int, q_number,
                       q_pochhammer, q_pow)
 
 __all__ = [
@@ -84,7 +87,7 @@ def solve_coherent(ch: TrivializationChart, n: int) -> CoherentFamily:
     coeffs = [ch.iota(w) * gchi_inv for w in V.components(vec)]
     fam = CoherentFamily(ch, n, coeffs)
     for i, f in enumerate(coeffs):
-        if ch.rho_B(f) != tensor_elem(ch.target, [f, STD.B.one()]):
+        if not in_cotensor(ch, [f], [[STD.B.one()]]):
             raise DomainError(
                 f"coherent coefficient {V.basis_str(i)} of {ch.name} is not "
                 f"coinvariant: {f}")
@@ -111,7 +114,6 @@ def assembled_coefficients(ch: TrivializationChart, n: int):
 
 def section_property_check(n: int):
     """<C_b|v> and <C_d|v> glue to a global section for every basis v."""
-    from .bundle import Section
     cov = cover()
     g = gram(n)
     fam_b = solve_coherent(cov.b, n)
@@ -161,10 +163,7 @@ def resolution_operator(n: int) -> ResolutionResult:
     r_i r_j^* where r_i = (C_lambda)_i gamma_lambda(chi).  Whether the two
     charts give the identical element (lambda-independence) is recorded as
     `chart_agreement`; the triples are built only when the two vectors
-    differ.  The matrix is integrated from the d-chart vector, one entry
-    at a time by `_integral`: where r_i and r_k are homogeneous of
-    different torus weights, r_i r_k^* has a nonzero weight and the entry
-    is exact zero; any other entry integrates the full product.  The
+    differ.  The matrix is `_operator_matrix` of the d-chart vector.  The
     Gram-weighted Haar integral must be an exact scalar matrix.
     """
     cov = cover()
@@ -178,11 +177,19 @@ def resolution_operator(n: int) -> ResolutionResult:
 
     # equal vectors give equal triples; differing ones (r_b = -r_d) may too
     agree = r_b == r_d or triple(r_b) == triple(r_d)
-    g = gram(n)
-    matrix = [[_integral(r_d[i], r_d[k]) * g.diag[k] for k in range(m)]
-              for i in range(m)]
+    matrix = _operator_matrix(r_d, n)
     alpha = schur_scalar(matrix, n)
     return ResolutionResult(n, matrix, alpha, agree)
+
+
+def _operator_matrix(w, n: int):
+    """[int w_j w_k^* g_k] for w_0..w_n in G, g the Gram diagonal: the
+    matrix of Theorem 4 and of the resolution of identity.  Each entry is
+    integrated by `_integral`, so entries between homogeneous w_j and w_k
+    of different torus weights are exact zero with no product formed."""
+    g = gram(n)
+    return [[_integral(w[j], w[k]) * g.diag[k] for k in range(n + 1)]
+            for j in range(n + 1)]
 
 
 def _integral(x: NCPoly, y: NCPoly) -> QScalar:
@@ -287,7 +294,6 @@ def ramanujan_qbeta(alpha: int, beta: int):
     parameters: int_0^1 x^(alpha-1) (qx; q)_(beta-1) d_q x =
     Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).  Shared: callers
     only read it."""
-    from .scalars import jackson_q_integral_01, q_gamma_int
     if alpha < 1 or beta < 1:
         raise ValueError("integer parameters must be >= 1")
     integrand = q_pochhammer(Q, Q, beta - 1).shift(alpha - 1)
@@ -300,20 +306,16 @@ def ramanujan_qbeta(alpha: int, beta: int):
 def scalar_operator_general(n: int, w_vec) -> QScalar:
     """The Theorem-4 operator for an arbitrary fixed w in V_n.
 
-    With rho(w) = sum e_i (x) w_i the matrix is A[j][k] = g_k int(w_j w_k^*);
-    the starred factor is grouped second so the integrand stays in G, the
-    pairing convention the solved Gram satisfies.  Raises NonScalarError if
-    the matrix is not scalar (that would falsify the theorem).
+    With rho(w) = sum e_i (x) w_i the matrix is A[j][k] = g_k int(w_j w_k^*)
+    (`_operator_matrix`); the starred factor is grouped second so the
+    integrand stays in G, the pairing convention the solved Gram satisfies.
+    Raises NonScalarError if the matrix is not scalar (that would falsify
+    the theorem).
     """
     V = VnComodule(n)
     if all(QScalar.coerce(x).is_zero() for x in w_vec):
         raise ValueError("w must be nonzero")
-    w = V.components(w_vec)
-    m = n + 1
-    g = gram(n)
-    matrix = [[haar(w[j] * star(w[k])) * g.diag[k] for k in range(m)]
-              for j in range(m)]
-    return schur_scalar(matrix, n)
+    return schur_scalar(_operator_matrix(V.components(w_vec), n), n)
 
 
 def reproducing_apply(n: int, H, v_vec):
@@ -341,7 +343,6 @@ def reproducing_apply(n: int, H, v_vec):
 
 def classical_limit_report(n: int):
     """Specialize the d-chart coefficients and alpha at q = 1."""
-    from math import comb
     q1 = Fraction(1)
     ch = chart("d")
     fam = solve_coherent(ch, n)

@@ -65,12 +65,14 @@ __all__ = [
     "verify_pi_hopf_map",
 ]
 
+# the degree up to which the antipode's generator images are solved for
+ANTIPODE_ANSATZ_DEGREE = 2
+
 
 class HopfAlgebra:
     """An algebra of the standard family together with its Hopf data."""
 
-    def __init__(self, alg, delta_images, counit_images, name,
-                 antipode_ansatz_degree=2):
+    def __init__(self, alg, delta_images, counit_images, name):
         self.alg = alg
         self.name = name
         self.T2 = STD.tensor(alg, alg)
@@ -82,7 +84,7 @@ class HopfAlgebra:
         # solution (a broken coproduct, as in the negative control)
         try:
             images, self.antipode_unique = self._solve_antipode(
-                antipode_ansatz_degree)
+                ANTIPODE_ANSATZ_DEGREE)
         except (ValueError, DomainError) as exc:
             self.antipode = None
             self.antipode_unique = False

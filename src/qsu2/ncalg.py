@@ -25,6 +25,7 @@ import functools
 import itertools
 from fractions import Fraction
 
+from .parsing import parse_with_context
 from .scalars import ONE, Q, QScalar, ZERO, q_pow
 
 __all__ = [
@@ -882,7 +883,6 @@ def rewriting_certificate(alg: Algebra, degree: int):
 
 def parse_element(text: str, alg: Algebra) -> NCPoly:
     """Parse the expression grammar into a canonical element of `alg`."""
-    from .parsing import parse_with_context
     atoms = {"1": alg.one(), "q": alg.scalar(Q)}
     for g in alg.gens:
         atoms[g] = alg.gen(g)

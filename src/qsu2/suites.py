@@ -12,7 +12,8 @@ from .haar import (verify_invariance, verify_positivity,
                    zeta_moment_closed_form_report)
 from .ncalg import DomainError, STD, rewriting_certificate
 from .report import VerificationReport, check, timed
-from .scalars import ONE, ZERO, q_number, q_pochhammer, q_pow
+from .scalars import (ONE, Q, ZERO, jackson_q_integral_01, q_gamma_int,
+                      q_number, q_pochhammer, q_pow)
 
 __all__ = ["run_suite", "SUITES"]
 
@@ -401,7 +402,6 @@ def suite_typos(n_range, degree, q0):
         "engine (and the Lemma itself): the binomial is inverted; the "
         "printed form fails for 0 < i < n"))
 
-    from .scalars import Q, jackson_q_integral_01, q_gamma_int
     printed_fail = False
     for aa in range(1, 5):
         for bb in range(1, 5):

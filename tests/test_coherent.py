@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from qsu2.coherent import (assembled_coefficients, classical_limit_report,
                            qbeta_check, ramanujan_qbeta, reproducing_apply,
                            resolution_operator, scalar_operator_general,
                            section_property_check, solve_coherent)
+from qsu2.comod import GramForm, NonScalarError, VnComodule, schur_scalar
 from qsu2.haar import haar
 from qsu2.ncalg import STD, parse_element, star
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
@@ -178,6 +180,46 @@ def test_scalar_operator_random():
             if all(x.is_zero() for x in w):
                 w[0] = ONE
             scalar_operator_general(n, w)  # NonScalarError would fail
+
+
+def _polarization_inputs(n):
+    # e_i and e_i + e_i', the inputs on which the theorem4 suite decides
+    # the quadratic operator
+    m = n + 1
+    for i, i2 in itertools.combinations_with_replacement(range(m), 2):
+        yield [ONE if k in (i, i2) else ZERO for k in range(m)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_theorem4_matrix_matches_the_full_products(n):
+    # the weight-gated operator matrix is the one integrated from every
+    # product w_j w_k^*
+    for w in _polarization_inputs(n):
+        got = coherent._operator_matrix(VnComodule(n).components(w), n)
+        assert got == resolution_oracle.theorem4_matrix(n, w), w
+
+
+def test_theorem4_fails_as_the_full_products_under_a_wrong_gram_diagonal(
+        monkeypatch):
+    # with the Gram diagonal [1, q^-2] at n = 1, the operator raises on the
+    # same inputs, at the same entry and with the same value, as the matrix
+    # integrated from every product
+    sound = coherent.gram
+    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
+        n, [ONE, q_pow(-2)]) if n == 1 else sound(n))
+    raised = 0
+    for w in _polarization_inputs(1):
+        try:
+            want = schur_scalar(resolution_oracle.theorem4_matrix(1, w), 1)
+        except NonScalarError as exc:
+            want = (exc.entry, exc.value)
+            raised += 1
+        try:
+            got = scalar_operator_general(1, w)
+        except NonScalarError as exc:
+            got = (exc.entry, exc.value)
+        assert got == want, w
+    assert raised
 
 
 def test_reproducing_identity():
