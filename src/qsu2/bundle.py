@@ -95,8 +95,7 @@ class Section:
             raise DomainError(f"pair does not glue: ({f_b}, {f_d})")
 
     def glues(self) -> bool:
-        """f_b gamma_b(chi) = f_d gamma_d(chi) in G_bd, checked for both
-        consecutive-localization orders (they coincide for this cover)."""
+        """f_b gamma_b(chi) = f_d gamma_d(chi), compared once, in G_bd."""
         cov = cover()
         return cov.b.glued(self.f_b, self.n) == cov.d.glued(self.f_d, self.n)
 

@@ -8,11 +8,12 @@ w_j = sum_i t[j][i] v_i in G, weight covectors are read from pi(t) entry by
 entry, and an element of V_n (x) A is its list of A-components.  t is
 built degree by degree, since x^i y^(n-i) = (x^i y^(n-1-i)) y and
 x^n = x^(n-1) x in the Manin plane: each step multiplies every entry of
-the V_(n-1) matrix by one generator of G (and the Manin factor q^-k).  The
-inner product is carried as a diagonal Gram matrix on the monomial basis,
-which keeps everything inside the rational function field (no square
-roots): the orthonormal-basis prefactors of the usual presentation are
-absorbed into the Gram weights.
+the V_(n-1) matrix by one generator of G (and the Manin factor q^-k), and
+V_n is that one step from the cached V_(n-1), so a process builds each V_k
+once.  The inner product is carried as a diagonal Gram matrix on the
+monomial basis, which keeps everything inside the rational function field
+(no square roots): the orthonormal-basis prefactors of the usual
+presentation are absorbed into the Gram weights.
 
 The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
 admits two noncommutative orderings of the right-hand side.  The form used
@@ -21,7 +22,8 @@ everywhere is the star-first one, t* W t = W for W = diag(w) and
 First, t is a corepresentation, by induction on n: the comodule axioms hold
 on V_1, and at each step k = 2..n the column of e_(j+1) built as e_(j+1)' y
 equals q^(k-1-j) e_j' x read from V_(k-1) and a, c, so V_k is a quotient
-comodule of V_(k-1) (x) V_1.  Each step also ties the cached matrix of V_k
+comodule of V_(k-1) (x) V_1.  That reading covers the inner columns
+1..k-1; each step also ties the two outer columns 0 and k of the cached V_k
 to the extension of the cached V_(k-1), so the induction runs on the
 matrices every caller reads; a step is certified once per process
 (`_certified_step`), and V_n costs only the steps no smaller n has run.
@@ -79,9 +81,11 @@ class VnComodule:
 
     Basis index i is the x-exponent: e_i = x^i y^(n-i).  The coaction
     matrix t satisfies rho(e_i) = sum_j e_j (x) t[j][i]; every coaction is
-    read from it.  t is built from the 1x1 matrix of V_0 by n steps of
-    `_extend_coaction_matrix`, one generator product per entry and step,
-    in a loop: building V_n calls no other VnComodule.
+    read from it.  V_0 is the 1x1 matrix [1], and V_n for n >= 1 is one
+    step of `_extend_coaction_matrix` from the cached V_(n-1), one
+    generator product per entry.  V_0..V_(n-1) are read in ascending
+    order first, so each one missing from the cache is built from the one
+    before it and no build nests more than one VnComodule call deep.
     """
 
     def __init__(self, n: int, /):
@@ -89,8 +93,10 @@ class VnComodule:
             raise ValueError("n must be >= 0")
         self.n = n
         t = [[STD.G.one()]]
-        for k in range(1, n + 1):
-            t = _extend_coaction_matrix(t, k)
+        if n:
+            for k in range(n):
+                t = VnComodule(k).coaction_matrix
+            t = _extend_coaction_matrix(t, n)
         self.coaction_matrix = t
 
     # -- basis helpers ------------------------------------------------------
@@ -262,19 +268,28 @@ def _step_defect(prev, t, k: int):
 @functools.cache
 def _certified_step(k: int):
     """Raise unless step k >= 2 holds between the cached matrices of
-    V_(k-1) and V_k: V_k is the extension of V_(k-1) (the tie), and
-    `_step_defect` finds no column of V_k that differs from its reading
-    through e_j' x.  Each step is certified once per process; a failed
-    step raises and caches nothing."""
+    V_(k-1) and V_k: `_step_defect` finds no inner column 1..k-1 of V_k
+    that differs from its reading through e_j' x, and the outer columns 0
+    and k, which it does not read, are those of the extension of V_(k-1)
+    (the tie).  The tie runs `_extend_coaction_matrix` itself on V_(k-1)
+    with every column but 0 and k-1 zeroed: column i of the extension reads
+    only column i of V_(k-1) for i < k, and column k-1 for i = k, so its
+    columns 0 and k come out whole and the inner ones cost nothing.  Each
+    step is certified once per process; a failed step raises and caches
+    nothing."""
     prev = VnComodule(k - 1).coaction_matrix
     t = VnComodule(k).coaction_matrix
-    if t != _extend_coaction_matrix(prev, k):
-        raise DomainError(f"V_{k} is not the matrix its steps from V_1 build")
     column = _step_defect(prev, t, k)
     if column is not None:
         raise DomainError(
             f"step {k}: column {column} of the coaction matrix of V_{k} "
             f"is not q^{k - column} e_{column - 1}' x")
+    zero = STD.G.zero()
+    outer = [[x if i in (0, k - 1) else zero for i, x in enumerate(row)]
+             for row in prev]
+    ext = _extend_coaction_matrix(outer, k)
+    if any(row[i] != e[i] for row, e in zip(t, ext) for i in (0, k)):
+        raise DomainError(f"V_{k} is not the matrix its steps from V_1 build")
 
 
 def _certify_corepresentation(n: int):

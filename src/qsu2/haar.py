@@ -13,6 +13,11 @@ once, so a Laurent integrand costs one polynomial gcd however many terms
 it has.  The functional is defined on G only: integrands living in a
 localization must first be rewritten into the image of G.
 
+`pair(m, m2)` = h(m m2^*) on two monomials of G, cached: by linearity
+h(x y^*) is the sum of c c' pair(m, m2) over the terms c m of x and c' m2
+of y (star fixes the real scalars Q(q)), so a product of two long
+elements is never formed to integrate it (`coherent._integral`).
+
 Positivity runs on weight-matched pairs: `verify_positivity` integrates a
 product m_i m_j^* only where the functional is nonzero on some monomial of
 its torus weight (`comod.torus_weight`), which for the Haar state is
@@ -33,6 +38,7 @@ from .scalars import (ONE, QRational, QScalar, ZERO, denominator_lcm,
 
 __all__ = [
     "haar",
+    "pair",
     "zeta_moment",
     "verify_invariance",
     "verify_positivity",
@@ -76,6 +82,16 @@ def haar(p: NCPoly) -> QScalar:
     for r, c in terms:
         total = total + c * weights[r]
     return total * inv_lcm
+
+
+@functools.cache
+def pair(m, m2) -> QScalar:
+    """h(m m2^*) for monomials m and m2 of G (exponent tuples).  It calls
+    `haar` by its module-global name, so a functional installed there is
+    the one integrated; a caller that installs one clears this cache
+    around it."""
+    G = STD.G
+    return haar(NCPoly(G, {m: ONE}) * star(NCPoly(G, {m2: ONE})))
 
 
 def zeta_moment_closed_form_report(max_r: int = 6):

@@ -496,8 +496,10 @@ def q_number(n: int) -> QScalar:
                    _pshift(_PONE, n - 1))
 
 
+@functools.cache
 def gauss_binomial(n: int, k: int, base: QScalar) -> QScalar:
-    """Gaussian binomial in base t: prod_{j=1..k} (1 - t^(n-k+j))/(1 - t^j)."""
+    """Gaussian binomial in base t: prod_{j=1..k} (1 - t^(n-k+j))/(1 - t^j).
+    An out-of-range k raises and caches nothing."""
     if not (0 <= k <= n):
         raise ValueError(f"gauss_binomial: k={k} out of range 0..{n}")
     r = ONE

@@ -1,8 +1,8 @@
 """The resolution operator, the Theorem-4 operator and the Lemma integrals
-as `qsu2.coherent` computed them before it read torus weights, kept here
-only as oracles (tests/test_coherent.py, tests/test_suites.py): every entry
-integrates the full product, whatever the weights of its factors, from
-either chart."""
+as `qsu2.coherent` computed them before it read torus weights and
+integrated term pairs from the table `haar.pair`, kept here only as oracles
+(tests/test_coherent.py, tests/test_suites.py): every entry integrates the
+full product, whatever the weights of its factors, from either chart."""
 
 from __future__ import annotations
 

@@ -1,8 +1,10 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import resolution_oracle
 from qsu2 import coherent
@@ -16,9 +18,13 @@ from qsu2.coherent import (assembled_coefficients, classical_limit_report,
                            section_property_check, solve_coherent)
 from qsu2.comod import GramForm, NonScalarError, VnComodule, schur_scalar
 from qsu2.haar import haar
-from qsu2.ncalg import STD, parse_element, star
+from qsu2.ncalg import NCPoly, STD, parse_element, star
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
 from qsu2.suites import run_suite
+
+G = STD.G
+# the package exports the function `haar`, which hides the module
+haar_module = importlib.import_module("qsu2.haar")
 
 
 def test_coherent_d_n1():
@@ -84,25 +90,61 @@ def test_weight_gated_lemma_matches_the_full_products():
                 assert lemma_integral(i, j, n) == want, (i, j, n)
 
 
-def test_resolution_integrates_only_weight_matched_products(monkeypatch):
-    # the r_i are homogeneous of pairwise different weights, so only the
-    # diagonal products are formed and integrated, and the Lemma table
-    # integrates its diagonal only
+@pytest.fixture
+def fresh_pairs():
+    # the table of monomial pairs holds the values of the functional it was
+    # filled with: a recorded functional must neither meet a pair integrated
+    # without it nor leave one behind
+    haar_module.pair.cache_clear()
+    yield
+    haar_module.pair.cache_clear()
+
+
+def test_resolution_integrates_only_weight_matched_products(monkeypatch,
+                                                            fresh_pairs):
+    # each r_i is one monomial m_i times a scalar, and the m_i have
+    # pairwise different weights, so a fresh pair table integrates only the
+    # n + 1 products m_i m_i^*; the Lemma table then reads the same pairs
     integrands = []
 
     def counted(p):
         integrands.append(p)
         return haar(p)
 
-    monkeypatch.setattr(coherent, "haar", counted)
+    monkeypatch.setattr(haar_module, "haar", counted)
     for n in range(5):
-        r = assembled_coefficients(cover().d, n)
+        monos = [m for x in assembled_coefficients(cover().d, n)
+                 for m in x.terms]
+        assert len(monos) == n + 1, n
+        haar_module.pair.cache_clear()
         integrands.clear()
         resolution_operator.__wrapped__(n)
-        assert integrands == [x * star(x) for x in r], n
+        assert integrands == [NCPoly(G, {m: ONE}) * star(NCPoly(G, {m: ONE}))
+                              for m in monos], n
         integrands.clear()
         coherent.lemma_table(n)
-        assert len(integrands) == n + 1, n
+        assert integrands == [], n
+
+
+@st.composite
+def g_elements(draw):
+    """Elements of G with up to four terms on the degree-2 basis, with
+    small Laurent coefficients; their terms may mix torus weights."""
+    coeff = st.builds(lambda k, c: q_pow(k) * c,
+                      st.integers(min_value=-2, max_value=2),
+                      st.integers(min_value=-3, max_value=3).filter(bool))
+    monos = draw(st.lists(st.sampled_from(G.basis_monomials(2)),
+                          min_size=1, max_size=4, unique=True))
+    return NCPoly(G, {m: draw(coeff) for m in monos})
+
+
+@seed(21)
+@settings(max_examples=60, deadline=None)
+@given(g_elements(), g_elements())
+def test_integral_is_the_haar_state_of_the_full_product(x, y):
+    # term pair by term pair, weight-gated, from the pair table: the value
+    # of the full product x y^*, mixed weights included
+    assert coherent._integral(x, y) == haar(x * star(y))
 
 
 def test_resolution_values_at_half():

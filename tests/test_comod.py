@@ -42,8 +42,11 @@ def test_coaction_matrix_matches_power_oracle():
 
 
 def test_vn_build_does_not_nest_a_call_per_degree(monkeypatch):
-    # a V_n that recursed through the cache would nest n calls, and a deep
-    # enough n would end in a RecursionError
+    # V_n extends the cached V_(n-1); a V_n that recursed through the cache
+    # would nest n calls, and a deep enough n would end in a RecursionError.
+    # The build reads V_0..V_(n-1) in ascending order instead, so from a
+    # cold cache the depth is V_n, then V_k, then the cached V_(k-1) it
+    # reads: three calls, whatever n is
     build = comod.VnComodule
     depth, deepest = [0], [0]
 
@@ -56,9 +59,13 @@ def test_vn_build_does_not_nest_a_call_per_degree(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(comod, "VnComodule", counted)
-    build.cache_clear()
-    V = counted(12)
-    assert deepest[0] <= 2
+    depths = {}
+    for n in (6, 12):
+        build.cache_clear()
+        deepest[0] = 0
+        V = counted(n)
+        depths[n] = deepest[0]
+    assert depths == {6: 3, 12: 3}
     assert V.n == 12 and len(V.coaction_matrix) == 13
     assert V.coaction_matrix[0][0] == G.gen("d", 12)
 
@@ -96,11 +103,14 @@ def test_comodule_axioms():
 
 @pytest.fixture
 def fresh_steps():
-    # each Manin step is certified once per process: a fault must neither
-    # meet a step certified without it nor leave one behind
+    # each Manin step is certified once per process, and each V_k extends
+    # the cached V_(k-1): a fault must neither meet a step certified or a
+    # V_k built without it nor leave one behind
     comod._certified_step.cache_clear()
+    VnComodule.cache_clear()
     yield
     comod._certified_step.cache_clear()
+    VnComodule.cache_clear()
 
 
 def _double_corner(monkeypatch, n):
@@ -172,6 +182,24 @@ def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch,
         solve_coinvariant_gram(2)
 
 
+@pytest.mark.parametrize("entry", [(j, i) for j in range(3) for i in range(3)])
+def test_every_doubled_v2_entry_fails_its_step(monkeypatch, fresh_steps,
+                                               entry):
+    # the tie reads the outer columns 0 and 2 of V_2 and `_step_defect` the
+    # inner column 1, so no entry escapes the certificate of step 2
+    j, i = entry
+    V = VnComodule(2)
+    t = [row[:] for row in V.coaction_matrix]
+    assert t[j][i]
+    t[j][i] = t[j][i] * 2
+    monkeypatch.setattr(V, "coaction_matrix", t)
+    with pytest.raises(DomainError) as exc:
+        comod._certify_corepresentation(2)
+    assert str(exc.value) == (
+        "step 2: column 1 of the coaction matrix of V_2 is not q^1 e_0' x"
+        if i == 1 else "V_2 is not the matrix its steps from V_1 build")
+
+
 def _extend_with_flipped_manin_sign(t, n):
     # `_extend_coaction_matrix` with the Manin relation read as y x = q x y:
     # the factor of e_j' x is q^(n-1-j) in place of q^-(n-1-j).  V_1 is
@@ -235,10 +263,11 @@ def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
         got = _certificate(comod._certify_corepresentation, n)
         want = _certificate(comod_oracle.certify_corepresentation, n)
         if fault == "doubled_v2_corner" and n >= 3:
-            # the one intended difference: the chain reads V_2 only at
-            # n = 2, while every step ties its own V_k, so a V_n past a
-            # corrupted V_2 is no longer certified
-            assert want is None, n
+            # the one intended difference: V_3.. extend the cached,
+            # corrupted V_2, so the chain, which reads V_2 only at n = 2,
+            # refuses V_n itself at its last tie, while the steps stop at
+            # the tie of V_2
+            assert want == f"V_{n} is not the matrix its steps from V_1 build"
             assert got == "V_2 is not the matrix its steps from V_1 build"
         else:
             assert got == want, (fault, n)
@@ -248,19 +277,27 @@ def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
 
 def test_resolution_curve_certifies_each_step_once():
     # `resolution --n 0..6` in one fresh process certifies steps 2..6, each
-    # once, where rebuilding the chain per n ran 15 steps
+    # once, where rebuilding the chain per n ran 15 steps; it builds
+    # V_1..V_6 with one extension each, and each step's tie runs one more
+    # on the two outer columns
     script = ("import contextlib, io\n"
               "from qsu2 import comod\n"
               "from qsu2.cli import main\n"
+              "extend, degrees = comod._extend_coaction_matrix, []\n"
+              "def counted(t, n):\n"
+              "    degrees.append(n)\n"
+              "    return extend(t, n)\n"
+              "comod._extend_coaction_matrix = counted\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [main(['resolution', '--n', str(n)])"
               " for n in range(7)]\n"
               "info = comod._certified_step.cache_info()\n"
-              "print(codes, info.misses)\n")
+              "print(codes, info.misses, degrees)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "[0, 0, 0, 0, 0, 0, 0] 5\n"
+    assert run.stdout == ("[0, 0, 0, 0, 0, 0, 0] 5 "
+                          "[1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]\n")
 
 
 def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys):

@@ -285,6 +285,24 @@ def test_gauss_binomial_out_of_range():
         gauss_binomial(2, 3, Q)
 
 
+@pytest.mark.parametrize("base", [q_pow(-2), q_pow(2)])
+def test_cached_gauss_binomial_is_the_product(base):
+    # the cache returns what the defining product computes, first call or
+    # repeat, for every k of every n <= 8
+    for _ in range(2):
+        for n in range(9):
+            for k in range(n + 1):
+                assert (gauss_binomial(n, k, base)
+                        == gauss_binomial.__wrapped__(n, k, base)), (n, k)
+
+
+def test_gauss_binomial_out_of_range_raises_on_every_call():
+    # a failed call caches nothing, so a repeat raises again
+    for n, k in [(2, 3), (2, -1), (0, 1)] * 2:
+        with pytest.raises(ValueError, match="out of range"):
+            gauss_binomial(n, k, q_pow(-2))
+
+
 @pytest.mark.parametrize("base", [Q, q_pow(-2), S("q^2")])
 def test_q_pascal_recurrences(base):
     # both q-Pascal recurrences, any base, n <= 8
