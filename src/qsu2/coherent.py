@@ -20,8 +20,8 @@ from math import comb
 from .bundle import Section
 from .charts import TrivializationChart, chart, cover, in_cotensor
 from .comod import (GramForm, VnComodule, pairing, schur_scalar,
-                    solve_coinvariant_gram, torus_weight)
-from .haar import haar, pair
+                    solve_coinvariant_gram)
+from .haar import haar, integral
 from .ncalg import DomainError, NCPoly, STD, retract, star
 from .report import check
 from .scalars import (ONE, Q, QScalar, ZERO, gauss_binomial,
@@ -185,39 +185,23 @@ def resolution_operator(n: int) -> ResolutionResult:
 def _operator_matrix(w, n: int):
     """[int w_j w_k^* g_k] for w_0..w_n in G, g the Gram diagonal: the
     matrix of Theorem 4 and of the resolution of identity.  Each entry is
-    integrated by `_integral`, term pair by term pair from the table
-    `haar.pair`, so entries between homogeneous w_j and w_k of different
-    torus weights are exact zero with no product formed."""
+    `haar.integral`, term pair by term pair from the table `haar.pair`, so
+    entries between homogeneous w_j and w_k of different torus weights are
+    exact zero with no product formed."""
     g = gram(n)
-    return [[_integral(w[j], w[k]) * g.diag[k] for k in range(n + 1)]
+    return [[integral(w[j], w[k]) * g.diag[k] for k in range(n + 1)]
             for j in range(n + 1)]
-
-
-def _integral(x: NCPoly, y: NCPoly) -> QScalar:
-    """int x y^* = sum c c' h(m m'^*) over the terms c m of x and c' m' of
-    y, each h(m m'^*) read from the table `haar.pair`.  m m'^* has torus
-    weight w(m) - w(m') (star negates the weight), and the Haar state
-    vanishes off weight (0, 0), so only the pairs of equal weight are
-    integrated; the rest are exact zero with no product formed."""
-    ys = [(torus_weight(m2), m2, c2) for m2, c2 in y.terms.items()]
-    total = ZERO
-    for m, c in x.terms.items():
-        w = torus_weight(m)
-        for w2, m2, c2 in ys:
-            if w2 == w:
-                total = total + c * c2 * pair(m, m2)
-    return total
 
 
 def lemma_integral(i: int, j: int, n: int) -> QScalar:
     """int u^i d^n (u^j d^n)^* computed through the Haar functional, by
-    `_integral`: the sides are homogeneous of different torus weights
+    `haar.integral`: the sides are homogeneous of different torus weights
     for i != j, so those entries are exact zero without a product, and
     the diagonal reads the monomial pairs the resolution operator of V_n
     has already put in the table `haar.pair`."""
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i,j <= n")
-    return _integral(_lemma_side(i, n), _lemma_side(j, n))
+    return integral(_lemma_side(i, n), _lemma_side(j, n))
 
 
 @functools.cache

@@ -60,7 +60,6 @@ __all__ = [
     "intertwiner_space_dimension",
     "verify_comodule_axioms",
     "torus_weight",
-    "homogeneous_weight",
 ]
 
 STAR_FIRST = "star_first"   # sum <w0|z0> w1* z1
@@ -179,13 +178,6 @@ def torus_weight(mono):
     star negates it, and the Haar state vanishes off weight (0, 0)."""
     k, r, s, t = mono
     return (k + r - s - t, k - r + s - t)
-
-
-def homogeneous_weight(p: NCPoly):
-    """The torus weight every monomial of p has, or None when p is zero or
-    mixes weights."""
-    weights = {torus_weight(mono) for mono in p.terms}
-    return weights.pop() if len(weights) == 1 else None
 
 
 def weight_covectors(n: int, chi_elem: NCPoly):

@@ -13,13 +13,14 @@ once, so a Laurent integrand costs one polynomial gcd however many terms
 it has.  The functional is defined on G only: integrands living in a
 localization must first be rewritten into the image of G.
 
-`pair(m, m2)` = h(m m2^*) on two monomials of G, cached: by linearity
-h(x y^*) is the sum of c c' pair(m, m2) over the terms c m of x and c' m2
-of y (star fixes the real scalars Q(q)), so a product of two long
-elements is never formed to integrate it (`coherent._integral`).
+`pair(m, m2)` = h(m m2^*) on two monomials of G is the one cache of Haar
+values.  By linearity h(x y^*) is the sum of c c' pair(m, m2) over the
+terms c m of x and c' m2 of y (star fixes the real scalars Q(q)): that is
+`integral(x, y)`, the bilinear form behind the resolution, Theorem 4 and
+the Lemma.  Positivity and invariance (h(m) = pair(m, 1)) read the table.
 
 Positivity runs on weight-matched pairs: `verify_positivity` integrates a
-product m_i m_j^* only where the functional is nonzero on some monomial of
+pair m_i m_j^* only where the functional is nonzero on some monomial of
 its torus weight (`comod.torus_weight`), which for the Haar state is
 weight (0, 0); every other entry of the moment matrix is an exact zero.
 """
@@ -38,6 +39,7 @@ from .scalars import (ONE, QRational, QScalar, ZERO, denominator_lcm,
 
 __all__ = [
     "haar",
+    "integral",
     "pair",
     "zeta_moment",
     "verify_invariance",
@@ -62,6 +64,13 @@ def _moment_weights(top: int):
     return lcm.inverse(), [v * lcm for v in moments]
 
 
+def _require_G(*ps: NCPoly):
+    if any(p.alg is not STD.G for p in ps):
+        raise DomainError(
+            "the Haar integral is defined on G only; retract localized "
+            "integrands into the image of G first")
+
+
 def haar(p: NCPoly) -> QScalar:
     """The normalized two-sided Haar integral of an element of G.
 
@@ -69,10 +78,7 @@ def haar(p: NCPoly) -> QScalar:
     against the Laurent weights of `_moment_weights` and the sum is divided
     by the common denominator once, so a Laurent integrand costs one
     polynomial gcd, not one per term."""
-    if p.alg is not STD.G:
-        raise DomainError(
-            "the Haar integral is defined on G only; retract localized "
-            "integrands into the image of G first")
+    _require_G(p)
     terms = [(r, c) for (k, r, s, t), c in p.terms.items()
              if not (k or t or r != s)]
     if not terms:
@@ -92,6 +98,23 @@ def pair(m, m2) -> QScalar:
     around it."""
     G = STD.G
     return haar(NCPoly(G, {m: ONE}) * star(NCPoly(G, {m2: ONE})))
+
+
+def integral(x: NCPoly, y: NCPoly) -> QScalar:
+    """h(x y^*) = sum c c' pair(m, m') over the terms c m of x and c' m' of
+    y.  m m'^* has torus weight w(m) - w(m') (star negates the weight), and
+    the Haar state vanishes off weight (0, 0), so only the pairs of equal
+    weight are integrated; the rest are exact zero with no product
+    formed."""
+    _require_G(x, y)
+    ys = [(torus_weight(m2), m2, c2) for m2, c2 in y.terms.items()]
+    total = ZERO
+    for m, c in x.terms.items():
+        w = torus_weight(m)
+        for w2, m2, c2 in ys:
+            if w2 == w:
+                total = total + c * c2 * pair(m, m2)
+    return total
 
 
 def zeta_moment_closed_form_report(max_r: int = 6):
@@ -116,32 +139,28 @@ def zeta_moment_closed_form_report(max_r: int = 6):
     }
 
 
-@functools.cache
-def _haar_K(mono) -> NCPoly:
-    """The Haar integral of one monomial of G as an element of the ground
-    algebra K, so that `apply_tensor_map` can integrate one tensor factor
-    away.  Shared: callers only read it."""
-    return STD.K.scalar(haar(NCPoly(STD.G, {mono: ONE})))
-
-
 def verify_invariance(degree: int):
     """(id x int)Delta(m) = (int m) 1 = (int x id)Delta(m) on all basis
     monomials up to the degree."""
     G = STD.G
     HG = hopf_G()
+    unit, = G.one().terms
+
+    def h_K(mono):  # h(m 1^*) in the ground algebra K: a factor drops out
+        return STD.K.scalar(pair(mono, unit))
 
     def integrate(images):
         return lambda p: apply_tensor_map(HG.delta(p), images, G)
 
-    def integral(p):
+    def constant(p):
         return G.scalar(haar(p))
 
     return [law_check(f"haar.left_invariance_deg{degree}",
                       "(id x int) Delta(a) = (int a) 1_H", G, degree,
-                      (integrate([None, _haar_K]), integral)),
+                      (integrate([None, h_K]), constant)),
             law_check(f"haar.right_invariance_deg{degree}",
                       "two-sided invariance of the Haar state", G, degree,
-                      (integrate([_haar_K, None]), integral))]
+                      (integrate([h_K, None]), constant))]
 
 
 def verify_positivity(q0: QRational, degree: int):
@@ -158,9 +177,10 @@ def verify_positivity(q0: QRational, degree: int):
     torus weight w(m_i) - w(m_j), since the relations of G are homogeneous
     and star negates the weight, and has degree <= 2 degree.  The checked
     premise: `haar` is evaluated once on every monomial of degree
-    <= 2 degree, and an entry is integrated only when its weight is one on
-    which some monomial integrates to nonzero.  Every other entry is an
-    exact Fraction(0), so the matrix is the one all N^2 integrals give.
+    <= 2 degree, and an entry is read from the table `pair` only when its
+    weight is one on which some monomial integrates to nonzero.  Every
+    other entry is an exact Fraction(0), so the matrix is the one all N^2
+    integrals give.
     Under the Haar state only weight (0, 0) survives; a functional that is
     nonzero on other weights (the counit, on every (k, k)) has those pairs
     integrated too, so nothing falls outside the gate.  The LDL^T sum skips
@@ -180,12 +200,12 @@ def verify_positivity(q0: QRational, degree: int):
     # that weight and degree
     live = {torus_weight(mono) for p in basis_words(STD.G, 2 * degree)
             for mono in p.terms if haar(p)}
-    weights = [torus_weight(mono) for m in basis for mono in m.terms]
-    starred = [star(m) for m in basis]
-    moments = [[haar(m * s).specialize(q0)
+    monos = [mono for m in basis for mono in m.terms]
+    weights = [torus_weight(mono) for mono in monos]
+    moments = [[pair(m, s).specialize(q0)
                 if (wm[0] - ws[0], wm[1] - ws[1]) in live else Fraction(0)
-                for s, ws in zip(starred, weights)]
-               for m, wm in zip(basis, weights)]
+                for s, ws in zip(monos, weights)]
+               for m, wm in zip(monos, weights)]
     S = [[(x + y) / 2 for x, y in zip(row, col)]
          for row, col in zip(moments, zip(*moments))]
     # L[i][j] D[j] for j < i, built row by row; a zero factor drops its term

@@ -127,6 +127,10 @@ def suite_charts(n_range, degree, q0):
 
 
 def suite_cover(n_range, degree, q0):
+    if degree < 1:
+        return [check("cover.equalizer", None,
+                      "0 -> M -> prod S_lambda^-1 M is exact",
+                      f"no degree in the empty range 1..{degree}")]
     cov = charts.cover()
     checks = []
     for d in range(1, degree + 1):

@@ -158,6 +158,18 @@ def test_check_without_requested_n_is_skipped(capsys):
         "theorem4.scalar", "skip", "no n >= 1 among the requested 0..0")
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cover_without_a_degree_is_skipped(capsys, degree):
+    # the equalizer is checked on degrees 1..degree: an empty range is one
+    # skip that names it, and the exit stays 1 (no check passed)
+    code, out, _ = run(capsys, "verify", "cover", "--degree", degree,
+                       "--format", "json")
+    check, = json.loads(out)["checks"]
+    assert code == 1
+    assert (check["name"], check["status"], check["witness"]) == (
+        "cover.equalizer", "skip", f"no degree in the empty range 1..{degree}")
+
+
 @pytest.mark.parametrize("suite, n, names", [
     ("theorem4", "5..6", ["theorem4.scalar_n5", "theorem4.scalar_n6"]),
     ("coherent", "5..5", ["reproducing.exact"]),

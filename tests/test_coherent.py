@@ -17,7 +17,7 @@ from qsu2.coherent import (assembled_coefficients, classical_limit_report,
                            resolution_operator, scalar_operator_general,
                            section_property_check, solve_coherent)
 from qsu2.comod import GramForm, NonScalarError, VnComodule, schur_scalar
-from qsu2.haar import haar
+from qsu2.haar import haar, integral
 from qsu2.ncalg import NCPoly, STD, parse_element, star
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
 from qsu2.suites import run_suite
@@ -90,16 +90,6 @@ def test_weight_gated_lemma_matches_the_full_products():
                 assert lemma_integral(i, j, n) == want, (i, j, n)
 
 
-@pytest.fixture
-def fresh_pairs():
-    # the table of monomial pairs holds the values of the functional it was
-    # filled with: a recorded functional must neither meet a pair integrated
-    # without it nor leave one behind
-    haar_module.pair.cache_clear()
-    yield
-    haar_module.pair.cache_clear()
-
-
 def test_resolution_integrates_only_weight_matched_products(monkeypatch,
                                                             fresh_pairs):
     # each r_i is one monomial m_i times a scalar, and the m_i have
@@ -144,7 +134,7 @@ def g_elements(draw):
 def test_integral_is_the_haar_state_of_the_full_product(x, y):
     # term pair by term pair, weight-gated, from the pair table: the value
     # of the full product x y^*, mixed weights included
-    assert coherent._integral(x, y) == haar(x * star(y))
+    assert integral(x, y) == haar(x * star(y))
 
 
 def test_resolution_values_at_half():

@@ -9,15 +9,17 @@ import haar_oracle
 import weight_gate_oracle
 from qsu2 import scalars
 from qsu2.charts import chart
-from qsu2.coherent import assembled_coefficients
-from qsu2.comod import homogeneous_weight, torus_weight
-from qsu2.haar import (haar, verify_invariance, verify_positivity,
+from qsu2.coherent import (assembled_coefficients, lemma_table,
+                           resolution_operator)
+from qsu2.comod import torus_weight
+from qsu2.haar import (haar, integral, verify_invariance, verify_positivity,
                        zeta_moment, zeta_moment_closed_form_report)
 from qsu2.hopf import basis_words, hopf_G
 from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD,
                         normal_form_of_word, parse_element, star, tensor_elem)
 from qsu2.scalars import ONE, Q, QScalar, q_number, q_pow
 from rewriting_oracle import random_word
+from weight_gate_oracle import homogeneous_weight
 
 G = STD.G
 # the package exports the function `haar`, which hides the module
@@ -73,7 +75,7 @@ def test_invariance_fails_on_a_wrong_moment():
     # the monomial integrals and the moment weights are cached from the
     # true moments, so both caches are cleared around the patch
     moment = haar_module.zeta_moment
-    caches = (haar_module._haar_K, haar_module._moment_weights)
+    caches = (haar_module.pair, haar_module._moment_weights)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -112,7 +114,7 @@ def test_positivity():
 
 
 @pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(1, 3)])
-def test_positivity_fails_for_the_counit(monkeypatch, q0):
+def test_positivity_fails_for_the_counit(monkeypatch, fresh_pairs, q0):
     # eps(f f*) is only semidefinite: eps(d - 1) = 0, so the pivot at d is 0
     monkeypatch.setattr(haar_module, "haar", hopf_G().counit)
     check, = verify_positivity(q0, degree=3)
@@ -139,7 +141,8 @@ def _recorded(monkeypatch, functional):
     return integrands
 
 
-def test_positivity_integrates_only_weight_matched_pairs(monkeypatch):
+def test_positivity_integrates_only_weight_matched_pairs(monkeypatch,
+                                                         fresh_pairs):
     # one probe per monomial of degree <= 6 finds the Haar state nonzero on
     # weight (0, 0) only; then only the products m_i m_j^* of equal weights
     # are integrated
@@ -156,6 +159,7 @@ def test_positivity_integrates_only_weight_matched_pairs(monkeypatch):
 
 @pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(1, 3)])
 def test_positivity_integrates_where_a_faulty_functional_lives(monkeypatch,
+                                                               fresh_pairs,
                                                                q0):
     # the Haar state plus the coefficient of b is nonzero on weight (1, -1)
     # as well, so the pairs of that weight difference are integrated too
@@ -218,6 +222,34 @@ def test_star_symmetry():
 def test_localized_argument_rejected():
     with pytest.raises(DomainError):
         haar(STD.Gd.gen("d", -1))
+
+
+@pytest.mark.parametrize("x, y", [("b d^-1", "a b"), ("a b", "b d^-1"),
+                                  ("b d^-1", "b d^-1")])
+def test_integral_rejects_arguments_outside_G(x, y):
+    # a term of G_d may share its exponents with one of G; the bilinear form
+    # refuses it as `haar` does, rather than read the pair table for it
+    def elem(text):
+        return parse_element(text, STD.Gd if "^-1" in text else G)
+
+    with pytest.raises(DomainError, match="defined on G only"):
+        integral(elem(x), elem(y))
+
+
+def test_one_table_serves_positivity_invariance_and_the_lemma(fresh_pairs):
+    # positivity and the Lemma read the same pairs cold, and warm after the
+    # resolution operator and invariance have filled the table
+    q0 = Fraction(1, 2)
+    positivity = verify_positivity(q0, degree=3)
+    haar_module.pair.cache_clear()
+    lemma = lemma_table(3)
+    resolution_operator.__wrapped__(3)
+    verify_invariance(5)
+    hits = haar_module.pair.cache_info().hits
+    assert verify_positivity(q0, degree=3) == positivity
+    assert haar_module.pair.cache_info().hits > hits
+    assert positivity == weight_gate_oracle.verify_positivity(q0, degree=3)
+    assert lemma_table(3) == lemma
 
 
 # -- the Laurent-weighted sum against the per-term rational oracle -----------

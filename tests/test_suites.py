@@ -12,9 +12,10 @@ import pytest
 import resolution_oracle
 from qsu2 import charts, coherent, suites
 from qsu2.cli import main
-from qsu2.comod import GramForm, NonScalarError, homogeneous_weight
+from qsu2.comod import GramForm, NonScalarError
 from qsu2.ncalg import Algebra, STD, rewriting_certificate
 from qsu2.scalars import ONE, ZERO, q_pow
+from weight_gate_oracle import homogeneous_weight
 
 Q0 = Fraction(1, 2)
 

@@ -7,6 +7,9 @@ the degree.  `verify_positivity` integrates all N^2 products m_i m_j^* and
 runs the LDL^T sum over every k.  Both look up `charts.coaction_B` and
 `haar.haar` when called, so a test that installs a faulty coaction or
 functional reaches the oracle as well as the code under test.
+
+`homogeneous_weight` describes an integrand by its torus bigrading
+(tests/test_haar.py, tests/test_suites.py).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import importlib
 from fractions import Fraction
 
 from qsu2 import charts, linalg
+from qsu2.comod import torus_weight
 from qsu2.hopf import basis_words
 from qsu2.ncalg import NCPoly, STD, star, tensor_elem
 from qsu2.report import check
@@ -64,3 +68,10 @@ def verify_positivity(q0, degree):
             bad = (str(basis[i]), str(LD[i][i]))
             break
     return [check(name, bad is None, anchor, bad)]
+
+
+def homogeneous_weight(p):
+    """The torus weight every monomial of p has, or None when p is zero or
+    mixes weights."""
+    weights = {torus_weight(mono) for mono in p.terms}
+    return weights.pop() if len(weights) == 1 else None
