@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from .parsing import parse_with_context
-from .scalars import ONE, Q, QScalar, ZERO, q_pow
+from .scalars import ONE, Q, QScalar, ZERO, q_pow, q_shift
 
 __all__ = [
     "Algebra",
@@ -58,6 +59,8 @@ class Algebra:
     `comm[(i, j)]` for i < j is the integer e in  g_j g_i = q^e g_i g_j.
     The pair `ad_pair` (always (first, last)) carries the inhomogeneous
     rules instead; `elim_gen` maps a generator index to its expansion.
+    A tensor product has no `comm` of its own: it multiplies factor by
+    factor, on the slices of a monomial that `split_mono` cuts.
     """
 
     def __init__(self, name, gens, invertible=(), comm=None, ad_pair=None,
@@ -74,12 +77,17 @@ class Algebra:
         self.relation_words = []  # list of (name, lhs_terms, rhs_terms)
         self._zero_mono = (0,) * self.n
         if factors:
-            off = []
+            slices = []
             k = 0
             for f in factors:
-                off.append(k)
+                slices.append(slice(k, k + f.n))
                 k += f.n
-            self._offsets = tuple(off)
+            self._slices = tuple(slices)
+        else:
+            # every index pair (j, i), j < i, where m2[j] * m1[i] crosses
+            # in the product m1 * m2; `_merge` reads its exponent from
+            # `comm` when it multiplies
+            self._crossings = tuple(itertools.combinations(range(self.n), 2))
         if elim_gen:
             for g, terms in elim_gen.items():
                 self.elim_gen[self.gen_index[g]] = tuple(
@@ -91,7 +99,7 @@ class Algebra:
     # -- monomial helpers ----------------------------------------------
 
     def mono_degree(self, mono) -> int:
-        return sum(abs(e) for e in mono)
+        return sum(map(abs, mono))
 
     def check_mono(self, mono):
         if len(mono) != self.n:
@@ -119,10 +127,7 @@ class Algebra:
 
     def split_mono(self, mono):
         assert self.factors
-        out = []
-        for f, off in zip(self.factors, self._offsets):
-            out.append(tuple(mono[off:off + f.n]))
-        return tuple(out)
+        return tuple(mono[sl] for sl in self._slices)
 
     def join_monos(self, subs):
         assert self.factors
@@ -158,13 +163,11 @@ class Algebra:
             return self.one()
         if self.factors:
             # locate the factor owning this slot and lift canonically
-            off = 0
-            for k, f in enumerate(self.factors):
-                if i < off + f.n:
+            for k, (f, sl) in enumerate(zip(self.factors, self._slices)):
+                if i < sl.stop:
                     parts = [g.one() for g in self.factors]
-                    parts[k] = f.gen(f.gens[i - off], e)
+                    parts[k] = f.gen(f.gens[i - sl.start], e)
                     return tensor_elem(self, parts)
-                off += f.n
         if e < 0 and i not in self.invertible:
             raise DomainError(f"{self.name}: {name} is not invertible")
         if i in self.elim_gen:
@@ -189,21 +192,19 @@ class Algebra:
     def _merge(self, m1, m2):
         """q-exponent and merged exponents for m1*m2 with no a-d crossing."""
         e = 0
-        for j in range(self.n):
+        comm = self.comm
+        for j, i in self._crossings:
             y = m2[j]
-            if not y:
-                continue
-            for i in range(j + 1, self.n):
+            if y:
                 x = m1[i]
                 if x:
-                    c = self.comm.get((j, i))
-                    if c is None:
+                    try:
+                        e += x * y * comm[j, i]
+                    except KeyError:
                         raise AssertionError(
                             f"{self.name}: illegal crossing "
-                            f"{self.gens[i]}/{self.gens[j]}")
-                    if c:
-                        e += x * y * c
-        return e, tuple(a + b for a, b in zip(m1, m2))
+                            f"{self.gens[i]}/{self.gens[j]}") from None
+        return e, tuple(map(operator.add, m1, m2))
 
     @functools.cache
     def _da_expand(self, t: int, k: int):
@@ -240,35 +241,38 @@ class Algebra:
         while stack:
             m, c = stack.pop()
             if m[ia] > 0 and m[id_] > 0:
-                qrs = q_pow(m[ib] + m[ic])
+                rs = m[ib] + m[ic]
                 m1 = list(m)
                 m1[ia] -= 1
                 m1[id_] -= 1
-                stack.append((tuple(m1), c * qrs))
+                stack.append((tuple(m1), q_shift(c, rs)))
                 m2 = list(m1)
                 m2[ib] += 1
                 m2[ic] += 1
-                stack.append((tuple(m2), c * qrs * Q))
+                stack.append((tuple(m2), q_shift(c, rs + 1)))
             else:
-                acc[m] = acc.get(m, ZERO) + c
+                v = acc.get(m)
+                acc[m] = c if v is None else v + c
 
     def mul_mono(self, m1, m2, coeff, acc):
         """Accumulate coeff * m1 * m2 into the dict acc (canonical inputs)."""
         if self.factors:
             partials = []
-            for f, s1, s2 in zip(self.factors, self.split_mono(m1), self.split_mono(m2)):
+            for f, sl in zip(self.factors, self._slices):
                 d = {}
-                f.mul_mono(s1, s2, ONE, d)
-                partials.append(list(d.items()))
+                f.mul_mono(m1[sl], m2[sl], ONE, d)
+                partials.append(d.items())
             for combo in itertools.product(*partials):
                 c = coeff
                 for _, cc in combo:
                     c = c * cc
                 mono = self.join_monos([m for m, _ in combo])
-                acc[mono] = acc.get(mono, ZERO) + c
+                v = acc.get(mono)
+                acc[mono] = c if v is None else v + c
             return
-        if self.ad_pair:
-            ia, id_ = self.ad_pair
+        ad = self.ad_pair
+        if ad:
+            ia, id_ = ad
             t1, k2 = m1[id_], m2[ia]
             if t1 > 0 and k2 > 0:
                 left = list(m1)
@@ -280,21 +284,22 @@ class Algebra:
                 for mid, cmid in self._da_expand(t1, k2).items():
                     e1, x = self._merge(left, mid)
                     e2, y = self._merge(x, right)
-                    self._reduce_ordered(y, coeff * cmid * q_pow(e1 + e2), acc)
+                    self._reduce_ordered(y, q_shift(coeff * cmid, e1 + e2), acc)
                 return
-            e, y = self._merge(m1, m2)
-            if y[ia] > 0 and y[id_] > 0:
-                self._reduce_ordered(y, coeff * q_pow(e), acc)
-            else:
-                acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)
-            return
         e, y = self._merge(m1, m2)
-        acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)
+        c = q_shift(coeff, e)
+        if ad and y[ia] > 0 and y[id_] > 0:
+            self._reduce_ordered(y, c, acc)
+            return
+        v = acc.get(y)
+        acc[y] = c if v is None else v + c
 
     # -- basis enumeration ------------------------------------------------
 
+    @functools.cache
     def basis_monomials(self, max_degree: int):
-        """All canonical monomials with filtration degree <= max_degree."""
+        """All canonical monomials with filtration degree <= max_degree, as
+        one shared tuple: callers only read it."""
         assert not self.factors, "basis enumeration on base algebras only"
         ranges = []
         for i in range(self.n):
@@ -314,7 +319,7 @@ class Algebra:
                     continue
             out.append(mono)
         out.sort(key=lambda m: (self.mono_degree(m), m))
-        return out
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +407,12 @@ class NCPoly:
                 return self.alg.zero()
             return NCPoly(self.alg, {m: v * c for m, v in self.terms.items()})
         self._require_same(other)
+        mul_mono = self.alg.mul_mono
+        right = other.terms.items()
         acc = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                self.alg.mul_mono(m1, m2, c1 * c2, acc)
+            for m2, c2 in right:
+                mul_mono(m1, m2, c1 * c2, acc)
         return NCPoly(self.alg, {m: c for m, c in acc.items() if c})
 
     def __rmul__(self, other):
@@ -678,19 +685,15 @@ class _Standard:
     def tensor(self, *factors) -> Algebra:
         gens = []
         invertible = []
-        comm = {}
         off = 0
         for k, f in enumerate(factors):
             for i, g in enumerate(f.gens):
                 gens.append(f"{g}@{k}" if len(factors) > 1 else g)
             for i in f.invertible:
                 invertible.append(gens[off + i])
-            for (i, j), c in f.comm.items():
-                comm[(off + i, off + j)] = c
             off += f.n
         name = " (x) ".join(f.name for f in factors)
-        return Algebra(name, gens, invertible=invertible, comm=comm,
-                       factors=factors)
+        return Algebra(name, gens, invertible=invertible, factors=factors)
 
     @functools.cache
     def identity(self, alg: Algebra) -> AlgebraMap:

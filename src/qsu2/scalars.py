@@ -32,6 +32,7 @@ __all__ = [
     "ONE",
     "Q",
     "q_pow",
+    "q_shift",
     "denominator_lcm",
     "q_number",
     "gauss_binomial",
@@ -469,10 +470,17 @@ ONE = _new(0, _PONE, _PONE)
 Q = _new(1, _PONE, _PONE)
 
 
+def q_shift(c: QScalar, k: int) -> QScalar:
+    """c * q^k, a shift of the valuation alone; zero stays ZERO."""
+    if not c.num:
+        return ZERO
+    return _new(c.val + k, c.num, c.den)
+
+
 @functools.cache
 def q_pow(k: int) -> QScalar:
     """q^k for any integer k."""
-    return _new(k, _PONE, _PONE)
+    return q_shift(ONE, k)
 
 
 def denominator_lcm(values) -> QScalar:

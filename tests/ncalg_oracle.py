@@ -1,0 +1,108 @@
+"""`Algebra.mul_mono` as `qsu2.ncalg` ran it before its flat kernel, kept
+here only as an oracle (tests/test_ncalg.py).
+
+`merge` is the nested loop over generator pairs that looks up each
+commutation exponent with `comm.get`; `mul_mono` multiplies the factors of
+a tensor product on the monomial pieces `split_mono` cuts at the factor
+offsets, and scales each coefficient by a `q_pow` product.  The a-d
+rewriting (`reduce_ordered`) keeps its `q_pow` products as well.  Only
+the cached expansion of d^t a^k, `Algebra._da_expand`, is shared with the
+engine.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from qsu2.scalars import ONE, Q, ZERO, q_pow
+
+
+def merge(alg, m1, m2):
+    """q-exponent and merged exponents for m1*m2 with no a-d crossing."""
+    e = 0
+    for j in range(alg.n):
+        y = m2[j]
+        if not y:
+            continue
+        for i in range(j + 1, alg.n):
+            x = m1[i]
+            if x:
+                c = alg.comm.get((j, i))
+                if c is None:
+                    raise AssertionError(
+                        f"{alg.name}: illegal crossing "
+                        f"{alg.gens[i]}/{alg.gens[j]}")
+                if c:
+                    e += x * y * c
+    return e, tuple(a + b for a, b in zip(m1, m2))
+
+
+def split_mono(alg, mono):
+    out = []
+    off = 0
+    for f in alg.factors:
+        out.append(tuple(mono[off:off + f.n]))
+        off += f.n
+    return tuple(out)
+
+
+def reduce_ordered(alg, mono, coeff, acc):
+    """Eliminate a-d co-occurrence in an ordered monomial into acc."""
+    ia, id_ = alg.ad_pair
+    ib, ic = ia + 1, ia + 2
+    stack = [(mono, coeff)]
+    while stack:
+        m, c = stack.pop()
+        if m[ia] > 0 and m[id_] > 0:
+            qrs = q_pow(m[ib] + m[ic])
+            m1 = list(m)
+            m1[ia] -= 1
+            m1[id_] -= 1
+            stack.append((tuple(m1), c * qrs))
+            m2 = list(m1)
+            m2[ib] += 1
+            m2[ic] += 1
+            stack.append((tuple(m2), c * qrs * Q))
+        else:
+            acc[m] = acc.get(m, ZERO) + c
+
+
+def mul_mono(alg, m1, m2, coeff, acc):
+    """Accumulate coeff * m1 * m2 into the dict acc (canonical inputs)."""
+    if alg.factors:
+        partials = []
+        for f, s1, s2 in zip(alg.factors, split_mono(alg, m1),
+                             split_mono(alg, m2)):
+            d = {}
+            mul_mono(f, s1, s2, ONE, d)
+            partials.append(list(d.items()))
+        for combo in itertools.product(*partials):
+            c = coeff
+            for _, cc in combo:
+                c = c * cc
+            mono = alg.join_monos([m for m, _ in combo])
+            acc[mono] = acc.get(mono, ZERO) + c
+        return
+    if alg.ad_pair:
+        ia, id_ = alg.ad_pair
+        t1, k2 = m1[id_], m2[ia]
+        if t1 > 0 and k2 > 0:
+            left = list(m1)
+            left[id_] = 0
+            left = tuple(left)
+            right = list(m2)
+            right[ia] = 0
+            right = tuple(right)
+            for mid, cmid in alg._da_expand(t1, k2).items():
+                e1, x = merge(alg, left, mid)
+                e2, y = merge(alg, x, right)
+                reduce_ordered(alg, y, coeff * cmid * q_pow(e1 + e2), acc)
+            return
+        e, y = merge(alg, m1, m2)
+        if y[ia] > 0 and y[id_] > 0:
+            reduce_ordered(alg, y, coeff * q_pow(e), acc)
+        else:
+            acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)
+        return
+    e, y = merge(alg, m1, m2)
+    acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)

@@ -1,11 +1,18 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+import ncalg_oracle
 from qsu2 import linalg
-from qsu2.ncalg import (DomainError, NCPoly, STD, normal_form_of_word,
+from qsu2.ncalg import (Algebra, DomainError, NCPoly, STD, normal_form_of_word,
                         parse_element, retract, rewriting_certificate, star)
-from qsu2.scalars import ONE, Q, q_pow
+from qsu2.scalars import ONE, Q, QScalar, q_pow
 from rewriting_oracle import confluence_probe, random_word
 
 G, Gb, Gd, Gbd = STD.G, STD.Gb, STD.Gd, STD.Gbd
@@ -167,6 +174,133 @@ def test_confluence(alg):
 def test_manin_confluence():
     rep = confluence_probe(STD.M, samples=30, degree=6, seed=2)
     assert rep["passed"]
+
+
+# -- the monomial-product kernel ------------------------------------------------------
+
+@st.composite
+def canonical_monomials(draw, alg):
+    """A canonical monomial of `alg`, negative exponents included on the
+    invertible generators; on a tensor product, one for each factor."""
+    if alg.factors:
+        return alg.join_monos([draw(canonical_monomials(f))
+                               for f in alg.factors])
+    mono = []
+    for i in range(alg.n):
+        if i in alg.elim_gen:
+            mono.append(0)
+        else:
+            low = -3 if i in alg.invertible else 0
+            mono.append(draw(st.integers(min_value=low, max_value=3)))
+    if alg.ad_pair:
+        ia, id_ = alg.ad_pair
+        if mono[ia] > 0 and mono[id_] != 0:
+            mono[draw(st.sampled_from(alg.ad_pair))] = 0
+    mono = tuple(mono)
+    alg.check_mono(mono)
+    return mono
+
+
+@st.composite
+def coefficients(draw):
+    """A scalar whose denominator may have more than one term, or be 1."""
+    num = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                        min_size=1, max_size=3))
+    den = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                        min_size=1, max_size=3).filter(any))
+    return QScalar(num, den)
+
+
+def nonzero_terms(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+KERNEL_ALGEBRAS = [G, Gb, Gd, Gbd, STD.B, STD.M, STD.tensor(G, G),
+                   STD.tensor(G, G, G), STD.tensor(STD.B, STD.B)]
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=lambda a: a.name)
+@seed(23)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mul_mono_matches_the_oracle(alg, data):
+    # two products into one dict, the second often on the same monomials,
+    # so terms add up and may cancel
+    monos = st.tuples(canonical_monomials(alg), canonical_monomials(alg))
+    first = data.draw(monos)
+    second = first if data.draw(st.booleans()) else data.draw(monos)
+    got, want = {}, {}
+    for m1, m2 in (first, second):
+        c = data.draw(coefficients())
+        alg.mul_mono(m1, m2, c, got)
+        ncalg_oracle.mul_mono(alg, m1, m2, c, want)
+    assert nonzero_terms(got) == nonzero_terms(want)
+
+
+def test_merge_rejects_an_a_d_crossing():
+    # d (in m1) meets a (in m2): only the a-d rules may reorder them
+    for merge in (G._merge, lambda m1, m2: ncalg_oracle.merge(G, m1, m2)):
+        with pytest.raises(AssertionError, match="G: illegal crossing d/a"):
+            merge((0, 0, 0, 1), (1, 0, 0, 0))
+
+
+def test_tensor_products_read_comm_when_called(monkeypatch):
+    # a tensor product multiplies in its factors and keeps no exponents of
+    # its own, so it sees a commutation exponent of B flipped after both
+    # algebras were built
+    B, BB = STD.B, STD.tensor(STD.B, STD.B)
+    assert BB.comm == {}
+
+    def products():
+        return [B.gen("xi") * B.gen("lambda")] + [
+            BB.gen(f"xi@{k}") * BB.gen(f"lambda@{k}") for k in (0, 1)]
+
+    def expected(c):
+        return [NCPoly(B, {(1, 1): c}), NCPoly(BB, {(1, 1, 0, 0): c}),
+                NCPoly(BB, {(0, 0, 1, 1): c})]
+
+    assert products() == expected(q_pow(-1))
+    monkeypatch.setitem(B.comm, (0, 1), 1)
+    assert products() == expected(Q)
+
+
+@pytest.mark.parametrize("alg", [G, Gb, Gd, Gbd, STD.B, STD.K, STD.M],
+                         ids=lambda a: a.name)
+def test_basis_monomials_is_one_cached_tuple(alg):
+    for degree in range(-1, 7):
+        got = alg.basis_monomials(degree)
+        assert type(got) is tuple
+        assert alg.basis_monomials(degree) is got
+        assert got == Algebra.basis_monomials.__wrapped__(alg, degree)
+
+
+def test_tracer_finds_no_unwrapped_binding():
+    # the benchmark's layer tracer (perfbench/tracer.py) wraps every
+    # binding of each traced function, `Algebra.mul_mono` among them; a
+    # reference kept elsewhere, such as a bound method stored at build
+    # time, would bypass it.  It runs in its own process, since it rebinds
+    # the package for good.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import qsu2.cli\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = qsu2.cli.main(['verify', 'rewriting', '--degree', '3'])\n"
+        "qsu2.ncalg.STD.G.basis_monomials(3)\n"
+        "print(json.dumps([code, tracer.counts().get('ncalg.mul_mono', 0),\n"
+        "                  tracer.stale_bindings()]))\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, calls, stale = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert calls > 0
+    assert stale == []
 
 
 # -- the rewriting certificate -------------------------------------------------------

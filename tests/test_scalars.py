@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsu2.scalars import (ONE, PoleError, Q, QPoly, QScalar, ZERO,
                           gauss_binomial, jackson_q_integral_01, parse_scalar,
-                          q_gamma_int, q_number, q_pochhammer, q_pow)
+                          q_gamma_int, q_number, q_pochhammer, q_pow, q_shift)
 from scalar_oracle import OracleScalar
 
 
@@ -197,6 +197,26 @@ def test_same_valuation_sums_match_fraction_oracle(xy, k):
     x, y = xy
     assert QScalar(*x).val == QScalar(*y).val
     assert_operations_match_oracle(x, y, k)
+
+
+# q_shift: the product with q^k as a shift of the valuation alone
+
+@settings(max_examples=200)
+@example(((1, 2), (1, 1)), 3)
+@example(((0, 0, 5), (2, 0, 1)), -2)
+@given(fractions(), exponents)
+def test_q_shift_is_the_product_with_a_power_of_q(x, k):
+    c = QScalar(*x)
+    assert q_shift(c, k) == c * q_pow(k)
+    assert q_shift(q_shift(c, k), -k) == c
+
+
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 4])
+def test_q_shift_keeps_the_normal_form_of_zero(k):
+    z = q_shift(ZERO, k)
+    assert z == ZERO
+    assert (z.val, z.num, z.den) == (0, (), (1,))
+    assert hash(z) == hash(ZERO)
 
 
 @pytest.mark.parametrize("slot", ["val", "num", "den"])
