@@ -5,7 +5,7 @@ Everything is computed over the field of rational functions of q; all
 theorem checks are exact (zero tolerance).
 """
 
-from .scalars import (ONE, Q, QPoly, QRational, QScalar, ZERO, gauss_binomial,
+from .scalars import (ONE, Q, QRational, QScalar, ZERO, gauss_binomial,
                       jackson_q_integral_01, q_gamma_int,
                       q_number, q_pochhammer, q_pow, parse_scalar)
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,

@@ -66,8 +66,8 @@ class TrivializationChart:
         self.name = f"{inverted}-chart"
         self.alg = alg
         self.inverted = inverted  # generator name made invertible, b or d
-        self.iota = STD.localization_embedding(alg)
-        self.to_double = STD.chart_to_double(alg)
+        self.iota = STD.inclusion(STD.G, alg)
+        self.to_double = STD.inclusion(alg, STD.Gbd)
         self.target = STD.tensor(alg, STD.B)
         self.rho_B = coaction_B(alg)
         # u = b d^-1 on the d-chart, u' = d b^-1 on the b-chart
@@ -100,7 +100,7 @@ def coaction_B(alg: Algebra) -> AlgebraMap:
     and is recorded by `extend_coaction_report`.
     """
     target = STD.tensor(alg, STD.B)
-    maps = [STD.localization_embedding(alg).image, pi_map().image]
+    maps = [STD.inclusion(STD.G, alg).image, pi_map().image]
     images = {g: apply_tensor_map(hopf_G().delta(STD.G.gen(g)), maps, target)
               for g in "abcd"}
     return AlgebraMap(alg, target, images, name=f"rho_B[{alg.name}]")
@@ -292,6 +292,7 @@ def _graded_by_right_weight(rho: AlgebraMap) -> bool:
     basis generator g of rho's source and every inverse g^-1, where w_R is
     the second torus weight (`comod.torus_weight`)."""
     alg = rho.source
+    xi = STD.B.gen_index["xi"]
     for i, g in enumerate(alg.gens):
         if i in alg.elim_gen:
             continue
@@ -299,8 +300,8 @@ def _graded_by_right_weight(rho: AlgebraMap) -> bool:
             p = alg.gen(g, e)
             (mono, _), = p.terms.items()
             weight = STD.B.gen("lambda", comod.torus_weight(mono)[1])
-            # the last exponent of a monomial of alg (x) B is xi's
-            xi_free = {m: c for m, c in rho(p).terms.items() if not m[-1]}
+            xi_free = {m: c for m, c in rho(p).terms.items()
+                       if not rho.target.split_mono(m)[1][xi]}
             if xi_free != tensor_elem(rho.target, [p, weight]).terms:
                 return False
     return True

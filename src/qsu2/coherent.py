@@ -236,7 +236,7 @@ def _zeta_pochhammer(i: int, n: int) -> NCPoly:
     """zeta^i (q^-2 zeta; q^-2)_(n-i) in G, with zeta = -q b c."""
     poch = q_pochhammer(q_pow(-2), q_pow(-2), n - i)
     out = STD.G.zero()
-    for k, c in enumerate(poch.coeffs):
+    for k, c in enumerate(poch):
         if not c.is_zero():
             out = out + _zeta_power(i + k) * c
     return out
@@ -283,15 +283,21 @@ def integrand_sign_check(i: int, n: int):
 def ramanujan_qbeta(alpha: int, beta: int):
     """Jackson-integral representation of the q-beta function at integer
     parameters: int_0^1 x^(alpha-1) (qx; q)_(beta-1) d_q x =
-    Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).  Shared: callers
-    only read it."""
+    Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta).
+
+    The printed reading of the integrand, x^alpha (x; q)_beta (beta
+    factors starting at 1 - x), is integrated as well: it misses the
+    Gamma_q quotient, and `matches_printed_form` records that misprint.
+    Shared: callers only read it."""
     if alpha < 1 or beta < 1:
         raise ValueError("integer parameters must be >= 1")
-    integrand = q_pochhammer(Q, Q, beta - 1).shift(alpha - 1)
-    lhs = jackson_q_integral_01(integrand, Q)
+    lhs = jackson_q_integral_01(
+        (ZERO,) * (alpha - 1) + q_pochhammer(Q, Q, beta - 1), Q)
+    printed = jackson_q_integral_01(
+        (ZERO,) * alpha + q_pochhammer(ONE, Q, beta), Q)
     rhs = q_gamma_int(alpha) * q_gamma_int(beta) / q_gamma_int(alpha + beta)
     return {"alpha": alpha, "beta": beta, "lhs": lhs, "rhs": rhs,
-            "equal": lhs == rhs}
+            "equal": lhs == rhs, "matches_printed_form": printed == rhs}
 
 
 def scalar_operator_general(n: int, w_vec) -> QScalar:

@@ -39,7 +39,6 @@ __all__ = [
     "retract",
     "tensor_elem",
     "apply_tensor_map",
-    "normal_form_of_word",
     "rewriting_certificate",
     "parse_element",
 ]
@@ -129,10 +128,6 @@ class Algebra:
         assert self.factors
         return tuple(mono[sl] for sl in self._slices)
 
-    def join_monos(self, subs):
-        assert self.factors
-        return tuple(itertools.chain.from_iterable(subs))
-
     def mono_str(self, mono) -> str:
         if self.factors:
             return " (x) ".join(
@@ -176,16 +171,6 @@ class Algebra:
         mono = list(self._zero_mono)
         mono[i] = e
         return NCPoly(self, {tuple(mono): ONE})
-
-    def element(self, terms) -> NCPoly:
-        out = {}
-        for mono, c in terms.items():
-            mono = tuple(mono)
-            self.check_mono(mono)
-            c = QScalar.coerce(c)
-            if c:
-                out[mono] = out.get(mono, ZERO) + c
-        return NCPoly(self, {m: c for m, c in out.items() if c})
 
     # -- canonical-monomial multiplication -------------------------------
 
@@ -257,18 +242,12 @@ class Algebra:
     def mul_mono(self, m1, m2, coeff, acc):
         """Accumulate coeff * m1 * m2 into the dict acc (canonical inputs)."""
         if self.factors:
-            partials = []
+            legs = []
             for f, sl in zip(self.factors, self._slices):
                 d = {}
                 f.mul_mono(m1[sl], m2[sl], ONE, d)
-                partials.append(d.items())
-            for combo in itertools.product(*partials):
-                c = coeff
-                for _, cc in combo:
-                    c = c * cc
-                mono = self.join_monos([m for m, _ in combo])
-                v = acc.get(mono)
-                acc[mono] = c if v is None else v + c
+                legs.append(d.items())
+            _tensor_terms(legs, coeff, acc)
             return
         ad = self.ad_pair
         if ad:
@@ -471,12 +450,6 @@ class NCPoly:
         return hash((id(self.alg), frozenset(self.terms.items())))
 
     # -- queries ----------------------------------------------------------
-
-    def degree(self):
-        """Filtration degree: max total |exponent|; -inf for 0."""
-        if not self.terms:
-            return float("-inf")
-        return max(self.alg.mono_degree(m) for m in self.terms)
 
     def coeff(self, mono) -> QScalar:
         return self.terms.get(tuple(mono), ZERO)
@@ -696,24 +669,14 @@ class _Standard:
         return Algebra(name, gens, invertible=invertible, factors=factors)
 
     @functools.cache
-    def identity(self, alg: Algebra) -> AlgebraMap:
-        """The identity of `alg`, whose `check_relations` evaluates the
-        defining relations with the engine's own product."""
-        return AlgebraMap(alg, alg, {g: alg.gen(g) for g in alg.gens},
-                          name=f"id[{alg.name}]")
-
-    @functools.cache
-    def localization_embedding(self, target: Algebra) -> AlgebraMap:
-        """The canonical map of G into one of its localizations (or G itself)."""
-        return AlgebraMap(self.G, target, {g: target.gen(g) for g in "abcd"},
-                          name=f"iota[{target.name}]")
-
-    @functools.cache
-    def chart_to_double(self, source: Algebra) -> AlgebraMap:
-        """The canonical map G_b -> G_bd or G_d -> G_bd."""
-        return AlgebraMap(source, self.Gbd,
-                          {g: self.Gbd.gen(g) for g in "abcd"},
-                          name=f"iota[{source.name}->G_bd]")
+    def inclusion(self, source: Algebra, target: Algebra) -> AlgebraMap:
+        """The canonical map g -> g of `source` into `target`: the identity
+        (whose `check_relations` evaluates the defining relations with the
+        engine's own product), G into a localization, or a chart into
+        G_bd."""
+        return AlgebraMap(source, target,
+                          {g: target.gen(g) for g in source.gens},
+                          name=f"iota[{source.name}->{target.name}]")
 
 
 STD = _Standard()
@@ -753,17 +716,27 @@ def retract(p: NCPoly, target: Algebra) -> NCPoly:
 # tensor utilities
 # ---------------------------------------------------------------------------
 
+def _tensor_terms(legs, coeff, acc):
+    """Add coeff c_1 ... c_k (m_1 (x) ... (x) m_k) into the dict acc for
+    every choice of one term (m_i, c_i) from each leg; a c_i of None counts
+    as 1.  The only place a tensor monomial is assembled from factor
+    monomials: their concatenation."""
+    for combo in itertools.product(*legs):
+        c = coeff
+        for _, cc in combo:
+            if cc is not None:
+                c = c * cc
+        mono = tuple(itertools.chain.from_iterable(m for m, _ in combo))
+        v = acc.get(mono)
+        acc[mono] = c if v is None else v + c
+
+
 def tensor_elem(talg: Algebra, parts) -> NCPoly:
     """The elementary tensor of the given factor elements."""
     assert talg.factors and len(parts) == len(talg.factors)
-    out = {}
-    for combo in itertools.product(*[list(p.terms.items()) for p in parts]):
-        mono = talg.join_monos([m for m, _ in combo])
-        c = ONE
-        for _, cc in combo:
-            c = c * cc
-        out[mono] = out.get(mono, ZERO) + c
-    return NCPoly(talg, {m: c for m, c in out.items() if c})
+    acc = {}
+    _tensor_terms([p.terms.items() for p in parts], ONE, acc)
+    return NCPoly(talg, {m: c for m, c in acc.items() if c})
 
 
 def apply_tensor_map(p: NCPoly, images, target: Algebra) -> NCPoly:
@@ -780,41 +753,18 @@ def apply_tensor_map(p: NCPoly, images, target: Algebra) -> NCPoly:
     """
     src = p.alg
     assert src.factors and len(images) == len(src.factors)
-    out = {}
+    acc = {}
     for mono, c in p.terms.items():
         # an identity factor keeps its monomial and multiplies nothing in
         legs = [[(sub, None)] if image is None else image(sub).terms.items()
                 for sub, image in zip(src.split_mono(mono), images)]
-        for combo in itertools.product(*legs):
-            v = c
-            for _, cc in combo:
-                if cc is not None:
-                    v = v * cc
-            key = tuple(itertools.chain.from_iterable(m for m, _ in combo))
-            v = out.get(key, ZERO) + v
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return NCPoly(target, out)
+        _tensor_terms(legs, c, acc)
+    return NCPoly(target, {m: c for m, c in acc.items() if c})
 
 
 # ---------------------------------------------------------------------------
-# words and the rewriting certificate
+# the rewriting certificate
 # ---------------------------------------------------------------------------
-#
-# A word is a list of (generator index, exponent) segments with a scalar
-# coefficient; its engine normal form multiplies the segments as NCPolys.
-
-def normal_form_of_word(alg: Algebra, word, coeff=ONE) -> NCPoly:
-    p = alg.scalar(coeff)
-    for i, e in word:
-        g = alg.gens[i]
-        if e < 0 and i not in alg.invertible:
-            raise DomainError(f"negative exponent on {g}")
-        p = p * alg.gen(g, 1) ** e if i in alg.elim_gen else p * alg.gen(g, e)
-    return p
-
 
 def rewriting_certificate(alg: Algebra, degree: int):
     """Evidence, up to total degree max(degree, 1), that the canonical
@@ -871,7 +821,7 @@ def rewriting_certificate(alg: Algebra, degree: int):
                     associativity = (
                         f"(x y) g != x (y g) for x = {alg.mono_str(x)}, "
                         f"y = {alg.mono_str(y)}, g = {name}")
-    relations = STD.identity(alg).check_relations()
+    relations = STD.inclusion(alg, alg).check_relations()
     for name, g in factors[alg.n:]:
         base = name[:-len("^-1")]
         if not (alg.gen(base) * g == alg.one() == g * alg.gen(base)):

@@ -37,7 +37,6 @@ __all__ = [
     "q_number",
     "gauss_binomial",
     "q_gamma_int",
-    "QPoly",
     "q_pochhammer",
     "jackson_q_integral_01",
     "parse_scalar",
@@ -516,87 +515,46 @@ def gauss_binomial(n: int, k: int, base: QScalar) -> QScalar:
     return r
 
 
-def q_gamma_int(n: int, base: QScalar = Q) -> QScalar:
+def q_gamma_int(n: int) -> QScalar:
     """Gamma_q at a positive integer: Gamma_q(n) = prod_{k=1..n-1} (1-q^k)/(1-q)."""
     if n < 1:
         raise ValueError("q_gamma_int requires n >= 1")
     r = ONE
     for k in range(1, n):
-        r = r * (ONE - base ** k) / (ONE - base)
+        r = r * (ONE - Q ** k) / (ONE - Q)
     return r
 
 
-class QPoly:
-    """Univariate polynomial over QScalar in a formal marker.
-
-    Used for q-Pochhammer expansions and Jackson integrands; coefficient
-    index = marker exponent.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [QScalar.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QPoly is immutable")
-
-    __delattr__ = __setattr__
-
-    def __mul__(self, other):
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs))
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return QPoly(out)
-
-    def shift(self, k: int) -> QPoly:
-        """Multiply by marker^k."""
-        return QPoly((ZERO,) * k + self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            xs = "" if e == 0 else ("X" if e == 1 else f"X^{e}")
-            parts.append(f"({c}){xs}" if xs else f"({c})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def q_pochhammer(a: QScalar, base: QScalar, k: int) -> QPoly:
-    """(a X; base)_k = prod_{j=0..k-1} (1 - a base^j X) as a QPoly in the marker.
+def q_pochhammer(a: QScalar, base: QScalar, k: int) -> tuple:
+    """(a X; base)_k = prod_{j=0..k-1} (1 - a base^j X) as the tuple of its
+    coefficients in the formal marker X, index = marker exponent, with no
+    trailing zero.
 
     `a` is the scalar coefficient sitting in front of the marker; pass the
-    marker coefficient 1 for a plain (X; base)_k.
+    marker coefficient 1 for a plain (X; base)_k.  X^m times a series is
+    `(ZERO,) * m + series`.
     """
     if k < 0:
         raise ValueError("q_pochhammer requires k >= 0")
     a = QScalar.coerce(a)
-    r = QPoly((ONE,))
+    r = (ONE,)
     for j in range(k):
-        r = r * QPoly((ONE, -(a * base ** j)))
+        # a factor 1 - 0 X is 1 and would leave a trailing zero
+        t = a * base ** j
+        if t:
+            r = tuple(x - t * y for x, y in zip(r + (ZERO,), (ZERO,) + r))
     return r
 
 
-def jackson_q_integral_01(f: QPoly, p: QScalar) -> QScalar:
-    """Jackson q-integral of a polynomial over [0,1] in base p.
+def jackson_q_integral_01(f, p: QScalar) -> QScalar:
+    """Jackson q-integral over [0,1] in base p of the polynomial whose
+    coefficient tuple is f (index = exponent).
 
     Linear extension of the exact monomial formula
     int_0^1 x^m d_p x = (1-p)/(1-p^(m+1)).
     """
     total = ZERO
-    for m, c in enumerate(f.coeffs):
+    for m, c in enumerate(f):
         if not c.is_zero():
             total = total + c * (ONE - p) / (ONE - p ** (m + 1))
     return total

@@ -1,5 +1,7 @@
-"""`Algebra.mul_mono` as `qsu2.ncalg` ran it before its flat kernel, kept
-here only as an oracle (tests/test_ncalg.py).
+"""`Algebra.mul_mono` as `qsu2.ncalg` ran it before its flat kernel, and
+`tensor_elem` and `apply_tensor_map` as they ran before the engine built
+every tensor monomial in one loop, kept here only as oracles
+(tests/test_ncalg.py).
 
 `merge` is the nested loop over generator pairs that looks up each
 commutation exponent with `comm.get`; `mul_mono` multiplies the factors of
@@ -7,6 +9,7 @@ a tensor product on the monomial pieces `split_mono` cuts at the factor
 offsets, and scales each coefficient by a `q_pow` product.  The a-d
 rewriting (`reduce_ordered`) keeps its `q_pow` products as well.  Only
 the cached expansion of d^t a^k, `Algebra._da_expand`, is shared with the
+engine.  A tensor monomial is joined here (`join_monos`), not by the
 engine.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 
+from qsu2.ncalg import NCPoly
 from qsu2.scalars import ONE, Q, ZERO, q_pow
 
 
@@ -44,6 +48,11 @@ def split_mono(alg, mono):
         out.append(tuple(mono[off:off + f.n]))
         off += f.n
     return tuple(out)
+
+
+def join_monos(subs):
+    """The monomial of a tensor product with the given factor monomials."""
+    return tuple(itertools.chain.from_iterable(subs))
 
 
 def reduce_ordered(alg, mono, coeff, acc):
@@ -80,7 +89,7 @@ def mul_mono(alg, m1, m2, coeff, acc):
             c = coeff
             for _, cc in combo:
                 c = c * cc
-            mono = alg.join_monos([m for m, _ in combo])
+            mono = join_monos([m for m, _ in combo])
             acc[mono] = acc.get(mono, ZERO) + c
         return
     if alg.ad_pair:
@@ -106,3 +115,37 @@ def mul_mono(alg, m1, m2, coeff, acc):
         return
     e, y = merge(alg, m1, m2)
     acc[y] = acc.get(y, ZERO) + coeff * q_pow(e)
+
+
+def tensor_elem(talg, parts):
+    """The elementary tensor of the given factor elements."""
+    out = {}
+    for combo in itertools.product(*[list(p.terms.items()) for p in parts]):
+        mono = join_monos([m for m, _ in combo])
+        c = ONE
+        for _, cc in combo:
+            c = c * cc
+        out[mono] = out.get(mono, ZERO) + c
+    return NCPoly(talg, {m: c for m, c in out.items() if c})
+
+
+def apply_tensor_map(p, images, target):
+    """Apply images[k], a factor map's image of one monomial or None for
+    the identity, to each tensor factor of p; a term that cancels is
+    deleted as soon as it does."""
+    out = {}
+    for mono, c in p.terms.items():
+        legs = [[(sub, None)] if image is None else image(sub).terms.items()
+                for sub, image in zip(split_mono(p.alg, mono), images)]
+        for combo in itertools.product(*legs):
+            v = c
+            for _, cc in combo:
+                if cc is not None:
+                    v = v * cc
+            key = join_monos([m for m, _ in combo])
+            v = out.get(key, ZERO) + v
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+    return NCPoly(target, out)

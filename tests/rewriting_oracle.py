@@ -1,22 +1,23 @@
 """The second rewriting engine, kept as an oracle for `qsu2.ncalg`.
 
 A word is a list of (generator index, exponent) segments with a scalar
-coefficient.  The engine (`normal_form_of_word`) multiplies the segments
-as NCPolys; the randomized rewriter here applies one randomly chosen redex
-at a time and must converge to the same canonical polynomial.
+coefficient.  `normal_form_of_word` multiplies the segments as NCPolys with
+the engine's product; the randomized rewriter here applies one randomly
+chosen redex at a time and must converge to the same canonical polynomial.
 `confluence_probe` compares the two on seeded random words.
 
 The engine itself certifies its normal forms on a basis
 (`qsu2.ncalg.rewriting_certificate`); this module was its sampled check
-and now serves the tests only, together with `random_word` and
-`sample_words`, the seeded inputs the checks used to draw.
+and now serves the tests only, together with `random_word`,
+`normal_form_of_word` and `sample_words`, the seeded inputs the checks
+used to draw.
 """
 
 from __future__ import annotations
 
 import random
 
-from qsu2.ncalg import Algebra, DomainError, NCPoly, normal_form_of_word
+from qsu2.ncalg import Algebra, DomainError, NCPoly
 from qsu2.scalars import ONE, Q, ZERO, q_pow
 
 
@@ -162,6 +163,18 @@ def random_word(alg: Algebra, rng: random.Random, max_degree: int,
         word.append((i, e))
         budget -= abs(e)
     return word or [(0, 1)]
+
+
+def normal_form_of_word(alg: Algebra, word, coeff=ONE) -> NCPoly:
+    """The engine's normal form of coeff times the word: the product of its
+    segments as NCPolys."""
+    p = alg.scalar(coeff)
+    for i, e in word:
+        g = alg.gens[i]
+        if e < 0 and i not in alg.invertible:
+            raise DomainError(f"negative exponent on {g}")
+        p = p * alg.gen(g, 1) ** e if i in alg.elim_gen else p * alg.gen(g, e)
+    return p
 
 
 def confluence_probe(alg: Algebra, samples: int, degree: int, seed: int = 0):

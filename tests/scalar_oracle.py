@@ -5,12 +5,15 @@ polynomials, coprime with the integer content included, lc(den) > 0.
 It is kept here only as an oracle for `QScalar` (tests/test_scalars.py):
 every operation reduces through one general polynomial gcd, with no
 Laurent shortcut, so it shares no fast path with the code under test.
+The q-Pochhammer product at the end is the oracle for `q_pochhammer`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from qsu2.scalars import ONE, ZERO
 
 
 def _ptrim(c):
@@ -208,3 +211,28 @@ class OracleScalar:
                 or _plow(self.den) == 0):
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+
+# -- q-Pochhammer products ------------------------------------------------------
+#
+# `qsu2.scalars.q_pochhammer` once returned a polynomial object over QScalar
+# in a formal marker and multiplied it out one factor (1 - a base^j X) at a
+# time by a full convolution.  That product is kept here as the oracle for
+# the coefficient tuple it returns now.
+
+def _poly_mul(f, g):
+    out = [ZERO] * (len(f) + len(g))
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
+
+
+def pochhammer_product(a, base, k):
+    """(a X; base)_k as a coefficient tuple, one convolution per factor."""
+    r = (ONE,)
+    for j in range(k):
+        r = _poly_mul(r, (ONE, -(a * base ** j)))
+    return r

@@ -9,9 +9,9 @@ from qsu2.bundle import (Section, _is_basis_of_span, c_chi, cotensor_slice,
                          sections_space, vn_left_comodule)
 from qsu2.charts import chart, cover
 from qsu2.cli import main
-from qsu2.ncalg import DomainError, normal_form_of_word
+from qsu2.ncalg import DomainError
 from qsu2.scalars import Q, QScalar
-from rewriting_oracle import random_word
+from rewriting_oracle import normal_form_of_word, random_word
 
 
 def test_cotensor_slice_n1():

@@ -11,11 +11,12 @@ from qsu2.charts import (chart, coaction_B, coinv_poly_coeffs, cover,
                          paper_gamma_b_controls, verify_chart)
 from qsu2.comod import VnComodule, torus_weight
 from qsu2.hopf import hopf_G, pi_map
-from qsu2.ncalg import (STD, AlgebraMap, apply_tensor_map, normal_form_of_word,
-                        parse_element, tensor_elem)
+from qsu2.ncalg import (STD, AlgebraMap, apply_tensor_map, parse_element,
+                        tensor_elem)
 from qsu2.scalars import q_pow
 from qsu2.suites import run_suite
-from rewriting_oracle import random_word, sample_words
+from rewriting_oracle import (normal_form_of_word, random_word,
+                              sample_words)
 
 B = STD.B
 
@@ -127,7 +128,7 @@ def test_forced_lambda_inv_inconsistent():
 @pytest.mark.parametrize("build", [
     lambda: chart("b"), cover, lambda: VnComodule(3),
     lambda: STD.tensor(STD.G, STD.G),
-    lambda: STD.localization_embedding(STD.Gd),
+    lambda: STD.inclusion(STD.G, STD.Gd),
 ])
 def test_shared_objects_built_once(build):
     assert build() is build()
@@ -206,7 +207,7 @@ def test_cover_equalizer():
 def test_injectivity_no_kernel_element():
     # Ore localization at a non-zero-divisor: iota_b kills nothing
     rng = random.Random(3)
-    iota = STD.localization_embedding(STD.Gb)
+    iota = STD.inclusion(STD.G, STD.Gb)
     for _ in range(30):
         f = normal_form_of_word(STD.G, random_word(STD.G, rng, 5))
         if not f.is_zero():

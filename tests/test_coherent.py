@@ -190,11 +190,20 @@ def test_ramanujan():
 
 def test_ramanujan_22_integrand():
     # (2,2): the Jackson integrand is x(1-qx)
-    from qsu2.scalars import Q, QPoly, jackson_q_integral_01, q_pochhammer
-    integrand = q_pochhammer(Q, Q, 1).shift(1)
-    assert integrand == QPoly((ZERO, ONE, -Q))
+    from qsu2.scalars import Q, jackson_q_integral_01, q_pochhammer
+    integrand = (ZERO,) + q_pochhammer(Q, Q, 1)
+    assert integrand == (ZERO, ONE, -Q)
     lhs = jackson_q_integral_01(integrand, Q)
     assert lhs == ramanujan_qbeta(2, 2)["lhs"]
+
+
+def test_ramanujan_printed_reading():
+    # the printed integrand x^alpha (x; q)_beta, x(1-x) at (1, 1), misses
+    # Gamma_q(alpha) Gamma_q(beta) / Gamma_q(alpha+beta) at every pair here
+    for a in range(1, 6):
+        for b in range(1, 6):
+            r = ramanujan_qbeta(a, b)
+            assert r["equal"] and not r["matches_printed_form"], (a, b)
 
 
 def test_scalar_operator_basis_and_sum():

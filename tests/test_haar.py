@@ -15,10 +15,10 @@ from qsu2.comod import torus_weight
 from qsu2.haar import (haar, integral, verify_invariance, verify_positivity,
                        zeta_moment, zeta_moment_closed_form_report)
 from qsu2.hopf import basis_words, hopf_G
-from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD,
-                        normal_form_of_word, parse_element, star, tensor_elem)
+from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD, parse_element,
+                        star, tensor_elem)
 from qsu2.scalars import ONE, Q, QScalar, q_number, q_pow
-from rewriting_oracle import random_word
+from rewriting_oracle import normal_form_of_word, random_word
 from weight_gate_oracle import homogeneous_weight
 
 G = STD.G

@@ -8,9 +8,9 @@ from qsu2 import charts, hopf
 from qsu2.charts import chart, verify_chart
 from qsu2.hopf import (_convolve_antipode, basis_words, hopf_B, hopf_G,
                        is_group_like, pi_map, verify_hopf, verify_pi_hopf_map)
-from qsu2.ncalg import (AlgebraMap, NCPoly, STD, normal_form_of_word,
-                        parse_element, tensor_elem)
-from rewriting_oracle import random_word, sample_words
+from qsu2.ncalg import AlgebraMap, NCPoly, STD, parse_element, tensor_elem
+from rewriting_oracle import (normal_form_of_word, random_word,
+                              sample_words)
 from qsu2.scalars import ONE, q_pow
 
 G, B = STD.G, STD.B

@@ -12,10 +12,10 @@ import pytest
 
 from qsu2.charts import chart
 from qsu2.hopf import _corrupted, hopf_B, hopf_G, pi_map, verify_hopf
-from qsu2.ncalg import (AlgebraMap, NCPoly, STD, apply_tensor_map,
-                        normal_form_of_word, star, tensor_elem)
+from qsu2.ncalg import (AlgebraMap, NCPoly, STD, apply_tensor_map, star,
+                        tensor_elem)
 from qsu2.scalars import ONE, QScalar
-from rewriting_oracle import random_word
+from rewriting_oracle import normal_form_of_word, random_word
 
 G, B = STD.G, STD.B
 
@@ -32,9 +32,9 @@ MAPS = {
     "pi": (G, *_map(pi_map())),
     "gamma[b]": (B, *_map(chart("b").gamma)),
     "gamma[d]": (B, *_map(chart("d").gamma)),
-    "iota[G_b]": (G, *_map(STD.localization_embedding(STD.Gb))),
-    "iota[G_d]": (G, *_map(STD.localization_embedding(STD.Gd))),
-    "iota[G_bd]": (G, *_map(STD.localization_embedding(STD.Gbd))),
+    "iota[G_b]": (G, *_map(STD.inclusion(G, STD.Gb))),
+    "iota[G_d]": (G, *_map(STD.inclusion(G, STD.Gd))),
+    "iota[G_bd]": (G, *_map(STD.inclusion(G, STD.Gbd))),
     "S[G]": (G, *_map(hopf_G().antipode)),
     "S[B]": (B, *_map(hopf_B().antipode)),
     # the module function `star` in front of the uncached STD.star oracle

@@ -10,10 +10,13 @@ from hypothesis import given, seed, settings, strategies as st
 
 import ncalg_oracle
 from qsu2 import linalg
-from qsu2.ncalg import (Algebra, DomainError, NCPoly, STD, normal_form_of_word,
-                        parse_element, retract, rewriting_certificate, star)
-from qsu2.scalars import ONE, Q, QScalar, q_pow
-from rewriting_oracle import confluence_probe, random_word
+from qsu2.hopf import hopf_B, hopf_G, pi_map
+from qsu2.ncalg import (Algebra, DomainError, NCPoly, STD, apply_tensor_map,
+                        parse_element, retract, rewriting_certificate, star,
+                        tensor_elem)
+from qsu2.scalars import ONE, Q, QScalar, ZERO, q_pow
+from rewriting_oracle import (confluence_probe, normal_form_of_word,
+                              random_word)
 
 G, Gb, Gd, Gbd = STD.G, STD.Gb, STD.Gd, STD.Gbd
 
@@ -77,10 +80,13 @@ def test_associativity_randomized():
 
 
 def test_normal_form_idempotent():
+    # the normal form of a canonical monomial's own word is that monomial
     rng = random.Random(6)
     for _ in range(30):
         p = normal_form_of_word(G, random_word(G, rng, 5))
-        assert G.element(p.terms) == p
+        for mono in p.terms:
+            word = [(i, e) for i, e in enumerate(mono) if e]
+            assert normal_form_of_word(G, word) == NCPoly(G, {mono: ONE})
 
 
 # -- star -----------------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_map_inverse_of_non_monomial_image():
 def test_iota_injective_on_basis():
     # normal forms of distinct basis monomials stay linearly independent
     for target in (Gb, Gd):
-        iota = STD.localization_embedding(target)
+        iota = STD.inclusion(G, target)
         cols = [dict(iota(NCPoly(G, {m: ONE})).terms)
                 for m in G.basis_monomials(6)]
         assert not linalg.kernel_basis(cols)
@@ -183,8 +189,8 @@ def canonical_monomials(draw, alg):
     """A canonical monomial of `alg`, negative exponents included on the
     invertible generators; on a tensor product, one for each factor."""
     if alg.factors:
-        return alg.join_monos([draw(canonical_monomials(f))
-                               for f in alg.factors])
+        return ncalg_oracle.join_monos([draw(canonical_monomials(f))
+                                        for f in alg.factors])
     mono = []
     for i in range(alg.n):
         if i in alg.elim_gen:
@@ -235,6 +241,87 @@ def test_mul_mono_matches_the_oracle(alg, data):
         alg.mul_mono(m1, m2, c, got)
         ncalg_oracle.mul_mono(alg, m1, m2, c, want)
     assert nonzero_terms(got) == nonzero_terms(want)
+
+
+def _factor_maps(alg):
+    """(name, image of one monomial or None for the identity, target
+    factors) for each map tried on a tensor factor `alg`, G or B: eps lands
+    in K, so the factor drops out, and Delta lands in a tensor product."""
+    hopf = hopf_G() if alg is G else hopf_B()
+    maps = [("id", None, (alg,)), ("eps", hopf.eps.image, ()),
+            ("Delta", hopf.delta.image, (alg, alg)),
+            ("S", hopf.antipode.image, (alg,))]
+    if alg is G:
+        maps += [("pi", pi_map().image, (STD.B,)),
+                 ("star", STD.star.image, (G,))]
+    return maps
+
+
+def _target(factors):
+    if not factors:
+        return STD.K
+    return factors[0] if len(factors) == 1 else STD.tensor(*factors)
+
+
+@st.composite
+def factor_elements(draw, alg):
+    """An element of a base algebra on up to three canonical monomials;
+    zero when none is drawn."""
+    terms = {draw(canonical_monomials(alg)): draw(coefficients())
+             for _ in range(draw(st.integers(min_value=0, max_value=3)))}
+    return NCPoly(alg, nonzero_terms(terms))
+
+
+@st.composite
+def tensor_elements(draw, alg):
+    """An element of the tensor product `alg` on a few canonical monomials,
+    with, when drawn, a pair c (1 (x) m) - c (g^k (x) m), g the first
+    generator (a or lambda), which eps on the first factor sends to zero."""
+    terms = {draw(canonical_monomials(alg)): draw(coefficients())
+             for _ in range(draw(st.integers(min_value=0, max_value=3)))}
+    if draw(st.booleans()):
+        first = alg.factors[0]
+        low = -3 if 0 in first.invertible else 1
+        k = draw(st.integers(min_value=low, max_value=3).filter(bool))
+        rest = [draw(canonical_monomials(f)) for f in alg.factors[1:]]
+        c = draw(coefficients())
+        power = (k,) + first._zero_mono[1:]
+        for sub, sign in ((first._zero_mono, c), (power, -c)):
+            mono = ncalg_oracle.join_monos([sub, *rest])
+            terms[mono] = terms.get(mono, ZERO) + sign
+    return NCPoly(alg, nonzero_terms(terms))
+
+
+TENSOR_MAP_SOURCES = [STD.tensor(G, G), STD.tensor(G, STD.B),
+                      STD.tensor(STD.B, STD.B), STD.tensor(G, G, G)]
+
+
+@pytest.mark.parametrize("alg", TENSOR_MAP_SOURCES, ids=lambda a: a.name)
+@seed(29)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_term_loops_match_the_oracle(alg, data):
+    # apply_tensor_map with identity factors, factors mapped into K and
+    # into a tensor product, on terms that may cancel; and tensor_elem on
+    # factor elements, a zero one included
+    p = data.draw(tensor_elements(alg))
+    maps = [data.draw(st.sampled_from(_factor_maps(f))) for f in alg.factors]
+    images = [image for _, image, _ in maps]
+    target = _target([t for _, _, factors in maps for t in factors])
+    got = apply_tensor_map(p, images, target)
+    assert got == ncalg_oracle.apply_tensor_map(p, images, target)
+    assert all(got.terms.values())
+    parts = [data.draw(factor_elements(f)) for f in alg.factors]
+    got = tensor_elem(alg, parts)
+    assert got == ncalg_oracle.tensor_elem(alg, parts)
+    assert all(got.terms.values())
+
+
+def test_apply_tensor_map_drops_cancelled_terms():
+    # eps (x) id sends (1 - a) (x) b to (1 - 1) b = 0
+    p = tensor_elem(STD.tensor(G, G), [G.one() - G.gen("a"), G.gen("b")])
+    for apply in (apply_tensor_map, ncalg_oracle.apply_tensor_map):
+        assert apply(p, [hopf_G().eps.image, None], G).terms == {}
 
 
 def test_merge_rejects_an_a_d_crossing():
@@ -326,15 +413,6 @@ def test_certificate_relations_are_not_implied_by_associativity(monkeypatch):
     monkeypatch.setitem(STD.B.comm, (0, 1), 1)
     assert rewriting_certificate(STD.B, 5) == {
         **HOLDS, "relations": ["lambda xi=q xi lambda"]}
-
-
-# -- degrees -------------------------------------------------------------------------
-
-def test_filtration_degree():
-    assert G.one().degree() == 0
-    assert g("b c").degree() == 2
-    assert g("b^-1 a", Gb).degree() == 2
-    assert G.zero().degree() == float("-inf")
 
 
 # -- printing / parsing ----------------------------------------------------------------
