@@ -19,10 +19,14 @@ terms c m of x and c' m2 of y (star fixes the real scalars Q(q)): that is
 `integral(x, y)`, the bilinear form behind the resolution, Theorem 4 and
 the Lemma.  Positivity and invariance (h(m) = pair(m, 1)) read the table.
 
-Positivity runs on weight-matched pairs: `verify_positivity` integrates a
-pair m_i m_j^* only where the functional is nonzero on some monomial of
-its torus weight (`comod.torus_weight`), which for the Haar state is
-weight (0, 0); every other entry of the moment matrix is an exact zero.
+Positivity and invariance are gated by torus weight (`comod.torus_weight`):
+a live weight is one on which the functional is nonzero on some monomial,
+which for the Haar state is weight (0, 0) alone.  `verify_positivity`
+integrates a pair m_i m_j^* only where its weight is live; every other
+entry of the moment matrix is an exact zero.  `verify_invariance` applies
+Delta to a monomial only where a side of the law can be nonzero, once it
+has checked on the generators that Delta keeps the weights of its legs;
+everywhere else both sides are exactly zero.
 """
 
 from __future__ import annotations
@@ -139,9 +143,53 @@ def zeta_moment_closed_form_report(max_r: int = 6):
     }
 
 
+def _delta_keeps_weights(HG) -> bool:
+    """The premise of the invariance gate, read on Delta as installed:
+    every term m1 (x) m2 of Delta(g), for each generator g of G, has
+    w_L(m1) = w_L(g), w_R(m2) = w_R(g) (`comod.torus_weight`) and legs of
+    degree <= 1."""
+    G = STD.G
+    for g in G.gens:
+        p = G.gen(g)
+        (mono, _), = p.terms.items()
+        w = torus_weight(mono)
+        for term in HG.delta(p).terms:
+            m1, m2 = HG.T2.split_mono(term)
+            if (torus_weight(m1)[0] != w[0] or torus_weight(m2)[1] != w[1]
+                    or G.mono_degree(m1) > 1 or G.mono_degree(m2) > 1):
+                return False
+    return True
+
+
+def _gated(law, side, weights):
+    """The law (f, g) with both maps sending a basis monomial m to zero
+    unless torus_weight(m)[side] is in `weights`."""
+    zero = STD.G.zero()
+
+    def gate(f):
+        def gated(p):
+            mono, = p.terms
+            return f(p) if torus_weight(mono)[side] in weights else zero
+        return gated
+
+    return tuple(map(gate, law))
+
+
 def verify_invariance(degree: int):
     """(id x int)Delta(m) = (int m) 1 = (int x id)Delta(m) on all basis
-    monomials up to the degree."""
+    monomials up to the degree.
+
+    Gated by weight, as positivity is.  Delta is an algebra map and the
+    relations of G are homogeneous, so once the premise
+    `_delta_keeps_weights` holds on the generators, every term m1 (x) m2 of
+    Delta(m) has w_L(m1) = w_L(m), w_R(m2) = w_R(m) and legs of degree
+    <= deg m.  The functional is read on every basis monomial of degree
+    <= `degree`, and the weights where it is nonzero are live.  Then
+    (id x int)Delta(m) and (int m) 1 both vanish unless w_R(m) is the second
+    weight of a live weight, and (int x id)Delta(m) and (int m) 1 unless
+    w_L(m) is the first, so those sides are computed only there; a gated
+    monomial cannot fail, and the witness is the first failing monomial
+    as before.  When the premise fails, every monomial is computed."""
     G = STD.G
     HG = hopf_G()
     unit, = G.one().terms
@@ -155,12 +203,18 @@ def verify_invariance(degree: int):
     def constant(p):
         return G.scalar(haar(p))
 
+    left = (integrate([None, h_K]), constant)
+    right = (integrate([h_K, None]), constant)
+    if _delta_keeps_weights(HG):
+        live = {torus_weight(mono) for mono in G.basis_monomials(degree)
+                if pair(mono, unit)}
+        left = _gated(left, 1, {w[1] for w in live})
+        right = _gated(right, 0, {w[0] for w in live})
     return [law_check(f"haar.left_invariance_deg{degree}",
-                      "(id x int) Delta(a) = (int a) 1_H", G, degree,
-                      (integrate([None, h_K]), constant)),
+                      "(id x int) Delta(a) = (int a) 1_H", G, degree, left),
             law_check(f"haar.right_invariance_deg{degree}",
                       "two-sided invariance of the Haar state", G, degree,
-                      (integrate([h_K, None]), constant))]
+                      right)]
 
 
 def verify_positivity(q0: QRational, degree: int):

@@ -791,14 +791,23 @@ def rewriting_certificate(alg: Algebra, degree: int):
     monos = alg.basis_monomials(top)
     unit = {m: NCPoly(alg, {m: ONE}) for m in monos}
     times = {}  # (y, name of g) -> y g
+    canon = set()  # the monomials check_mono has accepted
     associativity = canonical = None
 
-    def noncanonical(p, where):
+    def noncanonical(p, parts, name=""):
+        # the witness "m in (x) (y) g" for the first term m of the product
+        # p of the monomials `parts` and the factor `name` that is not
+        # canonical, built only then
         for m in p.terms:
+            if m in canon:
+                continue
             try:
                 alg.check_mono(m)
             except DomainError:
+                where = " ".join([f"({alg.mono_str(x)})" for x in parts]
+                                 + ([name] if name else []))
                 return f"{alg.mono_str(m)} in {where}"
+            canon.add(m)
         return None
 
     # x = 1 or y = 1 makes both sides the same product, so monos[0] = 1
@@ -808,16 +817,15 @@ def rewriting_certificate(alg: Algebra, degree: int):
             if alg.mono_degree(x) + alg.mono_degree(y) > top:
                 break
             xy = unit[x] * unit[y]
-            where = f"({alg.mono_str(x)}) ({alg.mono_str(y)})"
-            canonical = canonical or noncanonical(xy, where)
+            canonical = canonical or noncanonical(xy, (x, y))
             for name, g in factors:
-                if (y, name) not in times:
-                    times[y, name] = unit[y] * g
-                    canonical = canonical or noncanonical(
-                        times[y, name], f"({alg.mono_str(y)}) {name}")
+                yg = times.get((y, name))
+                if yg is None:
+                    yg = times[y, name] = unit[y] * g
+                    canonical = canonical or noncanonical(yg, (y,), name)
                 lhs = xy * g
-                canonical = canonical or noncanonical(lhs, f"{where} {name}")
-                if associativity is None and lhs != unit[x] * times[y, name]:
+                canonical = canonical or noncanonical(lhs, (x, y), name)
+                if associativity is None and lhs != unit[x] * yg:
                     associativity = (
                         f"(x y) g != x (y g) for x = {alg.mono_str(x)}, "
                         f"y = {alg.mono_str(y)}, g = {name}")

@@ -516,12 +516,14 @@ def gauss_binomial(n: int, k: int, base: QScalar) -> QScalar:
 
 
 def q_gamma_int(n: int) -> QScalar:
-    """Gamma_q at a positive integer: Gamma_q(n) = prod_{k=1..n-1} (1-q^k)/(1-q)."""
+    """Gamma_q at a positive integer:
+    Gamma_q(n) = prod_{k=1..n-1} (1-q^k)/(1-q), formed as the product of the
+    polynomials 1 + q + ... + q^(k-1), with no division."""
     if n < 1:
         raise ValueError("q_gamma_int requires n >= 1")
     r = ONE
-    for k in range(1, n):
-        r = r * (ONE - Q ** k) / (ONE - Q)
+    for k in range(2, n):
+        r = r * _new(0, (1,) * k, _PONE)
     return r
 
 
@@ -546,18 +548,41 @@ def q_pochhammer(a: QScalar, base: QScalar, k: int) -> tuple:
     return r
 
 
+@functools.cache
+def _jackson_weights(p: QScalar, top: int):
+    """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top, where L is
+    the lcm of the denominators, so every w[m] is a Laurent polynomial.  A
+    base with p^(m+1) = 1 (p = 1, or p = -1 and m odd) has no weight at m:
+    w[m] is None there.  Shared: callers only read it."""
+    weights = []
+    for m in range(top + 1):
+        d = ONE - p ** (m + 1)
+        weights.append((ONE - p) / d if d else None)
+    lcm = denominator_lcm(w for w in weights if w is not None)
+    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
+
+
 def jackson_q_integral_01(f, p: QScalar) -> QScalar:
     """Jackson q-integral over [0,1] in base p of the polynomial whose
     coefficient tuple is f (index = exponent).
 
     Linear extension of the exact monomial formula
-    int_0^1 x^m d_p x = (1-p)/(1-p^(m+1)).
+    int_0^1 x^m d_p x = (1-p)/(1-p^(m+1)).  The coefficients are summed
+    against the Laurent weights of `_jackson_weights` and the sum is
+    divided by their common denominator once.  A term at a pole of its
+    weight raises ZeroDivisionError.
     """
+    top = max((m for m, c in enumerate(f) if c), default=-1)
+    if top < 0:
+        return ZERO
+    inv_lcm, weights = _jackson_weights(p, top)
     total = ZERO
-    for m, c in enumerate(f):
-        if not c.is_zero():
-            total = total + c * (ONE - p) / (ONE - p ** (m + 1))
-    return total
+    for c, w in zip(f, weights):
+        if c:
+            if w is None:
+                raise ZeroDivisionError("division by zero QScalar")
+            total = total + c * w
+    return total * inv_lcm
 
 
 def parse_scalar(text: str) -> QScalar:

@@ -10,14 +10,16 @@ The engine itself certifies its normal forms on a basis
 (`qsu2.ncalg.rewriting_certificate`); this module was its sampled check
 and now serves the tests only, together with `random_word`,
 `normal_form_of_word` and `sample_words`, the seeded inputs the checks
-used to draw.
+used to draw.  `rewriting_certificate` here is the certificate as it was
+before it built its witness strings only on failure: the oracle for the
+one in `qsu2.ncalg`.
 """
 
 from __future__ import annotations
 
 import random
 
-from qsu2.ncalg import Algebra, DomainError, NCPoly
+from qsu2.ncalg import Algebra, DomainError, NCPoly, STD
 from qsu2.scalars import ONE, Q, ZERO, q_pow
 
 
@@ -224,3 +226,54 @@ def sample_words(alg: Algebra, degree: int, samples: int, seed: int):
     for _ in range(samples):
         out.append(normal_form_of_word(alg, random_word(alg, rng, degree)))
     return out
+
+
+def rewriting_certificate(alg: Algebra, degree: int):
+    """Evidence, up to total degree max(degree, 1), that the canonical
+    monomials of `alg` are a basis of the algebra its relations present:
+    the first associativity and canonical-form witnesses, None where all
+    holds, and the failed relations."""
+    top = max(degree, 1) - 1
+    factors = [(g, alg.gen(g)) for g in alg.gens]
+    factors += [(f"{alg.gens[i]}^-1", alg.gen(alg.gens[i], -1))
+                for i in sorted(alg.invertible)]
+    monos = alg.basis_monomials(top)
+    unit = {m: NCPoly(alg, {m: ONE}) for m in monos}
+    times = {}  # (y, name of g) -> y g
+    associativity = canonical = None
+
+    def noncanonical(p, where):
+        for m in p.terms:
+            try:
+                alg.check_mono(m)
+            except DomainError:
+                return f"{alg.mono_str(m)} in {where}"
+        return None
+
+    # x = 1 or y = 1 makes both sides the same product, so monos[0] = 1
+    # is left out
+    for x in monos[1:]:
+        for y in monos[1:]:
+            if alg.mono_degree(x) + alg.mono_degree(y) > top:
+                break
+            xy = unit[x] * unit[y]
+            where = f"({alg.mono_str(x)}) ({alg.mono_str(y)})"
+            canonical = canonical or noncanonical(xy, where)
+            for name, g in factors:
+                if (y, name) not in times:
+                    times[y, name] = unit[y] * g
+                    canonical = canonical or noncanonical(
+                        times[y, name], f"({alg.mono_str(y)}) {name}")
+                lhs = xy * g
+                canonical = canonical or noncanonical(lhs, f"{where} {name}")
+                if associativity is None and lhs != unit[x] * times[y, name]:
+                    associativity = (
+                        f"(x y) g != x (y g) for x = {alg.mono_str(x)}, "
+                        f"y = {alg.mono_str(y)}, g = {name}")
+    relations = STD.inclusion(alg, alg).check_relations()
+    for name, g in factors[alg.n:]:
+        base = name[:-len("^-1")]
+        if not (alg.gen(base) * g == alg.one() == g * alg.gen(base)):
+            relations.append(f"{base} {name} = 1 = {name} {base}")
+    return {"associativity": associativity, "canonical": canonical,
+            "relations": relations}

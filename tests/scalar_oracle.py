@@ -5,7 +5,9 @@ polynomials, coprime with the integer content included, lc(den) > 0.
 It is kept here only as an oracle for `QScalar` (tests/test_scalars.py):
 every operation reduces through one general polynomial gcd, with no
 Laurent shortcut, so it shares no fast path with the code under test.
-The q-Pochhammer product at the end is the oracle for `q_pochhammer`.
+The q-Pochhammer product at the end is the oracle for `q_pochhammer`, and
+the term-by-term Jackson integral and quotient q-Gamma after it are the
+oracles for `jackson_q_integral_01` and `q_gamma_int`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qsu2.scalars import ONE, ZERO
+from qsu2.scalars import ONE, Q, ZERO
 
 
 def _ptrim(c):
@@ -235,4 +237,35 @@ def pochhammer_product(a, base, k):
     r = (ONE,)
     for j in range(k):
         r = _poly_mul(r, (ONE, -(a * base ** j)))
+    return r
+
+
+# -- the Jackson q-integral and the integer q-Gamma ---------------------------
+#
+# `qsu2.scalars` once added one rational term (1 - p)/(1 - p^(m+1)) per
+# coefficient and built Gamma_q(n) as a product of quotients.  Both are
+# kept here as the oracles for the single-denominator sum and the
+# polynomial product that replaced them.
+
+def jackson_q_integral_01(f, p):
+    """Jackson q-integral over [0,1] in base p of the polynomial whose
+    coefficient tuple is f (index = exponent).
+
+    Linear extension of the exact monomial formula
+    int_0^1 x^m d_p x = (1-p)/(1-p^(m+1)).
+    """
+    total = ZERO
+    for m, c in enumerate(f):
+        if not c.is_zero():
+            total = total + c * (ONE - p) / (ONE - p ** (m + 1))
+    return total
+
+
+def q_gamma_int(n):
+    """Gamma_q at a positive integer: Gamma_q(n) = prod_{k=1..n-1} (1-q^k)/(1-q)."""
+    if n < 1:
+        raise ValueError("q_gamma_int requires n >= 1")
+    r = ONE
+    for k in range(1, n):
+        r = r * (ONE - Q ** k) / (ONE - Q)
     return r

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import random
 from fractions import Fraction
@@ -71,7 +72,8 @@ def test_invariance_suite():
     assert all(c["status"] == "pass" for c in checks)
 
 
-def test_invariance_fails_on_a_wrong_moment():
+@contextlib.contextmanager
+def _wrong_moment():
     # the monomial integrals and the moment weights are cached from the
     # true moments, so both caches are cleared around the patch
     moment = haar_module.zeta_moment
@@ -82,13 +84,41 @@ def test_invariance_fails_on_a_wrong_moment():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(haar_module, "zeta_moment",
                        lambda r: moment(r) + ONE if r == 2 else moment(r))
-            left, right = verify_invariance(5)
+            yield
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def test_invariance_fails_on_a_wrong_moment():
+    with _wrong_moment():
+        left, right = verify_invariance(5)
     assert left["status"] == right["status"] == "fail"
     assert left["witness"] == "c^2 d^2"
     assert right["witness"] == "b^2 d^2"
+
+
+def test_invariance_matches_the_ungated_oracle():
+    # the gated records, witnesses included, against Delta applied to every
+    # basis monomial, under the Haar state and under a wrong moment
+    for degree in range(-1, 8):
+        assert (verify_invariance(degree)
+                == weight_gate_oracle.verify_invariance(degree)), degree
+    with _wrong_moment():
+        for degree in range(-1, 8):
+            got = verify_invariance(degree)
+            assert got == weight_gate_oracle.verify_invariance(degree), degree
+    assert [c["status"] for c in got] == ["fail", "fail"]
+
+
+def test_invariance_gate_widens_for_the_counit(monkeypatch, fresh_pairs):
+    # eps is nonzero on every weight (k, k), not on (0, 0) alone, so the gate
+    # lets those monomials through and both laws fail as without the gate
+    monkeypatch.setattr(haar_module, "haar", hopf_G().counit)
+    assert haar_module._delta_keeps_weights(hopf_G())
+    got = verify_invariance(5)
+    assert [c["status"] for c in got] == ["fail", "fail"]
+    assert got == weight_gate_oracle.verify_invariance(5)
 
 
 @pytest.mark.parametrize("legs, left, right", [
@@ -106,6 +136,37 @@ def test_invariance_names_the_first_failing_monomial(monkeypatch, legs, left,
     got = verify_invariance(5)
     assert [(c["status"], c["witness"]) for c in got] == [("fail", left),
                                                           ("fail", right)]
+
+
+def test_invariance_fails_on_a_delta_that_keeps_the_weights(monkeypatch):
+    # Delta(a) = 2 a (x) a + b (x) c keeps the weights of its legs, so the
+    # gate stays on; both laws fail, on the monomials the ungated oracle names
+    HG = hopf_G()
+    images = dict(HG.delta.images)
+    images["a"] = images["a"] + tensor_elem(HG.T2, [g("a"), g("a")])
+    monkeypatch.setattr(HG, "delta", AlgebraMap(G, HG.T2, images))
+    assert haar_module._delta_keeps_weights(HG)
+    got = verify_invariance(5)
+    assert [c["status"] for c in got] == ["fail", "fail"]
+    assert got == weight_gate_oracle.verify_invariance(5)
+
+
+def test_invariance_computes_every_monomial_when_delta_raises_the_degree(
+        monkeypatch, fresh_pairs):
+    # a b c has the weight (1, 1) of a but degree 3, so Delta(a) + a (x) a b c
+    # keeps the weights of its legs but not their degree.  A functional that
+    # is nonzero on a b c is live on (1, 1) only from degree 3 on, yet at
+    # degree 1 the left law fails on a; the premise sends it to every monomial
+    HG = hopf_G()
+    images = dict(HG.delta.images)
+    images["a"] = images["a"] + tensor_elem(HG.T2, [g("a"), g("a b c")])
+    monkeypatch.setattr(HG, "delta", AlgebraMap(G, HG.T2, images))
+    abc, = g("a b c").terms
+    monkeypatch.setattr(haar_module, "haar", lambda p: haar(p) + p.coeff(abc))
+    assert not haar_module._delta_keeps_weights(HG)
+    got = verify_invariance(1)
+    assert got[0]["witness"] == "a"
+    assert got == weight_gate_oracle.verify_invariance(1)
 
 
 def test_positivity():

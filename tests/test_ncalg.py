@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import ncalg_oracle
+import rewriting_oracle
 from qsu2 import linalg
 from qsu2.hopf import hopf_B, hopf_G, pi_map
 from qsu2.ncalg import (Algebra, DomainError, NCPoly, STD, apply_tensor_map,
@@ -413,6 +414,54 @@ def test_certificate_relations_are_not_implied_by_associativity(monkeypatch):
     monkeypatch.setitem(STD.B.comm, (0, 1), 1)
     assert rewriting_certificate(STD.B, 5) == {
         **HOLDS, "relations": ["lambda xi=q xi lambda"]}
+
+
+@pytest.mark.parametrize("alg", [G, Gb, Gd, Gbd, STD.B, STD.M],
+                         ids=lambda a: a.name)
+def test_rewriting_certificate_matches_the_oracle(alg):
+    # witness strings built only on failure and one check_mono per
+    # monomial, against the certificate that built them for every product
+    for degree in range(-1, 8):
+        assert (rewriting_certificate(alg, degree)
+                == rewriting_oracle.rewriting_certificate(alg, degree)), degree
+
+
+def _flip(alg, pair):
+    def fault(monkeypatch):
+        monkeypatch.setitem(alg.comm, pair, -alg.comm[pair])
+        return alg
+    return fault
+
+
+def _drop_bc(monkeypatch):
+    # d^t a^k loses its bc terms: associativity fails
+    original = Algebra._da_expand.__wrapped__
+    monkeypatch.setattr(Algebra, "_da_expand", lambda self, t, k: {
+        m: c for m, c in original(self, t, k).items() if not m[1]})
+    return G
+
+
+def _keep_ad(monkeypatch):
+    # a d is left as it is: the canonical-form witness is built
+    def keep(self, mono, coeff, acc):
+        acc[mono] = acc.get(mono, ZERO) + coeff
+    monkeypatch.setattr(Algebra, "_reduce_ordered", keep)
+    return G
+
+
+@pytest.mark.parametrize("fault", [
+    *(_flip(G, pair) for pair in ((0, 1), (0, 2), (1, 3), (2, 3))),
+    _flip(STD.B, (0, 1)), _drop_bc, _keep_ad],
+    ids=["G ab", "G ac", "G bd", "G cd", "B lambda xi", "da_expand",
+         "reduce_ordered"])
+def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
+                                                                 fault):
+    alg = fault(monkeypatch)
+    for degree in range(-1, 6):
+        got = rewriting_certificate(alg, degree)
+        assert got == rewriting_oracle.rewriting_certificate(alg, degree), \
+            degree
+    assert got != HOLDS
 
 
 # -- printing / parsing ----------------------------------------------------------------

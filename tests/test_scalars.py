@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from qsu2.scalars import (ONE, PoleError, Q, QScalar, ZERO, gauss_binomial,
                           jackson_q_integral_01, parse_scalar, q_gamma_int,
                           q_number, q_pochhammer, q_pow, q_shift)
+import scalar_oracle
 from scalar_oracle import OracleScalar, pochhammer_product
 
 
@@ -382,6 +383,39 @@ def test_q_gamma_int():
     assert q_gamma_int(1) == ONE
     assert q_gamma_int(2) == ONE
     assert q_gamma_int(3) == ONE + Q
+
+
+@seed(31)
+@settings(max_examples=80, deadline=None)
+@given(f=st.lists(st.one_of(st.just(ZERO), scalars()), max_size=7),
+       base=st.sampled_from(["q", "q^2", "1/q", "q^3/(q^3+1)"]))
+def test_jackson_matches_the_term_by_term_oracle(f, base):
+    # the single-denominator sum against one rational term per coefficient;
+    # `scalars()` draws non-Laurent coefficients as well as zeros
+    f = tuple(f)
+    assert (jackson_q_integral_01(f, S(base))
+            == scalar_oracle.jackson_q_integral_01(f, S(base)))
+
+
+@pytest.mark.parametrize("base", ["1", "-1"])
+@pytest.mark.parametrize("f", [(), (ZERO,), (ONE,), (ZERO, ONE),
+                               (ZERO, ZERO, ONE), (ONE, ZERO, Q)])
+def test_jackson_raises_only_on_a_term_at_a_pole(base, f):
+    # p^(m+1) = 1 puts a pole in the weight of x^m (every m at p = 1, odd m
+    # at p = -1): the integral raises only where f has such a term
+    def outcome(integral):
+        try:
+            return integral(f, S(base))
+        except ZeroDivisionError as err:
+            return str(err)
+
+    assert (outcome(jackson_q_integral_01)
+            == outcome(scalar_oracle.jackson_q_integral_01))
+
+
+def test_q_gamma_int_matches_the_quotient_oracle():
+    for n in range(1, 13):
+        assert q_gamma_int(n) == scalar_oracle.q_gamma_int(n), n
 
 
 # -- printing and parsing --------------------------------------------------------

@@ -1,12 +1,15 @@
-"""`weight_slice` and `verify_positivity` as `qsu2.charts` and `qsu2.haar`
-ran them before they read the torus bigrading, kept here only as oracles
-(tests/test_charts.py, tests/test_haar.py).
+"""`weight_slice`, `verify_positivity` and `verify_invariance` as
+`qsu2.charts` and `qsu2.haar` ran them before they read the torus
+bigrading, kept here only as oracles (tests/test_charts.py,
+tests/test_haar.py).
 
 `weight_slice` builds a kernel column for every canonical monomial up to
 the degree.  `verify_positivity` integrates all N^2 products m_i m_j^* and
-runs the LDL^T sum over every k.  Both look up `charts.coaction_B` and
-`haar.haar` when called, so a test that installs a faulty coaction or
-functional reaches the oracle as well as the code under test.
+runs the LDL^T sum over every k.  `verify_invariance` applies Delta to
+every basis monomial up to the degree.  They look up `charts.coaction_B`,
+`haar.haar`, `haar.pair` and `hopf_G().delta` when called, so a test that
+installs a faulty coaction, functional or coproduct reaches the oracle as
+well as the code under test.
 
 `homogeneous_weight` describes an integrand by its torus bigrading
 (tests/test_haar.py, tests/test_suites.py).
@@ -19,8 +22,8 @@ from fractions import Fraction
 
 from qsu2 import charts, linalg
 from qsu2.comod import torus_weight
-from qsu2.hopf import basis_words
-from qsu2.ncalg import NCPoly, STD, star, tensor_elem
+from qsu2.hopf import basis_words, hopf_G, law_check
+from qsu2.ncalg import NCPoly, STD, apply_tensor_map, star, tensor_elem
 from qsu2.report import check
 from qsu2.scalars import ONE
 
@@ -68,6 +71,30 @@ def verify_positivity(q0, degree):
             bad = (str(basis[i]), str(LD[i][i]))
             break
     return [check(name, bad is None, anchor, bad)]
+
+
+def verify_invariance(degree):
+    """(id x int)Delta(m) = (int m) 1 = (int x id)Delta(m) on all basis
+    monomials up to the degree."""
+    G = STD.G
+    HG = hopf_G()
+    unit, = G.one().terms
+
+    def h_K(mono):  # h(m 1^*) in the ground algebra K: a factor drops out
+        return STD.K.scalar(haar_module.pair(mono, unit))
+
+    def integrate(images):
+        return lambda p: apply_tensor_map(HG.delta(p), images, G)
+
+    def constant(p):
+        return G.scalar(haar_module.haar(p))
+
+    return [law_check(f"haar.left_invariance_deg{degree}",
+                      "(id x int) Delta(a) = (int a) 1_H", G, degree,
+                      (integrate([None, h_K]), constant)),
+            law_check(f"haar.right_invariance_deg{degree}",
+                      "two-sided invariance of the Haar state", G, degree,
+                      (integrate([h_K, None]), constant))]
 
 
 def homogeneous_weight(p):
