@@ -7,13 +7,17 @@
     qsu2 resolution --n N [--q P/R] [--format json|tsv]
 
 Exit codes: 0 success / all checks pass, 1 failing check (or no check
-passed), 2 parse error, 3 domain error.
+passed), 2 parse error, 3 domain error; the same when the reader closes
+stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -183,8 +187,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one command and return its exit code.  Its stdout is written
+    when it is done; a reader that closed the pipe early (`| head -1`)
+    leaves the exit code as it is and prints no traceback."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+    finally:
+        try:
+            sys.stdout.write(out.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what is still buffered, flushed again at exit, goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 if __name__ == "__main__":

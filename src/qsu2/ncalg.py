@@ -778,6 +778,17 @@ def rewriting_certificate(alg: Algebra, degree: int):
     engine multiplies by: every generator image (on G_d and G_bd the image
     of a is a polynomial) and every inverse of an invertible generator.
 
+    What is certified is the bilinear extension of `Algebra.mul_mono`,
+    summed over two tables of its products that live for one call:
+    `right[m, g]`, the terms of m g (with g's coefficients), and `left[m]`,
+    the terms of x m for the current x, cleared when x advances.  Then
+    x y = left[y], y g = right[y, g], (x y) g is the sum of c right[m, g]
+    over the terms c m of x y, and x (y g) the sum of c left[m] over the
+    terms c m of y g.  A table entry keeps the cancelled terms and the
+    insertion order of `mul_mono`'s accumulator, so each sum lists its
+    terms in the order `NCPoly.__mul__` would.  `relations` still
+    multiplies through `NCPoly.__mul__`.
+
     Returns the first witness of each failure, None where all holds:
     "associativity" names a triple (x, y, g), "canonical" a non-canonical
     monomial of some product, and "relations" lists the failed relations
@@ -789,17 +800,49 @@ def rewriting_certificate(alg: Algebra, degree: int):
     factors += [(f"{alg.gens[i]}^-1", alg.gen(alg.gens[i], -1))
                 for i in sorted(alg.invertible)]
     monos = alg.basis_monomials(top)
-    unit = {m: NCPoly(alg, {m: ONE}) for m in monos}
-    times = {}  # (y, name of g) -> y g
+    mul_mono = alg.mul_mono
+    left = {}  # m -> the terms of x m
     canon = set()  # the monomials check_mono has accepted
     associativity = canonical = None
 
-    def noncanonical(p, parts, name=""):
-        # the witness "m in (x) (y) g" for the first term m of the product
-        # p of the monomials `parts` and the factor `name` that is not
-        # canonical, built only then
-        for m in p.terms:
-            if m in canon:
+    def right_of(g):
+        # the table m -> the terms of m g, one per factor g
+        right = {}
+
+        def entry(m):
+            terms = right.get(m)
+            if terms is None:
+                terms = right[m] = {}
+                for m2, c2 in g.terms.items():
+                    mul_mono(m, m2, c2, terms)
+            return terms
+        return entry
+
+    def left_of(m):
+        terms = left.get(m)
+        if terms is None:
+            terms = left[m] = {}
+            mul_mono(x, m, ONE, terms)
+        return terms
+
+    def product(terms, entry):
+        # the sum of c entry(m) over the terms c m of `terms`, in the order
+        # of mul_mono's accumulator, cancelled terms left out
+        acc = {}
+        get = acc.get
+        for m, c in terms.items():
+            if c:
+                for m2, c2 in entry(m).items():
+                    v = get(m2)
+                    acc[m2] = c * c2 if v is None else v + c * c2
+        return {m: c for m, c in acc.items() if c}
+
+    def noncanonical(terms, parts, name=""):
+        # the witness "m in (x) (y) g" for the first nonzero term m of the
+        # product of the monomials `parts` and the factor `name` that is
+        # not canonical, built only then
+        for m, c in terms.items():
+            if not c or m in canon:
                 continue
             try:
                 alg.check_mono(m)
@@ -810,22 +853,24 @@ def rewriting_certificate(alg: Algebra, degree: int):
             canon.add(m)
         return None
 
+    rights = [(name, right_of(g)) for name, g in factors]
     # x = 1 or y = 1 makes both sides the same product, so monos[0] = 1
     # is left out
     for x in monos[1:]:
+        left.clear()
         for y in monos[1:]:
             if alg.mono_degree(x) + alg.mono_degree(y) > top:
                 break
-            xy = unit[x] * unit[y]
+            xy = left_of(y)
             canonical = canonical or noncanonical(xy, (x, y))
-            for name, g in factors:
-                yg = times.get((y, name))
-                if yg is None:
-                    yg = times[y, name] = unit[y] * g
+            for name, right in rights:
+                yg = right(y)
+                # every y meets x = monos[1], of least degree, first
+                if x is monos[1]:
                     canonical = canonical or noncanonical(yg, (y,), name)
-                lhs = xy * g
+                lhs = product(xy, right)
                 canonical = canonical or noncanonical(lhs, (x, y), name)
-                if associativity is None and lhs != unit[x] * yg:
+                if associativity is None and lhs != product(yg, left_of):
                     associativity = (
                         f"(x y) g != x (y g) for x = {alg.mono_str(x)}, "
                         f"y = {alg.mono_str(y)}, g = {name}")

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -118,6 +120,11 @@ def test_tsv_format(capsys):
     assert out.splitlines()[0] == "name\tstatus\tpaper_anchor\twitness"
 
 
+class ClosedPipe(list):
+    """argv run with a stdout whose reader has gone, as under
+    `qsu2 ... | head -1`: every write to it raises BrokenPipeError."""
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["eval", "a^-1"], 3),
     (["eval", "a/b"], 3),
@@ -137,9 +144,19 @@ def test_tsv_format(capsys):
     (["verify", "haar", "--degree", "-2"], 0),
     (["verify", "hopf", "--degree", "-1"], 0),
     (["verify", "charts", "--degree", "-1"], 0),
+    (ClosedPipe(["verify", "cover", "--format", "tsv"]), 0),
+    (ClosedPipe(["verify", "hopf_negative_control", "--format", "tsv"]), 1),
+    (ClosedPipe(["resolution", "--n", "2"]), 0),
 ])
-def test_exit_code_contract(capsys, argv, expected):
-    code, out, err = run(capsys, *argv)
+def test_exit_code_contract(capsys, monkeypatch, argv, expected):
+    if isinstance(argv, ClosedPipe):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code, out, err = run(capsys, *argv)
+    else:
+        code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
     if expected == 3:

@@ -12,8 +12,8 @@ import pytest
 
 from qsu2.charts import chart
 from qsu2.hopf import _corrupted, hopf_B, hopf_G, pi_map, verify_hopf
-from qsu2.ncalg import (AlgebraMap, NCPoly, STD, apply_tensor_map, star,
-                        tensor_elem)
+from qsu2.ncalg import (AlgebraMap, NCPoly, STD, apply_tensor_map,
+                        rewriting_certificate, star, tensor_elem)
 from qsu2.scalars import ONE, QScalar
 from rewriting_oracle import normal_form_of_word, random_word
 
@@ -159,3 +159,33 @@ def test_negative_control_adds_nothing_on_repeat(which):
     after = {k: f.cache_info().currsize for k, f in caches.items()}
     assert after == before
     assert _corrupted(which) is _corrupted(which)
+
+
+# every functools cache in qsu2, by the function it wraps: a new one is
+# added here on purpose, not by the way
+CACHED = {
+    "qsu2.charts.chart", "qsu2.charts.coaction_B", "qsu2.charts.cover",
+    "qsu2.coherent._lemma_side", "qsu2.coherent._zeta_power",
+    "qsu2.coherent.gram", "qsu2.coherent.qbeta_check",
+    "qsu2.coherent.ramanujan_qbeta", "qsu2.coherent.resolution_operator",
+    "qsu2.comod.VnComodule", "qsu2.comod._certified_step",
+    "qsu2.haar._moment_weights", "qsu2.haar.pair", "qsu2.haar.zeta_moment",
+    "qsu2.hopf._corrupted", "qsu2.hopf.basis_words",
+    "qsu2.ncalg.Algebra._da_expand", "qsu2.ncalg.Algebra.basis_monomials",
+    "qsu2.ncalg.AlgebraMap._power", "qsu2.ncalg.AlgebraMap.image",
+    "qsu2.ncalg._Standard.inclusion", "qsu2.ncalg._Standard.tensor",
+    "qsu2.scalars._jackson_weights", "qsu2.scalars.gauss_binomial",
+    "qsu2.scalars.q_pow",
+}
+
+
+def test_rewriting_certificate_keeps_its_tables_to_one_call():
+    # the certificate's product tables are its own: no new functools
+    # cache, and a repeated call adds nothing to the existing ones
+    rewriting_certificate(G, 5)
+    caches = _caches()
+    assert {f"{f.__module__}.{f.__qualname__}"
+            for f in caches.values()} <= CACHED
+    before = {k: f.cache_info().currsize for k, f in caches.items()}
+    rewriting_certificate(G, 5)
+    assert {k: f.cache_info().currsize for k, f in caches.items()} == before

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -449,11 +450,48 @@ def _keep_ad(monkeypatch):
     return G
 
 
+def _one_pair(monkeypatch):
+    # c b^-1 on G_b, one monomial pair, picks up a stray q: a table keyed
+    # too coarsely would hand the fault to other pairs or drop it
+    original = Algebra.mul_mono
+
+    def mul_mono(self, m1, m2, coeff, acc):
+        if self is Gb and m1 == (0, 0, 1, 0) and m2 == (0, -1, 0, 0):
+            coeff = coeff * Q
+        original(self, m1, m2, coeff, acc)
+    monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
+    return Gb
+
+
+def _one_pass(monkeypatch):
+    # NCPoly.__mul__'s bilinear loop reads the right factor through a
+    # one-pass iterator, so only the first left term is multiplied.  The
+    # certificate sums mul_mono's products itself and reads
+    # NCPoly.__mul__ only in its relations, which see the fault on G_d
+    # (a there has two terms).  On G, where only (x y) g with x y = d a
+    # would have seen it, test_associativity_randomized and
+    # test_confluence[G] still catch it: see
+    # test_a_bilinear_loop_fault_is_caught_outside_the_certificate.
+    original = NCPoly.__mul__
+
+    def mul(self, other):
+        if type(other) is not NCPoly:
+            return original(self, other)
+        acc = {}
+        right = iter(other.terms.items())
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right:
+                self.alg.mul_mono(m1, m2, c1 * c2, acc)
+        return NCPoly(self.alg, {m: c for m, c in acc.items() if c})
+    monkeypatch.setattr(NCPoly, "__mul__", mul)
+    return Gd
+
+
 @pytest.mark.parametrize("fault", [
     *(_flip(G, pair) for pair in ((0, 1), (0, 2), (1, 3), (2, 3))),
-    _flip(STD.B, (0, 1)), _drop_bc, _keep_ad],
+    _flip(STD.B, (0, 1)), _drop_bc, _keep_ad, _one_pair, _one_pass],
     ids=["G ab", "G ac", "G bd", "G cd", "B lambda xi", "da_expand",
-         "reduce_ordered"])
+         "reduce_ordered", "mul_mono one pair", "NCPoly.__mul__ loop"])
 def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
                                                                  fault):
     alg = fault(monkeypatch)
@@ -462,6 +500,79 @@ def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
         assert got == rewriting_oracle.rewriting_certificate(alg, degree), \
             degree
     assert got != HOLDS
+
+
+def test_a_bilinear_loop_fault_is_caught_outside_the_certificate(monkeypatch):
+    # the Tier-1 checks that multiply polynomials of several terms, and so
+    # still see the one-pass fault of NCPoly.__mul__ on G
+    _one_pass(monkeypatch)
+    assert not confluence_probe(G, samples=60, degree=6, seed=13)["passed"]
+    rng = random.Random(5)
+    words = [normal_form_of_word(G, random_word(G, rng, 6))
+             for _ in range(75)]
+    assert any((p * r) * s != p * (r * s)
+               for p, r, s in zip(words[::3], words[1::3], words[2::3]))
+
+
+def test_a_cancelled_term_changes_no_verdict(monkeypatch):
+    # mul_mono leaves a zero coefficient on the non-canonical a d each
+    # time it multiplies by d on G, as a cancelling sum would: every
+    # product drops it, so nothing fails and the witnesses stay the oracle's
+    original = Algebra.mul_mono
+
+    def mul_mono(self, m1, m2, coeff, acc):
+        original(self, m1, m2, coeff, acc)
+        if self is G and m2 == (0, 0, 0, 1):
+            acc.setdefault((1, 0, 0, 1), ZERO)
+    monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
+    for degree in range(-1, 6):
+        assert (rewriting_certificate(G, degree) == HOLDS
+                == rewriting_oracle.rewriting_certificate(G, degree)), degree
+
+
+@pytest.mark.parametrize("alg", [G, Gd, STD.B], ids=lambda a: a.name)
+def test_rewriting_certificate_multiplies_each_table_entry_once(monkeypatch,
+                                                                alg):
+    # one mul_mono call per entry of the two tables (per term of g for
+    # right[m, g]) and the relations' own calls, the same on a second call
+    degree = 5
+    top = degree - 1
+    factors = [alg.gen(g) for g in alg.gens]
+    factors += [alg.gen(alg.gens[i], -1) for i in sorted(alg.invertible)]
+    monos = alg.basis_monomials(top)
+    expected = Counter()
+    right = set()
+    for x in monos[1:]:
+        left = set()
+        for y in monos[1:]:
+            if alg.mono_degree(x) + alg.mono_degree(y) > top:
+                break
+            xy = NCPoly(alg, {x: ONE}) * NCPoly(alg, {y: ONE})
+            left.add(y)
+            for k, factor in enumerate(factors):
+                right.add((y, k))
+                right.update((m, k) for m in xy.terms)
+                left.update((NCPoly(alg, {y: ONE}) * factor).terms)
+        expected.update((x, m) for m in left)
+    for m, k in right:
+        expected.update((m, m2) for m2 in factors[k].terms)
+
+    calls = Counter()
+    original = Algebra.mul_mono
+
+    def mul_mono(self, m1, m2, coeff, acc):
+        calls[m1, m2] += 1
+        original(self, m1, m2, coeff, acc)
+    monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
+    # degree -1 multiplies no basis triple: its calls are the relations'
+    rewriting_certificate(alg, -1)
+    calls.clear()
+    rewriting_certificate(alg, -1)
+    expected += calls
+    for _ in range(2):
+        calls.clear()
+        assert rewriting_certificate(alg, degree) == HOLDS
+        assert calls == expected
 
 
 # -- printing / parsing ----------------------------------------------------------------
