@@ -442,9 +442,11 @@ def cover_equalizer(cov: Cover, degree: int):
     """Exactness of 0 -> G -> G_b x G_d => G_bd on the degree slice.
 
     Injectivity: no nonzero f with iota_b(f) = iota_d(f) = 0.  Gluing:
-    every agreeing pair from the chart slices retracts to a unique f in G;
-    checked for both orders of the consecutive localization, which coincide
-    here because b and d q-commute (the pair factors through G_bd).
+    every agreeing pair from the chart slices retracts to a unique f in G.
+    The gluing verdict is one `glue_ok`, computed once in G_bd and printed
+    under both order names (`order_bd`, `order_db`): the two orders of the
+    consecutive localization coincide because b and d q-commute, so the
+    second record repeats the first and cannot fail on its own.
     """
     checks = []
     G = STD.G

@@ -18,26 +18,32 @@ presentation are absorbed into the Gram weights.
 The coinvariance identity <w|z> 1 = sum <w0|z0> * (product of z1 and w1*)
 admits two noncommutative orderings of the right-hand side.  The form used
 everywhere is the star-first one, t* W t = W for W = diag(w) and
-(t*)[k][i] = t[i][k]*.  `solve_coinvariant_gram` certifies it by a chain.
-First, t is a corepresentation, by induction on n: the comodule axioms hold
-on V_1, and at each step k = 2..n the column of e_(j+1) built as e_(j+1)' y
-equals q^(k-1-j) e_j' x read from V_(k-1) and a, c, so V_k is a quotient
-comodule of V_(k-1) (x) V_1.  That reading covers the inner columns
-1..k-1; each step also ties the two outer columns 0 and k of the cached V_k
-to the extension of the cached V_(k-1), so the induction runs on the
-matrices every caller reads; a step is certified once per process
-(`_certified_step`), and V_n costs only the steps no smaller n has run.
-Second, the antipode law (the `hopf` suite) then gives S(t) t = t S(t) = 1.
-So t* W t = W exactly when t* W = W S(t), the unitarity of t (Woronowicz,
-Compact matrix pseudogroups, CMP 111 (1987)): w_i t[i][k]* = w_k S(t[k][i])
-for every (i, k), with no product of degree-n elements and no Haar
-integral.  Only the pairs k >= i are compared: star and then S turn the
-identity at (i, k) into the one at (k, i), since the weights are real and
-S(S(y)*) = y* (put x = y* in S(S(x*)*) = x).  That rests on the
-`star_antipode_compat` law, which the `hopf` suite decides in every degree.
-Both orders are still solved as full (n+1)^2 kernel systems for the
-misprint ledger (`gram_order_report`), which needs the solution count in
-each.
+(t*)[k][i] = t[i][k]*.  `solve_coinvariant_gram` proves it by induction on
+the Manin step, with no product of two degree-n elements and no Haar
+integral (Woronowicz, Compact matrix pseudogroups, CMP 111 (1987);
+Klimyk-Schmuedgen, Quantum Groups and Their Representations, ch. 4).  The
+antipode law (the `hopf` suite) gives S(t) = t^-1 for every
+corepresentation t, so unitarity for W, t W^-1 t* = W^-1, is the same as
+t* W t = W and as t* W = W S(t).
+
+The base case: the comodule axioms hold on V_1 (V_0 when n = 0), and
+t[i][k]* = S(t[k][i]) on V_1, the unitarity of V_1 for diag(1, 1).  The
+step k = 2..n (`_certified_step`): let U = V_(k-1) (x) V_1, whose matrix
+has the entries t[j][i] s[l][m] in that order, and W_U^-1 =
+W_(k-1)^-1 (x) 1.  U is unitary for W_U^-1 by associativity and
+(xy)* = y* x* alone.  The Manin product mu: U -> V_k, e_i' (x) y -> e_i
+and e_j' (x) x -> q^-(k-1-j) e_(j+1), is a comodule map, t_k mu = mu t_U:
+`_step_defect` reads the inner columns of V_k through x, and the tie
+compares V_k with the whole extension of V_(k-1), which reads every
+column through y and the last through x.  The coefficients of mu are
+real, so t_k W^-1 t_k* = W^-1 for W^-1 = mu W_U^-1 mu^T.  That matrix is
+diagonal, since each basis vector of U goes to a multiple of one e_i, and
+its entries obey the q-Pascal rule [k, i] = [k-1, i] + q^-2(k-i) [k-1, i-1]
+from the row [1, 1] of V_1: the weights are the inverse q^-2-binomials,
+read off nothing.  Each step is certified once per process, so V_n costs
+only the steps no smaller n has run.  Both orders are still solved as full
+(n+1)^2 kernel systems for the misprint ledger (`gram_order_report`),
+which needs the solution count in each.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import functools
 from . import linalg
 from .hopf import hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, star, tensor_elem
-from .scalars import ONE, QScalar, ZERO, denominator_lcm, gauss_binomial, q_pow
+from .scalars import ONE, QScalar, ZERO, gauss_binomial, q_pow
 
 __all__ = [
     "VnComodule",
@@ -259,16 +265,16 @@ def _step_defect(prev, t, k: int):
 
 @functools.cache
 def _certified_step(k: int):
-    """Raise unless step k >= 2 holds between the cached matrices of
-    V_(k-1) and V_k: `_step_defect` finds no inner column 1..k-1 of V_k
-    that differs from its reading through e_j' x, and the outer columns 0
-    and k, which it does not read, are those of the extension of V_(k-1)
-    (the tie).  The tie runs `_extend_coaction_matrix` itself on V_(k-1)
-    with every column but 0 and k-1 zeroed: column i of the extension reads
-    only column i of V_(k-1) for i < k, and column k-1 for i = k, so its
-    columns 0 and k come out whole and the inner ones cost nothing.  Each
-    step is certified once per process; a failed step raises and caches
-    nothing."""
+    """The inverse weights of V_k, k >= 2, as a tuple over i = 0..k, once
+    step k holds between the cached matrices of V_(k-1) and V_k; raises
+    otherwise.  Step k - 1 is certified first (the row of V_1 is [1, 1]).
+    Then `_step_defect` finds no inner column 1..k-1 of V_k that differs
+    from its reading through e_j' x, and the tie finds V_k equal to the
+    extension of V_(k-1).  The row is [k, i] = [k-1, i] +
+    q^-2(k-i) [k-1, i-1], the diagonal of mu (W_(k-1)^-1 (x) 1) mu^T for
+    the Manin product mu (module docstring).  Each step is certified once
+    per process; a failed step raises and caches nothing."""
+    row = _certified_step(k - 1) if k > 2 else (ONE, ONE)
     prev = VnComodule(k - 1).coaction_matrix
     t = VnComodule(k).coaction_matrix
     column = _step_defect(prev, t, k)
@@ -276,25 +282,27 @@ def _certified_step(k: int):
         raise DomainError(
             f"step {k}: column {column} of the coaction matrix of V_{k} "
             f"is not q^{k - column} e_{column - 1}' x")
-    zero = STD.G.zero()
-    outer = [[x if i in (0, k - 1) else zero for i, x in enumerate(row)]
-             for row in prev]
-    ext = _extend_coaction_matrix(outer, k)
-    if any(row[i] != e[i] for row, e in zip(t, ext) for i in (0, k)):
+    if t != _extend_coaction_matrix(prev, k):
         raise DomainError(f"V_{k} is not the matrix its steps from V_1 build")
+    row = (ZERO, *row, ZERO)
+    return tuple(row[i + 1] + row[i] * q_pow(2 * (i - k))
+                 for i in range(k + 1))
 
 
 def _certify_corepresentation(n: int):
-    """Raise unless the coaction matrix of V_n is a corepresentation: the
-    axioms on V_1 (V_0 when n = 0) and each step k = 2..n from V_1."""
+    """The inverse weights of V_n, once its coaction matrix is certified a
+    corepresentation: the axioms on V_1 (V_0 when n = 0) and each step
+    k = 2..n from V_1; raises otherwise."""
     base = min(n, 1)
     bad = verify_comodule_axioms(base)
     if bad is not None:
         raise DomainError(
             f"base case: the coaction matrix of V_{base} breaks the "
             f"comodule axioms at {bad}")
+    row = (ONE,) * (base + 1)
     for k in range(2, n + 1):
-        _certified_step(k)
+        row = _certified_step(k)
+    return row
 
 
 def _antipode():
@@ -306,47 +314,29 @@ def _antipode():
     return HG.antipode
 
 
-def _unitarity_defect(n: int, weights):
+def _unitarity_defect(weights):
     """The first (i, k) in row-major order with w_i t[i][k]* != w_k S(t[k][i])
-    over the coaction matrix t of V_n, or None.  The pairs k < i follow
-    from (k, i) by star-antipode compatibility, so only k >= i run; the
-    first failing pair of all m^2 is among them, since (k, i) precedes
-    (i, k).  The identity is homogeneous in w, so it runs on w times the
-    lcm of its denominators: Laurent weights, whose products with the
-    entries of t run no gcd."""
-    t = VnComodule(n).coaction_matrix
+    over the coaction matrix t of V_1, or None."""
+    t = VnComodule(1).coaction_matrix
     S = _antipode()
-    lcm = denominator_lcm(weights)
-    w = [x * lcm for x in weights]
-    m = n + 1
-    for i in range(m):
-        for k in range(i, m):
-            if star(t[i][k]) * w[i] != S(t[k][i]) * w[k]:
-                return i, k
-    return None
+    return next(((i, k) for i in range(2) for k in range(2)
+                 if star(t[i][k]) * weights[i] != S(t[k][i]) * weights[k]),
+                None)
 
 
 def solve_coinvariant_gram(n: int) -> GramForm:
-    """The coinvariant Gram form of V_n, from the antipode: w_0 = 1 (so
-    <y^n|y^n> = 1) and each w_i read off one common monomial of t[i][0]*
-    and S(t[0][i]); fatal unless t is certified a corepresentation, G has
-    an antipode, and t is unitary for diag(w)."""
-    _certify_corepresentation(n)
-    t = VnComodule(n).coaction_matrix
-    S = _antipode()
-    diag = [ONE]
-    for i in range(1, n + 1):
-        lhs, rhs = star(t[i][0]), S(t[0][i])
-        mono = next((m for m in lhs.terms if m in rhs.terms), None)
-        if mono is None:
-            raise DomainError(f"t[{i}][0]* and S(t[0][{i}]) share no monomial")
-        diag.append(rhs.terms[mono] / lhs.terms[mono])
-    defect = _unitarity_defect(n, diag)
+    """The coinvariant Gram form of V_n, the inverses of the row of its
+    last Manin step (so <y^n|y^n> = 1); fatal unless t is certified a
+    corepresentation, G has an antipode, and V_1 is unitary for
+    diag(1, 1) when n >= 1."""
+    inverse = _certify_corepresentation(n)
+    _antipode()
+    defect = _unitarity_defect((ONE, ONE)) if n else None
     if defect is not None:
         raise DomainError(
-            f"the Gram form of V_{n} is not coinvariant: "
-            f"w_i t[i][k]* != w_k S(t[k][i]) at (i, k) = {defect}")
-    return GramForm(n, diag)
+            f"base case: V_1 is not unitary for diag(1, 1): "
+            f"t[i][k]* != S(t[k][i]) at (i, k) = {defect}")
+    return GramForm(n, [w.inverse() for w in inverse])
 
 
 def gram_order_report(n: int):

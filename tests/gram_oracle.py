@@ -1,6 +1,6 @@
-"""Two Haar-averaged Gram forms that `qsu2.comod.solve_coinvariant_gram`
-used before it read the form off the antipode, kept here only as oracles
-for the Gram solve (tests/test_comod.py).
+"""Three Gram forms that `qsu2.comod.solve_coinvariant_gram` computed
+before it took the weights from the q-Pascal rows of its Manin steps, kept
+here only as oracles for the Gram solve (tests/test_comod.py).
 
 - The m^3 form: every product t[i][k]* t[i][l] for all m^3 index triples,
   one Haar call per (i, k) with the rational results added, and the
@@ -10,12 +10,14 @@ for the Gram solve (tests/test_comod.py).
   order, one Haar call per k on the summed diagonal products, and the
   identity certified on the diagonal times the lcm of its denominators,
   whose entries are Laurent polynomials in q.
+- The antipode read-off (`read_off_diag`): w_0 = 1 and each w_i read off
+  one common monomial of t[i][0]* and S(t[0][i]).
 
-Both certify the sum_i w_i t[i][k]* t[i][l] = delta_kl w_k form of the
-identity, which needs products of two degree-n elements; the engine
-certifies the equivalent w_i t[i][k]* = w_k S(t[k][i]) instead, on the
-pairs k >= i.  `unitarity_defect` is that identity on all m^2 pairs, the
-oracle for the halved loop.
+The two Haar forms certify the sum_i w_i t[i][k]* t[i][l] = delta_kl w_k
+form of the identity, which needs products of two degree-n elements.
+`unitarity_defect` is the equivalent w_i t[i][k]* = w_k S(t[k][i]) on all
+m^2 pairs, which the engine checked on V_n for every n after the read-off;
+the engine now checks it on V_1 alone, the base of its induction.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from qsu2.comod import VnComodule
 from qsu2.haar import haar
 from qsu2.hopf import hopf_G
 from qsu2.ncalg import STD, DomainError, NCPoly, star
-from qsu2.scalars import ZERO, denominator_lcm
+from qsu2.scalars import ONE, ZERO, denominator_lcm
 
 
 def star_first_products(n: int):
@@ -114,6 +116,22 @@ def haar_solve(n: int):
         raise DomainError(
             f"the Haar-averaged Gram form of V_{n} is not coinvariant at "
             f"(k, l) = {defect}")
+    return diag
+
+
+def read_off_diag(n: int):
+    """The Gram diagonal of V_n read off the antipode: w_0 = 1 and each w_i
+    the ratio of the coefficients of one common monomial of t[i][0]* and
+    S(t[0][i]); raises DomainError when they share none."""
+    t = VnComodule(n).coaction_matrix
+    S = hopf_G().antipode
+    diag = [ONE]
+    for i in range(1, n + 1):
+        lhs, rhs = star(t[i][0]), S(t[0][i])
+        mono = next((m for m in lhs.terms if m in rhs.terms), None)
+        if mono is None:
+            raise DomainError(f"t[{i}][0]* and S(t[0][{i}]) share no monomial")
+        diag.append(rhs.terms[mono] / lhs.terms[mono])
     return diag
 
 

@@ -165,8 +165,8 @@ def test_verify_gram_reports_a_corrupted_v1_with_exit_1(doubled_v1_corner,
 def test_doubled_v1_corner_is_unitary_and_fails_the_base_case(
         doubled_v1_corner):
     # both sides of w_0 t[0][0]* = w_0 S(t[0][0]) double, so unitarity
-    # alone would accept the corrupted matrix: the base case must catch it
-    assert _unitarity_defect(1, [ONE, ONE]) is None
+    # alone would accept the corrupted matrix: the axioms must catch it
+    assert _unitarity_defect([ONE, ONE]) is None
     with pytest.raises(DomainError, match=r"^base case: .*V_1"):
         solve_coinvariant_gram(1)
 
@@ -177,7 +177,7 @@ def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch,
     # sides again: only the comparison of V_2 with the matrix its steps
     # build catches the corrupted entry
     _double_corner(monkeypatch, 2)
-    assert _unitarity_defect(2, _inverse_binomials(2)) is None
+    assert gram_oracle.unitarity_defect(2, _inverse_binomials(2)) is None
     with pytest.raises(DomainError, match=r"^V_2 is not the matrix its steps"):
         solve_coinvariant_gram(2)
 
@@ -185,8 +185,9 @@ def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch,
 @pytest.mark.parametrize("entry", [(j, i) for j in range(3) for i in range(3)])
 def test_every_doubled_v2_entry_fails_its_step(monkeypatch, fresh_steps,
                                                entry):
-    # the tie reads the outer columns 0 and 2 of V_2 and `_step_defect` the
-    # inner column 1, so no entry escapes the certificate of step 2
+    # `_step_defect` reads the inner column 1 of V_2 through x, and runs
+    # first; the tie compares all of V_2 with the extension of V_1, so no
+    # entry escapes the certificate of step 2
     j, i = entry
     V = VnComodule(2)
     t = [row[:] for row in V.coaction_matrix]
@@ -278,8 +279,8 @@ def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
 def test_resolution_curve_certifies_each_step_once():
     # `resolution --n 0..6` in one fresh process certifies steps 2..6, each
     # once, where rebuilding the chain per n ran 15 steps; it builds
-    # V_1..V_6 with one extension each, and each step's tie runs one more
-    # on the two outer columns
+    # V_1..V_6 with one extension each, and each step's tie runs one more,
+    # a full extension of V_(k-1) compared with the whole of V_k
     script = ("import contextlib, io\n"
               "from qsu2 import comod\n"
               "from qsu2.cli import main\n"
@@ -311,7 +312,7 @@ def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys):
     try:
         expect = r"^no antipode solution on G: inconsistent linear system$"
         with pytest.raises(DomainError, match=expect):
-            _unitarity_defect(0, [ONE])
+            _unitarity_defect([ONE, ONE])
         with pytest.raises(DomainError, match=expect):
             solve_coinvariant_gram(0)
         code = main(["verify", "gram", "--n", "0..0", "--format", "json"])
@@ -327,46 +328,91 @@ def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys):
 
 
 def test_unitarity_rejects_the_all_ones_and_printed_order_diagonals():
+    # on the full-loop oracle: the engine checks unitarity on V_1 alone
     for n in (2, 3):
         printed = _gram_order(n, STAR_SECOND)[2]
         assert printed != _inverse_binomials(n), n
-        assert _unitarity_defect(n, printed) == (0, 1), n
-        assert _unitarity_defect(n, [ONE] * (n + 1)) == (0, 1), n
-        assert _unitarity_defect(n, _inverse_binomials(n)) is None, n
+        assert gram_oracle.unitarity_defect(n, printed) == (0, 1), n
+        assert gram_oracle.unitarity_defect(n, [ONE] * (n + 1)) == (0, 1), n
+        assert gram_oracle.unitarity_defect(
+            n, _inverse_binomials(n)) is None, n
 
 
 def test_unitarity_names_the_first_failing_pair_in_row_major_order(
         monkeypatch):
-    # a corrupted t[1][0] of V_2 first shows at (0, 1), where S(t[1][0])
-    # is compared, before (1, 0), where t[1][0]* is
-    V = VnComodule(2)
+    # the base case on V_1: a corrupted t[1][0] first shows at (0, 1),
+    # where S(t[1][0]) is compared, before (1, 0), where t[1][0]* is
+    V = VnComodule(1)
     t = [row[:] for row in V.coaction_matrix]
     t[1][0] = t[1][0] + G.gen("b")
     monkeypatch.setattr(V, "coaction_matrix", t)
-    assert _unitarity_defect(2, _inverse_binomials(2)) == (0, 1)
+    assert _unitarity_defect([ONE, ONE]) == (0, 1)
+    assert gram_oracle.unitarity_defect(1, [ONE, ONE]) == (0, 1)
 
 
-def test_halved_unitarity_matches_the_full_loop(monkeypatch):
-    # the pairs k < i follow from the pairs k > i, and the first failing
-    # pair of all m^2 has k >= i: both loops name the same pair
-    for n in range(9):
-        good = _inverse_binomials(n)
-        bad_last = good[:-1] + [good[-1] * 2]
-        for weights in (good, [ONE] * (n + 1), bad_last):
-            assert (_unitarity_defect(n, weights)
-                    == gram_oracle.unitarity_defect(n, weights)), (n, weights)
-        assert _unitarity_defect(n, good) is None, n
-        if n:
-            assert _unitarity_defect(n, bad_last) is not None, n
-    # a corrupted entry below the diagonal shows above it, through S
-    for n in (2, 5):
-        V = VnComodule(n)
-        t = [row[:] for row in V.coaction_matrix]
-        t[n][1] = t[n][1] + G.gen("b")
-        monkeypatch.setattr(V, "coaction_matrix", t)
-        got = _unitarity_defect(n, _inverse_binomials(n))
-        assert got == gram_oracle.unitarity_defect(n, _inverse_binomials(n))
-        assert got == (1, n), n
+def test_a_wrong_antipode_fails_the_v1_base_case(monkeypatch, fresh_steps):
+    # S(x) q^2 in place of S: V_1 and the steps are sound, so only the
+    # unitarity of V_1 for diag(1, 1) sees it, first at t[0][0]* = S(t[0][0])
+    S = comod._antipode()
+    monkeypatch.setattr(comod, "_antipode", lambda: lambda x: S(x) * q_pow(2))
+    assert solve_coinvariant_gram(0).diag == [ONE]
+    for n in (1, 3):
+        with pytest.raises(DomainError) as exc:
+            solve_coinvariant_gram(n)
+        assert str(exc.value) == (
+            "base case: V_1 is not unitary for diag(1, 1): "
+            "t[i][k]* != S(t[k][i]) at (i, k) = (0, 0)")
+
+
+def test_step_rows_match_the_read_off_and_full_unitarity_oracles():
+    # the q-Pascal rows against the weights the engine read off the
+    # antipode before, certified by the unitarity it checked on all m^2
+    # pairs of V_n
+    for n in range(11):
+        diag = solve_coinvariant_gram(n).diag
+        assert diag == gram_oracle.read_off_diag(n), n
+        assert gram_oracle.unitarity_defect(n, diag) is None, n
+        assert diag == _inverse_binomials(n), n
+
+
+def test_a_wrong_q_power_in_a_step_row_fails_the_gram_suite(fresh_steps,
+                                                            monkeypatch):
+    # the row of step 3 with one entry off by a factor q: V_3, and V_4,
+    # whose row is built from it, print a diagonal that is not the inverse
+    # binomials, while V_2 still passes.  fresh_steps comes first, so it
+    # clears the rows built under the fault after the fault is undone
+    certified = comod._certified_step
+
+    def wrong_power(k):
+        row = certified(k)
+        return row[:1] + (row[1] * Q,) + row[2:] if k == 3 else row
+    monkeypatch.setattr(comod, "_certified_step", wrong_power)
+    gram.cache_clear()
+    try:
+        checks = {c["name"]: c for c in
+                  suites.SUITES["gram"](range(2, 5), 5, Fraction(1, 2))}
+    finally:
+        gram.cache_clear()
+    assert checks["gram.inverse_binomial_n2"]["status"] == "pass"
+    for n in (3, 4):
+        check = checks[f"gram.inverse_binomial_n{n}"]
+        assert check["status"] == "fail", n
+        assert check["witness"] != [str(d) for d in _inverse_binomials(n)]
+
+
+def test_gram_stars_only_the_entries_of_v1(monkeypatch):
+    # no unitarity check above V_1: with V_6 and its steps cached, the
+    # Gram solve takes the star of the four entries of V_1 and nothing else
+    solve_coinvariant_gram(6)
+    starred = []
+
+    def counted(x):
+        starred.append(x)
+        return star(x)
+    monkeypatch.setattr(comod, "star", counted)
+    assert solve_coinvariant_gram(6).diag == _inverse_binomials(6)
+    assert starred == [x for row in VnComodule(1).coaction_matrix
+                       for x in row]
 
 
 def test_weight_covectors_span_yn():
@@ -468,8 +514,8 @@ def test_haar_gram_certificate_rejects_printed_order_diagonal():
     products[0, 1][1] = products[0, 1][1] + G.one()
     assert gram_oracle.laurent_defect(
         products, _inverse_binomials(1)) == (0, 1)
-    # the antipode certificate rejects the printed order as well
-    assert _unitarity_defect(1, printed) == (0, 1)
+    # the engine's base case rejects the printed order as well
+    assert _unitarity_defect(printed) == (0, 1)
 
 
 def test_haar_gram_matches_fraction_oracle():

@@ -530,6 +530,32 @@ def test_a_cancelled_term_changes_no_verdict(monkeypatch):
                 == rewriting_oracle.rewriting_certificate(G, degree)), degree
 
 
+def test_a_cancelled_term_keeps_the_witness_order(monkeypatch):
+    # On G at degree 3, x y = d a = 1 + q^-1 b c carries a zero coefficient
+    # on a d in front of its terms, as a sum that cancelled would, and three
+    # products by a land on non-canonical monomials: 1 a -> a d,
+    # b c a -> a b c d, and the cancelled (a d) a -> a b c d.  None of 1,
+    # b c and a d is a y at degree 3, so (x y) a is the first product to
+    # show them, listing a d before a b c d.  A sum that also multiplied
+    # the cancelled term would list a b c d first and name it instead.
+    original = Algebra.mul_mono
+    a, ad, abcd = (1, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1)
+    wrong = {(0, 0, 0, 0): ad, (0, 1, 1, 0): abcd, ad: abcd}
+
+    def mul_mono(self, m1, m2, coeff, acc):
+        if self is G and m2 == a and m1 in wrong:
+            acc[wrong[m1]] = acc.get(wrong[m1], ZERO) + coeff
+            return
+        if self is G and (m1, m2) == ((0, 0, 0, 1), a):
+            acc.setdefault(ad, ZERO)
+        original(self, m1, m2, coeff, acc)
+    monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
+    assert rewriting_certificate(G, 3)["canonical"] == "a d in (d) (a) a"
+    for degree in range(3, 6):
+        assert (rewriting_certificate(G, degree)
+                == rewriting_oracle.rewriting_certificate(G, degree)), degree
+
+
 @pytest.mark.parametrize("alg", [G, Gd, STD.B], ids=lambda a: a.name)
 def test_rewriting_certificate_multiplies_each_table_entry_once(monkeypatch,
                                                                 alg):
