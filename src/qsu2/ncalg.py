@@ -278,26 +278,35 @@ class Algebra:
     @functools.cache
     def basis_monomials(self, max_degree: int):
         """All canonical monomials with filtration degree <= max_degree, as
-        one shared tuple: callers only read it."""
+        one shared tuple ordered by (degree, monomial): callers only read
+        it.  Each degree is enumerated directly, every exponent in
+        ascending order within its canonical range and the last one taking
+        what is left of the degree, so no monomial outside the basis is
+        built."""
         assert not self.factors, "basis enumeration on base algebras only"
-        ranges = []
-        for i in range(self.n):
-            if i in self.elim_gen:
-                ranges.append([0])
-            elif i in self.invertible:
-                ranges.append(list(range(-max_degree, max_degree + 1)))
-            else:
-                ranges.append(list(range(0, max_degree + 1)))
+        ia, id_ = self.ad_pair or (None, None)
+        last = self.n - 1
         out = []
-        for mono in itertools.product(*ranges):
-            if sum(abs(e) for e in mono) > max_degree:
-                continue
-            if self.ad_pair:
-                ia, id_ = self.ad_pair
-                if mono[ia] > 0 and mono[id_] != 0:
-                    continue
-            out.append(mono)
-        out.sort(key=lambda m: (self.mono_degree(m), m))
+
+        def extend(mono, budget):
+            i = len(mono)
+            if i > last:
+                if not budget:
+                    out.append(mono)
+                return
+            # an eliminated generator, or d after a, stays at exponent 0
+            top = 0 if i in self.elim_gen or (i == id_ and mono[ia]) else budget
+            low = -top if i in self.invertible else 0
+            if i == last:
+                exps = [e for e in sorted({-budget, budget})
+                        if low <= e <= top]
+            else:
+                exps = range(low, top + 1)
+            for e in exps:
+                extend(mono + (e,), budget - abs(e))
+
+        for degree in range(max_degree + 1):
+            extend((), degree)
         return tuple(out)
 
 
@@ -786,7 +795,14 @@ def rewriting_certificate(alg: Algebra, degree: int):
     over the terms c m of x y, and x (y g) the sum of c left[m] over the
     terms c m of y g.  A table entry keeps the cancelled terms and the
     insertion order of `mul_mono`'s accumulator, so each sum lists its
-    terms in the order `NCPoly.__mul__` would.  `relations` still
+    terms in the order `NCPoly.__mul__` would.  Most triples build no sum:
+    when x y = c1 m1 and y g = c2 m2 are single terms that did not cancel,
+    the sides are c1 right[m1, g] and c2 left[m2], and when these two
+    entries are single terms d1 n1 and d2 n2 as well, the triple holds
+    exactly when c1 d1 = c2 d2 and, unless both are 0, n1 = n2.  At degree
+    5 that decides 77% of the triples on G, G_b, G_d and G_bd; the a-d
+    reduction and the two-term image of a on G_d and G_bd still build the
+    sums.  No product by an exact ONE is formed.  `relations` still
     multiplies through `NCPoly.__mul__`.
 
     Returns the first witness of each failure, None where all holds:
@@ -825,6 +841,10 @@ def rewriting_certificate(alg: Algebra, degree: int):
             mul_mono(x, m, ONE, terms)
         return terms
 
+    def times(c, c2):
+        # c c2, with no product by an exact ONE
+        return c2 if c is ONE else c if c2 is ONE else c * c2
+
     def product(terms, entry):
         # the sum of c entry(m) over the terms c m of `terms`, in the order
         # of mul_mono's accumulator, cancelled terms left out
@@ -833,9 +853,34 @@ def rewriting_certificate(alg: Algebra, degree: int):
         for m, c in terms.items():
             if c:
                 for m2, c2 in entry(m).items():
+                    c2 = times(c, c2)
                     v = get(m2)
-                    acc[m2] = c * c2 if v is None else v + c * c2
+                    acc[m2] = c2 if v is None else v + c2
         return {m: c for m, c in acc.items() if c}
+
+    def side(terms, entry):
+        # (c, t) with c t the sum of c' entry(m) over the terms c' m of
+        # `terms`: for one term that did not cancel, (c', entry(m)) itself,
+        # with no sum built
+        if len(terms) == 1:
+            [(m, c)] = terms.items()
+            if c:
+                return c, entry(m)
+        return ONE, product(terms, entry)
+
+    def equal(lhs, rhs):
+        # c1 t1 == c2 t2 for the sides (c1, t1) and (c2, t2), cancelled
+        # terms left out.  Two single terms d1 m1 and d2 m2 are compared
+        # as they are (c1 and c2 are nonzero, so a side is 0 exactly when
+        # its d is); otherwise both sums are built
+        (c1, t1), (c2, t2) = lhs, rhs
+        if len(t1) == 1 == len(t2):
+            [(m1, d1)], [(m2, d2)] = t1.items(), t2.items()
+            return times(c1, d1) == times(c2, d2) and (m1 == m2 or not d1)
+        return scaled(c1, t1) == scaled(c2, t2)
+
+    def scaled(c, terms):
+        return {m: times(c, d) for m, d in terms.items() if d}
 
     def noncanonical(terms, parts, name=""):
         # the witness "m in (x) (y) g" for the first nonzero term m of the
@@ -856,10 +901,11 @@ def rewriting_certificate(alg: Algebra, degree: int):
     rights = [(name, right_of(g)) for name, g in factors]
     # x = 1 or y = 1 makes both sides the same product, so monos[0] = 1
     # is left out
-    for x in monos[1:]:
+    graded = [(m, alg.mono_degree(m)) for m in monos[1:]]
+    for x, dx in graded:
         left.clear()
-        for y in monos[1:]:
-            if alg.mono_degree(x) + alg.mono_degree(y) > top:
+        for y, dy in graded:
+            if dx + dy > top:
                 break
             xy = left_of(y)
             canonical = canonical or noncanonical(xy, (x, y))
@@ -868,9 +914,10 @@ def rewriting_certificate(alg: Algebra, degree: int):
                 # every y meets x = monos[1], of least degree, first
                 if x is monos[1]:
                     canonical = canonical or noncanonical(yg, (y,), name)
-                lhs = product(xy, right)
-                canonical = canonical or noncanonical(lhs, (x, y), name)
-                if associativity is None and lhs != product(yg, left_of):
+                lhs = side(xy, right)
+                canonical = canonical or noncanonical(lhs[1], (x, y), name)
+                if associativity is None and not equal(lhs,
+                                                       side(yg, left_of)):
                     associativity = (
                         f"(x y) g != x (y g) for x = {alg.mono_str(x)}, "
                         f"y = {alg.mono_str(y)}, g = {name}")

@@ -470,7 +470,10 @@ Q = _new(1, _PONE, _PONE)
 
 
 def q_shift(c: QScalar, k: int) -> QScalar:
-    """c * q^k, a shift of the valuation alone; zero stays ZERO."""
+    """c * q^k, a shift of the valuation alone; zero stays ZERO, and
+    k = 0 returns c itself, so an exact ONE stays the ONE object."""
+    if not k:
+        return c
     if not c.num:
         return ZERO
     return _new(c.val + k, c.num, c.den)

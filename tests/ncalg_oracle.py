@@ -10,7 +10,8 @@ offsets, and scales each coefficient by a `q_pow` product.  The a-d
 rewriting (`reduce_ordered`) keeps its `q_pow` products as well.  Only
 the cached expansion of d^t a^k, `Algebra._da_expand`, is shared with the
 engine.  A tensor monomial is joined here (`join_monos`), not by the
-engine.
+engine.  `basis_monomials` is `Algebra.basis_monomials` as it was before
+it enumerated each degree directly: it filters the whole exponent box.
 """
 
 from __future__ import annotations
@@ -149,3 +150,28 @@ def apply_tensor_map(p, images, target):
             elif key in out:
                 del out[key]
     return NCPoly(target, out)
+
+
+def basis_monomials(alg, max_degree):
+    """The canonical monomials of degree <= max_degree, by (degree,
+    monomial): every exponent vector in the box [-D, D] (invertible), [0, D]
+    (other generators) or {0} (eliminated), filtered."""
+    ranges = []
+    for i in range(alg.n):
+        if i in alg.elim_gen:
+            ranges.append([0])
+        elif i in alg.invertible:
+            ranges.append(list(range(-max_degree, max_degree + 1)))
+        else:
+            ranges.append(list(range(0, max_degree + 1)))
+    out = []
+    for mono in itertools.product(*ranges):
+        if sum(abs(e) for e in mono) > max_degree:
+            continue
+        if alg.ad_pair:
+            ia, id_ = alg.ad_pair
+            if mono[ia] > 0 and mono[id_] != 0:
+                continue
+        out.append(mono)
+    out.sort(key=lambda m: (alg.mono_degree(m), m))
+    return tuple(out)

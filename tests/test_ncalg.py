@@ -356,11 +356,13 @@ def test_tensor_products_read_comm_when_called(monkeypatch):
 @pytest.mark.parametrize("alg", [G, Gb, Gd, Gbd, STD.B, STD.K, STD.M],
                          ids=lambda a: a.name)
 def test_basis_monomials_is_one_cached_tuple(alg):
-    for degree in range(-1, 7):
+    # and the same tuple, in the same order, as the filtered exponent box
+    for degree in range(-1, 9):
         got = alg.basis_monomials(degree)
         assert type(got) is tuple
         assert alg.basis_monomials(degree) is got
         assert got == Algebra.basis_monomials.__wrapped__(alg, degree)
+        assert got == ncalg_oracle.basis_monomials(alg, degree), degree
 
 
 def test_tracer_finds_no_unwrapped_binding():
@@ -450,17 +452,77 @@ def _keep_ad(monkeypatch):
     return G
 
 
-def _one_pair(monkeypatch):
-    # c b^-1 on G_b, one monomial pair, picks up a stray q: a table keyed
-    # too coarsely would hand the fault to other pairs or drop it
-    original = Algebra.mul_mono
+def _products(alg, edits):
+    # mul_mono on `alg` gives edits[m1, m2](terms) in place of the terms of
+    # m1 m2, for each listed monomial pair: a table keyed too coarsely would
+    # hand the fault to other pairs or drop it
+    def fault(monkeypatch):
+        # the relations read generator powers that the inclusion map
+        # caches: compute them before the fault, which must not outlive
+        # the test
+        STD.inclusion(alg, alg).check_relations()
+        original = Algebra.mul_mono
 
-    def mul_mono(self, m1, m2, coeff, acc):
-        if self is Gb and m1 == (0, 0, 1, 0) and m2 == (0, -1, 0, 0):
-            coeff = coeff * Q
-        original(self, m1, m2, coeff, acc)
-    monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
-    return Gb
+        def mul_mono(self, m1, m2, coeff, acc):
+            edit = edits.get((m1, m2)) if self is alg else None
+            if edit is None:
+                return original(self, m1, m2, coeff, acc)
+            terms = {}
+            original(self, m1, m2, coeff, terms)
+            for m, c in edit(terms).items():
+                v = acc.get(m)
+                acc[m] = c if v is None else v + c
+        monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
+        return alg
+    return fault
+
+
+def _moved(mono):
+    # the terms' sum, moved onto `mono`
+    return lambda terms: {mono: sum(terms.values(), ZERO)}
+
+
+# monomials of G
+_a, _b, _c, _d = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_ad, _bc, _cd = (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)
+
+# c b^-1 on G_b picks up a stray q
+_one_pair = _products(Gb, {
+    (_c, (0, -1, 0, 0)): lambda terms: {m: c * Q for m, c in terms.items()}})
+
+# On G at degree 3, x y = d a = 1 + q^-1 b c carries a zero coefficient on
+# a d in front of its terms, as a sum that cancelled would, and three
+# products by a land on non-canonical monomials: 1 a -> a d, b c a ->
+# a b c d, and the cancelled (a d) a -> a b c d.  None of 1, b c and a d is
+# a y at degree 3, so (x y) a is the first product to show them, listing
+# a d before a b c d.  A sum that also multiplied the cancelled term would
+# list a b c d first and name it instead.
+_cancelled_ahead = _products(G, {
+    (_d, _a): lambda terms: {_ad: ZERO, **terms},
+    ((0, 0, 0, 0), _a): _moved(_ad), (_bc, _a): _moved((1, 1, 1, 1)),
+    (_ad, _a): _moved((1, 1, 1, 1))})
+
+# x y = d a cancels to its zero coefficient on a d alone, and (a d) a
+# lands on a d: a certificate that read the cancelled single term as
+# c right[a d, g] would name a d
+_cancelled_single = _products(G, {
+    (_d, _a): lambda terms: {_ad: ZERO}, (_ad, _a): _moved(_ad)})
+
+# d b = q^-1 b d lands on c d with its coefficient: at x = y = d, g = b
+# the sides are (d^2) b = q^-2 b d^2 and q^-1 d (c d) = q^-2 c d^2, single
+# terms with equal coefficients on different monomials
+_wrong_monomial = _products(G, {(_d, _b): _moved(_cd)})
+
+# b (c d) cancels on its monomial: at x = b, y = d, g = c the single term
+# (b d) c = q^-1 b c d is compared with x (y g) = q^-1 b (c d) = 0
+_cancelled_on_one_side = _products(G, {
+    (_b, _cd): lambda terms: {m: ZERO for m in terms}})
+
+# (d^2) d and d (d^2) cancel, the second on another monomial: at
+# x = y = g = d both sides are 0, and the triple holds
+_cancelled_on_both_sides = _products(G, {
+    ((0, 0, 0, 2), _d): lambda terms: {m: ZERO for m in terms},
+    (_d, (0, 0, 0, 2)): lambda terms: {(0, 0, 0, 0): ZERO}})
 
 
 def _one_pass(monkeypatch):
@@ -489,9 +551,13 @@ def _one_pass(monkeypatch):
 
 @pytest.mark.parametrize("fault", [
     *(_flip(G, pair) for pair in ((0, 1), (0, 2), (1, 3), (2, 3))),
-    _flip(STD.B, (0, 1)), _drop_bc, _keep_ad, _one_pair, _one_pass],
+    _flip(STD.B, (0, 1)), _drop_bc, _keep_ad, _one_pair, _one_pass,
+    _cancelled_ahead, _cancelled_single, _wrong_monomial,
+    _cancelled_on_one_side, _cancelled_on_both_sides],
     ids=["G ab", "G ac", "G bd", "G cd", "B lambda xi", "da_expand",
-         "reduce_ordered", "mul_mono one pair", "NCPoly.__mul__ loop"])
+         "reduce_ordered", "mul_mono one pair", "NCPoly.__mul__ loop",
+         "cancelled term ahead", "cancelled single term", "wrong monomial",
+         "cancelled on one side", "cancelled on both sides"])
 def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
                                                                  fault):
     alg = fault(monkeypatch)
@@ -531,25 +597,8 @@ def test_a_cancelled_term_changes_no_verdict(monkeypatch):
 
 
 def test_a_cancelled_term_keeps_the_witness_order(monkeypatch):
-    # On G at degree 3, x y = d a = 1 + q^-1 b c carries a zero coefficient
-    # on a d in front of its terms, as a sum that cancelled would, and three
-    # products by a land on non-canonical monomials: 1 a -> a d,
-    # b c a -> a b c d, and the cancelled (a d) a -> a b c d.  None of 1,
-    # b c and a d is a y at degree 3, so (x y) a is the first product to
-    # show them, listing a d before a b c d.  A sum that also multiplied
-    # the cancelled term would list a b c d first and name it instead.
-    original = Algebra.mul_mono
-    a, ad, abcd = (1, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1)
-    wrong = {(0, 0, 0, 0): ad, (0, 1, 1, 0): abcd, ad: abcd}
-
-    def mul_mono(self, m1, m2, coeff, acc):
-        if self is G and m2 == a and m1 in wrong:
-            acc[wrong[m1]] = acc.get(wrong[m1], ZERO) + coeff
-            return
-        if self is G and (m1, m2) == ((0, 0, 0, 1), a):
-            acc.setdefault(ad, ZERO)
-        original(self, m1, m2, coeff, acc)
-    monkeypatch.setattr(Algebra, "mul_mono", mul_mono)
+    # see _cancelled_ahead
+    _cancelled_ahead(monkeypatch)
     assert rewriting_certificate(G, 3)["canonical"] == "a d in (d) (a) a"
     for degree in range(3, 6):
         assert (rewriting_certificate(G, degree)
