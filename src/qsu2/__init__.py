@@ -7,7 +7,8 @@ theorem checks are exact (zero tolerance).
 
 from .scalars import (ONE, Q, QRational, QScalar, ZERO, gauss_binomial,
                       jackson_q_integral_01, q_gamma_int,
-                      q_number, q_pochhammer, q_pow, parse_scalar)
+                      q_number, q_pochhammer, q_pow)
+from .parsing import parse_scalar
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     parse_element, retract, rewriting_certificate, star,
                     tensor_elem)

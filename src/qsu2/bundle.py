@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import linalg
 from .charts import (TrivializationChart, coinv_poly_coeffs, cover,
-                     in_cotensor, weight_slice)
+                     is_weight_vector, weight_slice)
 from .comod import VnComodule
 from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, tensor_elem
@@ -28,7 +28,6 @@ __all__ = [
     "vn_left_comodule",
     "kappa",
     "kappa_bar",
-    "in_cotensor",
     "sections_space",
     "cotensor_slice",
     "glue_iso_check",
@@ -228,16 +227,18 @@ def glue_iso_check(n: int, degree: int):
     ok = True
     witness = None
     L = c_chi(n)
+    (chi,), = L
     try:
         for ch in (cov.d, cov.b):
             for k in range(degree + 1):
-                img = kappa(ch, [ch.coinv_gen ** k], L)
-                if not in_cotensor(ch, img, L):
+                img, = kappa(ch, [ch.coinv_gen ** k], L)
+                if not is_weight_vector(ch, img, chi):
                     ok, witness = False, (ch.name, f"u^{k}")
                     break
             # localized cotensor elements map back into coinvariants (x) M
-            for h in weight_slice(ch.alg, B.gen("lambda", -n), max(2, n)):
-                if not in_cotensor(ch, kappa_bar(ch, [h], L), [[B.one()]]):
+            for h in weight_slice(ch.alg, chi, max(2, n)):
+                f, = kappa_bar(ch, [h], L)
+                if not is_weight_vector(ch, f, B.one()):
                     ok, witness = False, (ch.name, str(h))
                     break
     except DomainError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from . import comod, linalg
-from .hopf import generator_law, hopf_B, hopf_G, pi_map
+from .hopf import basis_words, generator_law, hopf_B, hopf_G, pi_map
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     apply_tensor_map, retract, tensor_elem)
 from .report import check
@@ -32,7 +32,7 @@ __all__ = [
     "cover",
     "coaction_B",
     "extend_coaction_report",
-    "in_cotensor",
+    "is_weight_vector",
     "weight_slice",
     "localized_coinvariants",
     "coinv_poly_coeffs",
@@ -106,21 +106,10 @@ def coaction_B(alg: Algebra) -> AlgebraMap:
     return AlgebraMap(alg, target, images, name=f"rho_B[{alg.name}]")
 
 
-def in_cotensor(ch: TrivializationChart, F, L) -> bool:
-    """Membership in E box M, M the comodule with coaction matrix L:
-    (rho_E x id)F = (id x rho_M)F.  With L = [[chi]] this is
-    rho_B(F_0) = F_0 (x) chi."""
-    EB = ch.target  # chart (x) B
-    for j in range(len(L)):
-        # slot j of (rho_E x id)F is rho_B(F_j); slot j of (id x rho_M)F
-        # is sum_i F_i (x) L[i][j]
-        rhs = EB.zero()
-        for f, row in zip(F, L):
-            if not row[j].is_zero():
-                rhs = rhs + tensor_elem(EB, [f, row[j]])
-        if ch.rho_B(F[j]) != rhs:
-            return False
-    return True
+def is_weight_vector(ch: TrivializationChart, f: NCPoly, chi: NCPoly) -> bool:
+    """rho_B(f) = f (x) chi: f is a weight vector of weight chi in the
+    chart (a localized coinvariant for chi = 1)."""
+    return ch.rho_B(f) == tensor_elem(ch.target, [f, chi])
 
 
 def extend_coaction_report(ch: TrivializationChart):
@@ -137,8 +126,8 @@ def extend_coaction_report(ch: TrivializationChart):
         "generator": f"{g}^-1",
         "computed": str(computed),
         "weight_inversion_consistent":
-            in_cotensor(ch, [inv], [[weight.monomial_inverse()]]),
-        "printed_formula_holds": in_cotensor(ch, [inv], [[weight]]),
+            is_weight_vector(ch, inv, weight.monomial_inverse()),
+        "printed_formula_holds": is_weight_vector(ch, inv, weight),
         "product_is_unit": product == ch.target.one(),
     }
 
@@ -236,7 +225,7 @@ def paper_gamma_b_controls():
     b = alg.gen("b")
     A11 = ch.gauss.A[0][0]
     return {
-        "printed_lambda_image_is_weight_vector": in_cotensor(ch, [a], [[lam]]),
+        "printed_lambda_image_is_weight_vector": is_weight_vector(ch, a, lam),
         "printed_lambda_image_coaction": str(ch.rho_B(a)),
         "printed_lambda_inv_product": str(A11 * b),
         "printed_lambda_inv_is_inverse": inverts_gamma_lambda(ch, b),
@@ -289,21 +278,17 @@ def cover() -> Cover:
 
 def _graded_by_right_weight(rho: AlgebraMap) -> bool:
     """Whether the xi-free part of rho(g) is g (x) lambda^(w_R(g)) for every
-    basis generator g of rho's source and every inverse g^-1, where w_R is
+    g of `basis_words(rho.source, 1)` (the unit, the generators and their
+    inverses: the words `hopf.generator_law` decides laws on), where w_R is
     the second torus weight (`comod.torus_weight`)."""
-    alg = rho.source
     xi = STD.B.gen_index["xi"]
-    for i, g in enumerate(alg.gens):
-        if i in alg.elim_gen:
-            continue
-        for e in (1, -1) if i in alg.invertible else (1,):
-            p = alg.gen(g, e)
-            (mono, _), = p.terms.items()
-            weight = STD.B.gen("lambda", comod.torus_weight(mono)[1])
-            xi_free = {m: c for m, c in rho(p).terms.items()
-                       if not rho.target.split_mono(m)[1][xi]}
-            if xi_free != tensor_elem(rho.target, [p, weight]).terms:
-                return False
+    for p in basis_words(rho.source, 1):
+        mono, = p.terms
+        weight = STD.B.gen("lambda", comod.torus_weight(mono)[1])
+        xi_free = {m: c for m, c in rho(p).terms.items()
+                   if not rho.target.split_mono(m)[1][xi]}
+        if xi_free != tensor_elem(rho.target, [p, weight]).terms:
+            return False
     return True
 
 
@@ -394,7 +379,7 @@ def verify_chart(ch: TrivializationChart):
         (lambda p: ch.rho_B(ch.iota(p)),
          lambda p: apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
                                     ch.target))))
-    emit("coinv_gen_invariant", in_cotensor(ch, [ch.coinv_gen], [[B.one()]]),
+    emit("coinv_gen_invariant", is_weight_vector(ch, ch.coinv_gen, B.one()),
          "localized coinvariants: rho_S(e) = e x 1")
     emit("gauss_product", ch.gauss.verified,
          "decomposition of matrix T in the form wUA")
@@ -417,7 +402,7 @@ def verify_chart(ch: TrivializationChart):
                                     ch.target))))
     bad = None
     for n in range(5):
-        if not in_cotensor(ch, [ch.gamma_chi(n)], [[B.gen("lambda", -n)]]):
+        if not is_weight_vector(ch, ch.gamma_chi(n), B.gen("lambda", -n)):
             bad = n
             break
     emit("gamma_chi_weight", bad is None,

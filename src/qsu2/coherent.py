@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import comb
 
 from .bundle import Section
-from .charts import TrivializationChart, chart, cover, in_cotensor
+from .charts import (TrivializationChart, chart, cover,
+                     is_weight_vector)
 from .comod import (GramForm, VnComodule, pairing, schur_scalar,
                     solve_coinvariant_gram)
 from .haar import haar, integral
@@ -87,7 +88,7 @@ def solve_coherent(ch: TrivializationChart, n: int) -> CoherentFamily:
     coeffs = [ch.iota(w) * gchi_inv for w in V.components(vec)]
     fam = CoherentFamily(ch, n, coeffs)
     for i, f in enumerate(coeffs):
-        if not in_cotensor(ch, [f], [[STD.B.one()]]):
+        if not is_weight_vector(ch, f, STD.B.one()):
             raise DomainError(
                 f"coherent coefficient {V.basis_str(i)} of {ch.name} is not "
                 f"coinvariant: {f}")

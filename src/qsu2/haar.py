@@ -19,14 +19,19 @@ terms c m of x and c' m2 of y (star fixes the real scalars Q(q)): that is
 `integral(x, y)`, the bilinear form behind the resolution, Theorem 4 and
 the Lemma.  Positivity and invariance (h(m) = pair(m, 1)) read the table.
 
-Positivity and invariance are gated by torus weight (`comod.torus_weight`):
-a live weight is one on which the functional is nonzero on some monomial,
-which for the Haar state is weight (0, 0) alone.  `verify_positivity`
-integrates a pair m_i m_j^* only where its weight is live; every other
-entry of the moment matrix is an exact zero.  `verify_invariance` applies
-Delta to a monomial only where a side of the law can be nonzero, once it
-has checked on the generators that Delta keeps the weights of its legs;
-everywhere else both sides are exactly zero.
+Live weights.  The relations of G are homogeneous for the torus bigrading
+(`comod.torus_weight`) and never raise the degree, so an element that is
+homogeneous of weight w and has degree <= D is a combination of the basis
+monomials of weight w and degree <= D.  It integrates to an exact zero
+unless w is live at D: the weight of some basis monomial m of degree <= D
+with h(m) = pair(m, 1) nonzero (`_live_weights(D)`).  For the Haar state
+only (0, 0) is live; a functional installed in place of `haar` may have
+more.  `verify_positivity` integrates a pair m_i m_j^* of basis monomials
+of degree <= D (weight w(m_i) - w(m_j), since star negates the weight)
+only where that weight is live at 2D, and `verify_invariance` applies
+Delta to a monomial only where a leg's weight can meet a live one.  Every
+probe value is an entry of `pair`, so one table holds it and it is
+computed once.
 """
 
 from __future__ import annotations
@@ -107,9 +112,14 @@ def pair(m, m2) -> QScalar:
 def integral(x: NCPoly, y: NCPoly) -> QScalar:
     """h(x y^*) = sum c c' pair(m, m') over the terms c m of x and c' m' of
     y.  m m'^* has torus weight w(m) - w(m') (star negates the weight), and
-    the Haar state vanishes off weight (0, 0), so only the pairs of equal
-    weight are integrated; the rest are exact zero with no product
-    formed."""
+    only the pairs of equal weight are integrated; the rest are exact zero
+    with no product formed.
+
+    Precondition: the functional vanishes off weight (0, 0), as the Haar
+    state does.  No live weight is probed here (module docstring): at the
+    degrees of the resolution curve a probe costs more than the integral.
+    A functional installed in place of `haar` that is nonzero on another
+    weight is therefore integrated as if it were not."""
     _require_G(x, y)
     ys = [(torus_weight(m2), m2, c2) for m2, c2 in y.terms.items()]
     total = ZERO
@@ -161,60 +171,62 @@ def _delta_keeps_weights(HG) -> bool:
     return True
 
 
-def _gated(law, side, weights):
-    """The law (f, g) with both maps sending a basis monomial m to zero
-    unless torus_weight(m)[side] is in `weights`."""
-    zero = STD.G.zero()
-
-    def gate(f):
-        def gated(p):
-            mono, = p.terms
-            return f(p) if torus_weight(mono)[side] in weights else zero
-        return gated
-
-    return tuple(map(gate, law))
+def _live_weights(degree: int):
+    """The torus weights of the basis monomials m of G of degree <= `degree`
+    with h(m) = pair(m, 1) nonzero: the live weights of the module
+    docstring."""
+    G = STD.G
+    unit, = G.one().terms
+    return {torus_weight(mono) for mono in G.basis_monomials(degree)
+            if pair(mono, unit)}
 
 
 def verify_invariance(degree: int):
     """(id x int)Delta(m) = (int m) 1 = (int x id)Delta(m) on all basis
     monomials up to the degree.
 
-    Gated by weight, as positivity is.  Delta is an algebra map and the
-    relations of G are homogeneous, so once the premise
+    Gated by the live weights at `degree` (module docstring).  Delta is an
+    algebra map and the relations of G are homogeneous, so once the premise
     `_delta_keeps_weights` holds on the generators, every term m1 (x) m2 of
     Delta(m) has w_L(m1) = w_L(m), w_R(m2) = w_R(m) and legs of degree
-    <= deg m.  The functional is read on every basis monomial of degree
-    <= `degree`, and the weights where it is nonzero are live.  Then
-    (id x int)Delta(m) and (int m) 1 both vanish unless w_R(m) is the second
-    weight of a live weight, and (int x id)Delta(m) and (int m) 1 unless
-    w_L(m) is the first, so those sides are computed only there; a gated
-    monomial cannot fail, and the witness is the first failing monomial
-    as before.  When the premise fails, every monomial is computed."""
+    <= deg m.  Then (id x int)Delta(m) vanishes unless w_R(m) is the second
+    weight of a live weight, and (int x id)Delta(m) unless w_L(m) is the
+    first, so Delta is applied only there.  The other side, (int m) 1, is
+    read as pair(m, 1), an exact zero off the live weights, so a gated
+    monomial cannot fail and the witness is the first failing monomial, as
+    without the gate.  When the premise fails, every weight counts as
+    live."""
     G = STD.G
     HG = hopf_G()
     unit, = G.one().terms
+    if _delta_keeps_weights(HG):
+        live = _live_weights(degree)
+    else:
+        live = {torus_weight(mono) for mono in G.basis_monomials(degree)}
 
     def h_K(mono):  # h(m 1^*) in the ground algebra K: a factor drops out
         return STD.K.scalar(pair(mono, unit))
 
-    def integrate(images):
-        return lambda p: apply_tensor_map(HG.delta(p), images, G)
+    def integrate(images, side):
+        weights = {w[side] for w in live}
+
+        def integrated(p):
+            mono, = p.terms
+            if torus_weight(mono)[side] not in weights:
+                return G.zero()
+            return apply_tensor_map(HG.delta(p), images, G)
+        return integrated
 
     def constant(p):
-        return G.scalar(haar(p))
+        mono, = p.terms
+        return G.scalar(pair(mono, unit))
 
-    left = (integrate([None, h_K]), constant)
-    right = (integrate([h_K, None]), constant)
-    if _delta_keeps_weights(HG):
-        live = {torus_weight(mono) for mono in G.basis_monomials(degree)
-                if pair(mono, unit)}
-        left = _gated(left, 1, {w[1] for w in live})
-        right = _gated(right, 0, {w[0] for w in live})
     return [law_check(f"haar.left_invariance_deg{degree}",
-                      "(id x int) Delta(a) = (int a) 1_H", G, degree, left),
+                      "(id x int) Delta(a) = (int a) 1_H", G, degree,
+                      (integrate([None, h_K], 1), constant)),
             law_check(f"haar.right_invariance_deg{degree}",
                       "two-sided invariance of the Haar state", G, degree,
-                      right)]
+                      (integrate([h_K, None], 0), constant))]
 
 
 def verify_positivity(q0: QRational, degree: int):
@@ -227,18 +239,11 @@ def verify_positivity(q0: QRational, degree: int):
     positive (Sylvester's criterion).  A failure names the monomial at the
     first pivot that is not.
 
-    The entries are integrated by weight.  m_i m_j^* is homogeneous of
-    torus weight w(m_i) - w(m_j), since the relations of G are homogeneous
-    and star negates the weight, and has degree <= 2 degree.  The checked
-    premise: `haar` is evaluated once on every monomial of degree
-    <= 2 degree, and an entry is read from the table `pair` only when its
-    weight is one on which some monomial integrates to nonzero.  Every
-    other entry is an exact Fraction(0), so the matrix is the one all N^2
-    integrals give.
-    Under the Haar state only weight (0, 0) survives; a functional that is
-    nonzero on other weights (the counit, on every (k, k)) has those pairs
-    integrated too, so nothing falls outside the gate.  The LDL^T sum skips
-    the terms whose factor L[i][k] D[k] or L[j][k] D[k] is zero.
+    The entries are integrated by weight: an entry is read from the table
+    `pair` only when its weight is live at twice the degree (module
+    docstring), and every other entry is an exact Fraction(0), so the
+    matrix is the one all N^2 integrals give.  The LDL^T sum skips the
+    terms whose factor L[i][k] D[k] or L[j][k] D[k] is zero.
     """
     if not (0 < q0 < 1):
         raise DomainError("positivity regime requires 0 < q0 < 1")
@@ -249,11 +254,7 @@ def verify_positivity(q0: QRational, degree: int):
     if not basis:
         return [check(name, None, anchor,
                       f"no basis monomial of degree <= {degree}")]
-    # m_i m_j^* is homogeneous of weight w_i - w_j and degree <= 2 degree,
-    # so it integrates to zero unless haar is nonzero on some monomial of
-    # that weight and degree
-    live = {torus_weight(mono) for p in basis_words(STD.G, 2 * degree)
-            for mono in p.terms if haar(p)}
+    live = _live_weights(2 * degree)
     monos = [mono for m in basis for mono in m.terms]
     weights = [torus_weight(mono) for mono in monos]
     moments = [[pair(m, s).specialize(q0)

@@ -39,7 +39,6 @@ __all__ = [
     "q_gamma_int",
     "q_pochhammer",
     "jackson_q_integral_01",
-    "parse_scalar",
 ]
 
 QRational = Fraction
@@ -586,10 +585,3 @@ def jackson_q_integral_01(f, p: QScalar) -> QScalar:
                 raise ZeroDivisionError("division by zero QScalar")
             total = total + c * w
     return total * inv_lcm
-
-
-def parse_scalar(text: str) -> QScalar:
-    """Parse the scalar grammar: integers, q, ^ (negative powers allowed),
-    + - * /, parentheses."""
-    from .parsing import parse_scalar as _ps
-    return _ps(text)

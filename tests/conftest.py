@@ -2,6 +2,8 @@ import importlib
 
 import pytest
 
+from qsu2.ncalg import AlgebraMap
+
 # the package exports the function `haar`, which hides the module
 haar_module = importlib.import_module("qsu2.haar")
 
@@ -14,3 +16,18 @@ def fresh_pairs():
     haar_module.pair.cache_clear()
     yield
     haar_module.pair.cache_clear()
+
+
+@pytest.fixture
+def fresh_maps():
+    # `AlgebraMap._power` and `AlgebraMap.image` keep, process-wide, the
+    # products each map's images were multiplied with: a test that changes
+    # how monomials multiply (`Algebra.mul_mono`, `_da_expand`,
+    # `_reduce_ordered`) must neither meet an image multiplied without its
+    # fault nor leave one behind
+    caches = (AlgebraMap._power, AlgebraMap.image)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

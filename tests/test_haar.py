@@ -19,6 +19,7 @@ from qsu2.hopf import basis_words, hopf_G
 from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD, parse_element,
                         star, tensor_elem)
 from qsu2.scalars import ONE, Q, QScalar, q_number, q_pow
+from qsu2.suites import run_suite
 from rewriting_oracle import normal_form_of_word, random_word
 from weight_gate_oracle import homogeneous_weight
 
@@ -204,17 +205,20 @@ def _recorded(monkeypatch, functional):
 
 def test_positivity_integrates_only_weight_matched_pairs(monkeypatch,
                                                          fresh_pairs):
-    # one probe per monomial of degree <= 6 finds the Haar state nonzero on
-    # weight (0, 0) only; then only the products m_i m_j^* of equal weights
-    # are integrated
+    # one probe pair(m, 1) per monomial m of degree <= 6 finds the Haar
+    # state nonzero on weight (0, 0) only; then only the products m_i m_j^*
+    # of equal weights are integrated, bar the pairs (m_i, 1) the probe put
+    # in the table
     integrands = _recorded(monkeypatch, haar)
     verify_positivity(Fraction(1, 2), degree=3)
     probes = list(basis_words(G, 6))
-    weights = [torus_weight(mono) for m in basis_words(G, 3)
-               for mono in m.terms]
+    unit, = G.one().terms
+    monos = [mono for m in basis_words(G, 3) for mono in m.terms]
     assert integrands[:len(probes)] == probes
     products = integrands[len(probes):]
-    assert len(products) == sum(v == w for v in weights for w in weights)
+    assert len(products) == sum(torus_weight(m) == torus_weight(s)
+                                and s != unit
+                                for m in monos for s in monos) == 38
     assert {homogeneous_weight(p) for p in products} == {(0, 0)}
 
 
@@ -297,9 +301,12 @@ def test_integral_rejects_arguments_outside_G(x, y):
         integral(elem(x), elem(y))
 
 
-def test_one_table_serves_positivity_invariance_and_the_lemma(fresh_pairs):
+def test_one_table_serves_positivity_invariance_and_the_lemma(monkeypatch,
+                                                              fresh_pairs):
     # positivity and the Lemma read the same pairs cold, and warm after the
-    # resolution operator and invariance have filled the table
+    # resolution operator and invariance have filled the table; over one
+    # haar suite every integration, the live-weight probes included, is an
+    # entry of the table
     q0 = Fraction(1, 2)
     positivity = verify_positivity(q0, degree=3)
     haar_module.pair.cache_clear()
@@ -311,6 +318,10 @@ def test_one_table_serves_positivity_invariance_and_the_lemma(fresh_pairs):
     assert haar_module.pair.cache_info().hits > hits
     assert positivity == weight_gate_oracle.verify_positivity(q0, degree=3)
     assert lemma_table(3) == lemma
+    haar_module.pair.cache_clear()
+    integrands = _recorded(monkeypatch, haar)
+    assert run_suite("haar").passed
+    assert len(integrands) == haar_module.pair.cache_info().currsize
 
 
 # -- the Laurent-weighted sum against the per-term rational oracle -----------

@@ -457,10 +457,6 @@ def _products(alg, edits):
     # m1 m2, for each listed monomial pair: a table keyed too coarsely would
     # hand the fault to other pairs or drop it
     def fault(monkeypatch):
-        # the relations read generator powers that the inclusion map
-        # caches: compute them before the fault, which must not outlive
-        # the test
-        STD.inclusion(alg, alg).check_relations()
         original = Algebra.mul_mono
 
         def mul_mono(self, m1, m2, coeff, acc):
@@ -559,6 +555,7 @@ def _one_pass(monkeypatch):
          "cancelled term ahead", "cancelled single term", "wrong monomial",
          "cancelled on one side", "cancelled on both sides"])
 def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
+                                                                 fresh_maps,
                                                                  fault):
     alg = fault(monkeypatch)
     for degree in range(-1, 6):
@@ -568,7 +565,8 @@ def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
     assert got != HOLDS
 
 
-def test_a_bilinear_loop_fault_is_caught_outside_the_certificate(monkeypatch):
+def test_a_bilinear_loop_fault_is_caught_outside_the_certificate(monkeypatch,
+                                                                  fresh_maps):
     # the Tier-1 checks that multiply polynomials of several terms, and so
     # still see the one-pass fault of NCPoly.__mul__ on G
     _one_pass(monkeypatch)
@@ -580,7 +578,7 @@ def test_a_bilinear_loop_fault_is_caught_outside_the_certificate(monkeypatch):
                for p, r, s in zip(words[::3], words[1::3], words[2::3]))
 
 
-def test_a_cancelled_term_changes_no_verdict(monkeypatch):
+def test_a_cancelled_term_changes_no_verdict(monkeypatch, fresh_maps):
     # mul_mono leaves a zero coefficient on the non-canonical a d each
     # time it multiplies by d on G, as a cancelling sum would: every
     # product drops it, so nothing fails and the witnesses stay the oracle's
@@ -596,7 +594,7 @@ def test_a_cancelled_term_changes_no_verdict(monkeypatch):
                 == rewriting_oracle.rewriting_certificate(G, degree)), degree
 
 
-def test_a_cancelled_term_keeps_the_witness_order(monkeypatch):
+def test_a_cancelled_term_keeps_the_witness_order(monkeypatch, fresh_maps):
     # see _cancelled_ahead
     _cancelled_ahead(monkeypatch)
     assert rewriting_certificate(G, 3)["canonical"] == "a d in (d) (a) a"
@@ -605,8 +603,32 @@ def test_a_cancelled_term_keeps_the_witness_order(monkeypatch):
                 == rewriting_oracle.rewriting_certificate(G, degree)), degree
 
 
+# 1 a -> a d alone: every relation of G but bd = qdb reads a through the
+# identity map's power of a, one a, which the map caches
+_unit_times_a = _products(G, {((0, 0, 0, 0), _a): _moved(_ad)})
+
+
+@pytest.mark.parametrize("faulty", [True, False],
+                         ids=["under the fault", "after it"])
+def test_a_product_fault_leaves_no_map_image_behind(monkeypatch, fresh_maps,
+                                                    faulty):
+    # the relations of G fail under the fault, and the certificate that
+    # runs after it holds again: `fresh_maps` starts the faulty run on empty
+    # map caches, so the identity map multiplies its image of a under the
+    # fault (1 a = a d), and empties them after it, so no later run reads
+    # that image
+    if faulty:
+        _unit_times_a(monkeypatch)
+        assert rewriting_certificate(G, 2)["relations"] == [
+            "ab=qba", "ac=qca", "ad-da=(q-q^-1)bc", "ad-qbc=1"]
+        assert STD.inclusion(G, G)(G.gen("a")) == g("a d")
+    else:
+        assert rewriting_certificate(G, 2) == HOLDS
+
+
 @pytest.mark.parametrize("alg", [G, Gd, STD.B], ids=lambda a: a.name)
 def test_rewriting_certificate_multiplies_each_table_entry_once(monkeypatch,
+                                                                fresh_maps,
                                                                 alg):
     # one mul_mono call per entry of the two tables (per term of g for
     # right[m, g]) and the relations' own calls, the same on a second call

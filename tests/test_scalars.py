@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from qsu2 import parse_scalar
 from qsu2.scalars import (ONE, PoleError, Q, QScalar, ZERO, gauss_binomial,
-                          jackson_q_integral_01, parse_scalar, q_gamma_int,
-                          q_number, q_pochhammer, q_pow, q_shift)
+                          jackson_q_integral_01, q_gamma_int, q_number,
+                          q_pochhammer, q_pow, q_shift)
 import scalar_oracle
 from scalar_oracle import OracleScalar, pochhammer_product
 

@@ -54,7 +54,7 @@ def test_engine_draws_no_random_numbers(monkeypatch):
     assert not suites.run_suite("hopf_negative_control").passed
 
 
-def test_confluence_fails_when_da_expand_drops_bc(monkeypatch):
+def test_confluence_fails_when_da_expand_drops_bc(monkeypatch, fresh_maps):
     original = Algebra._da_expand.__wrapped__
 
     def da_expand(self, t, k):
@@ -79,7 +79,8 @@ def test_confluence_fails_on_a_flipped_commutation_sign(monkeypatch, pair,
     assert rewriting_certificate(STD.G, 3)["relations"] == [relation]
 
 
-def test_no_ad_cooccurrence_fails_when_a_and_d_stay_together(monkeypatch):
+def test_no_ad_cooccurrence_fails_when_a_and_d_stay_together(monkeypatch,
+                                                              fresh_maps):
     def keep(self, mono, coeff, acc):
         acc[mono] = acc.get(mono, ZERO) + coeff
 

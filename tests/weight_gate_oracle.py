@@ -3,13 +3,18 @@
 bigrading, kept here only as oracles (tests/test_charts.py,
 tests/test_haar.py).
 
+The engine gates each by weight: `charts.weight_slice` solves on one right
+weight once `_graded_by_right_weight` holds on `basis_words(alg, 1)`, and
+the Haar checks read one probe, `haar._live_weights(D)`, the weights of
+the basis monomials m of degree <= D with pair(m, 1) nonzero (positivity
+at 2D, invariance at D, where only the Delta side is gated).  Here
 `weight_slice` builds a kernel column for every canonical monomial up to
 the degree.  `verify_positivity` integrates all N^2 products m_i m_j^* and
 runs the LDL^T sum over every k.  `verify_invariance` applies Delta to
-every basis monomial up to the degree.  They look up `charts.coaction_B`,
-`haar.haar`, `haar.pair` and `hopf_G().delta` when called, so a test that
-installs a faulty coaction, functional or coproduct reaches the oracle as
-well as the code under test.
+every basis monomial up to the degree and reads (int m) 1 from `haar`.
+They look up `charts.coaction_B`, `haar.haar`, `haar.pair` and
+`hopf_G().delta` when called, so a test that installs a faulty coaction,
+functional or coproduct reaches the oracle as well as the code under test.
 
 `homogeneous_weight` describes an integrand by its torus bigrading
 (tests/test_haar.py, tests/test_suites.py).
