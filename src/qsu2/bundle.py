@@ -39,21 +39,13 @@ def c_chi(n: int):
     return [[STD.B.gen("lambda", -n)]]
 
 
-def _antipode_B():
-    """The antipode of B; a domain error when its solve failed."""
-    HB = hopf_B()
-    if HB.antipode is None:
-        raise DomainError(f"no antipode solution: {HB.antipode_failure}")
-    return HB.antipode
-
-
 def vn_left_comodule(n: int):
     """The coaction matrix of V_n as a left B-comodule via the standard
     antipode side conversion: L[i][j] = S_B(pi(t[j][i])), so
     e_i -> sum_j S_B(pi(t[j][i])) (x) e_j."""
     t = VnComodule(n).coaction_matrix
     pi = pi_map()
-    S_B = _antipode_B()
+    S_B = hopf_B().require_antipode()
     return [[S_B(pi(t[j][i])) for j in range(n + 1)] for i in range(n + 1)]
 
 
@@ -79,7 +71,7 @@ def kappa(ch: TrivializationChart, F, L):
 
 def kappa_bar(ch: TrivializationChart, F, L):
     """The convolution inverse: gamma o S_B in place of gamma."""
-    S_B = _antipode_B()
+    S_B = hopf_B().require_antipode()
     return _twist(ch, F, L, lambda beta: ch.gamma(S_B(beta)))
 
 

@@ -26,24 +26,26 @@ antipode law (the `hopf` suite) gives S(t) = t^-1 for every
 corepresentation t, so unitarity for W, t W^-1 t* = W^-1, is the same as
 t* W t = W and as t* W = W S(t).
 
-The base case: the comodule axioms hold on V_1 (V_0 when n = 0), and
+`_certified_step(n)` is the whole certificate, run in the induction's
+order: the base case first, then the steps 2..n.  The base case k = 0, 1:
+the comodule axioms hold on V_k, G has an antipode, and for k = 1
 t[i][k]* = S(t[k][i]) on V_1, the unitarity of V_1 for diag(1, 1).  The
-step k = 2..n (`_certified_step`): let U = V_(k-1) (x) V_1, whose matrix
-has the entries t[j][i] s[l][m] in that order, and W_U^-1 =
-W_(k-1)^-1 (x) 1.  U is unitary for W_U^-1 by associativity and
-(xy)* = y* x* alone.  The Manin product mu: U -> V_k, e_i' (x) y -> e_i
-and e_j' (x) x -> q^-(k-1-j) e_(j+1), is a comodule map, t_k mu = mu t_U:
-`_step_defect` reads the inner columns of V_k through x, and the tie
-compares V_k with the whole extension of V_(k-1), which reads every
-column through y and the last through x.  The coefficients of mu are
-real, so t_k W^-1 t_k* = W^-1 for W^-1 = mu W_U^-1 mu^T.  That matrix is
+step k = 2..n: let U = V_(k-1) (x) V_1, whose matrix has the entries
+t[j][i] s[l][m] in that order, and W_U^-1 = W_(k-1)^-1 (x) 1.  U is
+unitary for W_U^-1 by associativity and (xy)* = y* x* alone.  The Manin
+product mu: U -> V_k, e_i' (x) y -> e_i and e_j' (x) x ->
+q^-(k-1-j) e_(j+1), is a comodule map, t_k mu = mu t_U: `_step_defect`
+reads the inner columns of V_k through x, and the tie compares V_k with
+the whole extension of V_(k-1), which reads every column through y and
+the last through x.  The coefficients of mu are real, so
+t_k W^-1 t_k* = W^-1 for W^-1 = mu W_U^-1 mu^T.  That matrix is
 diagonal, since each basis vector of U goes to a multiple of one e_i, and
 its entries obey the q-Pascal rule [k, i] = [k-1, i] + q^-2(k-i) [k-1, i-1]
 from the row [1, 1] of V_1: the weights are the inverse q^-2-binomials,
-read off nothing.  Each step is certified once per process, so V_n costs
-only the steps no smaller n has run.  Both orders are still solved as full
-(n+1)^2 kernel systems for the misprint ledger (`gram_order_report`),
-which needs the solution count in each.
+read off nothing.  Each case, the base case included, is certified once
+per process, so V_n costs only the steps no smaller n has run.  Both
+orders are still solved as full (n+1)^2 kernel systems for the misprint
+ledger (`gram_order_report`), which needs the solution count in each.
 """
 
 from __future__ import annotations
@@ -263,18 +265,44 @@ def _step_defect(prev, t, k: int):
     return None
 
 
+def _unitarity_defect(weights):
+    """The first (i, k) in row-major order with w_i t[i][k]* != w_k S(t[k][i])
+    over the coaction matrix t of V_1, or None."""
+    t = VnComodule(1).coaction_matrix
+    S = hopf_G().require_antipode()
+    return next(((i, k) for i in range(2) for k in range(2)
+                 if star(t[i][k]) * weights[i] != S(t[k][i]) * weights[k]),
+                None)
+
+
 @functools.cache
 def _certified_step(k: int):
-    """The inverse weights of V_k, k >= 2, as a tuple over i = 0..k, once
-    step k holds between the cached matrices of V_(k-1) and V_k; raises
-    otherwise.  Step k - 1 is certified first (the row of V_1 is [1, 1]).
-    Then `_step_defect` finds no inner column 1..k-1 of V_k that differs
-    from its reading through e_j' x, and the tie finds V_k equal to the
-    extension of V_(k-1).  The row is [k, i] = [k-1, i] +
-    q^-2(k-i) [k-1, i-1], the diagonal of mu (W_(k-1)^-1 (x) 1) mu^T for
-    the Manin product mu (module docstring).  Each step is certified once
-    per process; a failed step raises and caches nothing."""
-    row = _certified_step(k - 1) if k > 2 else (ONE, ONE)
+    """The inverse weights of V_k as a tuple over i = 0..k, once V_k is
+    certified a corepresentation unitary for them; raises otherwise.
+
+    The base case k = 0, 1: the comodule axioms hold on V_k, G has an
+    antipode, and V_1 is unitary for diag(1, 1); the row is all ones.
+    The step k >= 2: step k - 1 is certified first.  Then `_step_defect`
+    finds no inner column 1..k-1 of V_k that differs from its reading
+    through e_j' x, and the tie finds V_k equal to the extension of
+    V_(k-1).  The row is [k, i] = [k-1, i] + q^-2(k-i) [k-1, i-1], the
+    diagonal of mu (W_(k-1)^-1 (x) 1) mu^T for the Manin product mu
+    (module docstring).  Each step is certified once per process; a
+    failed step raises and caches nothing."""
+    if k < 2:
+        bad = verify_comodule_axioms(k)
+        if bad is not None:
+            raise DomainError(
+                f"base case: the coaction matrix of V_{k} breaks the "
+                f"comodule axioms at {bad}")
+        hopf_G().require_antipode()
+        defect = _unitarity_defect((ONE, ONE)) if k else None
+        if defect is not None:
+            raise DomainError(
+                f"base case: V_1 is not unitary for diag(1, 1): "
+                f"t[i][k]* != S(t[k][i]) at (i, k) = {defect}")
+        return (ONE,) * (k + 1)
+    row = _certified_step(k - 1)
     prev = VnComodule(k - 1).coaction_matrix
     t = VnComodule(k).coaction_matrix
     column = _step_defect(prev, t, k)
@@ -289,54 +317,11 @@ def _certified_step(k: int):
                  for i in range(k + 1))
 
 
-def _certify_corepresentation(n: int):
-    """The inverse weights of V_n, once its coaction matrix is certified a
-    corepresentation: the axioms on V_1 (V_0 when n = 0) and each step
-    k = 2..n from V_1; raises otherwise."""
-    base = min(n, 1)
-    bad = verify_comodule_axioms(base)
-    if bad is not None:
-        raise DomainError(
-            f"base case: the coaction matrix of V_{base} breaks the "
-            f"comodule axioms at {bad}")
-    row = (ONE,) * (base + 1)
-    for k in range(2, n + 1):
-        row = _certified_step(k)
-    return row
-
-
-def _antipode():
-    """The antipode of G; fatal when its solve failed."""
-    HG = hopf_G()
-    if HG.antipode is None:
-        raise DomainError(
-            f"no antipode solution on G: {HG.antipode_failure}")
-    return HG.antipode
-
-
-def _unitarity_defect(weights):
-    """The first (i, k) in row-major order with w_i t[i][k]* != w_k S(t[k][i])
-    over the coaction matrix t of V_1, or None."""
-    t = VnComodule(1).coaction_matrix
-    S = _antipode()
-    return next(((i, k) for i in range(2) for k in range(2)
-                 if star(t[i][k]) * weights[i] != S(t[k][i]) * weights[k]),
-                None)
-
-
 def solve_coinvariant_gram(n: int) -> GramForm:
-    """The coinvariant Gram form of V_n, the inverses of the row of its
-    last Manin step (so <y^n|y^n> = 1); fatal unless t is certified a
-    corepresentation, G has an antipode, and V_1 is unitary for
-    diag(1, 1) when n >= 1."""
-    inverse = _certify_corepresentation(n)
-    _antipode()
-    defect = _unitarity_defect((ONE, ONE)) if n else None
-    if defect is not None:
-        raise DomainError(
-            f"base case: V_1 is not unitary for diag(1, 1): "
-            f"t[i][k]* != S(t[k][i]) at (i, k) = {defect}")
-    return GramForm(n, [w.inverse() for w in inverse])
+    """The coinvariant Gram form of V_n, the inverses of the row that
+    `_certified_step(n)` certifies (so <y^n|y^n> = 1); fatal when the
+    certificate fails.  Nothing is re-checked per call."""
+    return GramForm(n, [w.inverse() for w in _certified_step(n)])
 
 
 def gram_order_report(n: int):

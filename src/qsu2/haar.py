@@ -131,14 +131,14 @@ def integral(x: NCPoly, y: NCPoly) -> QScalar:
     return total
 
 
-def zeta_moment_closed_form_report(max_r: int = 6):
-    """Compare int zeta^r against q^r/[r+1] and q^-r/[r+1].
+def zeta_moment_closed_form_report():
+    """Compare int zeta^r against q^r/[r+1] and q^-r/[r+1], r = 0..6.
 
     The positive power matches; the negative-power variant (the same
     misprint family as the q^-n resolution display) fails for r >= 1.
     """
     rows = []
-    for r in range(max_r + 1):
+    for r in range(7):
         v = zeta_moment(r)
         plus = q_pow(r) / q_number(r + 1)
         minus = q_pow(-r) / q_number(r + 1)
@@ -147,8 +147,7 @@ def zeta_moment_closed_form_report(max_r: int = 6):
                      "matches_q^-r/[r+1]": v == minus})
     return {
         "all_match_positive_power": all(x["matches_q^r/[r+1]"] for x in rows),
-        "negative_power_fails_from_r1": not rows[1]["matches_q^-r/[r+1]"]
-        if max_r >= 1 else None,
+        "negative_power_fails_from_r1": not rows[1]["matches_q^-r/[r+1]"],
         "rows": rows,
     }
 

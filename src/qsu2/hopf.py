@@ -6,6 +6,9 @@ checker is the arbiter that it preserves all relations.  The antipode is
 not transcribed from anywhere: generator images are solved from the
 convolution identity mu(S (x) id) Delta(g) = eps(g) 1 inside a finite
 monomial ansatz, and uniqueness of the solution is part of the contract.
+`HopfAlgebra.require_antipode` is the one place that decides whether
+there is a solution: it returns S, or raises the `DomainError`
+"no antipode solution on {name}: {reason}" that every reader reports.
 Every structure map is an `AlgebraMap`: Delta, eps and pi are
 multiplicative, the antipode S (like the involution `ncalg.STD.star`)
 is antimultiplicative.
@@ -83,8 +86,7 @@ class HopfAlgebra:
         # generator images; None when the convolution identity has no
         # solution (a broken coproduct, as in the negative control)
         try:
-            images, self.antipode_unique = self._solve_antipode(
-                ANTIPODE_ANSATZ_DEGREE)
+            images, self.antipode_unique = self._solve_antipode()
         except (ValueError, DomainError) as exc:
             self.antipode = None
             self.antipode_unique = False
@@ -97,14 +99,22 @@ class HopfAlgebra:
     def counit(self, p: NCPoly) -> QScalar:
         return self.eps(p).scalar_part()
 
+    def require_antipode(self) -> AlgebraMap:
+        """The antipode S; a DomainError naming the algebra and the reason
+        when the convolution identity had no solution."""
+        if self.antipode is None:
+            raise DomainError(f"no antipode solution on {self.name}: "
+                              f"{self.antipode_failure}")
+        return self.antipode
+
     # -- derived antipode ---------------------------------------------------
 
-    def _solve_antipode(self, ansatz_degree):
+    def _solve_antipode(self):
         """Solve mu(S (x) id) Delta(g) = eps(g) 1 on generator legs.
 
         Unknowns are the S-images of every generator power occurring as a
-        left Sweedler leg, each expanded over the monomial basis up to the
-        ansatz degree.
+        left Sweedler leg, each expanded over the monomial basis up to
+        `ANTIPODE_ANSATZ_DEGREE`.
         """
         alg = self.alg
         eqs = []
@@ -129,7 +139,7 @@ class HopfAlgebra:
                 legs[label] = (legs.get(label, alg.zero())
                                + NCPoly(alg, {rm: c}))
         ansatz = [NCPoly(alg, {m: ONE})
-                  for m in alg.basis_monomials(ansatz_degree)]
+                  for m in alg.basis_monomials(ANTIPODE_ANSATZ_DEGREE)]
         columns = [linalg.column({label: m * r for label, r in legs.items()})
                    for legs in right.values() for m in ansatz]
         target = linalg.column({label: alg.scalar(eps)
@@ -333,7 +343,6 @@ def verify_hopf(which: str, corrupt_delta: bool = False):
     # counit_law eps, antipode_convolution S, star_coproduct Delta (on
     # star(m)) and star (in star x star), star_counit eps (on star(m)),
     # star_antipode_compat S and star
-    S = hopf.antipode
     delta, eps = hopf.delta.image, hopf.eps.image
     run(f"{which}.coassociativity",
         "(Delta x id)Delta = (id x Delta)Delta", [hopf.delta],
@@ -343,13 +352,15 @@ def verify_hopf(which: str, corrupt_delta: bool = False):
         "(eps x id)Delta = id = (id x eps)Delta", [hopf.eps],
         (tensor_map([eps, None], alg), identity),
         (tensor_map([None, eps], alg), identity))
-    if S is None:
-        checks.append(check(f"{which}.antipode_convolution", False,
-                            "mu(S x id)Delta = eta eps = mu(id x S)Delta",
-                            f"no antipode solution: {hopf.antipode_failure}"))
+    anchor = "mu(S x id)Delta = eta eps = mu(id x S)Delta"
+    try:
+        S = hopf.require_antipode()
+    except DomainError as exc:
+        S = None
+        checks.append(check(f"{which}.antipode_convolution", False, anchor,
+                            exc))
     else:
-        run(f"{which}.antipode_convolution",
-            "mu(S x id)Delta = eta eps = mu(id x S)Delta", [S],
+        run(f"{which}.antipode_convolution", anchor, [S],
             (lambda w: _convolve_antipode(hopf, w, "left"), eta_eps),
             (lambda w: _convolve_antipode(hopf, w, "right"), eta_eps))
     checks.append(check(f"{which}.antipode_unique_in_ansatz",
@@ -397,14 +408,12 @@ def verify_pi_hopf_map():
         law("counit_compat", "eps_B pi = eps_G", [HB.eps],
             lambda p: HB.eps(_PI(p)), HG.eps),
     ]
-    unsolved = next((h for h in (HB, HG) if h.antipode is None), None)
-    if unsolved is not None:
-        checks.append(check(
-            "pi.antipode_compat", False, "S_B pi = pi S_G",
-            f"no antipode solution: {unsolved.antipode_failure}"))
+    try:
+        S_B, S_G = HB.require_antipode(), HG.require_antipode()
+    except DomainError as exc:
+        checks.append(check("pi.antipode_compat", False, "S_B pi = pi S_G",
+                            exc))
     else:
-        checks.append(law("antipode_compat", "S_B pi = pi S_G",
-                          [HB.antipode, _PI],
-                          lambda p: HB.antipode(_PI(p)),
-                          lambda p: _PI(HG.antipode(p))))
+        checks.append(law("antipode_compat", "S_B pi = pi S_G", [S_B, _PI],
+                          lambda p: S_B(_PI(p)), lambda p: _PI(S_G(p))))
     return checks

@@ -420,13 +420,18 @@ class NCPoly:
         if e < 0:
             inv = self.monomial_inverse()
             return inv ** (-e)
-        r = self.alg.one()
+        if not e:
+            return self.alg.one()
+        # from the lowest set bit of e up: b = self^(2^i) at bit i, and b
+        # is squared only while a higher bit remains
         b = self
-        while e:
+        while not e & 1:
+            b, e = b * b, e >> 1
+        r = b
+        while e := e >> 1:
+            b = b * b
             if e & 1:
                 r = r * b
-            b = b * b
-            e >>= 1
         return r
 
     def monomial_inverse(self) -> NCPoly:

@@ -384,13 +384,18 @@ class QScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        r = ONE
+        if not k:
+            return ONE
+        # from the lowest set bit of k up: b = self^(2^i) at bit i, and b
+        # is squared only while a higher bit remains
         b = self
-        while k:
+        while not k & 1:
+            b, k = b * b, k >> 1
+        r = b
+        while k := k >> 1:
+            b = b * b
             if k & 1:
                 r = r * b
-            b = b * b
-            k >>= 1
         return r
 
     # -- comparison ----------------------------------------------------

@@ -48,7 +48,7 @@ def suite_hopf(n_range, degree, q0):
 def suite_haar(n_range, degree, q0):
     checks = verify_invariance(min(degree, 5))
     checks += verify_positivity(q0, degree=3)
-    rep = zeta_moment_closed_form_report(6)
+    rep = zeta_moment_closed_form_report()
     checks.append(check(
         "haar.zeta_moments_closed_form", rep["all_match_positive_power"],
         "int zeta^r = (1-q^-2)/(1-q^-2(r+1)) = q^r/[r+1]_q "
@@ -345,7 +345,7 @@ def suite_typos(n_range, degree, q0):
         "for n=1; the swapped order w*_(1) z_(1) yields the orthonormal "
         "diag(1,1) and is the convention the suite records", rep1))
 
-    zrep = zeta_moment_closed_form_report(6)
+    zrep = zeta_moment_closed_form_report()
     try:
         alphas = [coherent.resolution_operator(n).alpha for n in range(4)]
     except (DomainError, comod.NonScalarError) as exc:

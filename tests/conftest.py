@@ -1,8 +1,15 @@
 import importlib
 
 import pytest
+from hypothesis import settings
 
 from qsu2.ncalg import AlgebraMap
+
+# no per-example deadline for any property test: the first example to
+# reach a process-wide cache fills it, and can take far longer than its
+# replay, which hypothesis would report as a flaky failure
+settings.register_profile("no_deadline", deadline=None)
+settings.load_profile("no_deadline")
 
 # the package exports the function `haar`, which hides the module
 haar_module = importlib.import_module("qsu2.haar")

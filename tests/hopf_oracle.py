@@ -67,7 +67,8 @@ def verify_hopf(which, words, corrupt_delta=False):
     if hopf.antipode is None:
         checks.append(check(f"{which}.antipode_convolution", False,
                             "mu(S x id)Delta = eta eps = mu(id x S)Delta",
-                            f"no antipode solution: {hopf.antipode_failure}"))
+                            f"no antipode solution on {hopf.name}: "
+                            f"{hopf.antipode_failure}"))
     else:
         run(f"{which}.antipode_convolution",
             "mu(S x id)Delta = eta eps = mu(id x S)Delta",

@@ -121,7 +121,7 @@ def test_bundle_without_an_antipode_on_B_fails_its_kappa_checks(monkeypatch,
     corrupted = hopf._corrupted("B")
     assert corrupted.antipode is None
     monkeypatch.setattr(hopf, "_HOPF_B", corrupted)
-    expect = "no antipode solution: inconsistent linear system"
+    expect = "no antipode solution on B: inconsistent linear system"
     with pytest.raises(DomainError, match=f"^{expect}$"):
         vn_left_comodule(1)
     code = main(["verify", "bundle", "--n", "0..1", "--format", "json"])

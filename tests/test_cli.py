@@ -237,7 +237,7 @@ _exprs = st.recursive(
     max_leaves=4)
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(expr=_exprs,
        algebra=st.sampled_from(["G", "G_b", "G_d", "G_bd", "B", "M"]),
@@ -251,7 +251,7 @@ def test_eval_fuzz_keeps_exit_code_contract(capsys, expr, algebra, action, q):
 
 
 # n <= 2 and degree <= 3 keep each suite under about 0.2 s
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=40,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(suite=st.sampled_from(["haar", "gram", "cover", "resolution", "typos",
                               "charts", "rewriting"]),

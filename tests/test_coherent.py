@@ -129,7 +129,7 @@ def g_elements(draw):
 
 
 @seed(21)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(g_elements(), g_elements())
 def test_integral_is_the_haar_state_of_the_full_product(x, y):
     # term pair by term pair, weight-gated, from the pair table: the value

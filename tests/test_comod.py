@@ -195,10 +195,41 @@ def test_every_doubled_v2_entry_fails_its_step(monkeypatch, fresh_steps,
     t[j][i] = t[j][i] * 2
     monkeypatch.setattr(V, "coaction_matrix", t)
     with pytest.raises(DomainError) as exc:
-        comod._certify_corepresentation(2)
+        comod._certified_step(2)
     assert str(exc.value) == (
         "step 2: column 1 of the coaction matrix of V_2 is not q^1 e_0' x"
         if i == 1 else "V_2 is not the matrix its steps from V_1 build")
+
+
+@pytest.fixture
+def corner_built_doubled_in_v2(monkeypatch, fresh_steps):
+    # `_extend_coaction_matrix` doubling t[0][0] = d^2 of V_2 as it builds
+    # it: the tie to the steps re-runs the same construction
+    extend = comod._extend_coaction_matrix
+
+    def doubled(t, n):
+        out = extend(t, n)
+        if n == 2:
+            out[0][0] = out[0][0] * 2
+        return out
+    monkeypatch.setattr(comod, "_extend_coaction_matrix", doubled)
+    gram.cache_clear()
+    yield
+    gram.cache_clear()
+
+
+def test_a_corner_built_wrong_fails_only_the_direct_gram_records(
+        corner_built_doubled_in_v2):
+    # the step certificate of V_2 reads the inner column 1 through x and
+    # ties V_2 to the construction that doubled its corner, so the Gram
+    # records pass; the gram suite's direct axioms record, and the weight
+    # covector read from the same matrix, are what catch column 0
+    checks = {c["name"]: c for c in
+              suites.SUITES["gram"](range(2, 3), 5, Fraction(1, 2))}
+    assert checks["gram.inverse_binomial_n2"]["status"] == "pass"
+    assert sorted(name for name, c in checks.items()
+                  if c["status"] == "fail") == ["comod.axioms_n2",
+                                                "comod.weight_covector_n2"]
 
 
 def _extend_with_flipped_manin_sign(t, n):
@@ -261,7 +292,7 @@ def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
     # each fault, with the steps certified by smaller n read from the cache
     CERTIFICATE_FAULTS[fault](request)
     for n in range(7):
-        got = _certificate(comod._certify_corepresentation, n)
+        got = _certificate(comod._certified_step, n)
         want = _certificate(comod_oracle.certify_corepresentation, n)
         if fault == "doubled_v2_corner" and n >= 3:
             # the one intended difference: V_3.. extend the cached,
@@ -273,14 +304,15 @@ def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
         else:
             assert got == want, (fault, n)
     if fault == "none":
-        assert comod._certified_step.cache_info().currsize == 5
+        assert comod._certified_step.cache_info().currsize == 7
 
 
 def test_resolution_curve_certifies_each_step_once():
-    # `resolution --n 0..6` in one fresh process certifies steps 2..6, each
-    # once, where rebuilding the chain per n ran 15 steps; it builds
-    # V_1..V_6 with one extension each, and each step's tie runs one more,
-    # a full extension of V_(k-1) compared with the whole of V_k
+    # `resolution --n 0..6` in one fresh process certifies the base cases
+    # 0, 1 and the steps 2..6, each once, where rebuilding the chain per n
+    # ran 15 steps; it builds V_1..V_6 with one extension each, and each
+    # step's tie runs one more, a full extension of V_(k-1) compared with
+    # the whole of V_k
     script = ("import contextlib, io\n"
               "from qsu2 import comod\n"
               "from qsu2.cli import main\n"
@@ -297,14 +329,16 @@ def test_resolution_curve_certifies_each_step_once():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout == ("[0, 0, 0, 0, 0, 0, 0] 5 "
+    assert run.stdout == ("[0, 0, 0, 0, 0, 0, 0] 7 "
                           "[1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]\n")
 
 
-def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys):
+def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys,
+                                                    fresh_steps):
     # the negative control's Delta installed on G: V_0 passes its axioms,
-    # so the certificate reaches the antipode, whose solve failed; the Gram
-    # checks fail with the failed solve as their witness
+    # so the base case reaches the antipode, whose solve failed; the Gram
+    # checks fail with the failed solve as their witness.  fresh_steps: a
+    # base case certified with the sound antipode would skip the solve
     corrupted = hopf._corrupted("G")
     assert corrupted.antipode is None
     monkeypatch.setattr(hopf, "_HOPF_G", corrupted)
@@ -350,11 +384,34 @@ def test_unitarity_names_the_first_failing_pair_in_row_major_order(
     assert gram_oracle.unitarity_defect(1, [ONE, ONE]) == (0, 1)
 
 
+def test_the_base_case_runs_once_per_process(monkeypatch, fresh_steps):
+    # the base case is cached with the steps: solving V_0..V_6 checks the
+    # axioms on V_0 and on V_1 once each and the unitarity of V_1 once,
+    # where a base case run per n checked them 7 and 6 times
+    axioms, unitarity = [], []
+    verify, defect = comod.verify_comodule_axioms, comod._unitarity_defect
+
+    def counted_axioms(n):
+        axioms.append(n)
+        return verify(n)
+
+    def counted_defect(weights):
+        unitarity.append(weights)
+        return defect(weights)
+    monkeypatch.setattr(comod, "verify_comodule_axioms", counted_axioms)
+    monkeypatch.setattr(comod, "_unitarity_defect", counted_defect)
+    for n in range(7):
+        assert solve_coinvariant_gram(n).diag == _inverse_binomials(n), n
+    assert axioms == [0, 1]
+    assert unitarity == [(ONE, ONE)]
+
+
 def test_a_wrong_antipode_fails_the_v1_base_case(monkeypatch, fresh_steps):
     # S(x) q^2 in place of S: V_1 and the steps are sound, so only the
     # unitarity of V_1 for diag(1, 1) sees it, first at t[0][0]* = S(t[0][0])
-    S = comod._antipode()
-    monkeypatch.setattr(comod, "_antipode", lambda: lambda x: S(x) * q_pow(2))
+    S = hopf_G().require_antipode()
+    monkeypatch.setattr(hopf.HopfAlgebra, "require_antipode",
+                        lambda self: lambda x: S(x) * q_pow(2))
     assert solve_coinvariant_gram(0).diag == [ONE]
     for n in (1, 3):
         with pytest.raises(DomainError) as exc:
@@ -400,10 +457,9 @@ def test_a_wrong_q_power_in_a_step_row_fails_the_gram_suite(fresh_steps,
         assert check["witness"] != [str(d) for d in _inverse_binomials(n)]
 
 
-def test_gram_stars_only_the_entries_of_v1(monkeypatch):
-    # no unitarity check above V_1: with V_6 and its steps cached, the
-    # Gram solve takes the star of the four entries of V_1 and nothing else
-    solve_coinvariant_gram(6)
+def test_gram_stars_only_the_entries_of_v1(monkeypatch, fresh_steps):
+    # no unitarity check above V_1: from cold caches, the Gram solve of
+    # V_6 takes the star of the four entries of V_1 and nothing else
     starred = []
 
     def counted(x):

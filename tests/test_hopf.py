@@ -98,7 +98,8 @@ def test_pi_antipode_compat_fails_without_an_antipode(monkeypatch, which):
     assert checks["pi.antipode_compat"] == {
         "name": "pi.antipode_compat", "status": "fail",
         "paper_anchor": "S_B pi = pi S_G",
-        "witness": "no antipode solution: inconsistent linear system"}
+        "witness": f"no antipode solution on {which}: "
+                   "inconsistent linear system"}
     convolution = {c["name"]: c for c in
                    verify_hopf(which, corrupt_delta=True)}
     assert (convolution[f"{which}.antipode_convolution"]["witness"]
@@ -115,7 +116,7 @@ def test_corrupted_delta_fails_the_same_five_checks():
         "G.delta_algebra_map": None,
         "G.coassociativity": "d",
         "G.antipode_convolution":
-            "no antipode solution: inconsistent linear system",
+            "no antipode solution on G: inconsistent linear system",
         "G.antipode_unique_in_ansatz": None,
         "G.star_coproduct": "c"}
 

@@ -73,7 +73,7 @@ def test_in_span_flags_uniqueness_on_the_engine_systems(monkeypatch):
 
     monkeypatch.setattr(linalg, "in_span", record)
     for hopf in (hopf_G(), hopf_B()):
-        hopf._solve_antipode(2)
+        hopf._solve_antipode()
     for ch in chs:
         charts.build_gamma(ch)
     assert [unique for _, unique in systems] == [True] * 4
