@@ -24,8 +24,8 @@ from .haar import haar, verify_invariance, verify_positivity, zeta_moment
 from .coherent import (CoherentFamily, ResolutionResult, classical_limit_report,
                        lemma_integral, lemma_integral_closed_form, mu_density,
                        qbeta_check, ramanujan_qbeta, reproducing_apply,
-                       resolution_operator, scalar_operator_general,
-                       section_property_check, solve_coherent)
+                       resolution_operator, section_property_check,
+                       solve_coherent)
 from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from math import comb
 from .bundle import Section
 from .charts import (TrivializationChart, chart, cover,
                      is_weight_vector)
-from .comod import (GramForm, VnComodule, pairing, schur_scalar,
-                    solve_coinvariant_gram)
+from .comod import (GramForm, VnComodule, homogeneous_entry, pairing,
+                    schur_scalar, solve_coinvariant_gram)
 from .haar import haar, integral
 from .ncalg import DomainError, NCPoly, STD, retract, star
 from .report import check
@@ -45,7 +45,7 @@ __all__ = [
     "lemma_table",
     "qbeta_check",
     "ramanujan_qbeta",
-    "scalar_operator_general",
+    "orthogonality_table",
     "reproducing_apply",
     "classical_limit_report",
     "gram",
@@ -116,7 +116,6 @@ def assembled_coefficients(ch: TrivializationChart, n: int):
 def section_property_check(n: int):
     """<C_b|v> and <C_d|v> glue to a global section for every basis v."""
     cov = cover()
-    g = gram(n)
     fam_b = solve_coherent(cov.b, n)
     fam_d = solve_coherent(cov.d, n)
     checks = []
@@ -124,6 +123,7 @@ def section_property_check(n: int):
         vec = [ONE if i == k else ZERO for i in range(n + 1)]
         witness = None
         try:
+            g = gram(n)
             Section(pairing(fam_b.coefficients, vec, g),
                     pairing(fam_d.coefficients, vec, g), n)
         except DomainError as exc:
@@ -164,8 +164,8 @@ def resolution_operator(n: int) -> ResolutionResult:
     r_i r_j^* where r_i = (C_lambda)_i gamma_lambda(chi).  Whether the two
     charts give the identical element (lambda-independence) is recorded as
     `chart_agreement`; the triples are built only when the two vectors
-    differ.  The matrix is `_operator_matrix` of the d-chart vector.  The
-    Gram-weighted Haar integral must be an exact scalar matrix.
+    differ.  The matrix [int r_j r_k^* g_k], g the Gram diagonal, is read
+    from the d-chart vector by `haar.integral` and must be exactly scalar.
     """
     cov = cover()
     r_b = assembled_coefficients(cov.b, n)
@@ -178,20 +178,31 @@ def resolution_operator(n: int) -> ResolutionResult:
 
     # equal vectors give equal triples; differing ones (r_b = -r_d) may too
     agree = r_b == r_d or triple(r_b) == triple(r_d)
-    matrix = _operator_matrix(r_d, n)
+    g = gram(n)
+    matrix = [[integral(r_d[j], r_d[k]) * g.diag[k] for k in range(m)]
+              for j in range(m)]
     alpha = schur_scalar(matrix, n)
     return ResolutionResult(n, matrix, alpha, agree)
 
 
-def _operator_matrix(w, n: int):
-    """[int w_j w_k^* g_k] for w_0..w_n in G, g the Gram diagonal: the
-    matrix of Theorem 4 and of the resolution of identity.  Each entry is
-    `haar.integral`, term pair by term pair from the table `haar.pair`, so
-    entries between homogeneous w_j and w_k of different torus weights are
-    exact zero with no product formed."""
-    g = gram(n)
-    return [[integral(w[j], w[k]) * g.diag[k] for k in range(n + 1)]
-            for j in range(n + 1)]
+def orthogonality_table(n: int):
+    """T[j][i] = g_j int t[j][i] t[j][i]^* over the coaction matrix t of
+    V_n and its Gram diagonal g.  The operator of w in V_n is A(w)[j][k] =
+    g_k int w_j w_k^*, w_j = sum_i t[j][i] w_i.  t[j][i] has torus weight
+    (2j - n, 2i - n), star negates weights and the Haar state vanishes off
+    (0, 0), so each cross term t[j][i] t[k][i']^*, (j, i) != (k, i'),
+    integrates to zero (the orthogonality relations; Woronowicz, CMP 111
+    (1987); Klimyk-Schmuedgen ch. 4).  So A(w) = diag_j(sum_i w_i^2
+    T[j][i]) is scalar for every w iff each column of T is constant in j.
+    A failed Gram certificate or premise (`comod.homogeneous_entry` on
+    every entry) raises DomainError.  Uncached: it reads `gram` by name."""
+    g, t = gram(n), VnComodule(n).coaction_matrix
+    for j, r in enumerate(t):
+        for i, x in enumerate(r):
+            if not homogeneous_entry(x, j, i, n):
+                raise DomainError(f"t[{j}][{i}] of V_{n} is not homogeneous "
+                                  f"of degree {n}: {x}")
+    return [[g.diag[j] * integral(x, x) for x in r] for j, r in enumerate(t)]
 
 
 def lemma_integral(i: int, j: int, n: int) -> QScalar:
@@ -299,21 +310,6 @@ def ramanujan_qbeta(alpha: int, beta: int):
     rhs = q_gamma_int(alpha) * q_gamma_int(beta) / q_gamma_int(alpha + beta)
     return {"alpha": alpha, "beta": beta, "lhs": lhs, "rhs": rhs,
             "equal": lhs == rhs, "matches_printed_form": printed == rhs}
-
-
-def scalar_operator_general(n: int, w_vec) -> QScalar:
-    """The Theorem-4 operator for an arbitrary fixed w in V_n.
-
-    With rho(w) = sum e_i (x) w_i the matrix is A[j][k] = g_k int(w_j w_k^*)
-    (`_operator_matrix`); the starred factor is grouped second so the
-    integrand stays in G, the pairing convention the solved Gram satisfies.
-    Raises NonScalarError if the matrix is not scalar (that would falsify
-    the theorem).
-    """
-    V = VnComodule(n)
-    if all(QScalar.coerce(x).is_zero() for x in w_vec):
-        raise ValueError("w must be nonzero")
-    return schur_scalar(_operator_matrix(V.components(w_vec), n), n)
 
 
 def reproducing_apply(n: int, H, v_vec):

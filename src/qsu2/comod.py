@@ -67,6 +67,7 @@ __all__ = [
     "NonScalarError",
     "intertwiner_space_dimension",
     "verify_comodule_axioms",
+    "homogeneous_entry",
     "torus_weight",
 ]
 
@@ -171,13 +172,17 @@ def verify_comodule_axioms(n: int):
             expect = ONE if i == k else ZERO
             if HG.counit(t[i][k]) != expect:
                 return ("counit", i, k)
-            # degree-n homogeneity survives ad -> 1 + qbc only as the
-            # filtration bound plus the torus bigrading
-            for mono in t[i][k].terms:
-                if (sum(mono) > n
-                        or torus_weight(mono) != (2 * i - n, 2 * k - n)):
-                    return ("homogeneity", i, k)
+            if not homogeneous_entry(t[i][k], i, k, n):
+                return ("homogeneity", i, k)
     return None
+
+
+def homogeneous_entry(x: NCPoly, i: int, k: int, n: int) -> bool:
+    """Whether x, as t[i][k] of V_n, is homogeneous of degree n, which
+    survives ad -> 1 + qbc only as the filtration bound plus the torus
+    bigrading: each monomial has degree <= n and weight (2i - n, 2k - n)."""
+    return all(sum(mono) <= n and torus_weight(mono) == (2 * i - n, 2 * k - n)
+               for mono in x.terms)
 
 
 def torus_weight(mono):

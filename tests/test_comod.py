@@ -101,18 +101,6 @@ def test_comodule_axioms():
         assert verify_comodule_axioms(n) is None
 
 
-@pytest.fixture
-def fresh_steps():
-    # each Manin step is certified once per process, and each V_k extends
-    # the cached V_(k-1): a fault must neither meet a step certified or a
-    # V_k built without it nor leave one behind
-    comod._certified_step.cache_clear()
-    VnComodule.cache_clear()
-    yield
-    comod._certified_step.cache_clear()
-    VnComodule.cache_clear()
-
-
 def _double_corner(monkeypatch, n):
     # t[0][0] = d^n of V_n doubled on the cached V_n
     V = VnComodule(n)
@@ -230,32 +218,6 @@ def test_a_corner_built_wrong_fails_only_the_direct_gram_records(
     assert sorted(name for name, c in checks.items()
                   if c["status"] == "fail") == ["comod.axioms_n2",
                                                 "comod.weight_covector_n2"]
-
-
-def _extend_with_flipped_manin_sign(t, n):
-    # `_extend_coaction_matrix` with the Manin relation read as y x = q x y:
-    # the factor of e_j' x is q^(n-1-j) in place of q^-(n-1-j).  V_1 is
-    # unchanged (the exponent is 0 there); V_2 is not a corepresentation.
-    a, b, c, d = (G.gen(g) for g in "abcd")
-    out = [[G.zero()] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        src, gx, gy = (i, b, d) if i < n else (n - 1, a, c)
-        for j, row in enumerate(t):
-            x = row[src]
-            if x:
-                out[j][i] = out[j][i] + x * gy
-                out[j + 1][i] = out[j + 1][i] + x * gx * q_pow(n - 1 - j)
-    return out
-
-
-@pytest.fixture
-def flipped_manin_sign(monkeypatch):
-    monkeypatch.setattr(comod, "_extend_coaction_matrix",
-                        _extend_with_flipped_manin_sign)
-    VnComodule.cache_clear()
-    yield
-    # the matrices built under the fault must not outlive it
-    VnComodule.cache_clear()
 
 
 def test_a_wrong_manin_exponent_fails_at_step_2(fresh_steps,

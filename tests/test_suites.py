@@ -12,9 +12,10 @@ import pytest
 import resolution_oracle
 from qsu2 import charts, coherent, suites
 from qsu2.cli import main
-from qsu2.comod import GramForm, NonScalarError
+from qsu2.comod import GramForm, NonScalarError, VnComodule
+from qsu2.haar import integral
 from qsu2.ncalg import Algebra, STD, rewriting_certificate
-from qsu2.scalars import ONE, ZERO, q_pow
+from qsu2.scalars import ONE, Q, ZERO, q_pow
 from weight_gate_oracle import homogeneous_weight
 
 Q0 = Fraction(1, 2)
@@ -92,13 +93,72 @@ def test_no_ad_cooccurrence_fails_when_a_and_d_stay_together(monkeypatch,
 
 def test_theorem4_fails_on_a_wrong_gram_diagonal(monkeypatch):
     # with the Gram diagonal [1, q^-2] in place of the coinvariant [1, 1],
-    # the operator of w = e_0 is not scalar
+    # the operator of w = e_0 is not scalar: column 0 of the orthogonality
+    # table is int d d^* = q^2/(q^2 + 1) in row 0 and q^-2 int b b^* in row 1
     gram = coherent.gram
     monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
         n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
     check = _checks("theorem4", n_range=range(1, 2))["theorem4.scalar_n1"]
     assert _failed(check)
-    assert check["witness"].startswith("(['1', '0'], ")
+    assert check["witness"] == ("column 0: row 0 is q^2/(q^2 + 1), "
+                                "row 1 is 1/(q^2 + 1)")
+
+
+def _corner_times_q(t):
+    t[0][0] = t[0][0] * Q
+
+
+def _swap_off_diagonal_corners(t):
+    t[0][1], t[1][0] = t[1][0], t[0][1]
+
+
+def _unit_in_column_0(t):
+    for j in (0, 1):
+        t[j][0] = t[j][0] + STD.G.one()
+
+
+# fault -> (the n of the V_n whose coaction matrix it corrupts, the edit
+# that it makes on a copy of that matrix)
+THEOREM4_ENTRY_FAULTS = {
+    "v1_corner_times_q": (1, _corner_times_q),
+    "v2_entries_swapped": (2, _swap_off_diagonal_corners),
+    "unit_in_v1_column_0": (1, _unit_in_column_0),
+}
+
+
+@pytest.mark.parametrize("fault", ["none", "wrong_gram_diagonal",
+                                   *sorted(THEOREM4_ENTRY_FAULTS)])
+def test_theorem4_gives_the_polarization_verdict(monkeypatch, fault):
+    # the suite's verdict from the orthogonality table is the verdict of
+    # the operators of e_i and e_i + e_i', integrated from every product.
+    # Entry faults go on the cached V_n after its Gram form is cached (the
+    # certificate would refuse them), and monkeypatch restores them
+    for n in (1, 2):
+        coherent.gram(n)
+    sound = coherent.gram
+    if fault == "wrong_gram_diagonal":
+        monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
+            n, [ONE, q_pow(-2)]) if n == 1 else sound(n))
+    elif fault in THEOREM4_ENTRY_FAULTS:
+        n, corrupt = THEOREM4_ENTRY_FAULTS[fault]
+        V = VnComodule(n)
+        t = [row[:] for row in V.coaction_matrix]
+        corrupt(t)
+        monkeypatch.setattr(V, "coaction_matrix", t)
+    checks = _checks("theorem4", n_range=range(1, 3))
+    verdicts = {n: resolution_oracle.theorem4_holds(n) for n in (1, 2)}
+    assert verdicts == {n: checks[f"theorem4.scalar_n{n}"]["status"] == "pass"
+                        for n in (1, 2)}
+    assert all(verdicts.values()) == (fault == "none")
+    if fault == "unit_in_v1_column_0":
+        # the two rows of the table without its premise agree, so each
+        # column is constant: only the homogeneity of the entries catches
+        # this fault
+        t, g = VnComodule(1).coaction_matrix, sound(1)
+        bare = [[g.diag[j] * integral(x, x) for x in row]
+                for j, row in enumerate(t)]
+        assert bare[0] == bare[1]
+        assert "is not homogeneous" in checks["theorem4.scalar_n1"]["witness"]
 
 
 def test_reproducing_fails_on_a_non_scalar_resolution_matrix(monkeypatch):
@@ -155,8 +215,39 @@ def test_verify_reports_a_non_scalar_resolution_matrix(monkeypatch, capsys,
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks if c["status"] == "fail"] == failed
     for c in checks:
-        if c["status"] == "fail" and c["name"] != "gram.inverse_binomial_n1":
+        if c["name"] == "theorem4.scalar_n1":
+            # Theorem 4 reads the orthogonality table, not the operator
+            assert c["witness"] == ("column 0: row 0 is q^2/(q^2 + 1), "
+                                    "row 1 is 1/(q^2 + 1)")
+        elif c["status"] == "fail" and c["name"] != "gram.inverse_binomial_n1":
             assert "matrix is not scalar at entry (1, 1)" in c["witness"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["theorem4", "--n", "2..2"], ["theorem4.scalar_n2"]),
+    (["coherent", "--n", "2..2"], [f"n=2.section_property_v{k}"
+                                   for k in range(3)]),
+    (["all"], ["theorem4.scalar_n2", *(f"n=2.section_property_v{k}"
+                                       for k in range(3))]),
+], ids=["theorem4", "coherent", "all"])
+def test_a_failed_gram_certificate_is_a_failed_check(capsys, fresh_steps,
+                                                     fresh_resolution,
+                                                     flipped_manin_sign,
+                                                     argv, names):
+    # a wrong Manin exponent fails the Gram certificate of V_2 at step 2:
+    # the checks that read the Gram form fail with its message as witness,
+    # and the command exits 1 with its report, not 3 with no report
+    coherent.gram.cache_clear()
+    try:
+        code = main(["verify", *argv, "--format", "json"])
+    finally:
+        coherent.gram.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in names:
+        assert checks[name]["witness"] == (
+            "step 2: column 1 of the coaction matrix of V_2 is not q^1 e_0' x")
 
 
 def test_chart_independence_fails_when_the_charts_disagree(monkeypatch,
