@@ -38,25 +38,31 @@ def _parse_q(text: str) -> Fraction:
         q0 = Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{text!r} divides by zero") from None
-    if q0 <= 0:
-        raise argparse.ArgumentTypeError(f"q must be positive, got {text!r}")
+    except ValueError:
+        q0 = None
+    if q0 is None or q0 <= 0:
+        raise argparse.ArgumentTypeError(
+            f"q must be a positive rational P/R, got {text!r}")
     return q0
 
 
 def _parse_range(text: str) -> range:
     a, _, b = text.partition("..")
-    r = range(int(a), int(b or a) + 1)
+    try:
+        r = range(int(a), int(b or a) + 1)
+    except ValueError:
+        r = range(0)
     if not r or r.start < 0:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a nonempty range of degrees >= 0")
+            f"{text!r} is not a nonempty range A..B of degrees >= 0")
     return r
 
 
 def _parse_n(text: str) -> int:
-    r = _parse_range(text)
-    if len(r) != 1:
-        raise argparse.ArgumentTypeError(f"expected one N, got {text!r}")
-    return r.start
+    with contextlib.suppress(argparse.ArgumentTypeError):
+        if len(r := _parse_range(text)) == 1:
+            return r.start
+    raise argparse.ArgumentTypeError(f"expected one N >= 0, got {text!r}")
 
 
 def cmd_eval(args) -> int:

@@ -30,22 +30,25 @@ t* W t = W and as t* W = W S(t).
 order: the base case first, then the steps 2..n.  The base case k = 0, 1:
 the comodule axioms hold on V_k, G has an antipode, and for k = 1
 t[i][k]* = S(t[k][i]) on V_1, the unitarity of V_1 for diag(1, 1).  The
-step k = 2..n: let U = V_(k-1) (x) V_1, whose matrix has the entries
-t[j][i] s[l][m] in that order, and W_U^-1 = W_(k-1)^-1 (x) 1.  U is
-unitary for W_U^-1 by associativity and (xy)* = y* x* alone.  The Manin
-product mu: U -> V_k, e_i' (x) y -> e_i and e_j' (x) x ->
-q^-(k-1-j) e_(j+1), is a comodule map, t_k mu = mu t_U: `_step_defect`
-reads the inner columns of V_k through x, and the tie compares V_k with
-the whole extension of V_(k-1), which reads every column through y and
-the last through x.  The coefficients of mu are real, so
-t_k W^-1 t_k* = W^-1 for W^-1 = mu W_U^-1 mu^T.  That matrix is
-diagonal, since each basis vector of U goes to a multiple of one e_i, and
-its entries obey the q-Pascal rule [k, i] = [k-1, i] + q^-2(k-i) [k-1, i-1]
-from the row [1, 1] of V_1: the weights are the inverse q^-2-binomials,
-read off nothing.  Each case, the base case included, is certified once
-per process, so V_n costs only the steps no smaller n has run.  Both
-orders are still solved as full (n+1)^2 kernel systems for the misprint
-ledger (`gram_order_report`), which needs the solution count in each.
+step k = 2..n: let U = V_1 (x) V_(k-1), whose matrix has the entries
+s[l][m] t'[j][i] in that order, and W_U^-1 = 1 (x) W_(k-1)^-1.  U is
+unitary for W_U^-1 by associativity and (xy)* = y* x* alone.  The left
+Manin product mu': U -> V_k, y (x) e_i' -> q^-i e_i and x (x) e_i' ->
+e_(i+1), is a comodule map, t_k mu' = mu' t_U, and the step reads that
+identity on each of the 2k basis vectors of U, with t' the matrix of
+V_(k-1): t[j][i] = q^i (b t'[j-1][i] + q^-j d t'[j][i]) for i < k and
+t[j][i] = a t'[j-1][i-1] + q^-j c t'[j][i-1] for i >= 1.  V_k is built
+from the right (e_i = e_i' y), so no entry is checked against the route
+that built it, and nothing runs the construction a second time.  The
+coefficients of mu' are real, so t_k W^-1 t_k* = W^-1 for
+W^-1 = mu' W_U^-1 mu'^T.  That matrix is diagonal, since each basis
+vector of U goes to a multiple of one e_i, and its entries obey the
+q-Pascal rule [k, i] = q^-2i [k-1, i] + [k-1, i-1] from the row [1, 1] of
+V_1: the weights are the inverse q^-2-binomials, read off nothing.  Each
+case, the base case included, is certified once per process, so V_n
+costs only the steps no smaller n has run.  Both orders are still solved
+as full (n+1)^2 kernel systems for the misprint ledger
+(`gram_order_report`), which needs the solution count in each.
 """
 
 from __future__ import annotations
@@ -255,21 +258,6 @@ def _gram_order(n: int, order: str):
     return 1, True, [mat[i][i] / norm for i in range(m)]
 
 
-def _step_defect(prev, t, k: int):
-    """The first column j + 1 (j = 0..k-2) of the coaction matrix t of V_k
-    that is not q^(k-1-j) times the column of e_j' x, read from the matrix
-    prev of V_(k-1) and rho(x) = x (x) a + y (x) c, with e_l' y = e_l and
-    e_l' x = q^-(k-1-l) e_(l+1); None when all agree."""
-    a, c = STD.G.gen("a"), STD.G.gen("c")
-    for j in range(k - 1):
-        col = [row[j] * c for row in prev] + [STD.G.zero()]
-        for l, row in enumerate(prev):
-            col[l + 1] = col[l + 1] + row[j] * a * q_pow(l + 1 - k)
-        if any(t[l][j + 1] != x * q_pow(k - 1 - j) for l, x in enumerate(col)):
-            return j + 1
-    return None
-
-
 def _unitarity_defect(weights):
     """The first (i, k) in row-major order with w_i t[i][k]* != w_k S(t[k][i])
     over the coaction matrix t of V_1, or None."""
@@ -287,13 +275,14 @@ def _certified_step(k: int):
 
     The base case k = 0, 1: the comodule axioms hold on V_k, G has an
     antipode, and V_1 is unitary for diag(1, 1); the row is all ones.
-    The step k >= 2: step k - 1 is certified first.  Then `_step_defect`
-    finds no inner column 1..k-1 of V_k that differs from its reading
-    through e_j' x, and the tie finds V_k equal to the extension of
-    V_(k-1).  The row is [k, i] = [k-1, i] + q^-2(k-i) [k-1, i-1], the
-    diagonal of mu (W_(k-1)^-1 (x) 1) mu^T for the Manin product mu
-    (module docstring).  Each step is certified once per process; a
-    failed step raises and caches nothing."""
+    The step k >= 2: step k - 1 is certified first.  Then every column i
+    of V_k equals its readings from V_1 (x) V_(k-1) through the left Manin
+    product mu': through y (x) e_i' for i < k and through x (x) e_(i-1)'
+    for i >= 1, 2k readings in all, taken from the cached V_(k-1) and
+    never from the construction that built V_k.  The row is
+    [k, i] = q^-2i [k-1, i] + [k-1, i-1], the diagonal of
+    mu' (1 (x) W_(k-1)^-1) mu'^T (module docstring).  Each step is
+    certified once per process; a failed step raises and caches nothing."""
     if k < 2:
         bad = verify_comodule_axioms(k)
         if bad is not None:
@@ -308,18 +297,23 @@ def _certified_step(k: int):
                 f"t[i][k]* != S(t[k][i]) at (i, k) = {defect}")
         return (ONE,) * (k + 1)
     row = _certified_step(k - 1)
-    prev = VnComodule(k - 1).coaction_matrix
     t = VnComodule(k).coaction_matrix
-    column = _step_defect(prev, t, k)
-    if column is not None:
-        raise DomainError(
-            f"step {k}: column {column} of the coaction matrix of V_{k} "
-            f"is not q^{k - column} e_{column - 1}' x")
-    if t != _extend_coaction_matrix(prev, k):
-        raise DomainError(f"V_{k} is not the matrix its steps from V_1 build")
+    # p is the matrix t' of V_(k-1) with a zero row above and below it
+    zero = [STD.G.zero()] * k
+    p = [zero, *VnComodule(k - 1).coaction_matrix, zero]
+    a, b, c, d = (STD.G.gen(g) for g in "abcd")
+    for i in range(k + 1):
+        # mu' sends y (x) e_i' to q^-i e_i and x (x) e_(i-1)' to e_i, and
+        # x e_j' = e_(j+1), y e_j' = q^-j e_j: read column i through both
+        for s, e, gx, gy in ((i, i, b, d), (i - 1, 0, a, c)):
+            if 0 <= s < k and any(
+                    t[j][i] != gx * p[j][s] * q_pow(e)
+                    + gy * p[j + 1][s] * q_pow(e - j) for j in range(k + 1)):
+                raise DomainError(
+                    f"step {k}: column {i} of the coaction matrix of V_{k} "
+                    f"is not its reading from V_1 (x) V_{k - 1}")
     row = (ZERO, *row, ZERO)
-    return tuple(row[i + 1] + row[i] * q_pow(2 * (i - k))
-                 for i in range(k + 1))
+    return tuple(row[i] + row[i + 1] * q_pow(-2 * i) for i in range(k + 1))
 
 
 def solve_coinvariant_gram(n: int) -> GramForm:

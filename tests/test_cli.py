@@ -165,6 +165,32 @@ def test_exit_code_contract(capsys, monkeypatch, argv, expected):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "gram", "--q", "abc"],
+     "argument --q: q must be a positive rational P/R, got 'abc'"),
+    (["verify", "gram", "--q", "-1"],
+     "argument --q: q must be a positive rational P/R, got '-1'"),
+    (["verify", "gram", "--n", "x"],
+     "argument --n: 'x' is not a nonempty range A..B of degrees >= 0"),
+    (["verify", "gram", "--n", "1..x"],
+     "argument --n: '1..x' is not a nonempty range A..B of degrees >= 0"),
+    (["resolution", "--n", "x"],
+     "argument --n: expected one N >= 0, got 'x'"),
+    (["resolution", "--n", "2..5"],
+     "argument --n: expected one N >= 0, got '2..5'"),
+    (["eval", "a", "--action", "haar", "--q", "abc"],
+     "argument --q: q must be a positive rational P/R, got 'abc'"),
+], ids=["q_abc", "q_negative", "n_x", "n_1..x", "resolution_n_x",
+        "resolution_n_2..5", "eval_q_abc"])
+def test_a_malformed_value_names_the_expected_form(capsys, argv, message):
+    # argparse names the type function of a value that raises ValueError;
+    # each parser raises ArgumentTypeError instead, which names the form
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(message)
+    assert "_parse" not in err
+
+
 def test_check_without_requested_n_is_skipped(capsys):
     # theorem4 needs an n >= 1: it skips and says so; it neither passes on
     # zero samples nor runs on an n that was not requested

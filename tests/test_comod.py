@@ -159,81 +159,101 @@ def test_doubled_v1_corner_is_unitary_and_fails_the_base_case(
         solve_coinvariant_gram(1)
 
 
-def test_a_doubled_v2_corner_fails_the_tie_to_the_steps(monkeypatch,
-                                                        fresh_steps):
-    # V_1 and every step from it are sound, and unitarity doubles on both
-    # sides again: only the comparison of V_2 with the matrix its steps
-    # build catches the corrupted entry
+def _step_witness(k, i):
+    # the witness of step k when column i of V_k is not its reading
+    return (f"step {k}: column {i} of the coaction matrix of V_{k} is not "
+            f"its reading from V_1 (x) V_{k - 1}")
+
+
+def test_a_doubled_v2_corner_is_unitary_and_fails_its_step(monkeypatch,
+                                                           fresh_steps):
+    # V_1 and the step's readings from it are sound, and unitarity doubles
+    # on both sides again: only the reading of column 0 of V_2 from
+    # V_1 (x) V_1 catches the corrupted entry
     _double_corner(monkeypatch, 2)
     assert gram_oracle.unitarity_defect(2, _inverse_binomials(2)) is None
-    with pytest.raises(DomainError, match=r"^V_2 is not the matrix its steps"):
+    with pytest.raises(DomainError) as exc:
         solve_coinvariant_gram(2)
+    assert str(exc.value) == _step_witness(2, 0)
 
 
-@pytest.mark.parametrize("entry", [(j, i) for j in range(3) for i in range(3)])
+@pytest.mark.parametrize("entry", [(n, j, i) for n in (2, 3)
+                                   for j in range(n + 1) for i in range(n + 1)])
 def test_every_doubled_v2_entry_fails_its_step(monkeypatch, fresh_steps,
                                                entry):
-    # `_step_defect` reads the inner column 1 of V_2 through x, and runs
-    # first; the tie compares all of V_2 with the extension of V_1, so no
-    # entry escapes the certificate of step 2
-    j, i = entry
-    V = VnComodule(2)
+    # every entry of the cached V_2, and of the cached V_3: each column of
+    # V_n is read from V_1 (x) V_(n-1) through y, through x or both, so no
+    # entry escapes the certificate of step n, which names its column
+    n, j, i = entry
+    V = VnComodule(n)
     t = [row[:] for row in V.coaction_matrix]
     assert t[j][i]
     t[j][i] = t[j][i] * 2
     monkeypatch.setattr(V, "coaction_matrix", t)
     with pytest.raises(DomainError) as exc:
-        comod._certified_step(2)
-    assert str(exc.value) == (
-        "step 2: column 1 of the coaction matrix of V_2 is not q^1 e_0' x"
-        if i == 1 else "V_2 is not the matrix its steps from V_1 build")
+        comod._certified_step(n)
+    assert str(exc.value) == _step_witness(n, i)
 
 
-@pytest.fixture
-def corner_built_doubled_in_v2(monkeypatch, fresh_steps):
-    # `_extend_coaction_matrix` doubling t[0][0] = d^2 of V_2 as it builds
-    # it: the tie to the steps re-runs the same construction
+# the corner (col, col) of column col of V_k doubled as
+# `_extend_coaction_matrix` builds it, by fault name: (k, col)
+BUILT_WRONG_CORNERS = {"v2_column_0_built_doubled": (2, 0),
+                       "v2_column_2_built_doubled": (2, 2),
+                       "v3_column_0_built_doubled": (3, 0),
+                       "v3_column_3_built_doubled": (3, 3)}
+
+
+def _build_corner_doubled(monkeypatch, k, col):
     extend = comod._extend_coaction_matrix
 
     def doubled(t, n):
         out = extend(t, n)
-        if n == 2:
-            out[0][0] = out[0][0] * 2
+        if n == k:
+            out[col][col] = out[col][col] * 2
         return out
     monkeypatch.setattr(comod, "_extend_coaction_matrix", doubled)
-    gram.cache_clear()
-    yield
-    gram.cache_clear()
 
 
-def test_a_corner_built_wrong_fails_only_the_direct_gram_records(
-        corner_built_doubled_in_v2):
-    # the step certificate of V_2 reads the inner column 1 through x and
-    # ties V_2 to the construction that doubled its corner, so the Gram
-    # records pass; the gram suite's direct axioms record, and the weight
-    # covector read from the same matrix, are what catch column 0
-    checks = {c["name"]: c for c in
-              suites.SUITES["gram"](range(2, 3), 5, Fraction(1, 2))}
-    assert checks["gram.inverse_binomial_n2"]["status"] == "pass"
+@pytest.mark.parametrize("fault", sorted(BUILT_WRONG_CORNERS))
+def test_a_corner_built_wrong_fails_the_gram_records(monkeypatch,
+                                                     fresh_steps, fault):
+    # the step certificate reads V_k from V_1 (x) V_(k-1), never through
+    # the construction that built it wrong, so the Gram records fail with
+    # the step's witness, next to the direct axioms record (and, for
+    # column 0, the weight covector read from the same matrix)
+    k, col = BUILT_WRONG_CORNERS[fault]
+    _build_corner_doubled(monkeypatch, k, col)
+    gram.cache_clear()
+    try:
+        checks = {c["name"]: c for c in
+                  suites.SUITES["gram"](range(k, k + 1), 5, Fraction(1, 2))}
+    finally:
+        gram.cache_clear()
+    for name in (f"gram.inverse_binomial_n{k}", f"gram.positive_at_half_n{k}"):
+        assert checks[name]["status"] == "fail", name
+        assert checks[name]["witness"] == _step_witness(k, col), name
     assert sorted(name for name, c in checks.items()
-                  if c["status"] == "fail") == ["comod.axioms_n2",
-                                                "comod.weight_covector_n2"]
+                  if c["status"] == "fail") == sorted(
+        [f"comod.axioms_n{k}", f"gram.inverse_binomial_n{k}",
+         f"gram.positive_at_half_n{k}"]
+        + [f"comod.weight_covector_n{k}"] * (col == 0))
 
 
 def test_a_wrong_manin_exponent_fails_at_step_2(fresh_steps,
                                                 flipped_manin_sign):
     assert verify_comodule_axioms(1) is None
     for n in (2, 3):
-        with pytest.raises(DomainError, match=r"^step 2: column 1 "):
+        with pytest.raises(DomainError) as exc:
             solve_coinvariant_gram(n)
+        assert str(exc.value) == _step_witness(2, 0), n
 
 
 def _certificate(certify, n):
+    # ("pass", the certified row) or ("fail", the message)
     try:
-        certify(n)
+        return "pass", certify(n)
     except DomainError as exc:
-        return str(exc)
-    return None
+        return "fail", str(exc)
 
 
 CERTIFICATE_FAULTS = {
@@ -247,24 +267,36 @@ CERTIFICATE_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(CERTIFICATE_FAULTS))
+@pytest.mark.parametrize("fault", sorted(CERTIFICATE_FAULTS)
+                         + sorted(BUILT_WRONG_CORNERS))
 def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
-    # the per-step certificate gives the verdict and message of the old
-    # chain rebuilt from V_1 for each n, on the sound matrices and under
-    # each fault, with the steps certified by smaller n read from the cache
-    CERTIFICATE_FAULTS[fault](request)
+    # the per-step certificate, which reads V_k from the left, gives the
+    # verdict and the row of the old chain rebuilt from V_1 for each n with
+    # the construction, on the sound matrices and under each fault, with
+    # the steps certified by smaller n read from the cache.  Messages
+    # differ by design
+    if fault in CERTIFICATE_FAULTS:
+        CERTIFICATE_FAULTS[fault](request)
+        built_wrong = None
+    else:
+        built_wrong = BUILT_WRONG_CORNERS[fault]
+        _build_corner_doubled(request.getfixturevalue("monkeypatch"),
+                              *built_wrong)
     for n in range(7):
         got = _certificate(comod._certified_step, n)
         want = _certificate(comod_oracle.certify_corepresentation, n)
-        if fault == "doubled_v2_corner" and n >= 3:
-            # the one intended difference: V_3.. extend the cached,
-            # corrupted V_2, so the chain, which reads V_2 only at n = 2,
-            # refuses V_n itself at its last tie, while the steps stop at
-            # the tie of V_2
-            assert want == f"V_{n} is not the matrix its steps from V_1 build"
-            assert got == "V_2 is not the matrix its steps from V_1 build"
+        if built_wrong is not None and n == built_wrong[0]:
+            # the one intended difference: the chain runs the construction
+            # that built the corner wrong, and its own inner columns agree,
+            # so it passes V_n, while the left reading refuses the corner
+            k, col = built_wrong
+            assert want == ("pass", tuple(gauss_binomial(k, i, q_pow(-2))
+                                          for i in range(k + 1)))
+            assert got == ("fail", _step_witness(k, col))
         else:
-            assert got == want, (fault, n)
+            assert got[0] == want[0], (fault, n, got, want)
+            if got[0] == "pass":
+                assert got == want, (fault, n)
     if fault == "none":
         assert comod._certified_step.cache_info().currsize == 7
 
@@ -272,9 +304,8 @@ def test_cached_steps_match_the_per_n_chain(request, fresh_steps, fault):
 def test_resolution_curve_certifies_each_step_once():
     # `resolution --n 0..6` in one fresh process certifies the base cases
     # 0, 1 and the steps 2..6, each once, where rebuilding the chain per n
-    # ran 15 steps; it builds V_1..V_6 with one extension each, and each
-    # step's tie runs one more, a full extension of V_(k-1) compared with
-    # the whole of V_k
+    # ran 15 steps; it builds V_1..V_6 with one extension each, and no
+    # step runs the construction again: each reads V_k from V_(k-1)
     script = ("import contextlib, io\n"
               "from qsu2 import comod\n"
               "from qsu2.cli import main\n"
@@ -291,8 +322,7 @@ def test_resolution_curve_certifies_each_step_once():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout == ("[0, 0, 0, 0, 0, 0, 0] 7 "
-                          "[1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]\n")
+    assert run.stdout == "[0, 0, 0, 0, 0, 0, 0] 7 [1, 2, 3, 4, 5, 6]\n"
 
 
 def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys,

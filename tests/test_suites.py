@@ -247,7 +247,8 @@ def test_a_failed_gram_certificate_is_a_failed_check(capsys, fresh_steps,
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     for name in names:
         assert checks[name]["witness"] == (
-            "step 2: column 1 of the coaction matrix of V_2 is not q^1 e_0' x")
+            "step 2: column 0 of the coaction matrix of V_2 is not its "
+            "reading from V_1 (x) V_1")
 
 
 def test_chart_independence_fails_when_the_charts_disagree(monkeypatch,
