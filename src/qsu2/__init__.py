@@ -20,7 +20,7 @@ from .charts import (Cover, TrivializationChart, build_gamma, chart,
                      localized_coinvariants, verify_chart)
 from .bundle import (Section, cotensor_slice, glue_iso_check,
                      kappa, kappa_bar, sections_space)
-from .haar import haar, verify_invariance, verify_positivity, zeta_moment
+from .haar import haar, verify_invariance, verify_positivity
 from .coherent import (CoherentFamily, ResolutionResult, classical_limit_report,
                        lemma_integral, lemma_integral_closed_form, mu_density,
                        qbeta_check, ramanujan_qbeta, reproducing_apply,

@@ -43,6 +43,11 @@ def _parse_q(text: str) -> Fraction:
     if q0 is None or q0 <= 0:
         raise argparse.ArgumentTypeError(
             f"q must be a positive rational P/R, got {text!r}")
+    try:  # the reports print q
+        str(q0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"q = {text!r} is past Python's "
+                                         "int-to-string digit limit") from None
     return q0
 
 
@@ -68,21 +73,26 @@ def _parse_n(text: str) -> int:
 def cmd_eval(args) -> int:
     try:
         p = parse_element(args.expr, ALGEBRAS[args.algebra])
+        v0 = None
         if args.action == "nf":
-            print(p)
+            v = p
         elif args.action == "coproduct":
             if args.algebra not in ("G", "B"):
                 raise DomainError("coproduct is defined on G and B")
             h = hopf.hopf_G() if args.algebra == "G" else hopf.hopf_B()
-            print(h.delta(p))
+            v = h.delta(p)
         elif args.action == "star":
-            print(star(p))
+            v = star(p)
         elif args.action == "haar":
             v = haar_integral(p)
-            v0 = None if args.q is None else v.specialize(args.q)
-            print(v)
-            if v0 is not None:
-                print(f"at q = {args.q}: {v0}")
+            if args.q is not None:
+                v0 = v.specialize(args.q)
+        try:
+            text = str(v) if v0 is None else f"{v}\nat q = {args.q}: {v0}"
+        except ValueError:
+            raise DomainError("the result is past Python's int-to-string "
+                              "digit limit") from None
+        print(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -123,7 +133,11 @@ def cmd_resolution(args) -> int:
         with timed() as t:
             res = coherent.resolution_operator(n)
             out["alpha_exact"] = str(res.alpha)
-            out["alpha_at_q"] = str(res.alpha_at(args.q))
+            try:
+                out["alpha_at_q"] = str(res.alpha_at(args.q))
+            except ValueError:
+                raise DomainError("alpha at q is past Python's int-to-string "
+                                  "digit limit") from None
             out["matrix_is_scalar"] = True
             out["chart_agreement"] = res.chart_agreement
             out["lemma_checks"] = coherent.lemma_table(n)

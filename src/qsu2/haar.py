@@ -1,16 +1,17 @@
 """The Woronowicz Haar integral on SU_q(2).
 
 With respect to the basis decomposition of G, the integral vanishes off the
-span of the (bc)^r monomials and takes the value
+span of the (bc)^r monomials, where it is the Jackson integral in base q^-2
+of a polynomial in zeta = -q b c:
 
-    int zeta^r = (1 - q^-2) / (1 - q^-2(r+1)),   zeta = -q b c,
+    int zeta^r = (1 - q^-2) / (1 - q^-2(r+1)),
 
 which equals q^r / [r+1]_q in the symmetric q-integer convention (note the
 positive power; two-sided invariance, checked below, forces it).  `haar`
-sums the (bc)^r coefficients against the moments times L, the lcm of their
-denominators (Laurent polynomials, cached per highest r), and divides by L
-once, so a Laurent integrand costs one polynomial gcd however many terms
-it has.  The functional is defined on G only: integrands living in a
+reads c (bc)^r as the coefficient c (-q)^-r of zeta^r and calls
+`scalars.jackson_q_integral_01`, whose `_jackson_weights` (cached per
+(base, highest r)) is the one weight table: one division, so one gcd, per
+integrand.  The functional is defined on G only: integrands living in a
 localization must first be rewritten into the image of G.
 
 `pair(m, m2)` = h(m m2^*) on two monomials of G is the one cache of Haar
@@ -43,34 +44,17 @@ from .comod import torus_weight
 from .hopf import basis_words, hopf_G, law_check
 from .ncalg import DomainError, NCPoly, STD, apply_tensor_map, star
 from .report import check
-from .scalars import (ONE, QRational, QScalar, ZERO, denominator_lcm,
-                      q_number, q_pow)
+from .scalars import (ONE, QRational, QScalar, ZERO, jackson_q_integral_01,
+                      q_number, q_pow, q_shift)
 
 __all__ = [
     "haar",
     "integral",
     "pair",
-    "zeta_moment",
     "verify_invariance",
     "verify_positivity",
     "zeta_moment_closed_form_report",
 ]
-
-@functools.cache
-def zeta_moment(r: int) -> QScalar:
-    """int zeta^r = (1 - q^-2)/(1 - q^-2(r+1))."""
-    return (ONE - q_pow(-2)) / (ONE - q_pow(-2 * (r + 1)))
-
-
-@functools.cache
-def _moment_weights(top: int):
-    """(1/L, w) with w[r] = L (-q^-1)^r zeta_moment(r) for r = 0..top, where
-    L is the lcm of the denominators, so every w[r] is a Laurent polynomial.
-    Shared: callers only read it."""
-    # (bc)^r = (-q^-1 zeta)^r
-    moments = [zeta_moment(r) * q_pow(-r) * (-1) ** r for r in range(top + 1)]
-    lcm = denominator_lcm(moments)
-    return lcm.inverse(), [v * lcm for v in moments]
 
 
 def _require_G(*ps: NCPoly):
@@ -81,22 +65,15 @@ def _require_G(*ps: NCPoly):
 
 
 def haar(p: NCPoly) -> QScalar:
-    """The normalized two-sided Haar integral of an element of G.
-
-    Only the (bc)^r terms contribute.  Their coefficients are summed
-    against the Laurent weights of `_moment_weights` and the sum is divided
-    by the common denominator once, so a Laurent integrand costs one
-    polynomial gcd, not one per term."""
+    """The normalized two-sided Haar integral of an element of G: the
+    Jackson integral of its (bc)^r terms (module docstring)."""
     _require_G(p)
-    terms = [(r, c) for (k, r, s, t), c in p.terms.items()
-             if not (k or t or r != s)]
-    if not terms:
-        return ZERO
-    inv_lcm, weights = _moment_weights(max(r for r, _ in terms))
-    total = ZERO
-    for r, c in terms:
-        total = total + c * weights[r]
-    return total * inv_lcm
+    f = []
+    for (k, r, s, t), c in p.terms.items():
+        if not (k or t or r != s):
+            f += [ZERO] * (r + 1 - len(f))
+            f[r] = q_shift(-c if r & 1 else c, -r)
+    return jackson_q_integral_01(f, q_pow(-2))
 
 
 @functools.cache
@@ -134,12 +111,15 @@ def integral(x: NCPoly, y: NCPoly) -> QScalar:
 def zeta_moment_closed_form_report():
     """Compare int zeta^r against q^r/[r+1] and q^-r/[r+1], r = 0..6.
 
-    The positive power matches; the negative-power variant (the same
-    misprint family as the q^-n resolution display) fails for r >= 1.
+    int zeta^r = (-q)^r h((bc)^r) is read from `pair`, so the installed
+    functional is compared.  The positive power matches; the negative-power
+    variant (the misprint family of the q^-n resolution display) fails for
+    r >= 1.
     """
+    unit, = STD.G.one().terms
     rows = []
     for r in range(7):
-        v = zeta_moment(r)
+        v = q_shift(pair((0, r, r, 0), unit), r) * (-1) ** r
         plus = q_pow(r) / q_number(r + 1)
         minus = q_pow(-r) / q_number(r + 1)
         rows.append({"r": r, "value": str(v),

@@ -9,6 +9,9 @@ Grammar (shared by scalars and algebra elements):
 
 Juxtaposition multiplies.  Division requires a scalar divisor.  The printer
 in ncalg emits this same grammar, so parse/print round-trips exactly.
+Parentheses nesting deeper than MAX_NESTING (four frames of the descent
+each) and an integer literal past Python's int-to-string digit limit are
+parse errors.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ class ParseError(ValueError):
     pass
 
 
+MAX_NESTING = 200
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\+|\-|\*|/|\(|\)))")
 
 
@@ -37,7 +42,11 @@ def _tokenize(text: str):
                 raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
             break
         if m.group(1) is not None:
-            out.append(("int", int(m.group(1))))
+            try:
+                out.append(("int", int(m.group(1))))
+            except ValueError:
+                raise ParseError(f"an integer literal of {len(m.group(1))} "
+                                 "digits is too long") from None
         elif m.group(2) is not None:
             out.append(("name", m.group(2)))
         else:
@@ -51,6 +60,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.atoms = atoms  # name -> value; must contain "q"
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None)
@@ -124,8 +134,12 @@ class _Parser:
                 raise ParseError(f"unknown name {v!r}")
             return self.atoms[v]
         if k == "op" and v == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest over {MAX_NESTING} deep")
+            self.depth += 1
             inner = self.expr()
             self.expect("op", ")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {v!r}")
 

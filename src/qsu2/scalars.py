@@ -33,7 +33,6 @@ __all__ = [
     "Q",
     "q_pow",
     "q_shift",
-    "denominator_lcm",
     "q_number",
     "gauss_binomial",
     "q_gamma_int",
@@ -489,16 +488,6 @@ def q_pow(k: int) -> QScalar:
     return q_shift(ONE, k)
 
 
-def denominator_lcm(values) -> QScalar:
-    """The lcm L of the q-free denominators of the values, lc(L) > 0, so
-    that every value times L is a Laurent polynomial in q (den 1)."""
-    lcm = ONE
-    for v in values:
-        # the den of v * lcm is den(v) / gcd(den(v), lcm)
-        lcm = lcm * QScalar((v * lcm).den)
-    return lcm
-
-
 def q_number(n: int) -> QScalar:
     """Symmetric q-integer [n] = (q^n - q^-n)/(q - q^-1), n >= 0."""
     if n < 0:
@@ -561,11 +550,12 @@ def _jackson_weights(p: QScalar, top: int):
     the lcm of the denominators, so every w[m] is a Laurent polynomial.  A
     base with p^(m+1) = 1 (p = 1, or p = -1 and m odd) has no weight at m:
     w[m] is None there.  Shared: callers only read it."""
-    weights = []
+    weights, lcm = [], ONE  # lcm: L so far, lc(L) > 0
     for m in range(top + 1):
         d = ONE - p ** (m + 1)
         weights.append((ONE - p) / d if d else None)
-    lcm = denominator_lcm(w for w in weights if w is not None)
+        if d:  # the den of w[m] L is den(w[m]) / gcd(den(w[m]), L)
+            lcm = lcm * QScalar((weights[-1] * lcm).den)
     return lcm.inverse(), [None if w is None else w * lcm for w in weights]
 
 

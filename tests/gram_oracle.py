@@ -26,7 +26,7 @@ from qsu2.comod import VnComodule
 from qsu2.haar import haar
 from qsu2.hopf import hopf_G
 from qsu2.ncalg import STD, DomainError, NCPoly, star
-from qsu2.scalars import ONE, ZERO, denominator_lcm
+from qsu2.scalars import ONE, QScalar, ZERO
 
 
 def star_first_products(n: int):
@@ -74,7 +74,10 @@ def products_k_le_l(n: int):
 def laurent_weights(diag):
     """diag times the lcm of its q-free denominators: the same form, with
     every entry a Laurent polynomial in q (den 1)."""
-    lcm = denominator_lcm(diag)
+    lcm = ONE
+    for d in diag:
+        # the den of d * lcm is den(d) / gcd(den(d), lcm)
+        lcm = lcm * QScalar((d * lcm).den)
     return [d * lcm for d in diag]
 
 

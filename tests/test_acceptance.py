@@ -12,7 +12,7 @@ from fractions import Fraction
 import resolution_oracle
 from qsu2 import bundle, charts, coherent, hopf, suites
 from qsu2.comod import schur_scalar
-from qsu2.haar import (verify_invariance, verify_positivity, zeta_moment)
+from qsu2.haar import haar, verify_invariance, verify_positivity
 from qsu2.ncalg import STD, parse_element, rewriting_certificate
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
 from rewriting_oracle import confluence_probe
@@ -78,9 +78,10 @@ def test_criterion_3_haar_suite():
         # invariance) force q^r/[r+1]_q; the q^-r variant printed alongside
         # belongs to the resolved q^n-vs-q^-n misprint family and fails
         for r in range(7):
-            assert zeta_moment(r) == q_pow(r) / q_number(r + 1)
+            zeta_r = haar(parse_element(f"(-q b c)^{r}", STD.G))
+            assert zeta_r == q_pow(r) / q_number(r + 1)
             if r >= 1:
-                assert zeta_moment(r) != q_pow(-r) / q_number(r + 1)
+                assert zeta_r != q_pow(-r) / q_number(r + 1)
         _assert_all_pass(verify_positivity(Fraction(1, 2), degree=3),
                          allow_skip=False)
 

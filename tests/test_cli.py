@@ -180,8 +180,20 @@ def test_exit_code_contract(capsys, monkeypatch, argv, expected):
      "argument --n: expected one N >= 0, got '2..5'"),
     (["eval", "a", "--action", "haar", "--q", "abc"],
      "argument --q: q must be a positive rational P/R, got 'abc'"),
+    # the reports print q: a q past Python's int-to-string digit limit
+    # (4,300 by default) could not be printed
+    (["haar", "b c", "--q", "1e-10000"],
+     "argument --q: q = '1e-10000' is past Python's int-to-string digit "
+     "limit"),
+    (["resolution", "--n", "1", "--q", "1e-10000"],
+     "argument --q: q = '1e-10000' is past Python's int-to-string digit "
+     "limit"),
+    (["verify", "haar", "--q", "1e-10000"],
+     "argument --q: q = '1e-10000' is past Python's int-to-string digit "
+     "limit"),
 ], ids=["q_abc", "q_negative", "n_x", "n_1..x", "resolution_n_x",
-        "resolution_n_2..5", "eval_q_abc"])
+        "resolution_n_2..5", "eval_q_abc", "haar_q_digits",
+        "resolution_q_digits", "verify_q_digits"])
 def test_a_malformed_value_names_the_expected_form(capsys, argv, message):
     # argparse names the type function of a value that raises ValueError;
     # each parser raises ArgumentTypeError instead, which names the form
@@ -292,3 +304,38 @@ def test_verify_fuzz_keeps_exit_code_contract(capsys, suite, n, degree, q,
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth, code", [(1, 0), (200, 0), (201, 2),
+                                         (250, 2), (1000, 2)])
+def test_nested_parentheses_parse_or_fail_with_exit_2(capsys, depth, code):
+    # the recursive descent spends four frames on each level: past
+    # MAX_NESTING levels it refuses the input instead of overflowing the
+    # Python stack
+    expr = "(" * depth + "a" + ")" * depth
+    got, out, err = run(capsys, "eval", expr)
+    assert got == code
+    if code:
+        assert err == "parse error: parentheses nest over 200 deep\n"
+    else:
+        assert out == "a\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "1" * 5000 + " a"], 2,
+     "parse error: an integer literal of 5000 digits is too long"),
+    (["eval", "2^20000"], 3,
+     "domain error: the result is past Python's int-to-string digit limit"),
+    (["haar", "b c", "--q", "1e-4000"], 3,
+     "domain error: the result is past Python's int-to-string digit limit"),
+    (["resolution", "--n", "1", "--q", "1e-4000"], 3,
+     "domain error: alpha at q is past Python's int-to-string digit limit"),
+], ids=["literal", "eval_result", "haar_at_q", "resolution_alpha_at_q"])
+def test_an_integer_past_the_digit_limit_keeps_the_exit_code_contract(
+        capsys, argv, code, message):
+    # Python refuses to convert an int of more digits than its limit (4,300
+    # by default) to a string: a literal past it is a parse error, and a
+    # result that holds one is a domain error, with nothing on stdout
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1].endswith(message)

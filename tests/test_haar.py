@@ -14,7 +14,7 @@ from qsu2.coherent import (assembled_coefficients, lemma_table,
                            resolution_operator)
 from qsu2.comod import torus_weight
 from qsu2.haar import (haar, integral, verify_invariance, verify_positivity,
-                       zeta_moment, zeta_moment_closed_form_report)
+                       zeta_moment_closed_form_report)
 from qsu2.hopf import basis_words, hopf_G
 from qsu2.ncalg import (AlgebraMap, DomainError, NCPoly, STD, parse_element,
                         star, tensor_elem)
@@ -37,7 +37,8 @@ def test_normalization():
 
 
 def test_zeta_moment_r1():
-    assert zeta_moment(1) == g("q^2/(q^2+1)").scalar_part()
+    # int zeta = h(-q b c)
+    assert haar(g("-q b c")) == g("q^2/(q^2+1)").scalar_part()
 
 
 def test_haar_dd_star():
@@ -53,8 +54,9 @@ def test_haar_kills_complement():
 
 
 def test_haar_bc():
-    # int bc = -q^-1 int zeta
-    assert haar(g("b c")) == zeta_moment(1) * (-q_pow(-1))
+    # int bc = -q^-1 int zeta, int zeta = (1 - q^-2)/(1 - q^-4)
+    assert haar(g("b c")) == ((ONE - q_pow(-2)) / (ONE - q_pow(-4))
+                              * (-q_pow(-1)))
 
 
 def test_invariance_example_a():
@@ -75,20 +77,18 @@ def test_invariance_suite():
 
 @contextlib.contextmanager
 def _wrong_moment():
-    # the monomial integrals and the moment weights are cached from the
-    # true moments, so both caches are cleared around the patch
-    moment = haar_module.zeta_moment
-    caches = (haar_module.pair, haar_module._moment_weights)
-    for cache in caches:
-        cache.cache_clear()
+    # int zeta^2 one too large: h((bc)^2) = q^-2 int zeta^2 gains q^-2.  The
+    # functional is installed as `haar`, and the table of monomial pairs is
+    # cleared around it, as `fresh_pairs` does
+    bbcc, = g("b^2 c^2").terms
+    haar_module.pair.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(haar_module, "zeta_moment",
-                       lambda r: moment(r) + ONE if r == 2 else moment(r))
+            mp.setattr(haar_module, "haar",
+                       lambda p: haar(p) + q_pow(-2) * p.coeff(bbcc))
             yield
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        haar_module.pair.cache_clear()
 
 
 def test_invariance_fails_on_a_wrong_moment():
@@ -97,6 +97,18 @@ def test_invariance_fails_on_a_wrong_moment():
     assert left["status"] == right["status"] == "fail"
     assert left["witness"] == "c^2 d^2"
     assert right["witness"] == "b^2 d^2"
+
+
+def test_the_moment_record_fails_on_a_wrong_moment():
+    # the closed-form record reads int zeta^r through the installed
+    # functional, so a wrong moment fails it
+    with _wrong_moment():
+        checks = {c["name"]: c for c in run_suite("haar").checks}
+        rep = zeta_moment_closed_form_report()
+    assert checks["haar.zeta_moments_closed_form"]["status"] == "fail"
+    assert checks["haar.zeta_moments_closed_form"]["witness"] == str(rep)
+    assert ([row["matches_q^r/[r+1]"] for row in rep["rows"]]
+            == [r != 2 for r in range(7)])
 
 
 def test_invariance_matches_the_ungated_oracle():
@@ -274,7 +286,10 @@ def test_zeta_moments_vs_symmetric_q_integer():
     assert rep["all_match_positive_power"]
     assert rep["negative_power_fails_from_r1"]
     for r in range(7):
-        assert zeta_moment(r) == q_pow(r) / q_number(r + 1)
+        # int zeta^r = h((-q b c)^r)
+        zeta_r = haar(g(f"(-q b c)^{r}"))
+        assert zeta_r == q_pow(r) / q_number(r + 1)
+        assert rep["rows"][r]["value"] == str(zeta_r)
 
 
 def test_star_symmetry():

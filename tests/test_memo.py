@@ -169,7 +169,7 @@ CACHED = {
     "qsu2.coherent.gram", "qsu2.coherent.qbeta_check",
     "qsu2.coherent.ramanujan_qbeta", "qsu2.coherent.resolution_operator",
     "qsu2.comod.VnComodule", "qsu2.comod._certified_step",
-    "qsu2.haar._moment_weights", "qsu2.haar.pair", "qsu2.haar.zeta_moment",
+    "qsu2.haar.pair",
     "qsu2.hopf._corrupted", "qsu2.hopf.basis_words",
     "qsu2.ncalg.Algebra._da_expand", "qsu2.ncalg.Algebra.basis_monomials",
     "qsu2.ncalg.AlgebraMap._power", "qsu2.ncalg.AlgebraMap.image",
