@@ -34,6 +34,16 @@ ALGEBRAS = {"G": STD.G, "G_b": STD.Gb, "G_d": STD.Gd, "G_bd": STD.Gbd,
 
 
 def _parse_q(text: str) -> Fraction:
+    past_limit = argparse.ArgumentTypeError(
+        f"q = {text!r} is past Python's int-to-string digit limit")
+    # a nonzero q = m 10^k prints more than |k| - 2 len(m) digits: refuse
+    # a huge k before Fraction builds 10^|k| (a limit of 0, or none before
+    # Python 3.10.7, is no limit)
+    mantissa, e, k = text.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    with contextlib.suppress(ValueError):
+        if e and abs(int(k)) - 2 * len(mantissa) > limit > 0:
+            raise past_limit
     try:
         q0 = Fraction(text)
     except ZeroDivisionError:
@@ -46,8 +56,7 @@ def _parse_q(text: str) -> Fraction:
     try:  # the reports print q
         str(q0)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"q = {text!r} is past Python's "
-                                         "int-to-string digit limit") from None
+        raise past_limit from None
     return q0
 
 
@@ -71,35 +80,18 @@ def _parse_n(text: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        p = parse_element(args.expr, ALGEBRAS[args.algebra])
-        v0 = None
-        if args.action == "nf":
-            v = p
-        elif args.action == "coproduct":
-            if args.algebra not in ("G", "B"):
-                raise DomainError("coproduct is defined on G and B")
-            h = hopf.hopf_G() if args.algebra == "G" else hopf.hopf_B()
-            v = h.delta(p)
-        elif args.action == "star":
-            v = star(p)
-        elif args.action == "haar":
-            v = haar_integral(p)
-            if args.q is not None:
-                v0 = v.specialize(args.q)
-        try:
-            text = str(v) if v0 is None else f"{v}\nat q = {args.q}: {v0}"
-        except ValueError:
-            raise DomainError("the result is past Python's int-to-string "
-                              "digit limit") from None
-        print(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ZeroDivisionError) as exc:
-        # a zero divisor in the expression, or PoleError from --q
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
+    p = parse_element(args.expr, ALGEBRAS[args.algebra])
+    if args.action == "coproduct":
+        if args.algebra not in ("G", "B"):
+            raise DomainError("coproduct is defined on G and B")
+        p = (hopf.hopf_G() if args.algebra == "G" else hopf.hopf_B()).delta(p)
+    elif args.action == "star":
+        p = star(p)
+    elif args.action == "haar":
+        p = haar_integral(p)
+    print(p)
+    if args.action == "haar" and args.q is not None:
+        print(f"at q = {args.q}: {p.specialize(args.q)}")
     return 0
 
 
@@ -109,12 +101,8 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {name!r}; choose from "
               f"{', '.join(sorted(SUITES))}, all", file=sys.stderr)
         return 2
-    try:
-        report = run_suite(name, n_range=args.n, degree=args.degree,
-                           seed=args.seed, q0=args.q)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
+    report = run_suite(name, n_range=args.n, degree=args.degree,
+                       seed=args.seed, q0=args.q)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "tsv":
@@ -133,11 +121,7 @@ def cmd_resolution(args) -> int:
         with timed() as t:
             res = coherent.resolution_operator(n)
             out["alpha_exact"] = str(res.alpha)
-            try:
-                out["alpha_at_q"] = str(res.alpha_at(args.q))
-            except ValueError:
-                raise DomainError("alpha at q is past Python's int-to-string "
-                                  "digit limit") from None
+            out["alpha_at_q"] = str(res.alpha_at(args.q))
             out["matrix_is_scalar"] = True
             out["chart_agreement"] = res.chart_agreement
             out["lemma_checks"] = coherent.lemma_table(n)
@@ -149,9 +133,6 @@ def cmd_resolution(args) -> int:
         # a failed check, not an error: the report below says
         # "matrix_is_scalar": false and the exit is 1
         print(f"check failed: {exc}", file=sys.stderr)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
     out["runtime_ms"] = t.ms
     ok = (out["matrix_is_scalar"] and out["chart_agreement"]
           and all(c["matches_closed_form"] for c in out["lemma_checks"])
@@ -207,23 +188,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code.  Its stdout is written
-    when it is done; a reader that closed the pipe early (`| head -1`)
+    """Run one command and return its exit code.  This is the one place
+    that maps errors to exit codes: a ParseError exits 2; a DomainError, a
+    zero divisor (PoleError from --q included) or an int past Python's
+    int-to-string digit limit exits 3; any other exception propagates.
+    The command's stdout is written when it is done, and not at all on an
+    exit of 2 or 3.  A reader that closed the pipe early (`| head -1`)
     leaves the exit code as it is and prints no traceback."""
-    out = io.StringIO()
+    out, code = io.StringIO(), None
     try:
         with contextlib.redirect_stdout(out):
             args = build_parser().parse_args(argv)
-            return args.fn(args)
+            code = args.fn(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        code = 2
+    except (DomainError, ZeroDivisionError) as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        code = 3
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print("domain error: the result is past Python's int-to-string "
+              "digit limit", file=sys.stderr)
+        code = 3
     finally:
-        try:
-            sys.stdout.write(out.getvalue())
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # what is still buffered, flushed again at exit, goes nowhere
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        if code not in (2, 3):
+            try:
+                sys.stdout.write(out.getvalue())
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # what is still buffered, flushed again at exit, goes nowhere
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

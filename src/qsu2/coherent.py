@@ -17,11 +17,11 @@ import functools
 from fractions import Fraction
 from math import comb
 
+from . import comod
 from .bundle import Section
 from .charts import (TrivializationChart, chart, cover,
                      is_weight_vector)
-from .comod import (GramForm, VnComodule, homogeneous_entry, pairing,
-                    schur_scalar, solve_coinvariant_gram)
+from .comod import VnComodule, homogeneous_entry, pairing, schur_scalar
 from .haar import haar, integral
 from .ncalg import DomainError, NCPoly, STD, retract, star
 from .report import check
@@ -48,14 +48,7 @@ __all__ = [
     "orthogonality_table",
     "reproducing_apply",
     "classical_limit_report",
-    "gram",
 ]
-
-# calls the traced solve_coinvariant_gram by its global name; caching that
-# function object itself would bypass a wrapper installed on the name
-@functools.cache
-def gram(n: int) -> GramForm:
-    return solve_coinvariant_gram(n)
 
 
 class CoherentFamily:
@@ -123,7 +116,7 @@ def section_property_check(n: int):
         vec = [ONE if i == k else ZERO for i in range(n + 1)]
         witness = None
         try:
-            g = gram(n)
+            g = comod.solve_coinvariant_gram(n)
             Section(pairing(fam_b.coefficients, vec, g),
                     pairing(fam_d.coefficients, vec, g), n)
         except DomainError as exc:
@@ -178,7 +171,7 @@ def resolution_operator(n: int) -> ResolutionResult:
 
     # equal vectors give equal triples; differing ones (r_b = -r_d) may too
     agree = r_b == r_d or triple(r_b) == triple(r_d)
-    g = gram(n)
+    g = comod.solve_coinvariant_gram(n)
     matrix = [[integral(r_d[j], r_d[k]) * g.diag[k] for k in range(m)]
               for j in range(m)]
     alpha = schur_scalar(matrix, n)
@@ -195,8 +188,9 @@ def orthogonality_table(n: int):
     (1987); Klimyk-Schmuedgen ch. 4).  So A(w) = diag_j(sum_i w_i^2
     T[j][i]) is scalar for every w iff each column of T is constant in j.
     A failed Gram certificate or premise (`comod.homogeneous_entry` on
-    every entry) raises DomainError.  Uncached: it reads `gram` by name."""
-    g, t = gram(n), VnComodule(n).coaction_matrix
+    every entry) raises DomainError.  Uncached: it reads
+    `comod.solve_coinvariant_gram` by name."""
+    g, t = comod.solve_coinvariant_gram(n), VnComodule(n).coaction_matrix
     for j, r in enumerate(t):
         for i, x in enumerate(r):
             if not homogeneous_entry(x, j, i, n):

@@ -97,8 +97,9 @@ def kernel_basis(columns):
         return []
     basis = []
     for group in _components(columns):
-        keys = sorted({k for ci in group for k in columns[ci]},
-                      key=lambda k: repr(k))
+        # first-seen order: the reduced echelon form, and so the kernel
+        # basis, does not depend on the order of the rows
+        keys = dict.fromkeys(k for ci in group for k in columns[ci])
         if not keys:  # all-zero columns: each is free
             for ci in group:
                 v = [ZERO] * n

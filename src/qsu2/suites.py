@@ -72,7 +72,7 @@ def suite_gram(n_range, degree, q0):
             "(id x pi) rho v_chi = v_chi x chi; spanned by y^n", wc))
         # a failed Gram certificate is the witness of the checks on the form
         try:
-            diag, unsolved = coherent.gram(n).diag, None
+            diag, unsolved = comod.solve_coinvariant_gram(n).diag, None
         except DomainError as exc:
             diag, unsolved = None, exc
         checks.append(check(

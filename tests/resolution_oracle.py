@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from qsu2 import coherent
+from qsu2 import coherent, comod
 from qsu2.comod import NonScalarError, VnComodule, schur_scalar
 from qsu2.haar import haar
 from qsu2.ncalg import star
@@ -21,7 +21,7 @@ def matrix(ch, n: int):
     """[int r_i r_k^* g_k] over the r_i of the chart `ch`, all (n+1)^2
     products formed and integrated."""
     r = coherent.assembled_coefficients(ch, n)
-    g = coherent.gram(n)
+    g = comod.solve_coinvariant_gram(n)
     m = n + 1
     return [[haar(r[i] * star(r[k])) * g.diag[k] for k in range(m)]
             for i in range(m)]
@@ -31,7 +31,7 @@ def theorem4_matrix(n: int, w_vec):
     """[int w_j w_k^* g_k] over the components w_j of rho(w), w the vector
     w_vec of V_n, all (n+1)^2 products formed and integrated."""
     w = VnComodule(n).components(w_vec)
-    g = coherent.gram(n)
+    g = comod.solve_coinvariant_gram(n)
     m = n + 1
     return [[haar(w[j] * star(w[k])) * g.diag[k] for k in range(m)]
             for j in range(m)]

@@ -1,10 +1,12 @@
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qsu2 import cli
 from qsu2.cli import main
 
 
@@ -295,7 +297,8 @@ def test_eval_fuzz_keeps_exit_code_contract(capsys, expr, algebra, action, q):
                               "charts", "rewriting"]),
        n=st.sampled_from(["0", "0..2", "2..1", "-1", "..2", "1..", "x"]),
        degree=st.sampled_from([str(d) for d in range(-2, 4)] + ["x"]),
-       q=st.sampled_from(["1/2", "3/4", "1", "2", "0", "-1", "1/0", "x"]),
+       q=st.sampled_from(["1/2", "3/4", "1", "2", "0", "-1", "1/0", "x",
+                          "1e-2200"]),
        seed=st.integers())
 def test_verify_fuzz_keeps_exit_code_contract(capsys, suite, n, degree, q,
                                               seed):
@@ -321,21 +324,67 @@ def test_nested_parentheses_parse_or_fail_with_exit_2(capsys, depth, code):
         assert out == "a\n"
 
 
+PAST_DIGIT_LIMIT = ("domain error: the result is past Python's "
+                    "int-to-string digit limit")
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["eval", "1" * 5000 + " a"], 2,
      "parse error: an integer literal of 5000 digits is too long"),
-    (["eval", "2^20000"], 3,
-     "domain error: the result is past Python's int-to-string digit limit"),
-    (["haar", "b c", "--q", "1e-4000"], 3,
-     "domain error: the result is past Python's int-to-string digit limit"),
-    (["resolution", "--n", "1", "--q", "1e-4000"], 3,
-     "domain error: alpha at q is past Python's int-to-string digit limit"),
-], ids=["literal", "eval_result", "haar_at_q", "resolution_alpha_at_q"])
+    (["eval", "2^20000"], 3, PAST_DIGIT_LIMIT),
+    (["haar", "b c", "--q", "1e-4000"], 3, PAST_DIGIT_LIMIT),
+    (["resolution", "--n", "1", "--q", "1e-4000"], 3, PAST_DIGIT_LIMIT),
+    (["verify", "resolution", "--n", "1..1", "--q", "1e-2200"], 3,
+     PAST_DIGIT_LIMIT),
+    (["verify", "all", "--q", "1e-4000"], 3, PAST_DIGIT_LIMIT),
+], ids=["literal", "eval_result", "haar_at_q", "resolution_alpha_at_q",
+        "verify_resolution_witness", "verify_all"])
 def test_an_integer_past_the_digit_limit_keeps_the_exit_code_contract(
         capsys, argv, code, message):
     # Python refuses to convert an int of more digits than its limit (4,300
     # by default) to a string: a literal past it is a parse error, and a
-    # result that holds one is a domain error, with nothing on stdout
+    # result that holds one, a printed alpha or a check's witness, is a
+    # domain error, with one message and nothing on stdout
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("q", ["1e-3000000", "1E+3000000", "2.5e-1000000"])
+def test_a_huge_q_exponent_is_refused_before_fraction_builds_it(
+        capsys, monkeypatch, q):
+    # Fraction("1e-N") builds 10^N, so an exponent whose size alone puts q
+    # past the digit limit is refused before Fraction sees the text, with
+    # the message of the printability check; a q of 4,001 printed digits
+    # still reaches Fraction, and its result at q is past the limit
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(cli, "Fraction", spy)
+    code, out, err = run(capsys, "haar", "b c", "--q", q)
+    assert (code, out, (q,) in seen) == (2, "", False)
+    assert err.splitlines()[-1].endswith(
+        f"argument --q: q = {q!r} is past Python's int-to-string digit limit")
+    code, out, err = run(capsys, "haar", "b c", "--q", "1e-4000")
+    assert (code, out, err) == (3, "", PAST_DIGIT_LIMIT + "\n")
+    assert ("1e-4000",) in seen
+
+
+@pytest.mark.parametrize("command", ["cmd_eval", "cmd_verify",
+                                     "cmd_resolution"])
+def test_an_unrelated_value_error_propagates_out_of_main(
+        capsys, monkeypatch, command):
+    # main maps a ParseError, a DomainError, a zero divisor and the digit
+    # limit to exit codes, and no other ValueError: that one ends in a
+    # traceback, which the tests and the benchmark's `raised` flag see
+    def broken(args):
+        print("half a report")
+        raise ValueError("not a domain error")
+    argv = {"cmd_eval": ["eval", "a"], "cmd_verify": ["verify", "haar"],
+            "cmd_resolution": ["resolution", "--n", "1"]}[command]
+    monkeypatch.setattr(cli, command, broken)
+    with pytest.raises(ValueError, match="^not a domain error$"):
+        main(argv)
+    assert capsys.readouterr().err == ""

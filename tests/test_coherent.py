@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import resolution_oracle
-from qsu2 import coherent
+from qsu2 import coherent, comod
 from qsu2.charts import chart, cover
 from qsu2.coherent import (assembled_coefficients, classical_limit_report,
-                           expected_alpha, expected_d_chart_coefficient, gram,
+                           expected_alpha, expected_d_chart_coefficient,
                            integrand_sign_check, lemma_integral,
                            lemma_integral_closed_form, mu_density,
                            qbeta_check, ramanujan_qbeta, reproducing_apply,
                            resolution_operator, section_property_check,
                            solve_coherent)
-from qsu2.comod import GramForm, NonScalarError, VnComodule, schur_scalar
+from qsu2.comod import (GramForm, NonScalarError, VnComodule, schur_scalar,
+                        solve_coinvariant_gram)
 from qsu2.haar import haar, integral
 from qsu2.ncalg import NCPoly, STD, parse_element, star
 from qsu2.scalars import ONE, QScalar, ZERO, q_number, q_pow
@@ -231,7 +232,7 @@ def test_theorem4_matrix_matches_the_full_products(n):
     # zero for (j, i) != (k, i'), and g_j int t[j][i] t[j][i]^* is the
     # entry T[j][i] of the orthogonality table
     t = VnComodule(n).coaction_matrix
-    g = gram(n)
+    g = solve_coinvariant_gram(n)
     table = coherent.orthogonality_table(n)
     cells = list(itertools.product(range(n + 1), repeat=2))
     for (j, i), (k, i2) in itertools.product(cells, repeat=2):
@@ -257,8 +258,8 @@ def test_theorem4_fails_as_the_full_products_under_a_wrong_gram_diagonal(
     # polarization input, integrated from every product, is
     # diag_j(sum_i w_i^2 T[j][i]) over the table read under the same Gram
     # form, and for some input it is not scalar
-    sound = coherent.gram
-    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
+    sound = comod.solve_coinvariant_gram
+    monkeypatch.setattr(comod, "solve_coinvariant_gram", lambda n: GramForm(
         n, [ONE, q_pow(-2)]) if n == 1 else sound(n))
     table = coherent.orthogonality_table(1)
     raised = 0
@@ -303,7 +304,7 @@ def _reproducing_by_integrals(n, H, v_vec):
     """H|v> = alpha^-1 int H|C> dmu <C|v> with every integral
     int r_i r_k^* recomputed, as `reproducing_apply` once did."""
     r = assembled_coefficients(cover().d, n)
-    g = gram(n)
+    g = solve_coinvariant_gram(n)
     m = n + 1
     total = [sum((QScalar.coerce(H[j][i]) * haar(r[i] * star(r[k]))
                   * g.diag[k] * QScalar.coerce(v_vec[k])

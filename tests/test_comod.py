@@ -10,7 +10,6 @@ import comod_oracle
 import gram_oracle
 from qsu2 import comod, hopf, linalg, scalars, suites
 from qsu2.cli import main
-from qsu2.coherent import gram
 from qsu2.comod import (STAR_FIRST, STAR_SECOND, NonScalarError, VnComodule,
                         _gram_order, _inverse_binomials, _unitarity_defect,
                         gram_order_report,
@@ -111,12 +110,9 @@ def _double_corner(monkeypatch, n):
 
 @pytest.fixture
 def doubled_v1_corner(monkeypatch, fresh_steps):
-    # t[0][0] = d of V_1 doubled, with no Gram form cached from the true
+    # t[0][0] = d of V_1 doubled, with no step certified from the true
     # matrix and none left behind from the corrupted one
     _double_corner(monkeypatch, 1)
-    gram.cache_clear()
-    yield
-    gram.cache_clear()
 
 
 def test_comodule_axioms_name_a_corrupted_entry(doubled_v1_corner):
@@ -223,12 +219,8 @@ def test_a_corner_built_wrong_fails_the_gram_records(monkeypatch,
     # column 0, the weight covector read from the same matrix)
     k, col = BUILT_WRONG_CORNERS[fault]
     _build_corner_doubled(monkeypatch, k, col)
-    gram.cache_clear()
-    try:
-        checks = {c["name"]: c for c in
-                  suites.SUITES["gram"](range(k, k + 1), 5, Fraction(1, 2))}
-    finally:
-        gram.cache_clear()
+    checks = {c["name"]: c for c in
+              suites.SUITES["gram"](range(k, k + 1), 5, Fraction(1, 2))}
     for name in (f"gram.inverse_binomial_n{k}", f"gram.positive_at_half_n{k}"):
         assert checks[name]["status"] == "fail", name
         assert checks[name]["witness"] == _step_witness(k, col), name
@@ -334,16 +326,12 @@ def test_gram_without_an_antipode_is_a_domain_error(monkeypatch, capsys,
     corrupted = hopf._corrupted("G")
     assert corrupted.antipode is None
     monkeypatch.setattr(hopf, "_HOPF_G", corrupted)
-    gram.cache_clear()
-    try:
-        expect = r"^no antipode solution on G: inconsistent linear system$"
-        with pytest.raises(DomainError, match=expect):
-            _unitarity_defect([ONE, ONE])
-        with pytest.raises(DomainError, match=expect):
-            solve_coinvariant_gram(0)
-        code = main(["verify", "gram", "--n", "0..0", "--format", "json"])
-    finally:
-        gram.cache_clear()
+    expect = r"^no antipode solution on G: inconsistent linear system$"
+    with pytest.raises(DomainError, match=expect):
+        _unitarity_defect([ONE, ONE])
+    with pytest.raises(DomainError, match=expect):
+        solve_coinvariant_gram(0)
+    code = main(["verify", "gram", "--n", "0..0", "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     failed = {c["name"]: c["witness"] for c in json.loads(out)["checks"]
@@ -436,12 +424,8 @@ def test_a_wrong_q_power_in_a_step_row_fails_the_gram_suite(fresh_steps,
         row = certified(k)
         return row[:1] + (row[1] * Q,) + row[2:] if k == 3 else row
     monkeypatch.setattr(comod, "_certified_step", wrong_power)
-    gram.cache_clear()
-    try:
-        checks = {c["name"]: c for c in
-                  suites.SUITES["gram"](range(2, 5), 5, Fraction(1, 2))}
-    finally:
-        gram.cache_clear()
+    checks = {c["name"]: c for c in
+              suites.SUITES["gram"](range(2, 5), 5, Fraction(1, 2))}
     assert checks["gram.inverse_binomial_n2"]["status"] == "pass"
     for n in (3, 4):
         check = checks[f"gram.inverse_binomial_n{n}"]
@@ -532,7 +516,7 @@ def test_haar_gram_matches_kernel_solve():
 
 def test_haar_gram_inverse_binomial_beyond_kernel_oracle():
     for n in (7, 8):
-        assert gram(n).diag == _inverse_binomials(n), n
+        assert solve_coinvariant_gram(n).diag == _inverse_binomials(n), n
 
 
 def test_haar_gram_solves_no_kernel(monkeypatch):

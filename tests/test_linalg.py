@@ -1,6 +1,7 @@
 """Direct tests of the exact linear algebra: `column`, `kernel_basis` and
 `in_span`, with a Fraction elimination as the rank oracle."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,24 @@ def test_kernel_basis_two_components_and_a_zero_column():
         [ZERO, ZERO, ONE, ZERO, ZERO],
         [ZERO, ZERO, ZERO, -q_pow(-1), ONE],
     ]
+
+
+def test_kernel_basis_does_not_depend_on_the_order_of_the_rows():
+    # the reduced echelon form, and so the kernel basis read off it, does
+    # not depend on the order of the rows: on random sparse systems of
+    # several components, each column's keys inserted in reverse order
+    # give the same basis
+    rng = random.Random(0)
+    values = [ONE, -ONE, QScalar.coerce(2), q_pow(1), q_pow(-2) + ONE]
+    for _ in range(300):
+        nrows, ncols = rng.randint(2, 9), rng.randint(1, 8)
+        columns = [{rng.randrange(nrows): rng.choice(values)
+                    for _ in range(rng.randint(0, 3))} for _ in range(ncols)]
+        reversed_keys = [dict(reversed(col.items())) for col in columns]
+        basis = linalg.kernel_basis(columns)
+        assert linalg.kernel_basis(reversed_keys) == basis, columns
+        for v in basis:
+            assert _apply(columns, v) == {}
 
 
 def test_in_span_inconsistent_target():

@@ -166,7 +166,7 @@ def test_negative_control_adds_nothing_on_repeat(which):
 CACHED = {
     "qsu2.charts.chart", "qsu2.charts.coaction_B", "qsu2.charts.cover",
     "qsu2.coherent._lemma_side", "qsu2.coherent._zeta_power",
-    "qsu2.coherent.gram", "qsu2.coherent.qbeta_check",
+    "qsu2.coherent.qbeta_check",
     "qsu2.coherent.ramanujan_qbeta", "qsu2.coherent.resolution_operator",
     "qsu2.comod.VnComodule", "qsu2.comod._certified_step",
     "qsu2.haar.pair",

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import resolution_oracle
-from qsu2 import charts, coherent, suites
+from qsu2 import charts, coherent, comod, suites
 from qsu2.cli import main
 from qsu2.comod import GramForm, NonScalarError, VnComodule
 from qsu2.haar import integral
@@ -91,13 +91,19 @@ def test_no_ad_cooccurrence_fails_when_a_and_d_stay_together(monkeypatch,
     assert check["witness"] == "a d in (a) d"
 
 
+def _install_printed_order_gram(monkeypatch):
+    # the Gram diagonal [1, q^-2] of the printed order in place of the
+    # coinvariant [1, 1] at n = 1, on the one name every reader calls
+    sound = comod.solve_coinvariant_gram
+    monkeypatch.setattr(comod, "solve_coinvariant_gram", lambda n: GramForm(
+        n, [ONE, q_pow(-2)]) if n == 1 else sound(n))
+
+
 def test_theorem4_fails_on_a_wrong_gram_diagonal(monkeypatch):
     # with the Gram diagonal [1, q^-2] in place of the coinvariant [1, 1],
     # the operator of w = e_0 is not scalar: column 0 of the orthogonality
     # table is int d d^* = q^2/(q^2 + 1) in row 0 and q^-2 int b b^* in row 1
-    gram = coherent.gram
-    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
-        n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
+    _install_printed_order_gram(monkeypatch)
     check = _checks("theorem4", n_range=range(1, 2))["theorem4.scalar_n1"]
     assert _failed(check)
     assert check["witness"] == ("column 0: row 0 is q^2/(q^2 + 1), "
@@ -134,11 +140,10 @@ def test_theorem4_gives_the_polarization_verdict(monkeypatch, fault):
     # Entry faults go on the cached V_n after its Gram form is cached (the
     # certificate would refuse them), and monkeypatch restores them
     for n in (1, 2):
-        coherent.gram(n)
-    sound = coherent.gram
+        comod.solve_coinvariant_gram(n)
+    sound = comod.solve_coinvariant_gram
     if fault == "wrong_gram_diagonal":
-        monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
-            n, [ONE, q_pow(-2)]) if n == 1 else sound(n))
+        _install_printed_order_gram(monkeypatch)
     elif fault in THEOREM4_ENTRY_FAULTS:
         n, corrupt = THEOREM4_ENTRY_FAULTS[fault]
         V = VnComodule(n)
@@ -181,9 +186,7 @@ def test_resolution_reports_a_non_scalar_matrix(monkeypatch, capsys,
                                                 fresh_resolution):
     # the printed-order Gram diagonal [1, q^-2] makes the resolution
     # matrix non-scalar: a failed check, so a JSON report and exit 1
-    gram = coherent.gram
-    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
-        n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
+    _install_printed_order_gram(monkeypatch)
     code, rep = _resolution_report(capsys, 1)
     assert code == 1
     assert rep["matrix_is_scalar"] is False
@@ -206,9 +209,7 @@ def test_verify_reports_a_non_scalar_resolution_matrix(monkeypatch, capsys,
     # under the printed-order Gram diagonal at n = 1 every check that reads
     # the resolution operator fails with the NonScalarError as its witness,
     # and the command exits 1 with its report, not with a traceback
-    gram = coherent.gram
-    monkeypatch.setattr(coherent, "gram", lambda n: GramForm(
-        n, [ONE, q_pow(-2)]) if n == 1 else gram(n))
+    _install_printed_order_gram(monkeypatch)
     code = main(["verify", *argv, "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
@@ -237,11 +238,7 @@ def test_a_failed_gram_certificate_is_a_failed_check(capsys, fresh_steps,
     # a wrong Manin exponent fails the Gram certificate of V_2 at step 2:
     # the checks that read the Gram form fail with its message as witness,
     # and the command exits 1 with its report, not 3 with no report
-    coherent.gram.cache_clear()
-    try:
-        code = main(["verify", *argv, "--format", "json"])
-    finally:
-        coherent.gram.cache_clear()
+    code = main(["verify", *argv, "--format", "json"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
