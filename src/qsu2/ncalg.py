@@ -14,9 +14,14 @@ monomial contains both a and a d-power:
     a -> d^-1 + q b c d^-1, so the basis is {b^r c^s d^t} with t ranging
     over the integers (a and d^-1 cannot coexist in a basis).
 
-Rewriting terminates: swaps strictly reduce inversion count, the a-d rules
-strictly reduce the number of a-d pairs, and a-elimination reduces the
-a-count, none of which any other rule increases.
+In G and G_b the a-d rules are applied in closed form, with
+m = min(k, t) and X = b^r c^s:
+
+  d^t a^k   = d^(t-m) prod_(i<m) (1 + q^(-1-2i) b c) a^(k-m),
+  a^k X d^t = q^(m(r+s)) a^(k-m) X prod_(i<m) (1 + q^(1+2i) b c) d^(t-m),
+
+both read from one cached table of the coefficients of (b c)^j in the
+middle product (`_ad_middle`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,19 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # algebras
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def _ad_middle(m: int, sign: int):
+    """The coefficients e_j of (b c)^j, j = 0..m, in
+    prod_(i<m) (1 + q^(sign (1+2i)) b c): a^m d^m for sign 1 and d^m a^m
+    for sign -1, on G and G_b alike.  Built one factor at a time."""
+    if not m:
+        return (ONE,)
+    prev = _ad_middle(m - 1, sign)
+    s = sign * (2 * m - 1)
+    return (prev[0], *(prev[j] + q_shift(prev[j - 1], s)
+                       for j in range(1, m)), q_shift(prev[-1], s))
+
 
 class Algebra:
     """A presentation with q-power swap rules and optional a-d eliminations.
@@ -191,53 +209,16 @@ class Algebra:
                             f"{self.gens[i]}/{self.gens[j]}") from None
         return e, tuple(map(operator.add, m1, m2))
 
-    @functools.cache
-    def _da_expand(self, t: int, k: int):
-        """Normal form of d^t a^k in G-type algebras (t, k >= 1)."""
-        ia, id_ = self.ad_pair
-        ib, ic = ia + 1, ia + 2
-        if t == 0 or k == 0:
-            mono = list(self._zero_mono)
-            mono[ia], mono[id_] = k, t
-            out = {tuple(mono): ONE}
-        else:
-            out = {}
-            prev = self._da_expand(t - 1, k - 1)
-            for mono, c in prev.items():
-                out[mono] = out.get(mono, ZERO) + c
-            # d^(t-1) (q^-1 b c) a^(k-1): move bc right past a^(k-1), then
-            # each prev term picks up bc moved left past its d-power
-            base = q_pow(-1 - 2 * (k - 1))
-            for mono, c in prev.items():
-                m = list(mono)
-                coeff = c * base * q_pow(-2 * m[id_])
-                m[ib] += 1
-                m[ic] += 1
-                m = tuple(m)
-                out[m] = out.get(m, ZERO) + coeff
-            out = {m: c for m, c in out.items() if c}
-        return out
-
-    def _reduce_ordered(self, mono, coeff, acc):
-        """Eliminate a-d co-occurrence in an ordered monomial into acc."""
-        ia, id_ = self.ad_pair
-        ib, ic = ia + 1, ia + 2
-        stack = [(mono, coeff)]
-        while stack:
-            m, c = stack.pop()
-            if m[ia] > 0 and m[id_] > 0:
-                rs = m[ib] + m[ic]
-                m1 = list(m)
-                m1[ia] -= 1
-                m1[id_] -= 1
-                stack.append((tuple(m1), q_shift(c, rs)))
-                m2 = list(m1)
-                m2[ib] += 1
-                m2[ic] += 1
-                stack.append((tuple(m2), q_shift(c, rs + 1)))
-            else:
-                v = acc.get(m)
-                acc[m] = c if v is None else v + c
+    def _add_middle(self, y, c, middle, shift, acc):
+        """Accumulate c q^(j shift) e_j y (b c)^j into acc, over the
+        coefficients e_j of an a-d middle (`_ad_middle`)."""
+        ib, ic = self.ad_pair[0] + 1, self.ad_pair[0] + 2
+        z = list(y)
+        for j, e in enumerate(middle):
+            z[ib], z[ic] = y[ib] + j, y[ic] + j
+            mono, ce = tuple(z), q_shift(c * e, j * shift)
+            v = acc.get(mono)
+            acc[mono] = ce if v is None else v + ce
 
     def mul_mono(self, m1, m2, coeff, acc):
         """Accumulate coeff * m1 * m2 into the dict acc (canonical inputs)."""
@@ -252,23 +233,27 @@ class Algebra:
         ad = self.ad_pair
         if ad:
             ia, id_ = ad
-            t1, k2 = m1[id_], m2[ia]
-            if t1 > 0 and k2 > 0:
-                left = list(m1)
-                left[id_] = 0
-                left = tuple(left)
-                right = list(m2)
-                right[ia] = 0
-                right = tuple(right)
-                for mid, cmid in self._da_expand(t1, k2).items():
-                    e1, x = self._merge(left, mid)
-                    e2, y = self._merge(x, right)
-                    self._reduce_ordered(y, q_shift(coeff * cmid, e1 + e2), acc)
+            t, k = m1[id_], m2[ia]
+            if t > 0 and k > 0:
+                # d^t a^k = d^(t-m) (d^m a^m) a^(k-m): (b c)^j of the middle
+                # crosses d^(t-m) or a^(k-m), one of which is 1
+                m = min(t, k)
+                left, right = list(m1), list(m2)
+                left[id_], right[ia] = t - m, k - m
+                e, y = self._merge(tuple(left), tuple(right))
+                self._add_middle(y, q_shift(coeff, e), _ad_middle(m, -1),
+                                 -2 * (t + k - 2 * m), acc)
                 return
         e, y = self._merge(m1, m2)
         c = q_shift(coeff, e)
         if ad and y[ia] > 0 and y[id_] > 0:
-            self._reduce_ordered(y, c, acc)
+            # a^k X d^t with X = b^r c^s: a^m X = q^(m(r+s)) X a^m
+            m = min(y[ia], y[id_])
+            z = list(y)
+            z[ia] -= m
+            z[id_] -= m
+            self._add_middle(tuple(z), q_shift(c, m * (y[ia + 1] + y[ia + 2])),
+                             _ad_middle(m, 1), 0, acc)
             return
         v = acc.get(y)
         acc[y] = c if v is None else v + c

@@ -73,7 +73,8 @@ class _Parser:
     def expect(self, kind, val=None):
         k, v = self.take()
         if k != kind or (val is not None and v != val):
-            raise ParseError(f"expected {val or kind}, got {v!r}")
+            got = "end of input" if k is None else repr(v)
+            raise ParseError(f"expected {val or kind}, got {got}")
         return v
 
     def parse(self):
@@ -141,6 +142,8 @@ class _Parser:
             self.expect("op", ")")
             self.depth -= 1
             return inner
+        if k is None:
+            raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {v!r}")
 
 

@@ -32,9 +32,9 @@ def fresh_pairs():
 def fresh_maps():
     # `AlgebraMap._power` and `AlgebraMap.image` keep, process-wide, the
     # products each map's images were multiplied with: a test that changes
-    # how monomials multiply (`Algebra.mul_mono`, `_da_expand`,
-    # `_reduce_ordered`) must neither meet an image multiplied without its
-    # fault nor leave one behind
+    # how monomials multiply (`Algebra.mul_mono`, or the table of a-d
+    # middles it reads, `ncalg._ad_middle`) must neither meet an image
+    # multiplied without its fault nor leave one behind
     caches = (AlgebraMap._power, AlgebraMap.image)
     for cache in caches:
         cache.cache_clear()

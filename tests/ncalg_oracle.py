@@ -7,11 +7,14 @@ every tensor monomial in one loop, kept here only as oracles
 commutation exponent with `comm.get`; `mul_mono` multiplies the factors of
 a tensor product on the monomial pieces `split_mono` cuts at the factor
 offsets, and scales each coefficient by a `q_pow` product.  The a-d
-rewriting (`reduce_ordered`) keeps its `q_pow` products as well.  Only
-the cached expansion of d^t a^k, `Algebra._da_expand`, is shared with the
-engine.  A tensor monomial is joined here (`join_monos`), not by the
-engine.  `basis_monomials` is `Algebra.basis_monomials` as it was before
-it enumerated each degree directly: it filters the whole exponent box.
+rewriting keeps its `q_pow` products as well: `da_expand` is the
+recursion for d^t a^k and `reduce_ordered` the stack that peels one a and
+one d at a time off a^k X d^t, the two ways the engine applied the a-d
+rules before it read both words from one table of closed forms.  No
+product code is shared with the engine.  A tensor monomial is joined here
+(`join_monos`), not by the engine.  `basis_monomials` is
+`Algebra.basis_monomials` as it was before it enumerated each degree
+directly: it filters the whole exponent box.
 """
 
 from __future__ import annotations
@@ -54,6 +57,31 @@ def split_mono(alg, mono):
 def join_monos(subs):
     """The monomial of a tensor product with the given factor monomials."""
     return tuple(itertools.chain.from_iterable(subs))
+
+
+def da_expand(alg, t, k):
+    """Normal form of d^t a^k in G-type algebras, as {mono: coeff}."""
+    ia, id_ = alg.ad_pair
+    ib, ic = ia + 1, ia + 2
+    if t == 0 or k == 0:
+        mono = [0] * alg.n
+        mono[ia], mono[id_] = k, t
+        return {tuple(mono): ONE}
+    out = {}
+    prev = da_expand(alg, t - 1, k - 1)
+    for mono, c in prev.items():
+        out[mono] = out.get(mono, ZERO) + c
+    # d^(t-1) (q^-1 b c) a^(k-1): move bc right past a^(k-1), then each
+    # prev term picks up bc moved left past its d-power
+    base = q_pow(-1 - 2 * (k - 1))
+    for mono, c in prev.items():
+        m = list(mono)
+        coeff = c * base * q_pow(-2 * m[id_])
+        m[ib] += 1
+        m[ic] += 1
+        m = tuple(m)
+        out[m] = out.get(m, ZERO) + coeff
+    return {m: c for m, c in out.items() if c}
 
 
 def reduce_ordered(alg, mono, coeff, acc):
@@ -103,7 +131,7 @@ def mul_mono(alg, m1, m2, coeff, acc):
             right = list(m2)
             right[ia] = 0
             right = tuple(right)
-            for mid, cmid in alg._da_expand(t1, k2).items():
+            for mid, cmid in da_expand(alg, t1, k2).items():
                 e1, x = merge(alg, left, mid)
                 e2, y = merge(alg, x, right)
                 reduce_ordered(alg, y, coeff * cmid * q_pow(e1 + e2), acc)

@@ -50,6 +50,19 @@ def test_parse_error_exit_2(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("", "unexpected end of input"), ("a +", "unexpected end of input"),
+    ("a *", "unexpected end of input"), ("-", "unexpected end of input"),
+    ("2/", "unexpected end of input"), ("(a", "expected ), got end of input"),
+])
+def test_a_parse_error_at_the_end_names_the_end_of_input(capsys, expr,
+                                                         message):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message}\n"
+    assert "None" not in err
+
+
 def test_domain_error_exit_3(capsys):
     code, _, err = run(capsys, "eval", "b^-1", "--algebra", "G_b",
                        "--action", "star")

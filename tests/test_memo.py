@@ -171,7 +171,7 @@ CACHED = {
     "qsu2.comod.VnComodule", "qsu2.comod._certified_step",
     "qsu2.haar.pair",
     "qsu2.hopf._corrupted", "qsu2.hopf.basis_words",
-    "qsu2.ncalg.Algebra._da_expand", "qsu2.ncalg.Algebra.basis_monomials",
+    "qsu2.ncalg._ad_middle", "qsu2.ncalg.Algebra.basis_monomials",
     "qsu2.ncalg.AlgebraMap._power", "qsu2.ncalg.AlgebraMap.image",
     "qsu2.ncalg._Standard.inclusion", "qsu2.ncalg._Standard.tensor",
     "qsu2.scalars._jackson_weights", "qsu2.scalars.gauss_binomial",

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import ncalg_oracle
 import rewriting_oracle
-from qsu2 import linalg
+from qsu2 import linalg, ncalg
 from qsu2.hopf import hopf_B, hopf_G, pi_map
 from qsu2.ncalg import (Algebra, DomainError, NCPoly, STD, apply_tensor_map,
                         parse_element, retract, rewriting_certificate, star,
@@ -61,14 +61,33 @@ def test_unit_and_commuting():
 
 
 def test_dr_ar_pochhammer():
-    # d^r a^r = prod_k (1 + q^(-1-2k) b c), all factors linear in bc
-    d, a, b, c = g("d"), g("a"), g("b"), g("c")
-    for r in range(1, 6):
-        lhs = d ** r * a ** r
-        rhs = G.one()
-        for k in range(r):
-            rhs = rhs * (G.one() + b * c * q_pow(-1 - 2 * k))
-        assert lhs == rhs
+    # d^m a^m = prod_i (1 + q^(-1-2i) b c) and a^m d^m = prod_i
+    # (1 + q^(1+2i) b c), all factors linear in bc; the right sides
+    # multiply powers of b c alone, with no a-d crossing
+    d, a, bc = g("d"), g("a"), g("b c")
+    for m in range(25):
+        for lhs, sign in ((d ** m * a ** m, -1), (a ** m * d ** m, 1)):
+            rhs = G.one()
+            for i in range(m):
+                rhs = rhs * (G.one() + bc * q_pow(sign * (1 + 2 * i)))
+            assert lhs == rhs, (m, sign)
+
+
+def test_ad_words_with_a_negative_b_power_match_the_oracle():
+    # on G_b, a^k X d^t with X = b^r c^s and r < 0: the factor
+    # q^(m(r+s)) of a^m X = q^(m(r+s)) X a^m has a negative exponent; and
+    # d^t a^k next to such an X
+    pairs = [((k, r, s, 0), (0, 0, 0, t)) for k in range(7) for t in range(7)
+             for r in (-3, -2, -1) for s in range(3)]
+    pairs += [((k, 0, 0, 0), (0, r, s, t)) for k in range(7) for t in range(7)
+              for r in (-2, -1) for s in range(2)]
+    pairs += [((0, r, s, t), (k, r, 0, 0)) for k in range(7) for t in range(7)
+              for r in (-2, -1) for s in range(2)]
+    for m1, m2 in pairs:
+        got, want = {}, {}
+        Gb.mul_mono(m1, m2, ONE, got)
+        ncalg_oracle.mul_mono(Gb, m1, m2, ONE, want)
+        assert got == {m: c for m, c in want.items() if c}, (m1, m2)
 
 
 def test_power_forms_one_product_per_square_and_set_bit(monkeypatch):
@@ -457,18 +476,18 @@ def _flip(alg, pair):
 
 
 def _drop_bc(monkeypatch):
-    # d^t a^k loses its bc terms: associativity fails
-    original = Algebra._da_expand.__wrapped__
-    monkeypatch.setattr(Algebra, "_da_expand", lambda self, t, k: {
-        m: c for m, c in original(self, t, k).items() if not m[1]})
+    # d^m a^m loses its bc terms: associativity fails
+    original = ncalg._ad_middle
+    monkeypatch.setattr(ncalg, "_ad_middle", lambda m, sign: (
+        original(m, sign)[:1] if sign < 0 else original(m, sign)))
     return G
 
 
-def _keep_ad(monkeypatch):
-    # a d is left as it is: the canonical-form witness is built
-    def keep(self, mono, coeff, acc):
-        acc[mono] = acc.get(mono, ZERO) + coeff
-    monkeypatch.setattr(Algebra, "_reduce_ordered", keep)
+def _swap_middles(monkeypatch):
+    # a^m d^m and d^m a^m read each other's middle: associativity fails
+    original = ncalg._ad_middle
+    monkeypatch.setattr(ncalg, "_ad_middle",
+                        lambda m, sign: original(m, -sign))
     return G
 
 
@@ -501,6 +520,10 @@ def _moved(mono):
 # monomials of G
 _a, _b, _c, _d = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 _ad, _bc, _cd = (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)
+
+# a d is left as it is, with the coefficient of its 1: the canonical-form
+# witness is built
+_keep_ad = _products(G, {(_a, _d): lambda terms: {_ad: terms[0, 0, 0, 0]}})
 
 # c b^-1 on G_b picks up a stray q
 _one_pair = _products(Gb, {
@@ -567,13 +590,14 @@ def _one_pass(monkeypatch):
 
 @pytest.mark.parametrize("fault", [
     *(_flip(G, pair) for pair in ((0, 1), (0, 2), (1, 3), (2, 3))),
-    _flip(STD.B, (0, 1)), _drop_bc, _keep_ad, _one_pair, _one_pass,
-    _cancelled_ahead, _cancelled_single, _wrong_monomial,
+    _flip(STD.B, (0, 1)), _drop_bc, _swap_middles, _keep_ad, _one_pair,
+    _one_pass, _cancelled_ahead, _cancelled_single, _wrong_monomial,
     _cancelled_on_one_side, _cancelled_on_both_sides],
-    ids=["G ab", "G ac", "G bd", "G cd", "B lambda xi", "da_expand",
-         "reduce_ordered", "mul_mono one pair", "NCPoly.__mul__ loop",
-         "cancelled term ahead", "cancelled single term", "wrong monomial",
-         "cancelled on one side", "cancelled on both sides"])
+    ids=["G ab", "G ac", "G bd", "G cd", "B lambda xi", "middle drops bc",
+         "middles swapped", "a d kept", "mul_mono one pair",
+         "NCPoly.__mul__ loop", "cancelled term ahead",
+         "cancelled single term", "wrong monomial", "cancelled on one side",
+         "cancelled on both sides"])
 def test_rewriting_certificate_matches_the_oracle_under_a_fault(monkeypatch,
                                                                  fresh_maps,
                                                                  fault):
