@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 
 from .parsing import parse_with_context
-from .scalars import ONE, Q, QScalar, ZERO, q_pow, q_shift
+from .scalars import ONE, Q, QScalar, ZERO, gauss_binomial, q_pow, q_shift
 
 __all__ = [
     "Algebra",
@@ -61,13 +61,14 @@ class DomainError(ValueError):
 def _ad_middle(m: int, sign: int):
     """The coefficients e_j of (b c)^j, j = 0..m, in
     prod_(i<m) (1 + q^(sign (1+2i)) b c): a^m d^m for sign 1 and d^m a^m
-    for sign -1, on G and G_b alike.  Built one factor at a time."""
-    if not m:
-        return (ONE,)
-    prev = _ad_middle(m - 1, sign)
-    s = sign * (2 * m - 1)
-    return (prev[0], *(prev[j] + q_shift(prev[j - 1], s)
-                       for j in range(1, m)), q_shift(prev[-1], s))
+    for sign -1, on G and G_b alike.  By the q-binomial theorem,
+    prod_(i<m) (1 + z t^i) = sum_j t^(j(j-1)/2) [m, j]_t z^j (Gasper and
+    Rahman, Basic Hypergeometric Series, ch. 1), so with t = q^(2 sign)
+    and z = q^sign, e_j = q^(sign j^2) [m, j]_(q^(2 sign)), read from one
+    Gaussian-binomial row."""
+    base = q_pow(2 * sign)
+    return tuple(q_shift(gauss_binomial(m, j, base), sign * j * j)
+                 for j in range(m + 1))
 
 
 class Algebra:

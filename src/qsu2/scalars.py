@@ -14,6 +14,14 @@ only shifts the valuation.  The constructor QScalar(num, den),
 `polys()`, printing and `specialize` deal in the full polynomials
 q^val*num and den (or num and q^-val*den when val < 0).
 
+Gaussian binomials come one way: `gauss_row(n)` holds [n, k]_t for
+k = 0..n as integer coefficient tuples in t, each entry grown from the one
+before it by one multiplication by a two-term polynomial and one exact
+division by another, with no gcd; it caches only the rows asked for.
+`gauss_binomial(n, k, q^e)` reads that row at t = q^e, and so does the
+a-d middle of `ncalg`.  The Jackson q-integral sums against Laurent
+weights over one common denominator L, read from one lcm chain per base.
+
 Complex conjugation is the identity: q is a real parameter in (0,1) and
 all coefficients are rational.
 """
@@ -34,6 +42,7 @@ __all__ = [
     "q_pow",
     "q_shift",
     "q_number",
+    "gauss_row",
     "gauss_binomial",
     "q_gamma_int",
     "q_pochhammer",
@@ -500,15 +509,41 @@ def q_number(n: int) -> QScalar:
 
 
 @functools.cache
+def gauss_row(m: int) -> tuple:
+    """The row of Gaussian polynomials [m, j]_t, j = 0..m, each as its
+    integer coefficient tuple in t (index = exponent); t = q^2 gives
+    [m, j]_(q^2).  Each entry comes from the one before it,
+    [m, j] = [m, j-1] (1 - t^(m-j+1)) / (1 - t^j): one linear pass
+    multiplies by the two-term factor and one divides exactly by the
+    other, with no gcd and no convolution; the upper half mirrors the
+    lower, [m, j] = [m, m-j].  Only the rows asked for are cached."""
+    row = [(1,)]
+    for j in range(1, m // 2 + 1):
+        a, prev = m - j + 1, row[-1]
+        g = list(prev) + [0] * a
+        for i, x in enumerate(prev):
+            g[i + a] -= x
+        # g = h (1 - t^j), so h_i = g_i + h_(i-j)
+        h = g[:len(g) - j]
+        for i in range(j, len(h)):
+            h[i] += h[i - j]
+        row.append(tuple(h))
+    return (*row, *reversed(row[:m + 1 - len(row)]))
+
+
 def gauss_binomial(n: int, k: int, base: QScalar) -> QScalar:
-    """Gaussian binomial in base t: prod_{j=1..k} (1 - t^(n-k+j))/(1 - t^j).
-    An out-of-range k raises and caches nothing."""
+    """Gaussian binomial [n, k] in base t = q^e, e != 0, read from
+    `gauss_row(n)`: a negative e reads [n, k]_(1/t) = t^(-k(n-k)) [n, k]_t.
+    Another base, or a k out of range, raises ValueError."""
     if not (0 <= k <= n):
         raise ValueError(f"gauss_binomial: k={k} out of range 0..{n}")
-    r = ONE
-    for j in range(1, k + 1):
-        r = r * (ONE - base ** (n - k + j)) / (ONE - base ** j)
-    return r
+    e = base.val
+    if base.num != _PONE or base.den != _PONE or not e:
+        raise ValueError(f"gauss_binomial: base {base} is not q^e, e != 0")
+    coeffs = gauss_row(n)[k]
+    num = [0] * (abs(e) * (len(coeffs) - 1) + 1)
+    num[::abs(e)] = coeffs
+    return _new(min(e, 0) * k * (n - k), tuple(num), _PONE)
 
 
 def q_gamma_int(n: int) -> QScalar:
@@ -545,18 +580,40 @@ def q_pochhammer(a: QScalar, base: QScalar, k: int) -> tuple:
 
 
 @functools.cache
+def _jackson_lcms(p: QScalar) -> list:
+    """The lcm chain of base p: entry top + 1 is L_top, the lcm of the
+    denominators of (1-p)/(1-p^(m+1)) for m = 0..top (lc > 0), and entry 0
+    is 1.  One list per base, grown in place by `_jackson_weights`: each L
+    gains only the part of the new denominator that it does not hold yet,
+    so the chain runs once per base.  Callers only read it."""
+    return [ONE]
+
+
+@functools.cache
 def _jackson_weights(p: QScalar, top: int):
     """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top, where L is
     the lcm of the denominators, so every w[m] is a Laurent polynomial.  A
     base with p^(m+1) = 1 (p = 1, or p = -1 and m odd) has no weight at m:
-    w[m] is None there.  Shared: callers only read it."""
-    weights, lcm = [], ONE  # lcm: L so far, lc(L) > 0
+    w[m] is None there.  L is read from the base's lcm chain
+    (`_jackson_lcms`), which every denominator divides, so each w[m] is one
+    exact division with no gcd.  Shared: callers only read it."""
+    lcms = _jackson_lcms(p)
+    while len(lcms) <= top + 1:
+        d = ONE - p ** len(lcms)
+        lcm = lcms[-1]
+        lcms.append(lcm * QScalar(((ONE - p) / d * lcm).den) if d else lcm)
+    lcm = lcms[top + 1]
+    weights = []
     for m in range(top + 1):
         d = ONE - p ** (m + 1)
-        weights.append((ONE - p) / d if d else None)
-        if d:  # the den of w[m] L is den(w[m]) / gcd(den(w[m]), L)
-            lcm = lcm * QScalar((weights[-1] * lcm).den)
-    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
+        if not d:
+            weights.append(None)
+            continue
+        # L is a polynomial free of q, and den(w) divides it
+        w = (ONE - p) / d
+        weights.append(_new(w.val, _pmul(_pdivexact(lcm.num, w.den), w.num),
+                            _PONE))
+    return lcm.inverse(), tuple(weights)
 
 
 def jackson_q_integral_01(f, p: QScalar) -> QScalar:

@@ -10,8 +10,11 @@ offsets, and scales each coefficient by a `q_pow` product.  The a-d
 rewriting keeps its `q_pow` products as well: `da_expand` is the
 recursion for d^t a^k and `reduce_ordered` the stack that peels one a and
 one d at a time off a^k X d^t, the two ways the engine applied the a-d
-rules before it read both words from one table of closed forms.  No
-product code is shared with the engine.  A tensor monomial is joined here
+rules before it read both words from one table of closed forms.
+`ad_middle` is that table as the engine first built it, a ladder of
+middles one factor (1 + q^(sign (1+2i)) b c) at a time, before it read
+the q-binomial theorem off one Gaussian-binomial row.  No product code is
+shared with the engine.  A tensor monomial is joined here
 (`join_monos`), not by the engine.  `basis_monomials` is
 `Algebra.basis_monomials` as it was before it enumerated each degree
 directly: it filters the whole exponent box.
@@ -82,6 +85,17 @@ def da_expand(alg, t, k):
         m = tuple(m)
         out[m] = out.get(m, ZERO) + coeff
     return {m: c for m, c in out.items() if c}
+
+
+def ad_middle(m, sign):
+    """The coefficients of (b c)^j, j = 0..m, in
+    prod_(i<m) (1 + q^(sign (1+2i)) b c), one factor at a time."""
+    row = (ONE,)
+    for i in range(m):
+        s = q_pow(sign * (1 + 2 * i))
+        row = (row[0], *(row[j] + s * row[j - 1] for j in range(1, i + 1)),
+               s * row[-1])
+    return row
 
 
 def reduce_ordered(alg, mono, coeff, acc):

@@ -5,9 +5,11 @@ polynomials, coprime with the integer content included, lc(den) > 0.
 It is kept here only as an oracle for `QScalar` (tests/test_scalars.py):
 every operation reduces through one general polynomial gcd, with no
 Laurent shortcut, so it shares no fast path with the code under test.
-The q-Pochhammer product at the end is the oracle for `q_pochhammer`, and
-the term-by-term Jackson integral and quotient q-Gamma after it are the
-oracles for `jackson_q_integral_01` and `q_gamma_int`.
+The q-Pochhammer product at the end is the oracle for `q_pochhammer`, the
+Gaussian-binomial product for `gauss_binomial`, and the term-by-term
+Jackson integral, the per-top weight table and the quotient q-Gamma after
+them are the oracles for `jackson_q_integral_01`, `_jackson_weights` and
+`q_gamma_int`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qsu2.scalars import ONE, Q, ZERO
+from qsu2.scalars import ONE, Q, QScalar, ZERO
 
 
 def _ptrim(c):
@@ -240,12 +242,29 @@ def pochhammer_product(a, base, k):
     return r
 
 
+# -- Gaussian binomials -------------------------------------------------------
+#
+# `qsu2.scalars.gauss_binomial` once formed the defining product one
+# quotient at a time, with a gcd at every factor, for any base.  It is kept
+# here as the oracle for the division-free row it reads now.
+
+def gauss_binomial(n, k, base):
+    """Gaussian binomial in base t: prod_{j=1..k} (1 - t^(n-k+j))/(1 - t^j)."""
+    r = ONE
+    for j in range(1, k + 1):
+        r = r * (ONE - base ** (n - k + j)) / (ONE - base ** j)
+    return r
+
+
 # -- the Jackson q-integral and the integer q-Gamma ---------------------------
 #
 # `qsu2.scalars` once added one rational term (1 - p)/(1 - p^(m+1)) per
 # coefficient and built Gamma_q(n) as a product of quotients.  Both are
 # kept here as the oracles for the single-denominator sum and the
-# polynomial product that replaced them.
+# polynomial product that replaced them.  `jackson_weights` is the weight
+# table as it was built before it read L from one lcm chain per base: the
+# whole chain again, from m = 0, for every top, and each weight times L
+# through the general product, with its gcd.
 
 def jackson_q_integral_01(f, p):
     """Jackson q-integral over [0,1] in base p of the polynomial whose
@@ -259,6 +278,18 @@ def jackson_q_integral_01(f, p):
         if not c.is_zero():
             total = total + c * (ONE - p) / (ONE - p ** (m + 1))
     return total
+
+
+def jackson_weights(p, top):
+    """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top and L the
+    lcm of the denominators; w[m] is None where p^(m+1) = 1."""
+    weights, lcm = [], ONE
+    for m in range(top + 1):
+        d = ONE - p ** (m + 1)
+        weights.append((ONE - p) / d if d else None)
+        if d:
+            lcm = lcm * QScalar((weights[-1] * lcm).den)
+    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
 
 
 def q_gamma_int(n):

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import ncalg_oracle
 import rewriting_oracle
-from qsu2 import linalg, ncalg
+from qsu2 import linalg, ncalg, scalars
 from qsu2.hopf import hopf_B, hopf_G, pi_map
 from qsu2.ncalg import (Algebra, DomainError, NCPoly, STD, apply_tensor_map,
                         parse_element, retract, rewriting_certificate, star,
@@ -71,6 +71,25 @@ def test_dr_ar_pochhammer():
             for i in range(m):
                 rhs = rhs * (G.one() + bc * q_pow(sign * (1 + 2 * i)))
             assert lhs == rhs, (m, sign)
+
+
+def test_ad_middle_matches_the_ladder():
+    # the middles read off one Gaussian-binomial row against the ladder
+    # that multiplied them out one factor at a time, m <= 16
+    for sign in (1, -1):
+        for m in range(17):
+            assert (ncalg._ad_middle(m, sign)
+                    == ncalg_oracle.ad_middle(m, sign)), (m, sign)
+
+
+def test_a_cold_middle_caches_one_row_and_one_middle():
+    # d^40 a^40 from cold caches keeps the row [40, j] and the middle at
+    # m = 40 alone, not the 41 levels of a ladder
+    ncalg._ad_middle.cache_clear()
+    scalars.gauss_row.cache_clear()
+    ncalg._ad_middle(40, -1)
+    assert scalars.gauss_row.cache_info().currsize == 1
+    assert ncalg._ad_middle.cache_info().currsize == 1
 
 
 def test_ad_words_with_a_negative_b_power_match_the_oracle():
