@@ -9,12 +9,10 @@ of a polynomial in zeta = -q b c:
 which equals q^r / [r+1]_q in the symmetric q-integer convention (note the
 positive power; two-sided invariance, checked below, forces it).  `haar`
 reads c (bc)^r as the coefficient c (-q)^-r of zeta^r and calls
-`scalars.jackson_q_integral_01`, whose `_jackson_weights` is the one
-weight table: cached per (base, highest r), each weight an exact division
-of the lcm L of their denominators, and L read from one lcm chain per
-base.  One division by L, so one gcd, per integrand.  The functional is
-defined on G only: integrands living in a localization must first be
-rewritten into the image of G.
+`scalars.jackson_q_integral_01`, whose `_jackson_weights` (cached per
+(base, highest r)) is the one weight table: one division, so one gcd, per
+integrand.  The functional is defined on G only: integrands living in a
+localization must first be rewritten into the image of G.
 
 `pair(m, m2)` = h(m m2^*) on two monomials of G is the one cache of Haar
 values.  By linearity h(x y^*) is the sum of c c' pair(m, m2) over the

@@ -19,8 +19,7 @@ k = 0..n as integer coefficient tuples in t, each entry grown from the one
 before it by one multiplication by a two-term polynomial and one exact
 division by another, with no gcd; it caches only the rows asked for.
 `gauss_binomial(n, k, q^e)` reads that row at t = q^e, and so does the
-a-d middle of `ncalg`.  The Jackson q-integral sums against Laurent
-weights over one common denominator L, read from one lcm chain per base.
+a-d middle of `ncalg`.
 
 Complex conjugation is the identity: q is a real parameter in (0,1) and
 all coefficients are rational.
@@ -580,40 +579,18 @@ def q_pochhammer(a: QScalar, base: QScalar, k: int) -> tuple:
 
 
 @functools.cache
-def _jackson_lcms(p: QScalar) -> list:
-    """The lcm chain of base p: entry top + 1 is L_top, the lcm of the
-    denominators of (1-p)/(1-p^(m+1)) for m = 0..top (lc > 0), and entry 0
-    is 1.  One list per base, grown in place by `_jackson_weights`: each L
-    gains only the part of the new denominator that it does not hold yet,
-    so the chain runs once per base.  Callers only read it."""
-    return [ONE]
-
-
-@functools.cache
 def _jackson_weights(p: QScalar, top: int):
     """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top, where L is
     the lcm of the denominators, so every w[m] is a Laurent polynomial.  A
     base with p^(m+1) = 1 (p = 1, or p = -1 and m odd) has no weight at m:
-    w[m] is None there.  L is read from the base's lcm chain
-    (`_jackson_lcms`), which every denominator divides, so each w[m] is one
-    exact division with no gcd.  Shared: callers only read it."""
-    lcms = _jackson_lcms(p)
-    while len(lcms) <= top + 1:
-        d = ONE - p ** len(lcms)
-        lcm = lcms[-1]
-        lcms.append(lcm * QScalar(((ONE - p) / d * lcm).den) if d else lcm)
-    lcm = lcms[top + 1]
-    weights = []
+    w[m] is None there.  Shared: callers only read it."""
+    weights, lcm = [], ONE  # lcm: L so far, lc(L) > 0
     for m in range(top + 1):
         d = ONE - p ** (m + 1)
-        if not d:
-            weights.append(None)
-            continue
-        # L is a polynomial free of q, and den(w) divides it
-        w = (ONE - p) / d
-        weights.append(_new(w.val, _pmul(_pdivexact(lcm.num, w.den), w.num),
-                            _PONE))
-    return lcm.inverse(), tuple(weights)
+        weights.append((ONE - p) / d if d else None)
+        if d:  # the den of w[m] L is den(w[m]) / gcd(den(w[m]), L)
+            lcm = lcm * QScalar((weights[-1] * lcm).den)
+    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
 
 
 def jackson_q_integral_01(f, p: QScalar) -> QScalar:

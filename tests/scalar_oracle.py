@@ -7,9 +7,8 @@ every operation reduces through one general polynomial gcd, with no
 Laurent shortcut, so it shares no fast path with the code under test.
 The q-Pochhammer product at the end is the oracle for `q_pochhammer`, the
 Gaussian-binomial product for `gauss_binomial`, and the term-by-term
-Jackson integral, the per-top weight table and the quotient q-Gamma after
-them are the oracles for `jackson_q_integral_01`, `_jackson_weights` and
-`q_gamma_int`.
+Jackson integral and quotient q-Gamma after them are the oracles for
+`jackson_q_integral_01` and `q_gamma_int`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qsu2.scalars import ONE, Q, QScalar, ZERO
+from qsu2.scalars import ONE, Q, ZERO
 
 
 def _ptrim(c):
@@ -261,10 +260,7 @@ def gauss_binomial(n, k, base):
 # `qsu2.scalars` once added one rational term (1 - p)/(1 - p^(m+1)) per
 # coefficient and built Gamma_q(n) as a product of quotients.  Both are
 # kept here as the oracles for the single-denominator sum and the
-# polynomial product that replaced them.  `jackson_weights` is the weight
-# table as it was built before it read L from one lcm chain per base: the
-# whole chain again, from m = 0, for every top, and each weight times L
-# through the general product, with its gcd.
+# polynomial product that replaced them.
 
 def jackson_q_integral_01(f, p):
     """Jackson q-integral over [0,1] in base p of the polynomial whose
@@ -278,18 +274,6 @@ def jackson_q_integral_01(f, p):
         if not c.is_zero():
             total = total + c * (ONE - p) / (ONE - p ** (m + 1))
     return total
-
-
-def jackson_weights(p, top):
-    """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top and L the
-    lcm of the denominators; w[m] is None where p^(m+1) = 1."""
-    weights, lcm = [], ONE
-    for m in range(top + 1):
-        d = ONE - p ** (m + 1)
-        weights.append((ONE - p) / d if d else None)
-        if d:
-            lcm = lcm * QScalar((weights[-1] * lcm).den)
-    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
 
 
 def q_gamma_int(n):

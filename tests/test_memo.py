@@ -174,8 +174,8 @@ CACHED = {
     "qsu2.ncalg._ad_middle", "qsu2.ncalg.Algebra.basis_monomials",
     "qsu2.ncalg.AlgebraMap._power", "qsu2.ncalg.AlgebraMap.image",
     "qsu2.ncalg._Standard.inclusion", "qsu2.ncalg._Standard.tensor",
-    "qsu2.scalars._jackson_lcms", "qsu2.scalars._jackson_weights",
-    "qsu2.scalars.gauss_row", "qsu2.scalars.q_pow",
+    "qsu2.scalars._jackson_weights", "qsu2.scalars.gauss_row",
+    "qsu2.scalars.q_pow",
 }
 
 
