@@ -19,7 +19,7 @@ from .charts import (TrivializationChart, coinv_poly_coeffs, cover,
 from .comod import VnComodule
 from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, tensor_elem
-from .report import check
+from .report import attempt
 from .scalars import ZERO
 
 __all__ = [
@@ -142,55 +142,60 @@ def glue_iso_check(n: int, degree: int):
     if degree < n:
         raise ValueError("degree must be at least n")
     checks = []
-    cov = cover()
     B = STD.B
+    built = []
 
-    def emit(name, ok, anchor, witness=None):
-        checks.append(check(f"n={n}.{name}", ok, anchor, witness))
+    def slices():
+        # the cotensor slices, then the section spaces, at the cutoff and
+        # one past it: built once, or tried again by each check if they raise
+        if not built:
+            built.extend(
+                [cotensor_slice(n, d) for d in (degree, degree + 1)]
+                + [sections_space(n, d) for d in (degree, degree + 1)])
+        return built
 
-    slice_now = cotensor_slice(n, degree)
-    slice_next = cotensor_slice(n, degree + 1)
-    secs_now = sections_space(n, degree)
-    secs_next = sections_space(n, degree + 1)
-    emit("cotensor_dim", len(slice_now) == n + 1,
+    def emit(name, anchor, body):
+        checks.append(attempt(f"n={n}.{name}", anchor, body))
+
+    emit("cotensor_dim",
          "Gamma L_chi isomorphic to the cotensor product; dim = n+1",
-         len(slice_now))
-    emit("sections_dim", len(secs_now) == n + 1,
+         lambda: (len(slices()[0]) == n + 1, len(slices()[0])))
+    emit("sections_dim",
          "space of gluing pairs f_lambda gamma_lambda(chi) = ...",
-         len(secs_now))
-    emit("cutoff_stability",
-         len(slice_next) == len(slice_now) and len(secs_next) == len(secs_now),
-         "dimensions stable under cutoff increase",
-         (len(slice_now), len(slice_next), len(secs_now), len(secs_next)))
+         lambda: (len(slices()[2]) == n + 1, len(slices()[2])))
+    emit("cutoff_stability", "dimensions stable under cutoff increase",
+         lambda: (len(slices()[0]) == len(slices()[1])
+                  and len(slices()[2]) == len(slices()[3]),
+                  tuple(len(x) for x in slices())))
 
     # bijectivity of the gluing map
-    gb_inv = cov.b.gamma(B.gen("lambda", n))
-    gd_inv = cov.d.gamma(B.gen("lambda", n))
-    sec_mat = [_section_coords(s, degree) for s in secs_now]
     images = []
-    ok = True
-    witness = None
-    for g in slice_now:
-        f_b = cov.b.iota(g) * gb_inv
-        f_d = cov.d.iota(g) * gd_inv
-        try:
-            sec = Section(f_b, f_d, n)
-        except DomainError as exc:
-            ok, witness = False, exc
-            break
-        coords = _section_coords(sec, degree)
-        if coords is None:
-            ok, witness = False, f"image not polynomial in u/u': {sec}"
-            break
-        images.append(coords)
-    emit("glue_map_lands_in_sections", ok,
-         "g -> (iota_b(g) gamma_b(chi)^-1, iota_d(g) gamma_d(chi)^-1)",
-         witness)
-    if ok and len(images) == len(sec_mat) == n + 1:
-        emit("glue_map_bijective", _is_basis_of_span(images, sec_mat),
-             "naturally isomorphic to the cotensor product as a vector space")
-    else:
-        emit("glue_map_bijective", False, "dimension mismatch")
+
+    def lands():
+        cov = cover()
+        gb_inv, gd_inv = (ch.gamma(B.gen("lambda", n))
+                          for ch in (cov.b, cov.d))
+        for g in slices()[0]:
+            sec = Section(cov.b.iota(g) * gb_inv, cov.d.iota(g) * gd_inv, n)
+            coords = _section_coords(sec, degree)
+            if coords is None:
+                return False, f"image not polynomial in u/u': {sec}"
+            images.append(coords)
+        return True, None
+
+    emit("glue_map_lands_in_sections",
+         "g -> (iota_b(g) gamma_b(chi)^-1, iota_d(g) gamma_d(chi)^-1)", lands)
+
+    def bijective():
+        # every g has an image once the glue map lands in the sections
+        sec_mat = [_section_coords(s, degree) for s in slices()[2]]
+        if len(images) == len(slices()[0]) == len(sec_mat) == n + 1:
+            return _is_basis_of_span(images, sec_mat), None
+        return False, "dimension mismatch"
+
+    emit("glue_map_bijective",
+         "naturally isomorphic to the cotensor product as a vector space",
+         bijective)
 
     # kappa / kappa-bar on the unit rows, both comodules, both charts:
     # `_twist` multiplies each F_j on the left, so both maps are left-linear
@@ -200,9 +205,8 @@ def glue_iso_check(n: int, degree: int):
         return (kappa(ch, kappa_bar(ch, F, L), L) != F
                 or kappa_bar(ch, kappa(ch, F, L), L) != F)
 
-    # both need the antipode of B; a failed solve fails them, with the
-    # failure as the witness
-    try:
+    def inverse():
+        cov = cover()
         comodules = ((f"C_chi(n={n})", c_chi(n)),
                      (f"V_{n} (left)", vn_left_comodule(n)))
         witness = next(((ch.name, name, f"unit row {j}")
@@ -210,55 +214,57 @@ def glue_iso_check(n: int, degree: int):
                         for name, L in comodules
                         for j in range(len(L))
                         if unit_row_fails(ch, L, j)), None)
-    except DomainError as exc:
-        witness = exc
-    emit("kappa_inverse", witness is None,
-         "kappa o kappa-bar = Id = kappa-bar o kappa", witness)
+        return witness is None, witness
+
+    emit("kappa_inverse", "kappa o kappa-bar = Id = kappa-bar o kappa",
+         inverse)
 
     # image characterization at the cutoff
-    ok = True
-    witness = None
-    L = c_chi(n)
-    (chi,), = L
-    try:
-        for ch in (cov.d, cov.b):
+    def image_characterization():
+        L = c_chi(n)
+        (chi,), = L
+        for ch in (cover().d, cover().b):
             for k in range(degree + 1):
                 img, = kappa(ch, [ch.coinv_gen ** k], L)
                 if not is_weight_vector(ch, img, chi):
-                    ok, witness = False, (ch.name, f"u^{k}")
-                    break
+                    return False, (ch.name, f"u^{k}")
             # localized cotensor elements map back into coinvariants (x) M
             for h in weight_slice(ch.alg, chi, max(2, n)):
                 f, = kappa_bar(ch, [h], L)
                 if not is_weight_vector(ch, f, B.one()):
-                    ok, witness = False, (ch.name, str(h))
-                    break
-    except DomainError as exc:
-        ok, witness = False, exc
-    emit("kappa_image_characterization", ok,
-         "Im(kappa|) = E box M and Im(kappa-bar|) = E^coB (x) M", witness)
+                    return False, (ch.name, str(h))
+        return True, None
+
+    emit("kappa_image_characterization",
+         "Im(kappa|) = E box M and Im(kappa-bar|) = E^coB (x) M",
+         image_characterization)
 
     # the right G-comodule structure matches V_n via an intertwiner
-    V = VnComodule(n)
-    t = V.coaction_matrix
-    HG = hopf_G()
-    GG = HG.T2
-    m = n + 1
-    delta_s = [HG.delta(s) for s in slice_now]
-    # unknown Phi[jj][kk] enters the row-j equation
-    # Delta(sum_k Phi[j][k] s_k) = sum_i t[j][i] (x) (sum_k Phi[i][k] s_k)
-    # on the left when j = jj, and on the right through i = jj for every j
-    columns = [linalg.column({
-        j: (delta_s[kk] if j == jj else GG.zero())
-        - tensor_elem(GG, [t[j][jj], slice_now[kk]]) for j in range(m)})
-        for jj in range(m) for kk in range(m)]
-    sols = linalg.kernel_basis(columns)
-    phi_ok = False
-    if len(sols) == 1:
-        vec = sols[0]
-        phi = [[vec[j * m + k] for k in range(m)] for j in range(m)]
-        phi_ok = not linalg.kernel_basis([dict(enumerate(row)) for row in phi])
-    emit("coaction_intertwiner", phi_ok,
+    def intertwiner():
+        slice_now = slices()[0]
+        t = VnComodule(n).coaction_matrix
+        HG = hopf_G()
+        GG = HG.T2
+        m = n + 1
+        delta_s = [HG.delta(s) for s in slice_now]
+        # unknown Phi[jj][kk] enters the row-j equation
+        # Delta(sum_k Phi[j][k] s_k) = sum_i t[j][i] (x) (sum_k Phi[i][k] s_k)
+        # on the left when j = jj, and on the right through i = jj for
+        # every j
+        columns = [linalg.column({
+            j: (delta_s[kk] if j == jj else GG.zero())
+            - tensor_elem(GG, [t[j][jj], slice_now[kk]]) for j in range(m)})
+            for jj in range(m) for kk in range(m)]
+        sols = linalg.kernel_basis(columns)
+        phi_ok = False
+        if len(sols) == 1:
+            vec = sols[0]
+            phi = [[vec[j * m + k] for k in range(m)] for j in range(m)]
+            phi_ok = not linalg.kernel_basis(
+                [dict(enumerate(row)) for row in phi])
+        return phi_ok, len(sols)
+
+    emit("coaction_intertwiner",
          "the equivalences respect the D-comodule structure "
-         "(induced comodule is V_n)", len(sols))
+         "(induced comodule is V_n)", intertwiner)
     return checks

@@ -21,7 +21,7 @@ from . import comod, linalg
 from .hopf import basis_words, generator_law, hopf_B, hopf_G, pi_map
 from .ncalg import (Algebra, AlgebraMap, DomainError, NCPoly, STD,
                     apply_tensor_map, retract, tensor_elem)
-from .report import check
+from .report import attempt, check
 from .scalars import ONE, ZERO, q_pow
 
 __all__ = [
@@ -351,127 +351,127 @@ def coinv_poly_coeffs(p: NCPoly, ch: TrivializationChart):
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_chart(ch: TrivializationChart):
-    """The chart's checks; `rho_B_restricts` and `gamma_comodule_map` are
-    laws between algebra maps, decided in every degree on the generators
-    (`hopf.generator_law`)."""
+def verify_chart(which: str):
+    """The checks of `chart(which)`, each reading the cached chart itself;
+    `rho_B_restricts` and `gamma_comodule_map` are laws between algebra maps,
+    decided in every degree on the generators (`hopf.generator_law`)."""
     checks = []
-    B = STD.B
-    HB = hopf_B()
+    B, G, HB, HG, pi = STD.B, STD.G, hopf_B(), hopf_G(), pi_map()
 
-    def emit(name, ok, anchor, witness=None):
-        checks.append(check(f"{ch.name}.{name}", ok, anchor, witness))
+    def emit(name, anchor, body):
+        checks.append(attempt(f"{which}-chart.{name}", anchor,
+                              lambda: body(chart(which))))
 
-    emit("iota_algebra_map", not ch.iota.check_relations(),
-         "localization map is a ring homomorphism")
-    emit("rho_B_algebra_map", not ch.rho_B.check_relations(),
-         "there is a (unique) B-coaction rho_S making S^-1 E a comodule algebra")
-    G = STD.G
-    pi = pi_map()
-    HG = hopf_G()
+    def first_n_failing(holds):
+        bad = next((n for n in range(5) if not holds(n)), None)
+        return bad is None, bad
+
+    emit("iota_algebra_map", "localization map is a ring homomorphism",
+         lambda ch: (not ch.iota.check_relations(), None))
+    emit("rho_B_algebra_map",
+         "there is a (unique) B-coaction rho_S making S^-1 E a comodule algebra",
+         lambda ch: (not ch.rho_B.check_relations(), None))
     # the maps each law applies to a product: rho_B_restricts rho_B (on
     # iota(m)), iota and pi (in iota x pi); gamma_comodule_map rho_B (on
     # gamma(m)) and gamma (in gamma x id)
-    checks.append(generator_law(
-        f"{ch.name}.rho_B_restricts",
-        "the localization map is a map of B-comodule algebras", G,
-        [ch.rho_B, ch.iota, pi],
-        (lambda p: ch.rho_B(ch.iota(p)),
-         lambda p: apply_tensor_map(HG.delta(p), [ch.iota.image, pi.image],
-                                    ch.target))))
-    emit("coinv_gen_invariant", is_weight_vector(ch, ch.coinv_gen, B.one()),
-         "localized coinvariants: rho_S(e) = e x 1")
-    emit("gauss_product", ch.gauss.verified,
-         "decomposition of matrix T in the form wUA")
-    emit("gauss_w_unique", not ch.gauss.other_w_solvable,
-         "only one permutation matrix admits the decomposition in this chart")
-    emit("gamma_unique_in_ansatz", ch.gamma_unique,
-         "the Gauss-ansatz constraint system has a unique solution")
-    emit("gamma_algebra_map", not ch.gamma.check_relations(),
-         "gamma_lambda : B -> S_lambda^-1 E comodule algebra maps")
+    emit("rho_B_restricts",
+         "the localization map is a map of B-comodule algebras",
+         lambda ch: generator_law(
+             G, [ch.rho_B, ch.iota, pi],
+             (lambda p: ch.rho_B(ch.iota(p)),
+              lambda p: apply_tensor_map(HG.delta(p),
+                                         [ch.iota.image, pi.image],
+                                         ch.target))))
+    emit("coinv_gen_invariant", "localized coinvariants: rho_S(e) = e x 1",
+         lambda ch: (is_weight_vector(ch, ch.coinv_gen, B.one()), None))
+    emit("gauss_product", "decomposition of matrix T in the form wUA",
+         lambda ch: (ch.gauss.verified, None))
+    emit("gauss_w_unique",
+         "only one permutation matrix admits the decomposition in this chart",
+         lambda ch: (not ch.gauss.other_w_solvable, None))
+    emit("gamma_unique_in_ansatz",
+         "the Gauss-ansatz constraint system has a unique solution",
+         lambda ch: (ch.gamma_unique, None))
+    emit("gamma_algebra_map",
+         "gamma_lambda : B -> S_lambda^-1 E comodule algebra maps",
+         lambda ch: (not ch.gamma.check_relations(), None))
     # A11 is a monomial on both charts, so gamma inverts it by itself; the
     # solved image delta A^2_2 is the ansatz's own claim to be that inverse
     emit("gamma_lambda_inverses",
-         inverts_gamma_lambda(ch, ch.gamma_lambda_inv),
-         "gamma(lambda) gamma(lambda^-1) = 1 = gamma(lambda^-1) gamma(lambda)")
-    checks.append(generator_law(
-        f"{ch.name}.gamma_comodule_map", "rho_S gamma = (gamma x id) Delta_B",
-        B, [ch.rho_B, ch.gamma],
-        (lambda w: ch.rho_B(ch.gamma(w)),
-         lambda w: apply_tensor_map(HB.delta(w), [ch.gamma.image, None],
-                                    ch.target))))
-    bad = None
-    for n in range(5):
-        if not is_weight_vector(ch, ch.gamma_chi(n), B.gen("lambda", -n)):
-            bad = n
-            break
-    emit("gamma_chi_weight", bad is None,
-         "rho_B(gamma(chi)) = gamma(chi) x chi for chi = lambda^-n", bad)
-    if ch.inverted == "d":
-        bad = None
-        for n in range(5):
-            if ch.gamma_chi(n) != ch.alg.gen("d", n):
-                bad = n
-                break
-        emit("gamma_chi_is_dn", bad is None,
-             "gamma_d(lambda^-1) = d, so gamma_d(chi) = d^n", bad)
-    rep = extend_coaction_report(ch)
+         "gamma(lambda) gamma(lambda^-1) = 1 = gamma(lambda^-1) gamma(lambda)",
+         lambda ch: (inverts_gamma_lambda(ch, ch.gamma_lambda_inv), None))
+    emit("gamma_comodule_map", "rho_S gamma = (gamma x id) Delta_B",
+         lambda ch: generator_law(
+             B, [ch.rho_B, ch.gamma],
+             (lambda w: ch.rho_B(ch.gamma(w)),
+              lambda w: apply_tensor_map(HB.delta(w), [ch.gamma.image, None],
+                                         ch.target))))
+    emit("gamma_chi_weight",
+         "rho_B(gamma(chi)) = gamma(chi) x chi for chi = lambda^-n",
+         lambda ch: first_n_failing(lambda n: is_weight_vector(
+             ch, ch.gamma_chi(n), B.gen("lambda", -n))))
+    if which == "d":
+        emit("gamma_chi_is_dn",
+             "gamma_d(lambda^-1) = d, so gamma_d(chi) = d^n",
+             lambda ch: first_n_failing(
+                 lambda n: ch.gamma_chi(n) == ch.alg.gen("d", n)))
+
+    def weight_inversion(ch):
+        rep = extend_coaction_report(ch)
+        return (rep["weight_inversion_consistent"] and rep["product_is_unit"],
+                rep["computed"])
+
     emit("inverted_weight_inversion",
-         rep["weight_inversion_consistent"] and rep["product_is_unit"],
          "rho_B on the inverted generator inverts the weight "
-         "(the printed lambda^-1 weight fails)", rep["computed"])
+         "(the printed lambda^-1 weight fails)", weight_inversion)
     return checks
 
 
-def cover_equalizer(cov: Cover, degree: int):
+def cover_equalizer(degree: int):
     """Exactness of 0 -> G -> G_b x G_d => G_bd on the degree slice.
 
     Injectivity: no nonzero f with iota_b(f) = iota_d(f) = 0.  Gluing:
     every agreeing pair from the chart slices retracts to a unique f in G.
-    The gluing verdict is one `glue_ok`, computed once in G_bd and printed
-    under both order names (`order_bd`, `order_db`): the two orders of the
+    The gluing verdict is computed once in G_bd and printed under both
+    order names (`order_bd`, `order_db`): the two orders of the
     consecutive localization coincide because b and d q-commute, so the
     second record repeats the first and cannot fail on its own.
     """
-    checks = []
     G = STD.G
-    g_monos = G.basis_monomials(degree)
-    iota_b, iota_d = cov.b.iota, cov.d.iota
 
-    columns = []
-    for m in g_monos:
-        p = NCPoly(G, {m: ONE})
-        columns.append(linalg.column({"b": iota_b(p), "d": iota_d(p)}))
-    ker = linalg.kernel_basis(columns)
-    checks.append(check(f"cover.injectivity_deg{degree}", not ker,
-                        "0 -> M -> prod S_lambda^-1 M is exact"))
+    def injective():
+        cov = cover()
+        return not linalg.kernel_basis([
+            linalg.column({"b": cov.b.iota(p), "d": cov.d.iota(p)})
+            for p in basis_words(G, degree)]), None
 
-    pairs = cov.glued_pairs(
-        [NCPoly(cov.b.alg, {m: ONE}) for m in cov.b.alg.basis_monomials(degree)],
-        [NCPoly(cov.d.alg, {m: ONE}) for m in cov.d.alg.basis_monomials(degree)],
-        0)
-    glue_ok = True
-    witness = None
-    for f_b, f_d in pairs:
-        try:
-            f = retract(f_b, G)
-        except DomainError:
-            glue_ok = False
-            witness = f"pair does not retract to G: ({f_b}, {f_d})"
-            break
-        if iota_d(f) != f_d or iota_b(f) != f_b:
-            glue_ok = False
-            witness = f"retraction mismatch for ({f_b}, {f_d})"
-            break
-    for order in ("b,d", "d,b"):
-        checks.append(check(
-            f"cover.gluing_deg{degree}_order_{order.replace(',', '')}",
-            glue_ok,
-            "the fork diagram is an equalizer diagram "
-            f"(consecutive localization order {order}; both "
-            "factor through G_bd since b,d q-commute)", witness))
-    checks.append(check(f"cover.gluing_pairs_deg{degree}", True,
-                        "gluing dimension record",
-                        f"{len(pairs)} agreeing pairs, all from G",
-                        keep_witness=True))
-    return checks
+    count = []  # the number of agreeing pairs, once the gluing has them
+
+    def gluing():
+        cov = cover()
+        pairs = cov.glued_pairs(basis_words(cov.b.alg, degree),
+                                basis_words(cov.d.alg, degree), 0)
+        count.append(len(pairs))
+        for f_b, f_d in pairs:
+            try:
+                f = retract(f_b, G)
+            except DomainError:
+                return False, f"pair does not retract to G: ({f_b}, {f_d})"
+            if cov.d.iota(f) != f_d or cov.b.iota(f) != f_b:
+                return False, f"retraction mismatch for ({f_b}, {f_d})"
+        return True, None
+
+    bd, db = ("the fork diagram is an equalizer diagram (consecutive "
+              f"localization order {order}; both factor through G_bd since "
+              "b,d q-commute)" for order in ("b,d", "d,b"))
+    glue = attempt(f"cover.gluing_deg{degree}_order_bd", bd, gluing)
+    return [
+        attempt(f"cover.injectivity_deg{degree}",
+                "0 -> M -> prod S_lambda^-1 M is exact", injective),
+        glue,
+        check(f"cover.gluing_deg{degree}_order_db", glue["status"] == "pass",
+              db, glue.get("witness")),
+        check(f"cover.gluing_pairs_deg{degree}", bool(count),
+              "gluing dimension record",
+              f"{count[0]} agreeing pairs, all from G" if count
+              else glue["witness"], keep_witness=True)]

@@ -24,7 +24,7 @@ from .charts import (TrivializationChart, chart, cover,
 from .comod import VnComodule, homogeneous_entry, pairing, schur_scalar
 from .haar import haar, integral
 from .ncalg import DomainError, NCPoly, STD, retract, star
-from .report import check
+from .report import attempt
 from .scalars import (ONE, Q, QScalar, ZERO, gauss_binomial,
                       jackson_q_integral_01, q_gamma_int, q_number,
                       q_pochhammer, q_pow)
@@ -108,23 +108,18 @@ def assembled_coefficients(ch: TrivializationChart, n: int):
 
 def section_property_check(n: int):
     """<C_b|v> and <C_d|v> glue to a global section for every basis v."""
-    cov = cover()
-    fam_b = solve_coherent(cov.b, n)
-    fam_d = solve_coherent(cov.d, n)
-    checks = []
-    for k in range(n + 1):
+
+    def glues(k):
+        cov = cover()
         vec = [ONE if i == k else ZERO for i in range(n + 1)]
-        witness = None
-        try:
-            g = comod.solve_coinvariant_gram(n)
-            Section(pairing(fam_b.coefficients, vec, g),
-                    pairing(fam_d.coefficients, vec, g), n)
-        except DomainError as exc:
-            witness = exc
-        checks.append(check(
-            f"n={n}.section_property_v{k}", witness is None,
-            "<C_lambda|v> is an element in Gamma_Lambda L_chi", witness))
-    return checks
+        fams = [solve_coherent(ch, n) for ch in (cov.b, cov.d)]
+        g = comod.solve_coinvariant_gram(n)
+        Section(*(pairing(fam.coefficients, vec, g) for fam in fams), n)
+        return True, None
+
+    return [attempt(f"n={n}.section_property_v{k}",
+                    "<C_lambda|v> is an element in Gamma_Lambda L_chi",
+                    lambda: glues(k)) for k in range(n + 1)]
 
 
 def mu_density(ch: TrivializationChart, n: int) -> NCPoly:

@@ -78,7 +78,7 @@ STAR_FIRST = "star_first"   # sum <w0|z0> w1* z1
 STAR_SECOND = "star_second"  # sum <w0|z0> z1 w1*  (the printed order)
 
 
-class NonScalarError(ValueError):
+class NonScalarError(DomainError):
     """A matrix expected to be scalar was not; carries the witness entry."""
 
     def __init__(self, entry, value):

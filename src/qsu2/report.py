@@ -3,13 +3,18 @@
 A report is deterministic up to the runtime_ms field, which is
 wall-clock by nature; consumers comparing reports byte-for-byte should
 strip it first.  No check samples, so the `seed` field only records the
-seed the caller passed.  Checks are ordered by name.
+seed the caller passed.  Checks are ordered by name.  A check that
+raises fails: `attempt` is the one place that turns an engine error raised
+inside a check into that check's `fail`, so a report lists the same check
+names whether or not something raised.
 """
 
 from __future__ import annotations
 
 import json
 import time
+
+from .ncalg import DomainError
 
 SCHEMA_VERSION = 1
 
@@ -27,6 +32,16 @@ def check(name, ok, anchor, witness=None, keep_witness=False):
     if witness is not None and (status != "pass" or keep_witness):
         out["witness"] = str(witness)
     return out
+
+
+def attempt(name, anchor, body, keep_witness=False):
+    """The check record of `body()`, which returns (ok, witness); a body that
+    raises a DomainError fails, with the error as its witness."""
+    try:
+        ok, witness = body()
+    except DomainError as exc:
+        ok, witness = False, exc
+    return check(name, ok, anchor, witness, keep_witness)
 
 
 class VerificationReport:

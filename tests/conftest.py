@@ -3,7 +3,7 @@ import importlib
 import pytest
 from hypothesis import settings
 
-from qsu2 import comod
+from qsu2 import charts, coherent, comod
 from qsu2.comod import VnComodule
 from qsu2.ncalg import STD, AlgebraMap
 from qsu2.scalars import q_pow
@@ -53,6 +53,26 @@ def fresh_steps():
     yield
     comod._certified_step.cache_clear()
     VnComodule.cache_clear()
+
+
+@pytest.fixture
+def fresh_engine():
+    # every cache that a fault in the products, the coaction matrices or
+    # the Gram form can fill: a fault must neither meet a chart, map image,
+    # matrix, certificate, Haar pair or operator built without it nor leave
+    # one behind.  Yields the clearing, for a test that builds the sound
+    # values first
+    caches = (charts.chart, charts.cover, coherent.resolution_operator,
+              haar_module.pair, AlgebraMap._power, AlgebraMap.image,
+              comod._certified_step, VnComodule)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 def _extend_with_flipped_manin_sign(t, n):

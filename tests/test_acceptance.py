@@ -107,16 +107,15 @@ def test_criterion_4_charts_suite():
         assert not charts.inverts_gamma_lambda(chb, STD.Gb.gen("b"))
         assert charts.inverts_gamma_lambda(chb, chb.gamma(B.gen("lambda", -1)))
         for ch in (chd, chb):
-            _assert_all_pass(charts.verify_chart(ch))
+            _assert_all_pass(charts.verify_chart(ch.inverted))
             for k in range(1, 4):
                 basis = charts.localized_coinvariants(ch, 2 * k)
                 assert len(basis) == k + 1
                 for p in basis:
                     coeffs = charts.coinv_poly_coeffs(p, ch)
                     assert coeffs is not None and len(coeffs) <= k + 1
-        cov = charts.cover()
         for degree in range(1, 7):
-            _assert_all_pass(charts.cover_equalizer(cov, degree))
+            _assert_all_pass(charts.cover_equalizer(degree))
 
     _run(4, "charts: gamma_d printed / gamma_b derived (+ negative "
             "controls); coinvariants C[u], C[u']; cover equalizer deg 1..6",

@@ -142,7 +142,7 @@ def test_unknown_chart_rejected(which):
 
 @pytest.mark.parametrize("which", ["d", "b"])
 def test_verify_chart(which):
-    checks = verify_chart(chart(which))
+    checks = verify_chart(which)
     assert all(c["status"] != "fail" for c in checks), \
         [c for c in checks if c["status"] == "fail"]
 
@@ -153,7 +153,7 @@ def test_rho_B_restricts_names_the_first_failing_monomial(monkeypatch):
     monkeypatch.setattr(charts_module, "pi_map", lambda: AlgebraMap(
         STD.G, STD.B, {**pi.images, "c": STD.B.gen("xi") * 2}, name="pi"))
     for ch in charts:
-        checks = {c["name"]: c for c in verify_chart(ch)}
+        checks = {c["name"]: c for c in verify_chart(ch.inverted)}
         restricts = checks[f"{ch.name}.rho_B_restricts"]
         assert restricts["status"] == "fail"
         assert restricts["witness"] == "c"
@@ -162,7 +162,7 @@ def test_rho_B_restricts_names_the_first_failing_monomial(monkeypatch):
 def test_gamma_lambda_inverses_fails_on_a_corrupted_solved_image(monkeypatch):
     for ch in (chart("b"), chart("d")):
         monkeypatch.setattr(ch, "gamma_lambda_inv", ch.gamma_lambda_inv * 2)
-        checks = {c["name"]: c for c in verify_chart(ch)}
+        checks = {c["name"]: c for c in verify_chart(ch.inverted)}
         assert checks[f"{ch.name}.gamma_lambda_inverses"]["status"] == "fail"
 
 
@@ -172,7 +172,7 @@ def test_gamma_comodule_map_fails_on_a_corrupted_gamma_xi(monkeypatch):
                                        "xi": ch.gamma.images["xi"] * 2},
                            name=ch.gamma.name)
         monkeypatch.setattr(ch, "gamma", gamma)
-        checks = {c["name"]: c for c in verify_chart(ch)}
+        checks = {c["name"]: c for c in verify_chart(ch.inverted)}
         check = checks[f"{ch.name}.gamma_comodule_map"]
         assert check["status"] == "fail"
         assert check["witness"] == "xi"
@@ -198,9 +198,8 @@ def test_empty_basis_skips_rho_B_restricts(which):
 
 
 def test_cover_equalizer():
-    cov = cover()
     for degree in range(1, 5):
-        checks = cover_equalizer(cov, degree)
+        checks = cover_equalizer(degree)
         assert all(c["status"] != "fail" for c in checks)
 
 

@@ -162,6 +162,9 @@ class ClosedPipe(list):
     (ClosedPipe(["verify", "cover", "--format", "tsv"]), 0),
     (ClosedPipe(["verify", "hopf_negative_control", "--format", "tsv"]), 1),
     (ClosedPipe(["resolution", "--n", "2"]), 0),
+    # q = 2 is outside the positivity regime, which only `haar` reads
+    (["verify", "all", "--q", "2"], 3),
+    (["verify", "charts", "--q", "2"], 0),
 ])
 def test_exit_code_contract(capsys, monkeypatch, argv, expected):
     if isinstance(argv, ClosedPipe):

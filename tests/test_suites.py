@@ -4,6 +4,7 @@ draws a random number.  `qsu2 resolution` reports such a failure as a JSON
 report and exit 1."""
 
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -67,16 +68,20 @@ def test_confluence_fails_when_the_middle_drops_bc(monkeypatch, fresh_maps):
     assert check["witness"].startswith("(x y) g != x (y g)")
 
 
-def test_swapped_middles_fail_confluence_and_the_pochhammer_product(
-        monkeypatch, fresh_maps):
-    # a^m d^m reads the middle of d^m a^m and back: associativity fails on
-    # G and G_b, and d^r a^r is no longer the product of the linear factors
-    # 1 + q^(-1-2k) b c that `typo.dr_ar_bc_square` compares it with.  (The
-    # typos suite itself stops before that record, at the b-chart's Gauss
-    # ansatz, which the fault breaks too.)
+def _swap_middles(monkeypatch):
+    # a^m d^m and d^m a^m read each other's middle
     original = ncalg._ad_middle
     monkeypatch.setattr(ncalg, "_ad_middle",
                         lambda m, sign: original(m, -sign))
+
+
+def test_swapped_middles_fail_confluence_and_the_pochhammer_product(
+        monkeypatch, fresh_maps):
+    # associativity fails on G and G_b, and d^r a^r is no longer the
+    # product of the linear factors 1 + q^(-1-2k) b c that
+    # `typo.dr_ar_bc_square` compares it with (the suite's own record is
+    # tested under this fault in `test_a_fault_fails_typos_with_a_report`)
+    _swap_middles(monkeypatch)
     checks = _checks("rewriting", degree=3)
     for name in ("confluence.G", "confluence.G_b"):
         assert _failed(checks[name]), name
@@ -223,14 +228,16 @@ def test_resolution_reports_a_non_scalar_matrix(monkeypatch, capsys,
     assert rep["alpha_exact"] is None and rep["chart_agreement"] is None
 
 
+READS_THE_OPERATOR = ["n=1.alpha_closed_form", "n=1.alpha_product_identity",
+                      "n=1.chart_independence", "n=1.classical_limit"]
+
+
 @pytest.mark.parametrize("argv, failed", [
-    (["coherent", "--n", "1..1"], ["n=1.classical_limit",
-                                   "n=1.resolution_scalar",
-                                   "reproducing.exact"]),
+    (["coherent", "--n", "1..1"], [*READS_THE_OPERATOR, "reproducing.exact"]),
     (["typos"], ["typo.qn_vs_qminusn"]),
-    (["all"], ["gram.inverse_binomial_n1", "n=1.classical_limit",
-               "n=1.resolution_scalar", "reproducing.exact", "resolution.n1",
-               "theorem4.scalar_n1", "typo.qn_vs_qminusn"]),
+    (["all"], ["gram.inverse_binomial_n1", *READS_THE_OPERATOR,
+               "reproducing.exact", "resolution.n1", "theorem4.scalar_n1",
+               "typo.qn_vs_qminusn"]),
 ], ids=["coherent", "typos", "all"])
 def test_verify_reports_a_non_scalar_resolution_matrix(monkeypatch, capsys,
                                                        fresh_resolution,
@@ -251,6 +258,51 @@ def test_verify_reports_a_non_scalar_resolution_matrix(monkeypatch, capsys,
                                     "row 1 is 1/(q^2 + 1)")
         elif c["status"] == "fail" and c["name"] != "gram.inverse_binomial_n1":
             assert "matrix is not scalar at entry (1, 1)" in c["witness"]
+
+
+GOLDEN = pathlib.Path(__file__).parents[1] / "perfbench/golden/verify_all.json"
+
+# fault -> its installation, under the test's monkeypatch and request
+NAMED_FAULTS = {
+    "swapped_middles": lambda mp, request: _swap_middles(mp),
+    "flipped_manin_sign": lambda mp, request: request.getfixturevalue(
+        "flipped_manin_sign"),
+    "printed_order_gram": lambda mp, request: _install_printed_order_gram(mp),
+}
+
+
+def _names(suite):
+    return sorted(c["name"] for c in suites.run_suite(suite).checks)
+
+
+@pytest.mark.parametrize("fault", sorted(NAMED_FAULTS))
+def test_a_fault_changes_no_record_name(fresh_engine, monkeypatch, request,
+                                        fault):
+    # a check that raises fails under its own name: each suite lists the
+    # records it lists without the fault, and between them the 184 of the
+    # golden `verify all` (the swapped middles break the b-chart's Gauss
+    # ansatz, which five suites read)
+    sound = {suite: _names(suite) for suite in suites._ALL_SUITES}
+    golden = json.loads(json.loads(GOLDEN.read_text())["stdout"])
+    assert (set().union(*sound.values())
+            == {c["name"] for c in golden["checks"]})
+    fresh_engine()
+    NAMED_FAULTS[fault](monkeypatch, request)
+    assert {suite: _names(suite) for suite in suites._ALL_SUITES} == sound
+
+
+def test_a_fault_fails_typos_with_a_report(fresh_engine, monkeypatch,
+                                            capsys):
+    # under the swapped middles `verify typos` and `verify all` exit 1 with
+    # every record, where they exited 3 with none
+    _swap_middles(monkeypatch)
+    checks = _checks("typos")
+    assert checks["typo.dr_ar_bc_square"]["status"] == "fail"
+    assert main(["verify", "typos"]) == 1
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "all", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and len(json.loads(out)["checks"]) == 184
 
 
 @pytest.mark.parametrize("argv, names", [
