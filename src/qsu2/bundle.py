@@ -13,13 +13,15 @@ through pi and the antipode of B.  The cotensor slice is its basis list.
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .charts import (TrivializationChart, coinv_poly_coeffs, cover,
                      is_weight_vector, weight_slice)
 from .comod import VnComodule
 from .hopf import hopf_B, hopf_G, pi_map
 from .ncalg import DomainError, NCPoly, STD, tensor_elem
-from .report import attempt
+from .report import check
 from .scalars import ZERO
 
 __all__ = [
@@ -143,19 +145,16 @@ def glue_iso_check(n: int, degree: int):
         raise ValueError("degree must be at least n")
     checks = []
     B = STD.B
-    built = []
 
+    @functools.cache
     def slices():
         # the cotensor slices, then the section spaces, at the cutoff and
         # one past it: built once, or tried again by each check if they raise
-        if not built:
-            built.extend(
-                [cotensor_slice(n, d) for d in (degree, degree + 1)]
+        return ([cotensor_slice(n, d) for d in (degree, degree + 1)]
                 + [sections_space(n, d) for d in (degree, degree + 1)])
-        return built
 
     def emit(name, anchor, body):
-        checks.append(attempt(f"n={n}.{name}", anchor, body))
+        checks.append(check(f"n={n}.{name}", anchor, body))
 
     emit("cotensor_dim",
          "Gamma L_chi isomorphic to the cotensor product; dim = n+1",
@@ -168,29 +167,28 @@ def glue_iso_check(n: int, degree: int):
                   and len(slices()[2]) == len(slices()[3]),
                   tuple(len(x) for x in slices())))
 
-    # bijectivity of the gluing map
-    images = []
-
-    def lands():
+    # bijectivity of the gluing map: each image, and its coordinates or None
+    @functools.cache
+    def images():
         cov = cover()
         gb_inv, gd_inv = (ch.gamma(B.gen("lambda", n))
                           for ch in (cov.b, cov.d))
-        for g in slices()[0]:
-            sec = Section(cov.b.iota(g) * gb_inv, cov.d.iota(g) * gd_inv, n)
-            coords = _section_coords(sec, degree)
-            if coords is None:
-                return False, f"image not polynomial in u/u': {sec}"
-            images.append(coords)
-        return True, None
+        secs = [Section(cov.b.iota(g) * gb_inv, cov.d.iota(g) * gd_inv, n)
+                for g in slices()[0]]
+        return [(sec, _section_coords(sec, degree)) for sec in secs]
+
+    def lands():
+        bad = next((sec for sec, coords in images() if coords is None), None)
+        return bad is None, f"image not polynomial in u/u': {bad}"
 
     emit("glue_map_lands_in_sections",
          "g -> (iota_b(g) gamma_b(chi)^-1, iota_d(g) gamma_d(chi)^-1)", lands)
 
     def bijective():
-        # every g has an image once the glue map lands in the sections
+        coords = [c for _, c in images() if c is not None]
         sec_mat = [_section_coords(s, degree) for s in slices()[2]]
-        if len(images) == len(slices()[0]) == len(sec_mat) == n + 1:
-            return _is_basis_of_span(images, sec_mat), None
+        if len(coords) == len(slices()[0]) == len(sec_mat) == n + 1:
+            return _is_basis_of_span(coords, sec_mat), None
         return False, "dimension mismatch"
 
     emit("glue_map_bijective",

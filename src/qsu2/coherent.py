@@ -14,6 +14,7 @@ absorbing all square-root prefactors.
 from __future__ import annotations
 
 import functools
+import importlib
 from fractions import Fraction
 from math import comb
 
@@ -22,9 +23,9 @@ from .bundle import Section
 from .charts import (TrivializationChart, chart, cover,
                      is_weight_vector)
 from .comod import VnComodule, homogeneous_entry, pairing, schur_scalar
-from .haar import haar, integral
+from .haar import integral
 from .ncalg import DomainError, NCPoly, STD, retract, star
-from .report import attempt
+from .report import check
 from .scalars import (ONE, Q, QScalar, ZERO, gauss_binomial,
                       jackson_q_integral_01, q_gamma_int, q_number,
                       q_pochhammer, q_pow)
@@ -49,6 +50,9 @@ __all__ = [
     "reproducing_apply",
     "classical_limit_report",
 ]
+
+# the package exports the function `haar`, which hides this module
+_haar = importlib.import_module(".haar", __package__)
 
 
 class CoherentFamily:
@@ -117,9 +121,9 @@ def section_property_check(n: int):
         Section(*(pairing(fam.coefficients, vec, g) for fam in fams), n)
         return True, None
 
-    return [attempt(f"n={n}.section_property_v{k}",
-                    "<C_lambda|v> is an element in Gamma_Lambda L_chi",
-                    lambda: glues(k)) for k in range(n + 1)]
+    return [check(f"n={n}.section_property_v{k}",
+                  "<C_lambda|v> is an element in Gamma_Lambda L_chi",
+                  lambda: glues(k)) for k in range(n + 1)]
 
 
 def mu_density(ch: TrivializationChart, n: int) -> NCPoly:
@@ -255,11 +259,13 @@ def qbeta_check(i: int, n: int):
 
     The Haar value matches the inverse-binomial form (the one implied by
     the Lemma); the printed display with the binomial uninverted fails for
-    0 < i < n and is recorded as a misprint.  Shared: callers only read it.
+    0 < i < n and is recorded as a misprint.  It reads `haar.haar` as
+    `haar.pair` does, and so is cleared the same way.  Shared: callers
+    only read it.
     """
     if not (0 <= i <= n):
         raise ValueError("need 0 <= i <= n")
-    value = haar(_zeta_pochhammer(i, n))
+    value = _haar.haar(_zeta_pochhammer(i, n))
     binom = gauss_binomial(n, i, q_pow(-2))
     inverse_form = binom.inverse() * q_pow(n) / q_number(n + 1)
     printed_form = binom * q_pow(n) / q_number(n + 1)

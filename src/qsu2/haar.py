@@ -178,34 +178,34 @@ def verify_invariance(degree: int):
     G = STD.G
     HG = hopf_G()
     unit, = G.one().terms
-    if _delta_keeps_weights(HG):
-        live = _live_weights(degree)
-    else:
-        live = {torus_weight(mono) for mono in G.basis_monomials(degree)}
+
+    @functools.cache
+    def live():
+        # read in each law's body, so a functional that raises fails both
+        if _delta_keeps_weights(HG):
+            return _live_weights(degree)
+        return {torus_weight(mono) for mono in G.basis_monomials(degree)}
 
     def h_K(mono):  # h(m 1^*) in the ground algebra K: a factor drops out
         return STD.K.scalar(pair(mono, unit))
 
-    def integrate(images, side):
-        weights = {w[side] for w in live}
-
+    def law(images, side):
         def integrated(p):
             mono, = p.terms
-            if torus_weight(mono)[side] not in weights:
+            if torus_weight(mono)[side] not in {w[side] for w in live()}:
                 return G.zero()
             return apply_tensor_map(HG.delta(p), images, G)
-        return integrated
+        return lambda: law_check(G, degree, (integrated, constant))
 
     def constant(p):
         mono, = p.terms
         return G.scalar(pair(mono, unit))
 
-    return [law_check(f"haar.left_invariance_deg{degree}",
-                      "(id x int) Delta(a) = (int a) 1_H", G, degree,
-                      (integrate([None, h_K], 1), constant)),
-            law_check(f"haar.right_invariance_deg{degree}",
-                      "two-sided invariance of the Haar state", G, degree,
-                      (integrate([h_K, None], 0), constant))]
+    return [check(f"haar.left_invariance_deg{degree}",
+                  "(id x int) Delta(a) = (int a) 1_H", law([None, h_K], 1)),
+            check(f"haar.right_invariance_deg{degree}",
+                  "two-sided invariance of the Haar state",
+                  law([h_K, None], 0))]
 
 
 def verify_positivity(q0: QRational, degree: int):
@@ -222,37 +222,37 @@ def verify_positivity(q0: QRational, degree: int):
     `pair` only when its weight is live at twice the degree (module
     docstring), and every other entry is an exact Fraction(0), so the
     matrix is the one all N^2 integrals give.  The LDL^T sum skips the
-    terms whose factor L[i][k] D[k] or L[j][k] D[k] is zero.
+    terms whose factor L[i][k] D[k] or L[j][k] D[k] is zero.  A q0 outside
+    (0, 1) fails; `suites.run_suite` refuses one before any suite runs.
     """
-    if not (0 < q0 < 1):
-        raise DomainError("positivity regime requires 0 < q0 < 1")
-    name = f"haar.positivity_q{q0}"
-    anchor = ("the Haar state is positive (unitarity behind the resolution "
-              "formula)")
-    basis = basis_words(STD.G, degree)
-    if not basis:
-        return [check(name, None, anchor,
-                      f"no basis monomial of degree <= {degree}")]
-    live = _live_weights(2 * degree)
-    monos = [mono for m in basis for mono in m.terms]
-    weights = [torus_weight(mono) for mono in monos]
-    moments = [[pair(m, s).specialize(q0)
-                if (wm[0] - ws[0], wm[1] - ws[1]) in live else Fraction(0)
-                for s, ws in zip(monos, weights)]
-               for m, wm in zip(monos, weights)]
-    S = [[(x + y) / 2 for x, y in zip(row, col)]
-         for row, col in zip(moments, zip(*moments))]
-    # L[i][j] D[j] for j < i, built row by row; a zero factor drops its term
-    LD = []
-    bad = None
-    for i, row in enumerate(S):
-        LD.append([])
-        for j in range(i + 1):
-            v = row[j] - sum((LD[i][k] * LD[j][k] / LD[k][k]
-                              for k in range(j) if LD[i][k] and LD[j][k]),
-                             Fraction(0))
-            LD[i].append(v)
-        if LD[i][i] <= 0:
-            bad = (str(basis[i]), str(LD[i][i]))
-            break
-    return [check(name, bad is None, anchor, bad)]
+    def positive():
+        if not (0 < q0 < 1):
+            return False, "positivity regime requires 0 < q0 < 1"
+        basis = basis_words(STD.G, degree)
+        if not basis:
+            return None, f"no basis monomial of degree <= {degree}"
+        live = _live_weights(2 * degree)
+        monos = [mono for m in basis for mono in m.terms]
+        weights = [torus_weight(mono) for mono in monos]
+        moments = [[pair(m, s).specialize(q0)
+                    if (wm[0] - ws[0], wm[1] - ws[1]) in live
+                    else Fraction(0) for s, ws in zip(monos, weights)]
+                   for m, wm in zip(monos, weights)]
+        S = [[(x + y) / 2 for x, y in zip(row, col)]
+             for row, col in zip(moments, zip(*moments))]
+        # L[i][j] D[j] for j < i, row by row; a zero factor drops its term
+        LD = []
+        for i, row in enumerate(S):
+            LD.append([])
+            for j in range(i + 1):
+                v = row[j] - sum((LD[i][k] * LD[j][k] / LD[k][k]
+                                  for k in range(j) if LD[i][k] and LD[j][k]),
+                                 Fraction(0))
+                LD[i].append(v)
+            if LD[i][i] <= 0:
+                return False, (str(basis[i]), str(LD[i][i]))
+        return True, None
+
+    return [check(f"haar.positivity_q{q0}",
+                  "the Haar state is positive (unitarity behind the "
+                  "resolution formula)", positive)]

@@ -38,8 +38,8 @@ associativity of the engine's products, which the `rewriting` suite
 certifies only up to its `--degree`.
 
 The Haar invariance laws (`haar`) are not of this kind, since the Haar
-functional is not multiplicative: `law_check` checks a law on every basis
-monomial up to a degree, so such a check is exhaustive up to that degree.
+functional is not multiplicative: `law_check` gives the verdict of a law on
+every basis monomial up to a degree, so it is exhaustive up to that degree.
 The star is antilinear, but conjugation is the identity on Q(q) (q is real
 and the coefficients are rational), so star is linear here and the star
 laws are linear laws too.
@@ -52,7 +52,7 @@ import functools
 from . import linalg
 from .ncalg import (AlgebraMap, DomainError, NCPoly, STD, apply_tensor_map,
                     star, tensor_elem)
-from .report import attempt, check
+from .report import check
 from .scalars import ONE, QScalar
 
 __all__ = [
@@ -269,18 +269,17 @@ def basis_words(alg, degree):
                  for mono in alg.basis_monomials(degree))
 
 
-def law_check(name, anchor, alg, degree, *laws):
-    """The check record of the laws (f, g), linear maps on `alg`, on its
-    basis monomials of degree <= `degree`: a failure names the first
+def law_check(alg, degree, *laws):
+    """The verdict (ok, witness) of the laws (f, g), linear maps on `alg`,
+    on its basis monomials of degree <= `degree`: a failure names the first
     monomial m with f(m) != g(m) for some law, and an empty basis is a skip
     that names the degree, never a pass."""
     basis = basis_words(alg, degree)
     if not basis:
-        return check(name, None, anchor,
-                     f"no basis monomial of degree <= {degree}")
+        return None, f"no basis monomial of degree <= {degree}"
     bad = next((m for m in basis if any(f(m) != g(m) for f, g in laws)),
                None)
-    return check(name, bad is None, anchor, bad)
+    return bad is None, bad
 
 
 def generator_law(alg, maps, *laws):
@@ -325,8 +324,8 @@ def verify_hopf(which: str, corrupt_delta: bool = False):
 
     def run(name, anchor, maps, *laws):
         # maps() is read in the check: a missing antipode fails its laws
-        checks.append(attempt(name, anchor,
-                              lambda: generator_law(alg, maps(), *laws)))
+        checks.append(check(name, anchor,
+                            lambda: generator_law(alg, maps(), *laws)))
 
     def tensor_map(images, target):
         return lambda w: apply_tensor_map(hopf.delta(w), images, target)
@@ -338,8 +337,8 @@ def verify_hopf(which: str, corrupt_delta: bool = False):
         return alg.scalar(hopf.counit(w))
 
     checks.append(check(f"{which}.delta_algebra_map",
-                        not hopf.delta.check_relations(),
-                        "coproduct preserves the defining relations"))
+                        "coproduct preserves the defining relations",
+                        lambda: (not hopf.delta.check_relations(), None)))
     # the maps each law applies to a product, whose relation checks it
     # rests on: coassociativity Delta (in Delta x id and id x Delta),
     # counit_law eps, antipode_convolution S, star_coproduct Delta (on
@@ -360,8 +359,8 @@ def verify_hopf(which: str, corrupt_delta: bool = False):
         (lambda w: _convolve_antipode(hopf, w, "left"), eta_eps),
         (lambda w: _convolve_antipode(hopf, w, "right"), eta_eps))
     checks.append(check(f"{which}.antipode_unique_in_ansatz",
-                        hopf.antipode_unique,
-                        "antipode derived by solving the convolution identity"))
+                        "antipode derived by solving the convolution identity",
+                        lambda: (hopf.antipode_unique, None)))
     if alg is STD.G:
         run(f"{which}.star_coproduct",
             "Delta(a^*) = sum a_(1)^* x a_(2)^* (intended reading of Definition 3)",
@@ -376,10 +375,10 @@ def verify_hopf(which: str, corrupt_delta: bool = False):
             lambda: [hopf.require_antipode(), STD.star],
             (lambda w: hopf.antipode(star(hopf.antipode(star(w)))), identity))
     else:
-        checks.append(check(f"{which}.star_axioms", None,
-                            "Definition 3 (real form)",
-                            "no involution: the ideal (b) is not star-stable, "
-                            "so no star descends to the Borel quotient"))
+        checks.append(check(f"{which}.star_axioms", "Definition 3 (real form)",
+                            lambda: (None, "no involution: the ideal (b) is "
+                                     "not star-stable, so no star descends to "
+                                     "the Borel quotient")))
     return checks
 
 
@@ -389,8 +388,8 @@ def verify_pi_hopf_map():
 
     def law(name, anchor, maps, f, g):
         # maps(), and S_G in g, are read in the check, as in `verify_hopf`
-        return attempt(f"pi.{name}", anchor,
-                       lambda: generator_law(STD.G, maps(), (f, g)))
+        return check(f"pi.{name}", anchor,
+                     lambda: generator_law(STD.G, maps(), (f, g)))
 
     # the maps each law applies to a product: coproduct_compat Delta_B (on
     # pi(m)) and pi (in pi x pi), counit_compat eps_B (on pi(m)),

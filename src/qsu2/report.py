@@ -3,10 +3,10 @@
 A report is deterministic up to the runtime_ms field, which is
 wall-clock by nature; consumers comparing reports byte-for-byte should
 strip it first.  No check samples, so the `seed` field only records the
-seed the caller passed.  Checks are ordered by name.  A check that
-raises fails: `attempt` is the one place that turns an engine error raised
-inside a check into that check's `fail`, so a report lists the same check
-names whether or not something raised.
+seed the caller passed.  Checks are ordered by name.  `check` is the one
+way to build a record: it runs the check's body, and a body that raises an
+engine error fails with the error as its witness, so a report lists the
+same check names whether or not something raised.
 """
 
 from __future__ import annotations
@@ -19,29 +19,23 @@ from .ncalg import DomainError
 SCHEMA_VERSION = 1
 
 
-def check(name, ok, anchor, witness=None, keep_witness=False):
-    """One check record: name, status, paper anchor and, where kept, witness.
+def check(name, anchor, body, keep_witness=False):
+    """The record of one check: name, status, paper anchor and witness.
 
-    `ok` is truthy for pass, falsy for fail and None for skip.  A witness
-    explains a failed or skipped check and is dropped from a passing one,
-    unless `keep_witness` marks it as a value the report records either way.
-    The witness is stored as its string form.
-    """
+    `body()` returns (ok, witness), ok truthy for pass, falsy for fail and
+    None for skip; a DomainError it raises (`comod.NonScalarError` is one)
+    is a fail with the error as witness, and any other exception (such as
+    `PoleError`) propagates.  The witness, as its string form, is dropped
+    from a pass unless `keep_witness` marks it as a value to record."""
+    try:
+        ok, witness = body()
+    except DomainError as exc:
+        ok, witness = False, exc
     status = "skip" if ok is None else "pass" if ok else "fail"
     out = {"name": name, "status": status, "paper_anchor": anchor}
     if witness is not None and (status != "pass" or keep_witness):
         out["witness"] = str(witness)
     return out
-
-
-def attempt(name, anchor, body, keep_witness=False):
-    """The check record of `body()`, which returns (ok, witness); a body that
-    raises a DomainError fails, with the error as its witness."""
-    try:
-        ok, witness = body()
-    except DomainError as exc:
-        ok, witness = False, exc
-    return check(name, ok, anchor, witness, keep_witness)
 
 
 class VerificationReport:
@@ -59,10 +53,8 @@ class VerificationReport:
         return "pass" in statuses and "fail" not in statuses
 
     def counts(self):
-        out = {"pass": 0, "fail": 0, "skip": 0}
-        for c in self.checks:
-            out[c["status"]] = out.get(c["status"], 0) + 1
-        return out
+        statuses = [c["status"] for c in self.checks]
+        return {s: statuses.count(s) for s in ("pass", "fail", "skip")}
 
     def to_dict(self):
         return {

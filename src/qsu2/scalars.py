@@ -135,7 +135,8 @@ def _pprem(f, g):
             break
         k = len(f) - 1 - dg
         lf = f[-1]
-        f = [lg * x for x in f]
+        if lg != 1:
+            f = [lg * x for x in f]
         for i, y in enumerate(g):
             f[k + i] -= lf * y
     return _ptrim(f)

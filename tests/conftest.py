@@ -20,12 +20,15 @@ haar_module = importlib.import_module("qsu2.haar")
 
 @pytest.fixture
 def fresh_pairs():
-    # the table of monomial pairs holds the values of the functional it was
-    # filled with: a recorded or faulty functional must neither meet a pair
-    # integrated without it nor leave one behind
-    haar_module.pair.cache_clear()
+    # the table of monomial pairs and the q-beta integrals hold the values of
+    # the functional they were filled with: a recorded or faulty functional
+    # must neither meet a value integrated without it nor leave one behind
+    caches = (haar_module.pair, coherent.qbeta_check)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    haar_module.pair.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -57,14 +60,14 @@ def fresh_steps():
 
 @pytest.fixture
 def fresh_engine():
-    # every cache that a fault in the products, the coaction matrices or
-    # the Gram form can fill: a fault must neither meet a chart, map image,
-    # matrix, certificate, Haar pair or operator built without it nor leave
-    # one behind.  Yields the clearing, for a test that builds the sound
-    # values first
+    # every cache that a fault in the products, the coaction matrices, the
+    # Gram form or the Haar functional can fill: a fault must neither meet a
+    # chart, map image, matrix, certificate, Haar value or operator built
+    # without it nor leave one behind.  Yields the clearing, for a test that
+    # builds the sound values first
     caches = (charts.chart, charts.cover, coherent.resolution_operator,
-              haar_module.pair, AlgebraMap._power, AlgebraMap.image,
-              comod._certified_step, VnComodule)
+              haar_module.pair, coherent.qbeta_check, AlgebraMap._power,
+              AlgebraMap.image, comod._certified_step, VnComodule)
 
     def clear():
         for cache in caches:

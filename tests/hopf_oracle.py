@@ -38,7 +38,7 @@ def convolve_antipode(hopf, p, side):
 
 def _scan(name, anchor, words, fn):
     bad = next((w for w in words if not fn(w)), None)
-    return check(name, bad is None, anchor, bad)
+    return check(name, anchor, lambda: (bad is None, bad))
 
 
 def verify_hopf(which, words, corrupt_delta=False):
@@ -54,8 +54,8 @@ def verify_hopf(which, words, corrupt_delta=False):
 
     delta, eps = hopf.delta.image, hopf.eps.image
     checks.append(check(f"{which}.delta_algebra_map",
-                        not hopf.delta.check_relations(),
-                        "coproduct preserves the defining relations"))
+                        "coproduct preserves the defining relations",
+                        lambda: (not hopf.delta.check_relations(), None)))
     run(f"{which}.coassociativity",
         "(Delta x id)Delta = (id x Delta)Delta",
         lambda w: apply_tensor_map(hopf.delta(w), [delta, None], hopf.T3)
@@ -67,9 +67,9 @@ def verify_hopf(which, words, corrupt_delta=False):
     def run_on_antipode(name, anchor, holds):
         # a law that reads the antipode fails when there is none
         if hopf.antipode is None:
-            checks.append(check(name, False, anchor,
-                                f"no antipode solution on {hopf.name}: "
-                                f"{hopf.antipode_failure}"))
+            checks.append(check(name, anchor, lambda: (
+                False, f"no antipode solution on {hopf.name}: "
+                f"{hopf.antipode_failure}")))
         else:
             run(name, anchor, holds)
 
@@ -78,8 +78,8 @@ def verify_hopf(which, words, corrupt_delta=False):
                     lambda w: convolve_antipode(hopf, w, "left") == eta_eps(w)
                     and convolve_antipode(hopf, w, "right") == eta_eps(w))
     checks.append(check(f"{which}.antipode_unique_in_ansatz",
-                        hopf.antipode_unique,
-                        "antipode derived by solving the convolution identity"))
+                        "antipode derived by solving the convolution identity",
+                        lambda: (hopf.antipode_unique, None)))
     if alg is STD.G:
         star_image = STD.star.image
         run(f"{which}.star_coproduct",
@@ -94,10 +94,10 @@ def verify_hopf(which, words, corrupt_delta=False):
             "S(S(a^*)^*) = a (standard Hopf-* compatibility)",
             lambda w: hopf.antipode(star(hopf.antipode(star(w)))) == w)
     else:
-        checks.append(check(f"{which}.star_axioms", None,
-                            "Definition 3 (real form)",
-                            "no involution: the ideal (b) is not star-stable, "
-                            "so no star descends to the Borel quotient"))
+        checks.append(check(f"{which}.star_axioms", "Definition 3 (real form)",
+                            lambda: (None, "no involution: the ideal (b) is "
+                                     "not star-stable, so no star descends to "
+                                     "the Borel quotient")))
     return checks
 
 

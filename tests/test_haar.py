@@ -255,6 +255,15 @@ def test_positivity_skips_an_empty_basis():
     assert check["witness"] == "no basis monomial of degree <= -1"
 
 
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(1)])
+def test_positivity_fails_outside_the_regime(q0):
+    # called directly, the check fails and says why; `verify` refuses such a
+    # q before any suite runs (tests/test_suites.py)
+    check, = verify_positivity(q0, degree=3)
+    assert check["status"] == "fail"
+    assert check["witness"] == "positivity regime requires 0 < q0 < 1"
+
+
 def test_positivity_quadratic_form_matches_sampled_integrals():
     # int(f f*) at q0 is c^T S c for the coefficients c of f on the basis;
     # checked on seeded sums of random words, as the check once sampled them

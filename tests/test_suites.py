@@ -3,6 +3,8 @@ when the engine function or datum it certifies is broken, and no suite
 draws a random number.  `qsu2 resolution` reports such a failure as a JSON
 report and exit 1."""
 
+import collections
+import importlib
 import json
 import pathlib
 import random
@@ -15,11 +17,15 @@ from qsu2 import charts, coherent, comod, ncalg, suites
 from qsu2.cli import main
 from qsu2.comod import GramForm, NonScalarError, VnComodule
 from qsu2.haar import integral
-from qsu2.ncalg import Algebra, STD, rewriting_certificate
+from qsu2.hopf import hopf_G
+from qsu2.ncalg import Algebra, DomainError, STD, rewriting_certificate
 from qsu2.scalars import ONE, Q, ZERO, q_pow
 from weight_gate_oracle import homogeneous_weight
 
 Q0 = Fraction(1, 2)
+
+# the package exports the function `haar`, which hides the module
+haar_module = importlib.import_module("qsu2.haar")
 
 
 def _checks(suite, n_range=range(0, 4), degree=5):
@@ -262,12 +268,41 @@ def test_verify_reports_a_non_scalar_resolution_matrix(monkeypatch, capsys,
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "perfbench/golden/verify_all.json"
 
+
+def _refuse_bc_cubed(monkeypatch):
+    # a Haar functional that refuses every element with a term (bc)^r,
+    # r >= 3: the positivity, moment, q-beta and Lemma integrals at degree 6
+    # and the resolution operator of V_3 reach one
+    sound = haar_module.haar
+
+    def haar(p):
+        if any(k == t == 0 and r == s >= 3 for k, r, s, t in p.terms):
+            raise DomainError("the functional refuses (bc)^r, r >= 3")
+        return sound(p)
+
+    monkeypatch.setattr(haar_module, "haar", haar)
+
+
+def _refuse_v3(monkeypatch):
+    # V_3 cannot be built, so neither can any V_n, n >= 3
+    sound = comod._extend_coaction_matrix
+
+    def extend(t, n):
+        if n == 3:
+            raise DomainError("no coaction matrix for V_3")
+        return sound(t, n)
+
+    monkeypatch.setattr(comod, "_extend_coaction_matrix", extend)
+
+
 # fault -> its installation, under the test's monkeypatch and request
 NAMED_FAULTS = {
     "swapped_middles": lambda mp, request: _swap_middles(mp),
     "flipped_manin_sign": lambda mp, request: request.getfixturevalue(
         "flipped_manin_sign"),
     "printed_order_gram": lambda mp, request: _install_printed_order_gram(mp),
+    "haar_refuses_bc_cubed": lambda mp, request: _refuse_bc_cubed(mp),
+    "v3_refused": lambda mp, request: _refuse_v3(mp),
 }
 
 
@@ -303,6 +338,75 @@ def test_a_fault_fails_typos_with_a_report(fresh_engine, monkeypatch,
     assert main(["verify", "all", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and len(json.loads(out)["checks"]) == 184
+
+
+@pytest.mark.parametrize("fault", ["haar_refuses_bc_cubed", "v3_refused"])
+def test_a_raising_fault_keeps_every_record(fresh_engine, monkeypatch,
+                                            request, capsys, fault):
+    # an engine error inside any check fails that check: `verify all` exits
+    # 1 with all 184 records, where it exited 3 with none, and each record
+    # that fails names the error
+    NAMED_FAULTS[fault](monkeypatch, request)
+    assert main(["verify", "all", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert err == "" and len(checks) == 184
+    message = {"haar_refuses_bc_cubed": "the functional refuses (bc)^r",
+               "v3_refused": "no coaction matrix for V_3"}[fault]
+    failed = {c["name"]: c["witness"] for c in checks
+              if c["status"] == "fail"}
+    must_fail = {"haar_refuses_bc_cubed": [
+        "haar.positivity_q1/2", "haar.zeta_moments_closed_form",
+        "qbeta.closed_form", "typo.qbeta_binomial_position",
+        "resolution.n3", "n=3.lemma_integral"],
+        "v3_refused": ["comod.axioms_n3", "gram.inverse_binomial_n3",
+                       "comod.simplicity_probe", "resolution.n3",
+                       "n=3.d_chart_closed_form"]}[fault]
+    for name in must_fail:
+        assert message in failed[name], name
+
+
+def test_qbeta_reads_the_installed_functional(monkeypatch, fresh_engine):
+    # with the counit in place of the Haar state, int zeta^i (...) is 1 at
+    # i = 0 and 0 above: the q-beta records integrate the functional that is
+    # installed, as the Lemma does
+    monkeypatch.setattr(haar_module, "haar", hopf_G().counit)
+    checks = _checks("coherent", n_range=range(1, 2))
+    for name in ("qbeta.closed_form", "n=1.lemma_integral"):
+        assert checks[name]["status"] == "fail", name
+    assert _checks("typos")["typo.qbeta_binomial_position"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("suite", ["haar", "all"])
+def test_an_out_of_range_q_is_refused_before_any_suite_runs(monkeypatch,
+                                                           suite):
+    # q = 2 is user input that the positivity check cannot read: an error
+    # (exit 3), not a failed check, and no suite does any work first
+    def entered(*args):
+        raise AssertionError("a suite ran")
+
+    for key in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, key, entered)
+    with pytest.raises(DomainError, match="requires 0 < q0 < 1"):
+        suites.run_suite(suite, q0=Fraction(2))
+    # a suite that does not read q runs at q = 2
+    with pytest.raises(AssertionError, match="a suite ran"):
+        suites.run_suite("charts", q0=Fraction(2))
+
+
+def test_the_rewriting_certificate_is_built_once_per_algebra(monkeypatch):
+    # `confluence.G` and `basis.no_ad_cooccurrence` read one certificate
+    built = collections.Counter()
+    sound = suites.rewriting_certificate
+
+    def counted(alg, degree):
+        built[alg.name] += 1
+        return sound(alg, degree)
+
+    monkeypatch.setattr(suites, "rewriting_certificate", counted)
+    assert all(c["status"] == "pass"
+               for c in _checks("rewriting", degree=3).values())
+    assert built == {"G": 1, "G_b": 1, "G_d": 1, "G_bd": 1}
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -57,8 +57,8 @@ def verify_positivity(q0, degree):
               "formula)")
     basis = basis_words(STD.G, degree)
     if not basis:
-        return [check(name, None, anchor,
-                      f"no basis monomial of degree <= {degree}")]
+        return [check(name, anchor, lambda: (
+            None, f"no basis monomial of degree <= {degree}"))]
     starred = [star(m) for m in basis]
     moments = [[haar_module.haar(m * s).specialize(q0) for s in starred]
                for m in basis]
@@ -75,7 +75,7 @@ def verify_positivity(q0, degree):
         if LD[i][i] <= 0:
             bad = (str(basis[i]), str(LD[i][i]))
             break
-    return [check(name, bad is None, anchor, bad)]
+    return [check(name, anchor, lambda: (bad is None, bad))]
 
 
 def verify_invariance(degree):
@@ -94,12 +94,14 @@ def verify_invariance(degree):
     def constant(p):
         return G.scalar(haar_module.haar(p))
 
-    return [law_check(f"haar.left_invariance_deg{degree}",
-                      "(id x int) Delta(a) = (int a) 1_H", G, degree,
-                      (integrate([None, h_K]), constant)),
-            law_check(f"haar.right_invariance_deg{degree}",
-                      "two-sided invariance of the Haar state", G, degree,
-                      (integrate([h_K, None]), constant))]
+    return [check(f"haar.left_invariance_deg{degree}",
+                  "(id x int) Delta(a) = (int a) 1_H",
+                  lambda: law_check(G, degree,
+                                    (integrate([None, h_K]), constant))),
+            check(f"haar.right_invariance_deg{degree}",
+                  "two-sided invariance of the Haar state",
+                  lambda: law_check(G, degree,
+                                    (integrate([h_K, None]), constant)))]
 
 
 def homogeneous_weight(p):
