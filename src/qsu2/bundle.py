@@ -104,10 +104,10 @@ def cotensor_slice(n: int, degree: int):
 def sections_space(n: int, degree: int):
     """Basis of gluing pairs with u- and u'-degree up to `degree`."""
     cov = cover()
-    pairs = cov.glued_pairs([cov.b.coinv_gen ** k for k in range(degree + 1)],
-                            [cov.d.coinv_gen ** k for k in range(degree + 1)],
-                            n)
-    return [Section(f_b, f_d, n) for f_b, f_d in pairs]
+    pairs = cov.glued_pairs(
+        [(cov.b, cov.b.coinv_gen ** k) for k in range(degree + 1)]
+        + [(cov.d, cov.d.coinv_gen ** k) for k in range(degree + 1)], n)
+    return [Section(f_b, f_d, n) for _, f_b, f_d in pairs]
 
 
 def _section_coords(sec: Section, degree: int):

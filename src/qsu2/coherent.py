@@ -313,19 +313,23 @@ def reproducing_apply(n: int, H, v_vec):
     H is an (n+1)x(n+1) QScalar matrix acting on the monomial basis;
     returns the resulting coefficient vector, which the resolution theorem
     says equals H v.  The Gram-weighted integrals int r_i r_k^* g_k are
-    the entries of `resolution_operator(n).matrix`."""
+    the entries of `resolution_operator(n).matrix`.  The exact-zero
+    entries of H and v add nothing to the sum and are skipped."""
     res = resolution_operator(n)
     if res.alpha.is_zero():
         raise DomainError("alpha vanishes; resolution formula undefined")
     m = n + 1
     alpha_inv = res.alpha.inverse()
+    v = [(k, QScalar.coerce(x)) for k, x in enumerate(v_vec)]
+    v = [(k, x) for k, x in v if x]
     out = []
     for j in range(m):
         total = ZERO
         for i in range(m):
-            for k in range(m):
-                total = total + (QScalar.coerce(H[j][i]) * res.matrix[i][k]
-                                 * QScalar.coerce(v_vec[k]))
+            h = QScalar.coerce(H[j][i])
+            if h:
+                for k, x in v:
+                    total = total + h * res.matrix[i][k] * x
         out.append(total * alpha_inv)
     return out
 

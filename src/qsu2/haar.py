@@ -10,8 +10,9 @@ which equals q^r / [r+1]_q in the symmetric q-integer convention (note the
 positive power; two-sided invariance, checked below, forces it).  `haar`
 reads c (bc)^r as the coefficient c (-q)^-r of zeta^r and calls
 `scalars.jackson_q_integral_01`, whose `_jackson_weights` (cached per
-(base, highest r)) is the one weight table: one division, so one gcd, per
-integrand.  The functional is defined on G only: integrands living in a
+(base, highest r), and read from one lcm chain of denominators per base,
+`_jackson_lcm`, by exact division) is the one weight table: one division,
+so one gcd, per integrand.  The functional is defined on G only: integrands living in a
 localization must first be rewritten into the image of G.
 
 `pair(m, m2)` = h(m m2^*) on two monomials of G is the one cache of Haar
@@ -220,8 +221,12 @@ def verify_positivity(q0: QRational, degree: int):
 
     The entries are integrated by weight: an entry is read from the table
     `pair` only when its weight is live at twice the degree (module
-    docstring), and every other entry is an exact Fraction(0), so the
-    matrix is the one all N^2 integrals give.  The LDL^T sum skips the
+    docstring), and every other entry is an exact zero, so the matrix is
+    the one all N^2 integrals give.  Indices i and j are connected when
+    w_i - w_j or w_j - w_i is live; S vanishes between connected
+    components, so the LDL^T runs within each component only, in the same
+    pivot order, and its first pivot that is not positive, the failure's
+    witness, is the one the full LDL^T meets first.  The sum skips the
     terms whose factor L[i][k] D[k] or L[j][k] D[k] is zero.  A q0 outside
     (0, 1) fails; `suites.run_suite` refuses one before any suite runs.
     """
@@ -234,23 +239,46 @@ def verify_positivity(q0: QRational, degree: int):
         live = _live_weights(2 * degree)
         monos = [mono for m in basis for mono in m.terms]
         weights = [torus_weight(mono) for mono in monos]
-        moments = [[pair(m, s).specialize(q0)
-                    if (wm[0] - ws[0], wm[1] - ws[1]) in live
-                    else Fraction(0) for s, ws in zip(monos, weights)]
-                   for m, wm in zip(monos, weights)]
-        S = [[(x + y) / 2 for x, y in zip(row, col)]
-             for row, col in zip(moments, zip(*moments))]
-        # L[i][j] D[j] for j < i, row by row; a zero factor drops its term
-        LD = []
-        for i, row in enumerate(S):
-            LD.append([])
-            for j in range(i + 1):
-                v = row[j] - sum((LD[i][k] * LD[j][k] / LD[k][k]
-                                  for k in range(j) if LD[i][k] and LD[j][k]),
-                                 Fraction(0))
-                LD[i].append(v)
-            if LD[i][i] <= 0:
-                return False, (str(basis[i]), str(LD[i][i]))
+
+        def linked(w, w2):
+            return ((w[0] - w2[0], w[1] - w2[1]) in live
+                    or (w2[0] - w[0], w2[1] - w[1]) in live)
+
+        # union-find on the distinct weights; each index lists its
+        # component in ascending order
+        root = {w: w for w in weights}
+
+        def find(w):
+            while root[w] != w:
+                w = root[w]
+            return w
+
+        for w in root:
+            for w2 in root:
+                if linked(w, w2):
+                    root[find(w2)] = find(w)
+        members = {}
+        for i, w in enumerate(weights):
+            members.setdefault(find(w), []).append(i)
+
+        def moment(i, j):
+            return (pair(monos[i], monos[j]).specialize(q0)
+                    if (weights[i][0] - weights[j][0],
+                        weights[i][1] - weights[j][1]) in live
+                    else Fraction(0))
+
+        # L[i][j] D[j] for j <= i in the component of i, row by row
+        LD = {}
+        for i, w in enumerate(weights):
+            comp = members[find(w)]
+            for j in comp:
+                if j > i:
+                    break
+                LD[i, j] = (moment(i, j) + moment(j, i)) / 2 - sum(
+                    (LD[i, k] * LD[j, k] / LD[k, k] for k in comp
+                     if k < j and LD[i, k] and LD[j, k]), Fraction(0))
+            if LD[i, i] <= 0:
+                return False, (str(basis[i]), str(LD[i, i]))
         return True, None
 
     return [check(f"haar.positivity_q{q0}",

@@ -21,6 +21,12 @@ division by another, with no gcd; it caches only the rows asked for.
 `gauss_binomial(n, k, q^e)` reads that row at t = q^e, and so does the
 a-d middle of `ncalg`.
 
+The Jackson integral comes one way too: its weights L (1-p)/(1-p^(m+1))
+share the lcm L of their denominators, one cached L per (base, top), each
+grown from the one a top lower (`_jackson_lcm`), and each weight is one
+exact division by the numerator of 1 - p^(m+1), two terms for p = q^e,
+with no gcd.
+
 Complex conjugation is the identity: q is a real parameter in (0,1) and
 all coefficients are rational.
 """
@@ -128,6 +134,7 @@ def _pprem(f, g):
     f = list(f)
     dg = len(g) - 1
     lg = g[-1]
+    terms = [(i, y) for i, y in enumerate(g) if y]  # a sparse g costs less
     while len(f) - 1 >= dg and any(f):
         while f and f[-1] == 0:
             f.pop()
@@ -137,7 +144,7 @@ def _pprem(f, g):
         lf = f[-1]
         if lg != 1:
             f = [lg * x for x in f]
-        for i, y in enumerate(g):
+        for i, y in terms:
             f[k + i] -= lf * y
     return _ptrim(f)
 
@@ -181,6 +188,7 @@ def _pdivexact(f, g):
     rem = list(f)
     dg = len(g) - 1
     lg = g[-1]
+    terms = [(i, y) for i, y in enumerate(g) if y]  # a sparse g costs less
     for k in range(len(out) - 1, -1, -1):
         c = rem[k + dg]
         if c % lg:
@@ -188,7 +196,7 @@ def _pdivexact(f, g):
         c //= lg
         out[k] = c
         if c:
-            for i, y in enumerate(g):
+            for i, y in terms:
                 rem[k + i] -= c * y
     if any(rem):
         raise ArithmeticError("inexact polynomial division")
@@ -579,19 +587,61 @@ def q_pochhammer(a: QScalar, base: QScalar, k: int) -> tuple:
     return r
 
 
+def _jackson_ratio(p: QScalar, m: int):
+    """(1-p, 1-p^(m+1)), the numerator and denominator of the weight
+    (1-p)/(1-p^(m+1)) of x^m, or None where p^(m+1) = 1 puts a pole
+    there."""
+    d = ONE - p ** (m + 1)
+    return (ONE - p, d) if d else None
+
+
+@functools.cache
+def _jackson_lcm(p: QScalar, top: int) -> tuple:
+    """L, the lcm of the denominators of the weights (1-p)/(1-p^(m+1)) for
+    m = 0..top, as a q-free integer coefficient tuple with lc(L) > 0.
+
+    L at top is L at top - 1 times den / g for the weight's denominator
+    den and g = gcd(L, den).  den divides the numerator M of 1-p^(m+1)
+    times the denominator of 1-p (two terms for p = q^e), so g is read
+    from L's pseudo-remainder by M, a pass over L, and a gcd of two
+    polynomials of degree about deg M.  L at 0..top-1 is read in
+    ascending order first, so each one missing from the cache is built
+    from the one before it and no build nests more than one call deep.
+    One L per (base, top): shared, callers only read it."""
+    lcm = _PONE
+    for m in range(top):
+        lcm = _jackson_lcm(p, m)
+    ratio = _jackson_ratio(p, top)
+    if ratio is None:
+        return lcm
+    s, d = ratio
+    den = (s / d).den
+    rem = _pprem(lcm, _pmul(s.den, d.num))
+    g = _pmul((math.gcd(_pcontent(lcm), _pcontent(den)),),
+              _pgcd(den, rem or den))
+    return _pmul(lcm, _pdivexact(den, g))
+
+
 @functools.cache
 def _jackson_weights(p: QScalar, top: int):
-    """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top, where L is
-    the lcm of the denominators, so every w[m] is a Laurent polynomial.  A
-    base with p^(m+1) = 1 (p = 1, or p = -1 and m odd) has no weight at m:
-    w[m] is None there.  Shared: callers only read it."""
-    weights, lcm = [], ONE  # lcm: L so far, lc(L) > 0
+    """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top and L =
+    `_jackson_lcm(p, top)`, so every w[m] is a Laurent polynomial, formed
+    by exact polynomial division with no gcd.  A base with p^(m+1) = 1
+    (p = 1, or p = -1 and m odd) has no weight at m: w[m] is None there.
+    Cached per (base, top).  Shared: callers only read it."""
+    lcm = _jackson_lcm(p, top)
+    weights = []
     for m in range(top + 1):
-        d = ONE - p ** (m + 1)
-        weights.append((ONE - p) / d if d else None)
-        if d:  # the den of w[m] L is den(w[m]) / gcd(den(w[m]), L)
-            lcm = lcm * QScalar((weights[-1] * lcm).den)
-    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
+        ratio = _jackson_ratio(p, m)
+        if ratio is None:
+            weights.append(None)
+            continue
+        s, d = ratio
+        # L s / d = q^(val s - val d) (L num(s) den(d)) / (den(s) num(d))
+        num = _pmul(_pmul(lcm, s.num), d.den)
+        weights.append(_reduced(s.val - d.val,
+                                _pdivexact(num, _pmul(s.den, d.num)), _PONE))
+    return _new(0, _PONE, lcm), weights
 
 
 def jackson_q_integral_01(f, p: QScalar) -> QScalar:

@@ -3,7 +3,7 @@ import importlib
 import pytest
 from hypothesis import settings
 
-from qsu2 import charts, coherent, comod
+from qsu2 import charts, coherent, comod, scalars
 from qsu2.comod import VnComodule
 from qsu2.ncalg import STD, AlgebraMap
 from qsu2.scalars import q_pow
@@ -61,13 +61,15 @@ def fresh_steps():
 @pytest.fixture
 def fresh_engine():
     # every cache that a fault in the products, the coaction matrices, the
-    # Gram form or the Haar functional can fill: a fault must neither meet a
-    # chart, map image, matrix, certificate, Haar value or operator built
-    # without it nor leave one behind.  Yields the clearing, for a test that
-    # builds the sound values first
+    # Gram form, the Haar functional or the Jackson weights can fill: a
+    # fault must neither meet a chart, map image, matrix, certificate, Haar
+    # value, operator, lcm or weight table built without it nor leave one
+    # behind.  Yields the clearing, for a test that builds the sound values
+    # first
     caches = (charts.chart, charts.cover, coherent.resolution_operator,
               haar_module.pair, coherent.qbeta_check, AlgebraMap._power,
-              AlgebraMap.image, comod._certified_step, VnComodule)
+              AlgebraMap.image, comod._certified_step, VnComodule,
+              scalars._jackson_lcm, scalars._jackson_weights)
 
     def clear():
         for cache in caches:

@@ -8,7 +8,10 @@ Laurent shortcut, so it shares no fast path with the code under test.
 The q-Pochhammer product at the end is the oracle for `q_pochhammer`, the
 Gaussian-binomial product for `gauss_binomial`, and the term-by-term
 Jackson integral and quotient q-Gamma after them are the oracles for
-`jackson_q_integral_01` and `q_gamma_int`.
+`jackson_q_integral_01` and `q_gamma_int`.  `jackson_weights` is the
+weight table as `qsu2.scalars` built it for each top before it read L
+from one lcm chain: from m = 0, with a gcd per weight, in `QScalar`
+arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qsu2.scalars import ONE, Q, ZERO
+from qsu2.scalars import ONE, Q, QScalar, ZERO
 
 
 def _ptrim(c):
@@ -274,6 +277,19 @@ def jackson_q_integral_01(f, p):
         if not c.is_zero():
             total = total + c * (ONE - p) / (ONE - p ** (m + 1))
     return total
+
+
+def jackson_weights(p, top):
+    """(1/L, w) with w[m] = L (1-p)/(1-p^(m+1)) for m = 0..top, where L is
+    the lcm of the denominators (None where p^(m+1) = 1), built from m = 0
+    with a gcd per weight."""
+    weights, lcm = [], ONE  # lcm: L so far, lc(L) > 0
+    for m in range(top + 1):
+        d = ONE - p ** (m + 1)
+        weights.append((ONE - p) / d if d else None)
+        if d:  # the den of w[m] L is den(w[m]) / gcd(den(w[m]), L)
+            lcm = lcm * QScalar((weights[-1] * lcm).den)
+    return lcm.inverse(), [None if w is None else w * lcm for w in weights]
 
 
 def q_gamma_int(n):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import charts_oracle
 import weight_gate_oracle
 from qsu2 import charts as charts_module
 from qsu2 import linalg
@@ -11,8 +12,8 @@ from qsu2.charts import (chart, coaction_B, coinv_poly_coeffs, cover,
                          paper_gamma_b_controls, verify_chart)
 from qsu2.comod import VnComodule, torus_weight
 from qsu2.hopf import hopf_G, pi_map
-from qsu2.ncalg import (STD, AlgebraMap, apply_tensor_map, parse_element,
-                        tensor_elem)
+from qsu2.ncalg import (STD, AlgebraMap, NCPoly, apply_tensor_map,
+                        parse_element, tensor_elem)
 from qsu2.scalars import q_pow
 from qsu2.suites import run_suite
 from rewriting_oracle import (normal_form_of_word, random_word,
@@ -201,6 +202,87 @@ def test_cover_equalizer():
     for degree in range(1, 5):
         checks = cover_equalizer(degree)
         assert all(c["status"] != "fail" for c in checks)
+
+
+def _doubled_d_into_G_bd(monkeypatch):
+    # the d-chart's map into G_bd sends d to 2d
+    ch = cover().d
+    monkeypatch.setattr(ch, "to_double", AlgebraMap(
+        ch.alg, STD.Gbd, {**ch.to_double.images, "d": STD.Gbd.gen("d") * 2},
+        name=ch.to_double.name))
+
+
+def _retraction_dropping_a_term(monkeypatch):
+    # the retraction to G loses the first term of its argument
+    monkeypatch.setattr(charts_module, "retract", lambda p, target: NCPoly(
+        target, dict(list(p.terms.items())[1:])))
+
+
+def _c_into_b_squared(monkeypatch):
+    # both maps of G into the charts send c to b^2, so c - b^2 is a kernel
+    # vector of the injectivity system from degree 2 on
+    for ch in (cover().b, cover().d):
+        monkeypatch.setattr(ch, "iota", AlgebraMap(
+            STD.G, ch.alg, {**ch.iota.images, "c": ch.alg.gen("b") ** 2},
+            name=ch.iota.name))
+
+
+def _same_span(pairs, others):
+    # pairs and others are bases (kernel bases are independent) of one
+    # space: as many, and pairs followed by others have len(others)
+    # independent relations
+    def col(pair):
+        f_b, f_d = pair
+        return {**{("b", m): c for m, c in f_b.terms.items()},
+                **{("d", m): c for m, c in f_d.terms.items()}}
+
+    cols = [col(p) for p in pairs]
+    return (len(pairs) == len(others)
+            and len(linalg.kernel_basis(cols + [col(p) for p in others]))
+            == len(others))
+
+
+GLUING = {f"cover.gluing_deg{d}_order_{o}" for d in range(1, 7)
+          for o in ("bd", "db")}
+# fault -> the records it fails at degrees 1..6
+COVER_FAULTS = {
+    "sound": (lambda monkeypatch: None, set()),
+    "doubled_d_into_G_bd": (_doubled_d_into_G_bd, GLUING),
+    "retraction_dropping_a_term": (_retraction_dropping_a_term, GLUING),
+    "c_into_b_squared": (_c_into_b_squared, GLUING | {
+        f"cover.injectivity_deg{d}" for d in range(2, 7)}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(COVER_FAULTS))
+def test_cover_records_match_the_per_degree_oracle(monkeypatch, fault):
+    # one solve at degree 6 gives each degree D the verdicts, the pair count
+    # and the span of pairs that the solve on the degree-D slice gives
+    install, must_fail = COVER_FAULTS[fault]
+    install(monkeypatch)
+    got = {c["name"]: c for c in cover_equalizer(6)}
+    pairs = charts_module._cover_pairs(6)
+    for degree in range(1, 7):
+        want = charts_oracle.cover_equalizer(degree)
+        for c in want:
+            assert got[c["name"]]["status"] == c["status"], c["name"]
+        count = f"cover.gluing_pairs_deg{degree}"
+        assert got[count]["witness"] == want[-1]["witness"], degree
+        assert _same_span([(f_b, f_d) for d, f_b, f_d in pairs
+                           if d <= degree],
+                          charts_oracle.pairs(degree)), degree
+    assert {name for name, c in got.items()
+            if c["status"] == "fail"} == must_fail
+
+
+def test_cover_records_of_every_degree_come_from_one_call():
+    # the degree-D records that a call at the top degree returns are those
+    # of a call at degree D
+    top = cover_equalizer(5)
+    for degree in range(1, 6):
+        names = [c["name"] for c in cover_equalizer(degree)]
+        assert [c for c in top if c["name"] in names] == cover_equalizer(
+            degree)
 
 
 def test_injectivity_no_kernel_element():

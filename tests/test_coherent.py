@@ -324,6 +324,35 @@ def test_reproducing_reads_the_resolution_matrix():
                 _reproducing_by_integrals(n, H, v)
 
 
+def test_reproducing_reads_no_entry_against_an_exact_zero(monkeypatch):
+    # on the matrix unit E_ab and the basis vector e_c only the entry
+    # (b, c) of the resolution matrix meets a nonzero pair of H and v, so
+    # it is the one entry read, once per row j = a of H
+    class Row(list):
+        def __getitem__(self, k):
+            read.append((self.i, k))
+            return super().__getitem__(k)
+
+    n = 3
+    res = coherent.resolution_operator(n)
+    rows = []
+    for i, row in enumerate(res.matrix):
+        rows.append(Row(row))
+        rows[-1].i = i
+    monkeypatch.setattr(coherent, "resolution_operator",
+                        lambda k: coherent.ResolutionResult(
+                            k, rows, res.alpha, res.chart_agreement))
+    m = n + 1
+    for a, b, c in itertools.product(range(m), repeat=3):
+        read = []
+        H = [[ONE if (j, i) == (a, b) else ZERO for i in range(m)]
+             for j in range(m)]
+        v = [ONE if i == c else ZERO for i in range(m)]
+        assert reproducing_apply(n, H, v) == [
+            ONE if (j, b) == (a, c) else ZERO for j in range(m)]
+        assert read == [(b, c)], (a, b, c)
+
+
 def test_classical_limit():
     for n in range(4):
         rep = classical_limit_report(n)

@@ -231,6 +231,46 @@ def test_a_corner_built_wrong_fails_the_gram_records(monkeypatch,
         + [f"comod.weight_covector_n{k}"] * (col == 0))
 
 
+# the construction faults of the Gram suite's fault comparison: every entry
+# of V_2 and V_3 doubled, times q or plus the unit as `_extend_coaction_matrix`
+# builds it, by (k, j, i, change), and the flipped Manin sign: 76 faults
+ENTRY_CHANGES = {"doubled": lambda x: x * 2, "times_q": lambda x: x * Q,
+                 "plus_unit": lambda x: x + G.one()}
+BUILD_FAULTS = [(k, j, i, change) for k in (2, 3) for j in range(k + 1)
+                for i in range(k + 1) for change in sorted(ENTRY_CHANGES)]
+
+
+def _build_entry_changed(monkeypatch, k, j, i, change):
+    extend = comod._extend_coaction_matrix
+
+    def changed(t, n):
+        out = extend(t, n)
+        if n == k:
+            out[j][i] = ENTRY_CHANGES[change](out[j][i])
+        return out
+    monkeypatch.setattr(comod, "_extend_coaction_matrix", changed)
+
+
+@pytest.mark.parametrize("fault", BUILD_FAULTS + ["flipped_manin_sign"],
+                         ids=lambda f: "_".join(map(str, f))
+                         if isinstance(f, tuple) else f)
+def test_the_axioms_record_keeps_the_direct_verdict(request, monkeypatch,
+                                                    fresh_steps, fault):
+    # above n = 1 `comod.axioms_n{n}` reads the step certificate; under each
+    # construction fault its verdict at n = 2, 3 is that of the comodule
+    # axioms run directly on the V_n built with the fault
+    if fault == "flipped_manin_sign":
+        request.getfixturevalue(fault)
+    else:
+        _build_entry_changed(monkeypatch, *fault)
+    checks = {c["name"]: c for c in
+              suites.SUITES["gram"](range(2, 4), 5, Fraction(1, 2))}
+    for n in (2, 3):
+        direct = verify_comodule_axioms(n)
+        record = checks[f"comod.axioms_n{n}"]
+        assert (record["status"] == "pass") == (direct is None), (n, direct)
+
+
 def test_a_wrong_manin_exponent_fails_at_step_2(fresh_steps,
                                                 flipped_manin_sign):
     assert verify_comodule_axioms(1) is None

@@ -204,6 +204,33 @@ def test_positivity_matches_the_ungated_oracle(q0):
                 == weight_gate_oracle.verify_positivity(q0, degree)), degree
 
 
+# functional -> what `haar.haar` is replaced with: the Haar state, the
+# counit (live at weights other than (0, 0)) and the Haar state plus the
+# coefficient of b (live at (1, -1) as well)
+POSITIVITY_FUNCTIONALS = {
+    "haar": lambda: haar,
+    "counit": lambda: hopf_G().counit,
+    "haar_plus_b": lambda: lambda p: haar(p) + p.coeff(
+        next(iter(G.gen("b").terms))),
+}
+
+
+@pytest.mark.parametrize("functional", sorted(POSITIVITY_FUNCTIONALS))
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(1, 3)])
+def test_positivity_by_component_matches_the_full_ldl_oracle(
+        monkeypatch, fresh_pairs, functional, q0):
+    # the LDL^T within the components of linked weights meets the first
+    # pivot that is not positive where the LDL^T over every index does, so
+    # the verdict and the witness are the same
+    monkeypatch.setattr(haar_module, "haar",
+                        POSITIVITY_FUNCTIONALS[functional]())
+    for degree in range(4):
+        check, = verify_positivity(q0, degree)
+        ok, witness = haar_oracle.positivity(q0, degree)
+        assert check["status"] == ("pass" if ok else "fail"), degree
+        assert check.get("witness") == (None if ok else str(witness)), degree
+
+
 def _recorded(monkeypatch, functional):
     integrands = []
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from qsu2 import parse_scalar
+from qsu2 import scalars as scalars_module
 from qsu2.scalars import (ONE, PoleError, Q, QScalar, ZERO, gauss_binomial,
                           jackson_q_integral_01, q_gamma_int, q_number,
                           q_pochhammer, q_pow, q_shift)
@@ -438,6 +439,53 @@ def test_jackson_raises_only_on_a_term_at_a_pole(base, f):
 
     assert (outcome(jackson_q_integral_01)
             == outcome(scalar_oracle.jackson_q_integral_01))
+
+
+@pytest.mark.parametrize("base", ["q^-2", "q", "q^2", "1/q"])
+def test_jackson_weights_match_the_per_top_oracle(base):
+    # the tables read from one lcm chain per base, with each weight formed
+    # by exact division, against the tables built from m = 0 for each top
+    # with a gcd per weight: the same L and the same weights, top by top
+    p = S(base)
+    for top in range(25):
+        assert (scalars_module._jackson_weights(p, top)
+                == scalar_oracle.jackson_weights(p, top)), top
+
+
+@pytest.mark.parametrize("base", ["q^3/(q^3+1)", "(1+q)/(2-q^2)", "2*q/3",
+                                  "1", "-1", "0"])
+def test_jackson_weights_match_the_oracle_off_the_powers_of_q(base):
+    # a base that is no power of q, or one with a pole at some m
+    p = S(base)
+    for top in range(7):
+        assert (scalars_module._jackson_weights(p, top)
+                == scalar_oracle.jackson_weights(p, top)), top
+
+
+def test_jackson_lcm_build_does_not_nest_a_call_per_top(monkeypatch):
+    # L at top is read from L at top - 1, and L at 0..top-1 are read in
+    # ascending order first: from a cold cache the depth is L at top, then
+    # L at m, then the cached L at m - 1 it reads, whatever the top
+    build = scalars_module._jackson_lcm
+    depth, deepest = [0], [0]
+
+    def counted(p, top):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return build(p, top)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(scalars_module, "_jackson_lcm", counted)
+    depths = {}
+    for top in (6, 40):
+        build.cache_clear()
+        deepest[0] = 0
+        counted(q_pow(-2), top)
+        depths[top] = deepest[0]
+    build.cache_clear()
+    assert depths == {6: 3, 40: 3}
 
 
 def test_q_gamma_int_matches_the_quotient_oracle():

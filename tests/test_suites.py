@@ -4,6 +4,7 @@ draws a random number.  `qsu2 resolution` reports such a failure as a JSON
 report and exit 1."""
 
 import collections
+import functools
 import importlib
 import json
 import pathlib
@@ -332,12 +333,44 @@ def test_a_fault_fails_typos_with_a_report(fresh_engine, monkeypatch,
     # every record, where they exited 3 with none
     _swap_middles(monkeypatch)
     checks = _checks("typos")
-    assert checks["typo.dr_ar_bc_square"]["status"] == "fail"
+    # the failed ledger records name where they fail
+    for name, witness in (
+            ("typo.dr_ar_bc_square",
+             "r = 1: d^r a^r is not the linear product"),
+            ("typo.lemma_sign", "(i, n) = (0, 1)")):
+        assert checks[name]["status"] == "fail", name
+        assert checks[name]["witness"] == witness, name
     assert main(["verify", "typos"]) == 1
     assert capsys.readouterr().err == ""
     assert main(["verify", "all", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and len(json.loads(out)["checks"]) == 184
+
+
+def _integrate_to_zero(monkeypatch):
+    # every Jackson integral of the q-beta identities is 0
+    monkeypatch.setattr(coherent, "jackson_q_integral_01", lambda f, p: ZERO)
+    monkeypatch.setattr(coherent, "ramanujan_qbeta", functools.cache(
+        coherent.ramanujan_qbeta.__wrapped__))
+
+
+def _b_chart_solved_with_the_identity(monkeypatch):
+    # the b-chart's decomposition claims w = id
+    monkeypatch.setattr(charts.chart("b").gauss, "w_is_identity", True)
+
+
+@pytest.mark.parametrize("name, fault, witness", [
+    ("typo.ramanujan_integrand_reading", _integrate_to_zero,
+     "(alpha, beta) = (1, 1): 0 != 1"),
+    ("typo.gauss_w_matrices", _b_chart_solved_with_the_identity,
+     "b-chart: solvable with w = id"),
+])
+def test_a_failed_ledger_record_names_its_witness(monkeypatch, name, fault,
+                                                  witness):
+    fault(monkeypatch)
+    record = _checks("typos")[name]
+    assert record["status"] == "fail"
+    assert record["witness"] == witness
 
 
 @pytest.mark.parametrize("fault", ["haar_refuses_bc_cubed", "v3_refused"])
@@ -374,7 +407,10 @@ def test_qbeta_reads_the_installed_functional(monkeypatch, fresh_engine):
     checks = _checks("coherent", n_range=range(1, 2))
     for name in ("qbeta.closed_form", "n=1.lemma_integral"):
         assert checks[name]["status"] == "fail", name
-    assert _checks("typos")["typo.qbeta_binomial_position"]["status"] == "fail"
+    # the ledger record names the first row that fails as well
+    record = _checks("typos")["typo.qbeta_binomial_position"]
+    assert record["status"] == "fail"
+    assert record["witness"] == "(i, n) = (0, 1): the integral is 1"
 
 
 @pytest.mark.parametrize("suite", ["haar", "all"])
