@@ -270,12 +270,13 @@ class Cover:
         out = []
         for vec in linalg.kernel_basis(columns):
             sides = {self.b: {}, self.d: {}}
-            for (ch, f), c in zip(words, vec):
+            for j, c in enumerate(vec):
                 if c:
+                    ch, f = words[j]
                     (m, cf), = f.terms.items()
                     sides[ch][m] = cf * c
-            out.append((max(j for j, c in enumerate(vec) if c),
-                        NCPoly(self.b.alg, sides[self.b]),
+                    last = j
+            out.append((last, NCPoly(self.b.alg, sides[self.b]),
                         NCPoly(self.d.alg, sides[self.d])))
         return out
 
