@@ -12,8 +12,9 @@ reads c (bc)^r as the coefficient c (-q)^-r of zeta^r and calls
 `scalars.jackson_q_integral_01`, whose `_jackson_weights` (cached per
 (base, highest r), and read from one lcm chain of denominators per base,
 `_jackson_lcm`, by exact division) is the one weight table: one division,
-so one gcd, per integrand.  The functional is defined on G only: integrands living in a
-localization must first be rewritten into the image of G.
+so one gcd, per integrand.  The functional is defined on G only:
+integrands living in a localization must first be rewritten into the
+image of G.
 
 `pair(m, m2)` = h(m m2^*) on two monomials of G is the one cache of Haar
 values.  By linearity h(x y^*) is the sum of c c' pair(m, m2) over the
